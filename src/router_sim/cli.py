@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
+import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import dsl, scenarios
-from .errors import CompileError, SimulationError
+from .errors import BadParam, CompileError, SimulationError
 
 DEFAULT_TOL = 1e-9
 
@@ -29,40 +28,25 @@ EXIT_ASSERTION = 2
 EXIT_USAGE = 3
 EXIT_PARSE = 4
 
-_CERTAINTY_KEYS = {
-    "three_box_shutter": "reflected_given_postselection",
-    "disappearing_full": "restored_given_postselection",
-    "simplified_3path": "restored_given_postselection",
-    "simplest_2path": "restored_given_postselection",
-    "absence_test": "restored_given_postselection",
-    "stricter_6beam": "restored_given_postselection",
-}
-
-_ALPHA_ARITY = {
-    "three_box_shutter": 2,
-    "disappearing_full": 5,
-    "stricter_6beam": 6,
-    "bell_test": 5,
-}
-
-SCENARIO_NAMES = (
-    "three_box_shutter",
-    "disappearing_full",
-    "simplified_3path",
-    "simplest_2path",
-    "absence_test",
-    "stricter_6beam",
-    "bell_test",
-)
-
 
 class UsageError(Exception):
     pass
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Take a word that starts with "-" and a digit, such as
+        # "-0.6,0.8,0,0,0" or "-0.6i", as an option's value rather than as
+        # an unknown option; no option of this parser looks like that.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         raise UsageError(message)
+
+
+_ALICE = {"open": scenarios.OPEN_BOXES, "superpose": scenarios.SUPERPOSE}
+_BOB = {"open": scenarios.OPEN_CAVITIES, "superpose": scenarios.SUPERPOSE}
 
 
 def _round12(value):
@@ -119,10 +103,46 @@ def _emit_outcomes_csv(rows, stream):
         writer.writerow([label, f"{probability:.12g}"])
 
 
-def _parse_alphas(raw, arity):
-    if raw is None or raw == "equal":
+def _scenario(name):
+    try:
+        return scenarios.SCENARIOS[name]
+    except KeyError:
+        raise UsageError(
+            f"unknown scenario {name!r}; valid names: "
+            f"{', '.join(scenarios.SCENARIOS)}"
+        ) from None
+
+
+def _reject_unused_flags(args, entry):
+    """Usage error for a flag the scenario does not read.
+
+    ``--alpha1``/``--alpha2`` name the coefficients of a two-coefficient
+    scenario; ``--alice``/``--bob`` are measurement settings.
+    """
+    unused = []
+    if args.alphas is not None and not entry.arity:
+        unused.append("--alphas")
+    if (args.alpha1, args.alpha2) != (None, None) and entry.arity != 2:
+        unused.append("--alpha1/--alpha2")
+    if (args.alice, args.bob) != (None, None) and not entry.takes_settings:
+        unused.append("--alice/--bob")
+    if unused:
+        raise UsageError(
+            f"scenario {args.scenario!r} takes no {', '.join(unused)}"
+        )
+
+
+def _run_alphas(args, arity):
+    """Coefficients of a run, the scenario's default when none are given;
+    raises BadParam when they are not normalized."""
+    if not arity:
+        return []
+    if args.alpha1 is not None or args.alpha2 is not None:
+        parts = [args.alpha1 or "0", args.alpha2 or "0"]
+    elif args.alphas is None or args.alphas == "equal":
         return scenarios.equal_alphas(arity)
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
+    else:
+        parts = [p.strip() for p in args.alphas.split(",") if p.strip()]
     values = []
     for part in parts:
         value = dsl.parse_weight(part)
@@ -133,88 +153,31 @@ def _parse_alphas(raw, arity):
         raise UsageError(
             f"expected {arity} comma-separated coefficients, got {len(values)}"
         )
-    return np.asarray(values, dtype=complex)
-
-
-def _run_scenario(name, args):
-    if name == "three_box_shutter":
-        if args.alpha1 is not None or args.alpha2 is not None:
-            a1 = dsl.parse_weight(args.alpha1 or "0")
-            a2 = dsl.parse_weight(args.alpha2 or "0")
-            if a1 is None or a2 is None:
-                raise UsageError("invalid --alpha1/--alpha2")
-        elif args.alphas is not None:
-            a1, a2 = _parse_alphas(args.alphas, 2)
-        else:
-            a1 = a2 = 1 / math.sqrt(2)
-        result = scenarios.three_box_shutter(a1, a2)
-        params = {"alphas": [complex(a1), complex(a2)],
-                  "perturbation": args.perturb}
-        return result, params
-    if name == "disappearing_full":
-        alphas = _parse_alphas(args.alphas, 5)
-        result = scenarios.disappearing_full(alphas, args.perturb)
-        return result, {"alphas": [complex(a) for a in alphas],
-                        "perturbation": args.perturb}
-    if name == "simplified_3path":
-        return scenarios.simplified_3path(args.perturb), {
-            "alphas": [], "perturbation": args.perturb}
-    if name == "simplest_2path":
-        return scenarios.simplest_2path(args.perturb), {
-            "alphas": [], "perturbation": args.perturb}
-    if name == "absence_test":
-        return scenarios.absence_test(args.perturb), {
-            "alphas": [], "perturbation": args.perturb}
-    if name == "stricter_6beam":
-        alphas = _parse_alphas(args.alphas, 6)
-        result = scenarios.stricter_6beam(alphas, args.perturb)
-        return result, {"alphas": [complex(a) for a in alphas],
-                        "perturbation": args.perturb}
-    if name == "bell_test":
-        alphas = _parse_alphas(args.alphas, 5)
-        alice = scenarios.SUPERPOSE if args.alice == "superpose" \
-            else scenarios.OPEN_BOXES
-        bob = scenarios.SUPERPOSE if args.bob == "superpose" \
-            else scenarios.OPEN_CAVITIES
-        result = scenarios.bell_scenario(alphas, alice, bob)
-        return result, {
-            "alphas": [complex(a) for a in alphas],
-            "alice_setting": args.alice,
-            "bob_setting": args.bob,
-        }
-    raise UsageError(
-        f"unknown scenario {name!r}; valid names: {', '.join(SCENARIO_NAMES)}"
-    )
-
-
-def _check_assertions(name, result, perturb, tol):
-    """True when every built-in certainty claim holds within tolerance."""
-    if perturb is not None:
-        return True
-    if name == "bell_test":
-        total = sum(result.conditional_probabilities.values())
-        gap = result.metadata.get("no_signaling_gap", 0.0)
-        return abs(total - 1.0) <= tol and gap <= tol
-    key = _CERTAINTY_KEYS.get(name)
-    if key is None:
-        return True
-    value = result.conditional_probabilities.get(key, 0.0)
-    ok = abs(value - 1.0) <= tol
-    if name == "three_box_shutter":
-        ok = ok and abs(result.fidelity_to_target - 1.0) <= tol
-    return ok
+    return scenarios.as_alpha_vector(values, arity)
 
 
 def cmd_run(args, stream):
-    result, params = _run_scenario(args.scenario, args)
-    payload = _result_payload(result, params)
+    entry = _scenario(args.scenario)
+    _reject_unused_flags(args, entry)
+    try:
+        scenarios.check_perturbation(args.scenario, args.perturb)
+        alphas = _run_alphas(args, entry.arity)
+    except BadParam as exc:
+        raise UsageError(str(exc)) from None
+    alice, bob = args.alice or "open", args.bob or "open"
+    result = entry.evaluate(alphas, args.perturb, (_ALICE[alice], _BOB[bob]))
+    params = {"alphas": [complex(a) for a in alphas]}
+    if entry.takes_settings:
+        params.update(alice_setting=alice, bob_setting=bob)
+    else:
+        params["perturbation"] = args.perturb
     if args.format == "csv":
         _emit_outcomes_csv(
             list(result.conditional_probabilities.items()), stream
         )
     else:
-        _emit_json(payload, stream)
-    if not _check_assertions(args.scenario, result, args.perturb, args.tol):
+        _emit_json(_result_payload(result, params), stream)
+    if args.perturb is None and not entry.certain(result, args.tol):
         return EXIT_ASSERTION
     return EXIT_OK
 
@@ -243,15 +206,10 @@ def cmd_simulate(args, stream):
     return EXIT_OK
 
 
-def _sweep_points(args):
+def _sweep_points(args, arity):
     if args.random is not None:
         if args.random <= 0:
             raise UsageError("--random needs a positive count")
-        arity = _ALPHA_ARITY.get(args.scenario)
-        if arity is None:
-            raise UsageError(
-                f"scenario {args.scenario!r} takes no coefficient sweep"
-            )
         rng = np.random.default_rng(args.seed)
         points = []
         for _ in range(args.random):
@@ -268,11 +226,6 @@ def _sweep_points(args):
             ) from exc
         if count <= 0:
             raise UsageError("empty sweep grid")
-        arity = _ALPHA_ARITY.get(args.scenario)
-        if arity is None:
-            raise UsageError(
-                f"scenario {args.scenario!r} takes no coefficient sweep"
-            )
         points = []
         for a1 in np.linspace(start, stop, count):
             a1 = min(max(a1, -1.0), 1.0)
@@ -284,41 +237,22 @@ def _sweep_points(args):
     raise UsageError("sweep needs --random N or --alpha1-grid start:stop:count")
 
 
-def _sweep_one(scenario, point):
-    if scenario == "bell_test":
-        result = scenarios.bell_scenario(point)
-        summary = {
-            "no_signaling_gap": result.metadata["no_signaling_gap"],
-            "chsh": result.metadata["chsh"],
-        }
-    else:
-        if scenario == "three_box_shutter":
-            result = scenarios.three_box_shutter(point[0], point[1])
-        elif scenario == "disappearing_full":
-            result = scenarios.disappearing_full(point)
-        elif scenario == "stricter_6beam":
-            result = scenarios.stricter_6beam(point)
-        else:
-            raise UsageError(f"scenario {scenario!r} is not sweepable")
-        summary = dict(result.conditional_probabilities)
-        summary["fidelity"] = result.fidelity_to_target
-    return {
-        "alphas": [complex(a) for a in point],
-        "summary": summary,
-        "schmidt": list(result.schmidt_spectrum or []),
-    }
-
-
 def cmd_sweep(args, stream):
-    points = _sweep_points(args)
-    with ThreadPoolExecutor(max_workers=min(8, len(points))) as pool:
-        records = list(
-            pool.map(lambda p: _sweep_one(args.scenario, p), points)
+    entry = _scenario(args.scenario)
+    if not entry.arity:
+        raise UsageError(
+            f"scenario {args.scenario!r} takes no coefficient sweep"
         )
-    for index, record in enumerate(records):
-        record_out = {"index": index}
-        record_out.update(record)
-        records[index] = record_out
+    settings = (scenarios.OPEN_BOXES, scenarios.OPEN_CAVITIES)
+    records = []
+    for index, point in enumerate(_sweep_points(args, entry.arity)):
+        result = entry.evaluate(point, None, settings)
+        records.append({
+            "index": index,
+            "alphas": [complex(a) for a in point],
+            "summary": entry.summarize(result),
+            "schmidt": list(result.schmidt_spectrum or []),
+        })
     if args.format == "csv":
         writer = csv.writer(stream)
         keys = sorted(records[0]["summary"]) if records else []
@@ -338,7 +272,7 @@ def cmd_sweep(args, stream):
 
 
 def cmd_list(args, stream):
-    for name in SCENARIO_NAMES:
+    for name in scenarios.SCENARIOS:
         stream.write(name + "\n")
     return EXIT_OK
 
@@ -352,13 +286,8 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command")
 
-    def add_common(p):
+    def add_format(p):
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument(
-            "--tol", type=float,
-            default=float(os.environ.get("ROUTER_SIM_TOL", DEFAULT_TOL)),
-            help="tolerance for built-in certainty assertions",
-        )
 
     run = sub.add_parser("run", help="run a built-in scenario")
     run.add_argument("scenario")
@@ -366,23 +295,30 @@ def build_parser():
     run.add_argument("--alpha1")
     run.add_argument("--alpha2")
     run.add_argument("--perturb", help="named perturbation variant")
-    run.add_argument("--alice", choices=("open", "superpose"), default="open")
-    run.add_argument("--bob", choices=("open", "superpose"), default="open")
-    add_common(run)
+    run.add_argument("--alice", choices=tuple(_ALICE), help="default: open")
+    run.add_argument("--bob", choices=tuple(_BOB), help="default: open")
+    add_format(run)
+    # A string default goes through ``type`` only when --tol is absent, so
+    # a malformed ROUTER_SIM_TOL is a usage error of ``run`` alone.
+    run.add_argument(
+        "--tol", type=float,
+        default=os.environ.get("ROUTER_SIM_TOL", str(DEFAULT_TOL)),
+        help="tolerance for built-in certainty assertions "
+             "(default: $ROUTER_SIM_TOL or 1e-9)",
+    )
 
     simulate = sub.add_parser("simulate", help="simulate a .circuit file")
     simulate.add_argument("file")
-    add_common(simulate)
+    add_format(simulate)
 
     sweep = sub.add_parser("sweep", help="evaluate a scenario over a grid")
     sweep.add_argument("scenario")
     sweep.add_argument("--random", type=int, help="number of random points")
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--alpha1-grid", help="start:stop:count for alpha1")
-    add_common(sweep)
+    add_format(sweep)
 
-    lister = sub.add_parser("list", help="list scenario names")
-    lister.add_argument("--format", choices=("json", "csv"), default="json")
+    sub.add_parser("list", help="list scenario names")
     return parser
 
 
@@ -394,20 +330,10 @@ def main(argv=None, stream=None):
         if args.command is None:
             raise UsageError("a command is required (run, simulate, sweep, list)")
         if args.command == "run":
-            if args.scenario not in SCENARIO_NAMES:
-                raise UsageError(
-                    f"unknown scenario {args.scenario!r}; valid names: "
-                    f"{', '.join(SCENARIO_NAMES)}"
-                )
             return cmd_run(args, stream)
         if args.command == "simulate":
             return cmd_simulate(args, stream)
         if args.command == "sweep":
-            if args.scenario not in SCENARIO_NAMES:
-                raise UsageError(
-                    f"unknown scenario {args.scenario!r}; valid names: "
-                    f"{', '.join(SCENARIO_NAMES)}"
-                )
             return cmd_sweep(args, stream)
         if args.command == "list":
             return cmd_list(args, stream)

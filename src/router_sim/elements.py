@@ -196,27 +196,12 @@ def mode_unitary(u, modes):
     return Element(ElementKind.MODE_UNITARY, tuple(modes), {"matrix": u})
 
 
-def _apply_router_rule(state, probe_a, probe_b, control):
-    ia = state.index_of(probe_a)
-    ib = state.index_of(probe_b)
-    ic = state.index_of(control)
-    out = {}
-    for config, amp in state.amplitudes.items():
-        na, nb, nc = config[ia], config[ib], config[ic]
-        if na > 1 or nb > 1 or na + nb > 1 or nc > 1:
-            raise UnsupportedSector(
-                f"router applied outside its sector: occupations "
-                f"({na}, {nb}, {nc}) on (probe_a, probe_b, control)"
-            )
-        if nc == 1 and na != nb:
-            swapped = list(config)
-            swapped[ia], swapped[ib] = nb, na
-            config = tuple(swapped)
-        out[config] = out.get(config, 0j) + amp
-    return FockState(state.modes, out, state.n_total_max)
+def _router_sector(state, probe_a, probe_b, control):
+    """Positions of the router's modes in ``state``.
 
-
-def _check_router_sector(state, probe_a, probe_b, control):
+    Raises UnsupportedSector unless every configuration has at most one
+    photon in each bound mode and at most one across the probe pair.
+    """
     ia = state.index_of(probe_a)
     ib = state.index_of(probe_b)
     ic = state.index_of(control)
@@ -227,6 +212,20 @@ def _check_router_sector(state, probe_a, probe_b, control):
                 f"router applied outside its sector: occupations "
                 f"({na}, {nb}, {nc}) on (probe_a, probe_b, control)"
             )
+    return ia, ib, ic
+
+
+def _apply_router_rule(state, probe_a, probe_b, control):
+    ia, ib, ic = _router_sector(state, probe_a, probe_b, control)
+    out = {}
+    for config, amp in state.amplitudes.items():
+        na, nb = config[ia], config[ib]
+        if config[ic] == 1 and na != nb:
+            swapped = list(config)
+            swapped[ia], swapped[ib] = nb, na
+            config = tuple(swapped)
+        out[config] = out.get(config, 0j) + amp
+    return FockState(state.modes, out, state.n_total_max)
 
 
 def _apply_relabel(state, mapping):
@@ -240,12 +239,9 @@ def _apply_relabel(state, mapping):
     return FockState(state.modes, out, state.n_total_max)
 
 
-def _ns_two_mode_steps(mode_a, mode_b, n_total_max, adjoint):
+def _ns_two_mode_steps(mode_a, mode_b, n_total_max):
     bs = bs_matrix(0.5)
     phases = ns_phases(n_total_max)
-    if adjoint:
-        # (B† N N B)† = B† N N B: the composite is self-adjoint.
-        pass
     return [
         ("u", (mode_a, mode_b), bs),
         ("p", mode_a, phases),
@@ -300,15 +296,16 @@ def apply_element(state, element, adjoint=False):
             state, element.modes[0], ns_phases(state.n_total_max)
         )
     if kind is ElementKind.NS_TWO_MODE:
+        # (B† N N B)† = B† N N B: the composite is self-adjoint.
         steps = _ns_two_mode_steps(
-            element.modes[0], element.modes[1], state.n_total_max, adjoint
+            element.modes[0], element.modes[1], state.n_total_max
         )
         return _run_steps(state, steps)
     if kind is ElementKind.PQR_IDEAL:
         # Swap conditioned on occupation is an involution: self-adjoint.
         return _apply_router_rule(state, *element.modes)
     if kind is ElementKind.PQR_DECOMPOSED:
-        _check_router_sector(state, *element.modes)
+        _router_sector(state, *element.modes)
         steps = _pqr_decomposed_steps(*element.modes, state.n_total_max)
         # Identity on the control-absent sector, probe swap on the
         # control-present sector: the composite is its own adjoint.

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -36,7 +37,6 @@ from .fock import (
     FockState,
     ModeLabel,
     fidelity,
-    inner_product,
     mode,
     postselect_subsystem,
     project_pattern,
@@ -93,7 +93,9 @@ class ScenarioPlan:
         return list(self.schedule) + [self.merge]
 
 
-def _as_alpha_vector(alphas, arity):
+def as_alpha_vector(alphas, arity):
+    """``alphas`` as a complex vector of length ``arity``; raises
+    :class:`BadParam` unless it has that length and unit norm."""
     alphas = np.asarray(list(alphas), dtype=complex)
     if alphas.shape != (arity,):
         raise BadParam(f"expected {arity} coefficients, got {alphas.shape}")
@@ -130,17 +132,6 @@ def unitary_with_first_row(row):
     q, r = np.linalg.qr(np.column_stack(columns))
     q[:, 0] *= r[0, 0] / abs(r[0, 0])
     return q.conj().T
-
-
-def _shutter_register():
-    return tsvf.shutter_modes()
-
-
-def _shutter_sub_state(shutter_modes, weights):
-    vacuum = register_modes(shutter_modes)
-    return superposition_source(
-        vacuum, {m: w for m, w in zip(shutter_modes, weights)}
-    )
 
 
 def _probe_target(probe_modes, kept_ports, alphas, n_total_max=2):
@@ -232,8 +223,8 @@ def _attach_tsvf(result, spec):
 # ---------------------------------------------------------------------------
 
 def build_three_box(alpha1, alpha2):
-    alphas = _as_alpha_vector([alpha1, alpha2], 2)
-    shutter = _shutter_register()
+    alphas = as_alpha_vector([alpha1, alpha2], 2)
+    shutter = tsvf.shutter_modes()
     pa = mode("PA", box="A", role="probe_in")
     pb = mode("PB", box="B", role="probe_in")
     ra = mode("RA", box="A", role="probe_r")
@@ -247,7 +238,7 @@ def build_three_box(alpha1, alpha2):
         pqr_ideal(pa, ra, shutter[0]),
         pqr_ideal(pb, rb, shutter[1]),
     ]
-    post = _shutter_sub_state(shutter, (1 / SQRT3, 1 / SQRT3, -1 / SQRT3))
+    post = tsvf.shutter_state((1 / SQRT3, 1 / SQRT3, -1 / SQRT3), shutter)
     return ScenarioPlan(
         name="three_box_shutter",
         initial=initial,
@@ -307,83 +298,97 @@ def three_box_shutter(alpha1, alpha2):
 
 
 # ---------------------------------------------------------------------------
-# Disappearing-reappearing shutter, full five-beam scheme
+# Tunneling schemes built from a table of probe beams
 # ---------------------------------------------------------------------------
 
-_DISAPPEARING_PERTURBATIONS = (
-    "remove-shutter-C-t2",
-    "extra-beam-A-t2",
-    "extra-beam-B-t2",
-)
+_REFLECT = RouterOrientation.REFLECT_ON_MATCH
+_TRANSMIT = RouterOrientation.TRANSMIT_ON_MATCH
+
+#: shutter pre-selection of the tunneling schemes, over boxes A, B, C
+_TUNNELING_PRE = (1 / SQRT3, 1j / SQRT3, 1 / SQRT3)
 
 
-def build_disappearing(alphas=None, perturbation=None):
-    if perturbation not in (None,) + _DISAPPEARING_PERTURBATIONS:
-        raise BadParam(
-            f"unknown perturbation {perturbation!r}; "
-            f"choose from {_DISAPPEARING_PERTURBATIONS}"
-        )
-    alphas = equal_alphas(5) if alphas is None else _as_alpha_vector(alphas, 5)
-    shutter = _shutter_register()
-    sa, sb, sc = shutter
+def _beam_table_plan(name, beams, alphas, metadata,
+                     shutter_weights=_TUNNELING_PRE, routers=True,
+                     probe_photon=True, rail="R"):
+    """Plan of a tunneling scheme described by a table of probe beams.
 
-    beams = [
-        ("A1", "A", "t1", sa),
-        ("C1", "C", "t1", sc),
-        ("C2", "C", "t2", sc),
-        ("B3", "B", "t3", sb),
-        ("C3", "C", "t3", sc),
-    ]
-    extra = None
-    if perturbation == "extra-beam-A-t2":
-        extra = ("X2", "A", "t2", sa)
-    elif perturbation == "extra-beam-B-t2":
-        extra = ("X2", "B", "t2", sb)
-    if extra is not None:
-        beams = beams[:3] + [extra] + beams[3:]
-        weight = 1.0 / math.sqrt(6.0)
-        scaled = alphas * math.sqrt(1.0 - weight**2)
-        alphas = np.concatenate(
-            [scaled[:3], [weight], scaled[3:]]
-        )
-
+    Each beam ``(tag, box, slot, orientation)`` is a probe mode ``P<tag>``
+    and a rail ``<rail><tag>`` joined by a router whose control is the
+    shutter's mode for ``box``.  The probe photon is spread over the probe
+    modes with weights ``alphas``; the routers run slot by slot with a pi/4
+    A-B tunneling step after t1 and after t2; the routers' kept ports are
+    recombined by the adjoint of the splitting.  ``routers=False`` leaves
+    the routers out of the schedule and ``probe_photon=False`` prepares the
+    probe modes empty.
+    """
+    shutter = tsvf.shutter_modes()
     probes = [
         mode("P" + tag, box=box, time_slot=slot, role="probe_in")
         for tag, box, slot, _ in beams
     ]
     rails = [
-        mode("R" + tag, box=box, time_slot=slot, role="probe_r")
+        mode(rail + tag, box=box, time_slot=slot, role="probe_r")
         for tag, box, slot, _ in beams
     ]
-
-    if perturbation == "remove-shutter-C-t2":
-        shutter_weights = (1 / math.sqrt(2), 1j / math.sqrt(2), 0.0)
-    else:
-        shutter_weights = (1 / SQRT3, 1j / SQRT3, 1 / SQRT3)
-
-    sources = [(p, a) for p, a in zip(probes, alphas)]
+    sources = [
+        (p, a if probe_photon else None) for p, a in zip(probes, alphas)
+    ]
     sources += [(r, None) for r in rails]
     initial = _prepare(shutter, shutter_weights, sources)
 
     by_slot = {"t1": [], "t2": [], "t3": []}
-    for (tag, box, slot, control), p, r in zip(beams, probes, rails):
-        by_slot[slot].append(pqr_ideal(p, r, control))
-    step = tunneling(math.pi / 4, sa, sb)
+    kept = []
+    for (_, box, slot, orientation), p, r in zip(beams, probes, rails):
+        router = pqr_ideal(p, r, shutter["ABC".index(box)], orientation)
+        kept.append(router.kept_port)
+        if routers:
+            by_slot[slot].append(router)
+    step = tunneling(math.pi / 4, shutter[0], shutter[1])
     schedule = by_slot["t1"] + [step] + by_slot["t2"] + [step] + by_slot["t3"]
 
-    post = _shutter_sub_state(shutter, (-1 / SQRT3, -1j / SQRT3, 1 / SQRT3))
-    merge = mode_unitary(unitary_with_first_row(alphas.conj()), rails)
+    post = tsvf.shutter_state((-1 / SQRT3, -1j / SQRT3, 1 / SQRT3), shutter)
+    merge = mode_unitary(unitary_with_first_row(alphas.conj()), kept)
     return ScenarioPlan(
-        name="disappearing_full",
+        name=name,
         initial=initial,
         schedule=schedule,
         shutter_post=post,
-        kept_ports=list(rails),
+        kept_ports=kept,
         alphas=alphas,
         merge=merge,
-        out_mode=rails[0],
+        out_mode=kept[0],
         outcome_label="restored",
-        metadata={"perturbation": perturbation},
+        metadata=metadata,
+    )
+
+
+def build_disappearing(alphas=None, perturbation=None):
+    check_perturbation("disappearing_full", perturbation)
+    alphas = equal_alphas(5) if alphas is None else as_alpha_vector(alphas, 5)
+    beams = [
+        ("A1", "A", "t1", _REFLECT),
+        ("C1", "C", "t1", _REFLECT),
+        ("C2", "C", "t2", _REFLECT),
+        ("B3", "B", "t3", _REFLECT),
+        ("C3", "C", "t3", _REFLECT),
+    ]
+    extra_box = {"extra-beam-A-t2": "A", "extra-beam-B-t2": "B"}.get(
+        perturbation
+    )
+    if extra_box is not None:
+        beams.insert(3, ("X2", extra_box, "t2", _REFLECT))
+        weight = 1.0 / math.sqrt(6.0)
+        scaled = alphas * math.sqrt(1.0 - weight**2)
+        alphas = np.concatenate(
+            [scaled[:3], [weight], scaled[3:]]
+        )
+    shutter_weights = _TUNNELING_PRE
+    if perturbation == "remove-shutter-C-t2":
+        shutter_weights = (1 / math.sqrt(2), 1j / math.sqrt(2), 0.0)
+    return _beam_table_plan(
+        "disappearing_full", beams, alphas, {"perturbation": perturbation},
+        shutter_weights,
     )
 
 
@@ -402,57 +407,17 @@ def disappearing_full(alphas=None, perturbation=None):
     return result
 
 
-# ---------------------------------------------------------------------------
-# Simplified schemes
-# ---------------------------------------------------------------------------
-
 def build_simplified_3path(variant=None):
-    if variant not in (None, "identity-routers", "wrong-box-t2"):
-        raise BadParam(f"unknown variant {variant!r}")
-    shutter = _shutter_register()
-    sa, sb, sc = shutter
-    t2_box, t2_control = ("A", sa) if variant == "wrong-box-t2" else ("C", sc)
+    check_perturbation("simplified_3path", variant)
+    t2_box = "A" if variant == "wrong-box-t2" else "C"
     beams = [
-        ("A1", "A", "t1", sa),
-        (t2_box + "2", t2_box, "t2", t2_control),
-        ("B3", "B", "t3", sb),
+        ("A1", "A", "t1", _REFLECT),
+        (t2_box + "2", t2_box, "t2", _REFLECT),
+        ("B3", "B", "t3", _REFLECT),
     ]
-    probes = [
-        mode("P" + tag, box=box, time_slot=slot, role="probe_in")
-        for tag, box, slot, _ in beams
-    ]
-    rails = [
-        mode("R" + tag, box=box, time_slot=slot, role="probe_r")
-        for tag, box, slot, _ in beams
-    ]
-    alphas = equal_alphas(3)
-    sources = [(p, a) for p, a in zip(probes, alphas)]
-    sources += [(r, None) for r in rails]
-    initial = _prepare(shutter, (1 / SQRT3, 1j / SQRT3, 1 / SQRT3), sources)
-
-    step = tunneling(math.pi / 4, sa, sb)
-    if variant == "identity-routers":
-        schedule = [step, step]
-    else:
-        routers = [
-            pqr_ideal(p, r, control)
-            for (tag, box, slot, control), p, r in zip(beams, probes, rails)
-        ]
-        schedule = [routers[0], step, routers[1], step, routers[2]]
-
-    post = _shutter_sub_state(shutter, (-1 / SQRT3, -1j / SQRT3, 1 / SQRT3))
-    merge = mode_unitary(unitary_with_first_row(alphas.conj()), rails)
-    return ScenarioPlan(
-        name="simplified_3path",
-        initial=initial,
-        schedule=schedule,
-        shutter_post=post,
-        kept_ports=list(rails),
-        alphas=alphas,
-        merge=merge,
-        out_mode=rails[0],
-        outcome_label="restored",
-        metadata={"variant": variant},
+    return _beam_table_plan(
+        "simplified_3path", beams, equal_alphas(3), {"variant": variant},
+        routers=variant != "identity-routers",
     )
 
 
@@ -462,59 +427,24 @@ def simplified_3path(variant=None):
 
 
 def build_simplest_2path(variant=None):
-    if variant not in (None, "swapped-slots", "vacuum-probe"):
-        raise BadParam(f"unknown variant {variant!r}")
-    shutter = _shutter_register()
-    sa, sb, sc = shutter
+    check_perturbation("simplest_2path", variant)
     if variant == "swapped-slots":
-        beams = [("C1", "C", "t1", sc), ("A2", "A", "t2", sa)]
+        beams = [("C1", "C", "t1", _REFLECT), ("A2", "A", "t2", _REFLECT)]
     else:
-        beams = [("A1", "A", "t1", sa), ("C2", "C", "t2", sc)]
-    probes = [
-        mode("P" + tag, box=box, time_slot=slot, role="probe_in")
-        for tag, box, slot, _ in beams
-    ]
-    rails = [
-        mode("R" + tag, box=box, time_slot=slot, role="probe_r")
-        for tag, box, slot, _ in beams
-    ]
-    alphas = equal_alphas(2)
-    if variant == "vacuum-probe":
-        sources = [(p, None) for p in probes]
-    else:
-        sources = [(p, a) for p, a in zip(probes, alphas)]
-    sources += [(r, None) for r in rails]
-    initial = _prepare(shutter, (1 / SQRT3, 1j / SQRT3, 1 / SQRT3), sources)
-
-    step = tunneling(math.pi / 4, sa, sb)
-    routers = [
-        pqr_ideal(p, r, control)
-        for (tag, box, slot, control), p, r in zip(beams, probes, rails)
-    ]
-    schedule = [routers[0], step, routers[1], step]
-
-    post = _shutter_sub_state(shutter, (-1 / SQRT3, -1j / SQRT3, 1 / SQRT3))
-    merge = mode_unitary(unitary_with_first_row(alphas.conj()), rails)
-    return ScenarioPlan(
-        name="simplest_2path",
-        initial=initial,
-        schedule=schedule,
-        shutter_post=post,
-        kept_ports=list(rails),
-        alphas=alphas,
-        merge=merge,
-        out_mode=rails[0],
-        outcome_label="restored",
-        metadata={
-            "variant": variant,
-            # The unity restoration certifies reflection at A(t1) and
-            # C(t2); equivalently it certifies the shutter's absence from
-            # A at the in-between slot.  Both readings are reported.
-            "readings": [
-                "reflection from A(t1) and C(t2) with certainty",
-                "absence of the shutter from box A after t1",
-            ],
-        },
+        beams = [("A1", "A", "t1", _REFLECT), ("C2", "C", "t2", _REFLECT)]
+    metadata = {
+        "variant": variant,
+        # The unity restoration certifies reflection at A(t1) and
+        # C(t2); equivalently it certifies the shutter's absence from
+        # A at the in-between slot.  Both readings are reported.
+        "readings": [
+            "reflection from A(t1) and C(t2) with certainty",
+            "absence of the shutter from box A after t1",
+        ],
+    }
+    return _beam_table_plan(
+        "simplest_2path", beams, equal_alphas(2), metadata,
+        probe_photon=variant != "vacuum-probe",
     )
 
 
@@ -528,51 +458,13 @@ def simplest_2path(variant=None):
 # ---------------------------------------------------------------------------
 
 def build_absence_test(variant=None):
-    if variant not in (None, "at-t1", "at-t3", "reflect-orientation"):
-        raise BadParam(f"unknown variant {variant!r}")
+    check_perturbation("absence_test", variant)
     slot = {"at-t1": "t1", "at-t3": "t3"}.get(variant, "t2")
-    orientation = (
-        RouterOrientation.REFLECT_ON_MATCH
-        if variant == "reflect-orientation"
-        else RouterOrientation.TRANSMIT_ON_MATCH
-    )
-    shutter = _shutter_register()
-    sa, sb, sc = shutter
-    pa = mode("PA", box="A", time_slot=slot, role="probe_in")
-    pb = mode("PB", box="B", time_slot=slot, role="probe_in")
-    xa = mode("XA", box="A", time_slot=slot, role="probe_r")
-    xb = mode("XB", box="B", time_slot=slot, role="probe_r")
-    alphas = equal_alphas(2)
-    initial = _prepare(
-        shutter,
-        (1 / SQRT3, 1j / SQRT3, 1 / SQRT3),
-        [(pa, alphas[0]), (pb, alphas[1]), (xa, None), (xb, None)],
-    )
-
-    router_a = pqr_ideal(pa, xa, sa, orientation)
-    router_b = pqr_ideal(pb, xb, sb, orientation)
-    step = tunneling(math.pi / 4, sa, sb)
-    if slot == "t1":
-        schedule = [router_a, router_b, step, step]
-    elif slot == "t3":
-        schedule = [step, step, router_a, router_b]
-    else:
-        schedule = [step, router_a, router_b, step]
-
-    kept = [router_a.kept_port, router_b.kept_port]
-    post = _shutter_sub_state(shutter, (-1 / SQRT3, -1j / SQRT3, 1 / SQRT3))
-    merge = mode_unitary(unitary_with_first_row(alphas.conj()), kept)
-    return ScenarioPlan(
-        name="absence_test",
-        initial=initial,
-        schedule=schedule,
-        shutter_post=post,
-        kept_ports=kept,
-        alphas=alphas,
-        merge=merge,
-        out_mode=kept[0],
-        outcome_label="restored",
-        metadata={"variant": variant, "slot": slot},
+    orientation = _REFLECT if variant == "reflect-orientation" else _TRANSMIT
+    beams = [("A", "A", slot, orientation), ("B", "B", slot, orientation)]
+    return _beam_table_plan(
+        "absence_test", beams, equal_alphas(2),
+        {"variant": variant, "slot": slot}, rail="X",
     )
 
 
@@ -590,69 +482,17 @@ def absence_test(variant=None):
 # ---------------------------------------------------------------------------
 
 def build_stricter_6beam(alphas=None, flip=None):
-    if flip not in (None, "flip-A-t2", "flip-B-t2"):
-        raise BadParam(f"unknown flip {flip!r}")
-    alphas = equal_alphas(6) if alphas is None else _as_alpha_vector(alphas, 6)
-    shutter = _shutter_register()
-    sa, sb, sc = shutter
-
-    orientation_a2 = (
-        RouterOrientation.REFLECT_ON_MATCH
-        if flip == "flip-A-t2"
-        else RouterOrientation.TRANSMIT_ON_MATCH
-    )
-    orientation_b2 = (
-        RouterOrientation.REFLECT_ON_MATCH
-        if flip == "flip-B-t2"
-        else RouterOrientation.TRANSMIT_ON_MATCH
-    )
-
+    check_perturbation("stricter_6beam", flip)
+    alphas = equal_alphas(6) if alphas is None else as_alpha_vector(alphas, 6)
     beams = [
-        ("A1", "A", "t1", sa, RouterOrientation.REFLECT_ON_MATCH),
-        ("C1", "C", "t1", sc, RouterOrientation.REFLECT_ON_MATCH),
-        ("A2", "A", "t2", sa, orientation_a2),
-        ("B2", "B", "t2", sb, orientation_b2),
-        ("B3", "B", "t3", sb, RouterOrientation.REFLECT_ON_MATCH),
-        ("C3", "C", "t3", sc, RouterOrientation.REFLECT_ON_MATCH),
+        ("A1", "A", "t1", _REFLECT),
+        ("C1", "C", "t1", _REFLECT),
+        ("A2", "A", "t2", _REFLECT if flip == "flip-A-t2" else _TRANSMIT),
+        ("B2", "B", "t2", _REFLECT if flip == "flip-B-t2" else _TRANSMIT),
+        ("B3", "B", "t3", _REFLECT),
+        ("C3", "C", "t3", _REFLECT),
     ]
-    probes = [
-        mode("P" + tag, box=box, time_slot=slot, role="probe_in")
-        for tag, box, slot, _, _ in beams
-    ]
-    rails = [
-        mode("R" + tag, box=box, time_slot=slot, role="probe_r")
-        for tag, box, slot, _, _ in beams
-    ]
-    sources = [(p, a) for p, a in zip(probes, alphas)]
-    sources += [(r, None) for r in rails]
-    initial = _prepare(shutter, (1 / SQRT3, 1j / SQRT3, 1 / SQRT3), sources)
-
-    routers = [
-        pqr_ideal(p, r, control, orientation)
-        for (tag, box, slot, control, orientation), p, r in zip(
-            beams, probes, rails
-        )
-    ]
-    step = tunneling(math.pi / 4, sa, sb)
-    schedule = (
-        routers[:2] + [step] + routers[2:4] + [step] + routers[4:]
-    )
-
-    kept = [router.kept_port for router in routers]
-    post = _shutter_sub_state(shutter, (-1 / SQRT3, -1j / SQRT3, 1 / SQRT3))
-    merge = mode_unitary(unitary_with_first_row(alphas.conj()), kept)
-    return ScenarioPlan(
-        name="stricter_6beam",
-        initial=initial,
-        schedule=schedule,
-        shutter_post=post,
-        kept_ports=kept,
-        alphas=alphas,
-        merge=merge,
-        out_mode=kept[0],
-        outcome_label="restored",
-        metadata={"flip": flip},
-    )
+    return _beam_table_plan("stricter_6beam", beams, alphas, {"flip": flip})
 
 
 def stricter_6beam(alphas=None, flip=None):
@@ -732,7 +572,7 @@ def bell_test(alphas=None, alice_setting=OPEN_BOXES, bob_setting=OPEN_CAVITIES,
     state, cavities, shutter = _bell_state(alphas, product_control)
 
     k = len(cavities)
-    alice_super = _shutter_sub_state(shutter, (1 / SQRT3,) * 3)
+    alice_super = tsvf.shutter_state((1 / SQRT3,) * 3, shutter)
     bob_super = _probe_target(
         tuple(m for m in state.modes if m not in set(shutter)),
         cavities,
@@ -772,20 +612,14 @@ def bell_test(alphas=None, alice_setting=OPEN_BOXES, bob_setting=OPEN_CAVITIES,
         p_alice = alice_match_prob(state)
         p_bob = bob_match_prob(state)
         conditional = postselect_subsystem(state, alice_super)
-        p_both = (
-            conditional.probability
-            * project_onto_probability(conditional.state, bob_super)
+        p_both = conditional.probability * fidelity(
+            bob_super, conditional.state
         )
         table[("match", "match")] = p_both
         table[("match", "rest")] = p_alice - p_both
         table[("rest", "match")] = p_bob - p_both
         table[("rest", "rest")] = 1.0 - p_alice - p_bob + p_both
     return {k: max(float(v), 0.0) for k, v in table.items()}
-
-
-def project_onto_probability(state, target):
-    """|<target|state>|² over identical mode lists."""
-    return float(abs(inner_product(target, state)) ** 2)
 
 
 def bell_marginals(table, side):
@@ -856,7 +690,7 @@ def chsh_value(alphas=None, alice_plus=("B",), bob_plus=("RA1", "RB3"),
 def bell_scenario(alphas=None, alice_setting=OPEN_BOXES,
                   bob_setting=OPEN_CAVITIES, product_control=False):
     """ScenarioResult wrapper around :func:`bell_test` for reporting."""
-    alphas_vec = equal_alphas(5) if alphas is None else _as_alpha_vector(alphas, 5)
+    alphas_vec = equal_alphas(5) if alphas is None else as_alpha_vector(alphas, 5)
     table = bell_test(alphas_vec, alice_setting, bob_setting, product_control)
     state, cavities, shutter = _bell_state(alphas_vec, product_control)
     spectrum = schmidt_spectrum(state, set(shutter))
@@ -882,3 +716,120 @@ def bell_scenario(alphas=None, alice_setting=OPEN_BOXES,
             "chsh": chsh_value(alphas_vec, product_control=product_control),
         },
     )
+
+
+# ---------------------------------------------------------------------------
+# Registry: what the command line knows about each scenario
+# ---------------------------------------------------------------------------
+
+def _restored_with_certainty(result, tol):
+    value = result.conditional_probabilities["restored_given_postselection"]
+    return abs(value - 1.0) <= tol
+
+
+def _reflected_with_fidelity_one(result, tol):
+    value = result.conditional_probabilities["reflected_given_postselection"]
+    return (abs(value - 1.0) <= tol
+            and abs(result.fidelity_to_target - 1.0) <= tol)
+
+
+def _bell_consistent(result, tol):
+    total = sum(result.conditional_probabilities.values())
+    return (abs(total - 1.0) <= tol
+            and result.metadata["no_signaling_gap"] <= tol)
+
+
+def _outcome_summary(result):
+    summary = dict(result.conditional_probabilities)
+    summary["fidelity"] = result.fidelity_to_target
+    return summary
+
+
+def _bell_summary(result):
+    return {
+        "no_signaling_gap": result.metadata["no_signaling_gap"],
+        "chsh": result.metadata["chsh"],
+    }
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One entry of :data:`SCENARIOS`.
+
+    ``evaluate(alphas, perturbation, settings)`` runs the scenario, where
+    ``settings`` is an (Alice, Bob) pair that only ``takes_settings``
+    scenarios read.  The evaluators call the scenario functions through
+    their module-level names, so rebinding a name (to trace or patch it)
+    also reaches the registry.  ``arity`` is the number of probe
+    coefficients; 0 means the scenario takes none and cannot be swept.
+    ``certain(result, tol)`` checks the built-in claim of an unperturbed
+    run and ``summarize(result)`` gives a sweep record's summary.
+    """
+
+    evaluate: Callable
+    arity: int
+    certain: Callable
+    perturbations: tuple = ()
+    summarize: Callable = _outcome_summary
+    takes_settings: bool = False
+
+
+SCENARIOS = {
+    "three_box_shutter": Scenario(
+        lambda alphas, perturbation, settings: three_box_shutter(*alphas),
+        arity=2,
+        certain=_reflected_with_fidelity_one,
+    ),
+    "disappearing_full": Scenario(
+        lambda alphas, perturbation, settings: disappearing_full(
+            alphas, perturbation),
+        arity=5,
+        certain=_restored_with_certainty,
+        perturbations=("remove-shutter-C-t2", "extra-beam-A-t2",
+                       "extra-beam-B-t2"),
+    ),
+    "simplified_3path": Scenario(
+        lambda alphas, perturbation, settings: simplified_3path(perturbation),
+        arity=0,
+        certain=_restored_with_certainty,
+        perturbations=("identity-routers", "wrong-box-t2"),
+    ),
+    "simplest_2path": Scenario(
+        lambda alphas, perturbation, settings: simplest_2path(perturbation),
+        arity=0,
+        certain=_restored_with_certainty,
+        perturbations=("swapped-slots", "vacuum-probe"),
+    ),
+    "absence_test": Scenario(
+        lambda alphas, perturbation, settings: absence_test(perturbation),
+        arity=0,
+        certain=_restored_with_certainty,
+        perturbations=("at-t1", "at-t3", "reflect-orientation"),
+    ),
+    "stricter_6beam": Scenario(
+        lambda alphas, perturbation, settings: stricter_6beam(
+            alphas, perturbation),
+        arity=6,
+        certain=_restored_with_certainty,
+        perturbations=("flip-A-t2", "flip-B-t2"),
+    ),
+    "bell_test": Scenario(
+        lambda alphas, perturbation, settings: bell_scenario(
+            alphas, *settings),
+        arity=5,
+        certain=_bell_consistent,
+        summarize=_bell_summary,
+        takes_settings=True,
+    ),
+}
+
+
+def check_perturbation(name, perturbation):
+    """Raise :class:`BadParam` unless ``perturbation`` is None or one of
+    the named perturbations of scenario ``name``."""
+    allowed = SCENARIOS[name].perturbations
+    if perturbation is not None and perturbation not in allowed:
+        raise BadParam(
+            f"unknown perturbation {perturbation!r} for {name}; "
+            f"choose from: {', '.join(allowed) or 'none'}"
+        )

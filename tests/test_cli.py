@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import router_sim
-from router_sim import cli
+from router_sim import cli, scenarios
 
 CIRCUITS = Path(router_sim.__file__).parent / "circuits"
 
@@ -224,3 +224,102 @@ def test_list_names():
     names = out.strip().splitlines()
     assert "disappearing_full" in names
     assert "bell_test" in names
+
+
+# ---------------------------------------------------------------------------
+# usage errors
+# ---------------------------------------------------------------------------
+
+SCENARIOS = ("three_box_shutter", "disappearing_full", "simplified_3path",
+             "simplest_2path", "absence_test", "stricter_6beam", "bell_test")
+
+USAGE_ERRORS = (
+    # an unknown perturbation, on every scenario
+    [["run", name, "--perturb", "bogus"] for name in SCENARIOS]
+    # coefficients that are not normalized
+    + [
+        ["run", "three_box_shutter", "--alphas", "1,1"],
+        ["run", "three_box_shutter", "--alpha1", "1", "--alpha2", "1"],
+        ["run", "three_box_shutter", "--alpha1", "0.6"],
+        ["run", "three_box_shutter", "--alpha2", "0.8i"],
+        ["run", "disappearing_full", "--alphas", "1,1,0,0,0"],
+        ["run", "stricter_6beam", "--alphas", "1,0,0,0,0,1"],
+        ["run", "bell_test", "--alphas", "0.5,0,0,0,0"],
+    ]
+    # flags the scenario does not take
+    + [["run", name, "--alphas", "equal"]
+       for name in ("simplified_3path", "simplest_2path", "absence_test")]
+    + [["run", name, flag, "1"] for name in SCENARIOS[1:]
+       for flag in ("--alpha1", "--alpha2")]
+    + [["run", name, flag, "open"] for name in SCENARIOS[:-1]
+       for flag in ("--alice", "--bob")]
+    # options that were read by nothing and are gone
+    + [
+        ["simulate", str(CIRCUITS / "fig2b.circuit"), "--tol", "1e-9"],
+        ["sweep", "disappearing_full", "--random", "2", "--tol", "1e-9"],
+        ["list", "--format", "json"],
+    ]
+)
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv", USAGE_ERRORS,
+    ids=lambda argv: " ".join(argv).replace(str(CIRCUITS), "circuits"),
+)
+def test_usage_error_exits_3_with_one_line(argv, capsys):
+    code, out = run_cli(argv)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert_one_line_error(capsys)
+
+
+def test_bad_tolerance_env_is_usage_error_of_run_only(monkeypatch, capsys):
+    monkeypatch.setenv("ROUTER_SIM_TOL", "abc")
+    code, out = run_cli(["run", "disappearing_full"])
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert_one_line_error(capsys)
+    code, out = run_cli(["list"])
+    assert code == cli.EXIT_OK
+    assert "disappearing_full" in out
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_every_unperturbed_run_asserts(scenario):
+    assert run_cli(["run", scenario])[0] == cli.EXIT_OK
+    assert run_cli(["run", scenario, "--tol", "-1"])[0] == cli.EXIT_ASSERTION
+
+
+@pytest.mark.parametrize("scenario, options", [
+    ("disappearing_full", [("--alphas", "-0.6,0.8,0,0,0")]),
+    ("disappearing_full", [("--alphas", "-0.6i,0.8,0,0,0")]),
+    ("three_box_shutter", [("--alpha1", "-0.6"), ("--alpha2", "0.8")]),
+    ("three_box_shutter", [("--alpha1", "-0.6+0.0i"), ("--alpha2", "-0.8i")]),
+])
+def test_leading_minus_coefficient_as_own_word(scenario, options):
+    spaced = ["run", scenario] + [word for pair in options for word in pair]
+    joined = ["run", scenario] + [f"{flag}={value}" for flag, value in options]
+    code, out = run_cli(spaced)
+    assert code == cli.EXIT_OK
+    assert out == run_cli(joined)[1]
+
+
+def test_commands_reach_scenarios_through_module_names(monkeypatch):
+    # Tracing and patching rebind module attributes; the CLI must see them.
+    calls = []
+    original = scenarios.stricter_6beam
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "stricter_6beam", spy)
+    run_cli(["run", "stricter_6beam"])
+    run_cli(["sweep", "stricter_6beam", "--random", "2"])
+    assert len(calls) == 3

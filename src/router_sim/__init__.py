@@ -1,6 +1,6 @@
 """Exact simulator for pre-/post-selected photonic quantum-router circuits.
 
-The package provides sparse Fock-state evolution over labeled modes
+The package provides sparse Fock-state evolution over named modes
 (:mod:`router_sim.fock`), linear-optical elements including NS-gate routers
 (:mod:`router_sim.elements`), two-state-vector analysis
 (:mod:`router_sim.tsvf`), ready-made shutter/probe experiments
@@ -26,18 +26,13 @@ from .elements import (
     tunneling,
 )
 from .fock import (
-    Box,
     FockState,
-    ModeLabel,
     ProjectionOutcome,
-    Role,
-    TimeSlot,
     apply_fock_phase,
     apply_mode_unitary,
     fidelity,
     inject_photon,
     inner_product,
-    mode,
     postselect_subsystem,
     project_onto,
     project_pattern,

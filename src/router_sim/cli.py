@@ -138,6 +138,8 @@ def _run_alphas(args, arity):
     if not arity:
         return []
     if args.alpha1 is not None or args.alpha2 is not None:
+        if args.alphas is not None:
+            raise UsageError("give --alphas or --alpha1/--alpha2, not both")
         parts = [args.alpha1 or "0", args.alpha2 or "0"]
     elif args.alphas is None or args.alphas == "equal":
         return scenarios.equal_alphas(arity)
@@ -207,16 +209,20 @@ def cmd_simulate(args, stream):
 
 
 def _sweep_points(args, arity):
+    if args.random is not None and args.alpha1_grid is not None:
+        raise UsageError("give --random or --alpha1-grid, not both")
     if args.random is not None:
         if args.random <= 0:
             raise UsageError("--random needs a positive count")
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(0 if args.seed is None else args.seed)
         points = []
         for _ in range(args.random):
             vec = rng.normal(size=arity) + 1j * rng.normal(size=arity)
             points.append(vec / np.linalg.norm(vec))
         return points
     if args.alpha1_grid is not None:
+        if args.seed is not None:
+            raise UsageError("--seed applies to --random only")
         try:
             start, stop, count = args.alpha1_grid.split(":")
             start, stop, count = float(start), float(stop), int(count)
@@ -314,7 +320,7 @@ def build_parser():
     sweep = sub.add_parser("sweep", help="evaluate a scenario over a grid")
     sweep.add_argument("scenario")
     sweep.add_argument("--random", type=int, help="number of random points")
-    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--seed", type=int, help="seed of --random (default 0)")
     sweep.add_argument("--alpha1-grid", help="start:stop:count for alpha1")
     add_format(sweep)
 

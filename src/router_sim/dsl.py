@@ -36,11 +36,7 @@ from .elements import (
 )
 from .errors import CompileError
 from .fock import (
-    Box,
     FockState,
-    ModeLabel,
-    Role,
-    TimeSlot,
     postselect_subsystem,
     project_pattern,
     register_modes,
@@ -49,9 +45,12 @@ from .fock import (
 
 _WEIGHT_NORM_TOL = 1e-9
 
-_BOX_TAGS = {"A": Box.A, "B": Box.B, "C": Box.C, "aux": Box.AUX}
-_TIME_TAGS = {t.value: t for t in TimeSlot}
-_ROLE_TAGS = {r.value: r for r in Role}
+# Tags of a mode declaration.  They annotate the document only: a compiled
+# circuit identifies each mode by its name.
+_BOX_TAGS = {"A", "B", "C", "aux"}
+_TIME_TAGS = {"t1", "t2", "t3", "tf", "none"}
+_ROLE_TAGS = {"shutter", "probe_in", "probe_r", "probe_t", "detector",
+              "internal"}
 
 _REAL = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _SIGNED_REAL = r"[+-](?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
@@ -230,6 +229,16 @@ def parse(text):
         if name not in declared:
             parser.fail(f"undeclared mode {name!r}", name)
 
+    def counts(parser):
+        pattern = []
+        for item in parser.rest("mode=count pairs"):
+            m = _ASSIGN_RE.match(item)
+            if not m:
+                parser.fail(f"expected mode=count, got {item!r}", item)
+            require_declared(parser, m.group(1))
+            pattern.append((m.group(1), int(m.group(2))))
+        return tuple(pattern)
+
     for line_number, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -309,17 +318,7 @@ def parse(text):
             )
 
         elif directive == "postselect":
-            items = parser.rest("mode=count pairs")
-            pattern = []
-            for item in items:
-                m = _ASSIGN_RE.match(item)
-                if not m:
-                    parser.fail(
-                        f"expected mode=count, got {item!r}", item
-                    )
-                require_declared(parser, m.group(1))
-                pattern.append((m.group(1), int(m.group(2))))
-            postselects.append(PostselectPattern(tuple(pattern)))
+            postselects.append(PostselectPattern(counts(parser)))
 
         elif directive == "postselect_state":
             items = parser.rest("mode/weight pairs")
@@ -336,15 +335,7 @@ def parse(text):
             name = parser.next("an outcome name")
             if not _IDENT_RE.match(name):
                 parser.fail(f"invalid outcome name {name!r}", name)
-            items = parser.rest("mode=count pairs")
-            pattern = []
-            for item in items:
-                m = _ASSIGN_RE.match(item)
-                if not m:
-                    parser.fail(f"expected mode=count, got {item!r}", item)
-                require_declared(parser, m.group(1))
-                pattern.append((m.group(1), int(m.group(2))))
-            detects.append(DetectStmt(name, tuple(pattern)))
+            detects.append(DetectStmt(name, counts(parser)))
 
         else:
             parser.pos = 0
@@ -392,22 +383,14 @@ def render(doc):
 class CompiledCircuit:
     initial: FockState
     schedule: list
-    postselects: list  # ("pattern", {label: count}) | ("state", FockState)
-    detects: list  # (name, {label: count})
-    labels: dict  # name -> ModeLabel
+    postselects: list  # ("pattern", {mode: count}) | ("state", FockState)
+    detects: list  # (name, {mode: count})
 
 
 def compile_doc(doc, n_total_max=2):
     """Lower a parsed document to an initial state plus element schedule."""
-    labels = {}
-    for decl in doc.modes:
-        labels[decl.name] = ModeLabel(
-            decl.name,
-            _BOX_TAGS[decl.box],
-            _TIME_TAGS[decl.time_slot],
-            _ROLE_TAGS[decl.role],
-        )
-    if not labels:
+    names = [decl.name for decl in doc.modes]
+    if not names:
         raise CompileError(0, "circuit declares no modes")
     if len(doc.sources) > n_total_max:
         raise CompileError(
@@ -426,42 +409,38 @@ def compile_doc(doc, n_total_max=2):
         used.update(name for name, _ in pairs)
     for det in doc.detects:
         used.update(name for name, _ in det.pattern)
-    dangling = sorted(set(labels) - used)
+    dangling = sorted(set(names) - used)
     if dangling:
         raise CompileError(0, f"modes declared but never used: {dangling}")
 
-    state = register_modes(
-        [labels[d.name] for d in doc.modes], n_total_max
-    )
+    state = register_modes(names, n_total_max)
     for source in doc.sources:
-        state = superposition_source(
-            state, {labels[n]: w for n, w in source.weights}
-        )
+        state = superposition_source(state, dict(source.weights))
 
     schedule = []
     for index, element in enumerate(doc.elements):
-        bound = [labels[n] for n in element.modes]
+        modes = element.modes
         try:
             if element.op == "bs":
-                schedule.append(beamsplitter(element.params[0], *bound))
+                schedule.append(beamsplitter(element.params[0], *modes))
             elif element.op == "ps":
-                schedule.append(phase_shifter(element.params[0], *bound))
+                schedule.append(phase_shifter(element.params[0], *modes))
             elif element.op == "ns":
-                schedule.append(ns_single(*bound))
+                schedule.append(ns_single(*modes))
             elif element.op == "ns2":
-                schedule.append(ns_two_mode(*bound))
+                schedule.append(ns_two_mode(*modes))
             elif element.op == "pqr":
                 schedule.append(
                     pqr_ideal(
-                        *bound,
+                        *modes,
                         orientation=RouterOrientation(element.params[0]),
                     )
                 )
             elif element.op == "relabel":
-                a, b = bound
+                a, b = modes
                 schedule.append(relabel({a: b, b: a}))
             elif element.op == "tunnel":
-                schedule.append(tunneling(element.params[0], *bound))
+                schedule.append(tunneling(element.params[0], *modes))
             else:
                 raise CompileError(index, f"unknown element {element.op!r}")
         except CompileError:
@@ -472,21 +451,13 @@ def compile_doc(doc, n_total_max=2):
     postselects = []
     for ps in doc.postselects:
         if isinstance(ps, PostselectPattern):
-            postselects.append(
-                ("pattern", {labels[n]: c for n, c in ps.pattern})
-            )
+            postselects.append(("pattern", dict(ps.pattern)))
         else:
-            sub_modes = [labels[n] for n, _ in ps.weights]
-            sub = register_modes(sub_modes, n_total_max)
-            sub = superposition_source(
-                sub, {labels[n]: w for n, w in ps.weights}
-            )
+            sub = register_modes([n for n, _ in ps.weights], n_total_max)
+            sub = superposition_source(sub, dict(ps.weights))
             postselects.append(("state", sub))
-    detects = [
-        (det.name, {labels[n]: c for n, c in det.pattern})
-        for det in doc.detects
-    ]
-    return CompiledCircuit(state, schedule, postselects, detects, labels)
+    detects = [(det.name, dict(det.pattern)) for det in doc.detects]
+    return CompiledCircuit(state, schedule, postselects, detects)
 
 
 def execute(compiled):
@@ -501,14 +472,12 @@ def execute(compiled):
     for kind, payload in compiled.postselects:
         if kind == "pattern":
             outcome = project_pattern(final, payload)
-            conditioned = outcome.state
         else:
             outcome = postselect_subsystem(final, payload)
-            conditioned = outcome.state
         postselections.append(
             {"kind": kind, "probability": outcome.probability}
         )
-        conditioned_states.append((kind, conditioned))
+        conditioned_states.append((kind, outcome.state))
 
     detections = []
     for name, pattern in compiled.detects:
@@ -517,9 +486,7 @@ def execute(compiled):
             "probability": project_pattern(final, pattern).probability,
             "conditional": [],
         }
-        for (kind, conditioned), info in zip(
-            conditioned_states, postselections
-        ):
+        for kind, conditioned in conditioned_states:
             if kind == "state":
                 # Detection patterns refer to probe modes, which survive
                 # the subsystem post-selection.

@@ -21,12 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import BadParam, UnsupportedSector
-from .fock import (
-    FockState,
-    ModeLabel,
-    apply_fock_phase,
-    apply_mode_unitary,
-)
+from .fock import apply_fock_phase, apply_mode_unitary
 
 
 class ElementKind(Enum):
@@ -79,7 +74,7 @@ class Element:
         if self.kind not in (ElementKind.PQR_IDEAL, ElementKind.PQR_DECOMPOSED):
             return None
         kept = self.kept_port
-        return self.modes[0] if kept is self.modes[1] else self.modes[1]
+        return self.modes[0] if kept == self.modes[1] else self.modes[1]
 
 
 def bs_matrix(r):
@@ -131,6 +126,13 @@ def ns_two_mode(mode_a, mode_b):
     return Element(ElementKind.NS_TWO_MODE, (mode_a, mode_b))
 
 
+def _router(kind, probe_a, probe_b, control, orientation):
+    if len({probe_a, probe_b, control}) != 3:
+        raise BadParam("router needs three distinct modes")
+    return Element(kind, (probe_a, probe_b, control),
+                   {"orientation": RouterOrientation(orientation)})
+
+
 def pqr_ideal(probe_a, probe_b, control,
               orientation=RouterOrientation.REFLECT_ON_MATCH):
     """Ideal router: control occupied swaps probe_a and probe_b.
@@ -139,13 +141,8 @@ def pqr_ideal(probe_a, probe_b, control,
     photon across the probe pair; anything else raises UnsupportedSector.
     The control photon is untouched.
     """
-    if len({probe_a, probe_b, control}) != 3:
-        raise BadParam("router needs three distinct modes")
-    orientation = RouterOrientation(orientation)
-    return Element(
-        ElementKind.PQR_IDEAL,
-        (probe_a, probe_b, control),
-        {"orientation": orientation},
+    return _router(
+        ElementKind.PQR_IDEAL, probe_a, probe_b, control, orientation
     )
 
 
@@ -160,13 +157,8 @@ def pqr_decomposed(probe_a, probe_b, control,
     case is the exact probe swap, matching :func:`pqr_ideal` with global
     phase one on the supported sector.
     """
-    if len({probe_a, probe_b, control}) != 3:
-        raise BadParam("router needs three distinct modes")
-    orientation = RouterOrientation(orientation)
-    return Element(
-        ElementKind.PQR_DECOMPOSED,
-        (probe_a, probe_b, control),
-        {"orientation": orientation},
+    return _router(
+        ElementKind.PQR_DECOMPOSED, probe_a, probe_b, control, orientation
     )
 
 
@@ -176,7 +168,7 @@ def tunneling(theta, mode_a, mode_b):
 
 
 def relabel(mapping):
-    """Permutation of mode labels (pure occupation bookkeeping).
+    """Permutation of modes (pure occupation bookkeeping).
 
     ``mapping`` must be a bijection on some subset of modes; unmapped modes
     stay put.
@@ -225,7 +217,7 @@ def _apply_router_rule(state, probe_a, probe_b, control):
             swapped[ia], swapped[ib] = nb, na
             config = tuple(swapped)
         out[config] = out.get(config, 0j) + amp
-    return FockState(state.modes, out, state.n_total_max)
+    return state._derived(out)
 
 
 def _apply_relabel(state, mapping):
@@ -236,7 +228,7 @@ def _apply_relabel(state, mapping):
         for src, dst in source_positions.items():
             permuted[dst] = config[src]
         out[tuple(permuted)] = amp
-    return FockState(state.modes, out, state.n_total_max)
+    return state._derived(out)
 
 
 def _ns_two_mode_steps(mode_a, mode_b, n_total_max):

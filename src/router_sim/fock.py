@@ -1,10 +1,11 @@
-"""Sparse multi-photon Fock states over labeled optical modes.
+"""Sparse multi-photon Fock states over named optical modes.
 
 A state is a sparse map from occupation-number tuples (one entry per
-registered mode) to complex amplitudes.  Mode-subset unitaries are applied
-through the second-quantization homomorphism: every creation operator on an
-input mode is rewritten as the matrix image over the output modes, expanded
-with the standard sqrt(n!) normalization.  All operations are pure functions
+registered mode) to complex amplitudes; a mode is identified by its name, a
+non-empty string.  Mode-subset unitaries are applied through the
+second-quantization homomorphism: every creation operator on an input mode
+is rewritten as the matrix image over the output modes, expanded with the
+standard sqrt(n!) normalization.  All operations are pure functions
 returning new states; a ``FockState`` is never mutated after construction, so
 states can be shared freely between threads.
 """
@@ -14,7 +15,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from enum import Enum
 import numpy as np
 
 from .errors import (
@@ -37,59 +37,6 @@ UNITARITY_TOL = 1e-10
 DEFAULT_PHOTON_BUDGET = 2
 
 
-class Box(Enum):
-    """Spatial tag of a mode: one of the three boxes or an auxiliary rail."""
-
-    A = "A"
-    B = "B"
-    C = "C"
-    AUX = "aux"
-
-
-class TimeSlot(Enum):
-    """Temporal tag of a mode."""
-
-    T1 = "t1"
-    T2 = "t2"
-    T3 = "t3"
-    TF = "tf"
-    NONE = "none"
-
-
-class Role(Enum):
-    """Channel role of a mode."""
-
-    SHUTTER = "shutter"
-    PROBE_IN = "probe_in"
-    PROBE_R = "probe_r"
-    PROBE_T = "probe_t"
-    DETECTOR = "detector"
-    INTERNAL = "internal"
-
-
-@dataclass(frozen=True)
-class ModeLabel:
-    """Identity of one optical mode.
-
-    The ``name`` is the opaque identity used by the simulation; box, time
-    slot and role are bookkeeping tags for scenario construction and
-    reporting only.
-    """
-
-    name: str
-    box: Box = Box.AUX
-    time_slot: TimeSlot = TimeSlot.NONE
-    role: Role = Role.INTERNAL
-
-    def __str__(self):
-        return self.name
-
-
-def mode(name, box="aux", time_slot="none", role="internal"):
-    """Build a :class:`ModeLabel` from plain strings."""
-    return ModeLabel(name, Box(box), TimeSlot(time_slot), Role(role))
-
-
 @dataclass(frozen=True)
 class ProjectionOutcome:
     """Renormalized post-measurement state together with its probability."""
@@ -104,12 +51,16 @@ class FockState:
     Parameters
     ----------
     modes:
-        Ordered mode labels; their order fixes the occupation-tuple layout.
+        Ordered mode names; their order fixes the occupation-tuple layout.
     amplitudes:
         Sparse map from occupation tuples to complex amplitudes.  Entries
         with modulus below :data:`PRUNE_EPSILON` are dropped.
     n_total_max:
         Total-photon budget enforced on every stored configuration.
+
+    The constructor validates its input; states that operations derive from
+    an existing state over the same modes are built by :meth:`_derived`,
+    which skips those checks.
     """
 
     __slots__ = ("modes", "amplitudes", "n_total_max", "_index")
@@ -118,10 +69,12 @@ class FockState:
         modes = tuple(modes)
         index = {}
         for i, label in enumerate(modes):
-            if label in index or label.name in {m.name for m in modes[:i]}:
-                raise DuplicateMode(f"duplicate mode label {label.name!r}")
+            if not isinstance(label, str) or not label:
+                raise BadParam(f"mode {label!r} is not a non-empty name")
+            if label in index:
+                raise DuplicateMode(f"duplicate mode label {label!r}")
             index[label] = i
-        clean = {}
+        checked = {}
         n_modes = len(modes)
         for config, amp in amplitudes.items():
             config = tuple(int(n) for n in config)
@@ -135,6 +88,12 @@ class FockState:
                 raise PhotonBudget(
                     f"configuration {config} exceeds photon budget {n_total_max}"
                 )
+            checked[config] = amp
+        self._set(modes, index, checked, n_total_max)
+
+    def _set(self, modes, index, amplitudes, n_total_max):
+        clean = {}
+        for config, amp in amplitudes.items():
             amp = complex(amp)
             if abs(amp) >= PRUNE_EPSILON:
                 clean[config] = amp
@@ -142,6 +101,14 @@ class FockState:
         object.__setattr__(self, "amplitudes", clean)
         object.__setattr__(self, "n_total_max", int(n_total_max))
         object.__setattr__(self, "_index", index)
+
+    def _derived(self, amplitudes):
+        """State over these modes and budget from ``amplitudes`` computed
+        from valid configurations, converted and pruned as in the
+        constructor but not checked."""
+        state = object.__new__(FockState)
+        state._set(self.modes, self._index, amplitudes, self.n_total_max)
+        return state
 
     def __setattr__(self, name, value):
         raise AttributeError("FockState is immutable")
@@ -151,7 +118,7 @@ class FockState:
         try:
             return self._index[label]
         except KeyError:
-            raise UnknownMode(f"mode {label.name!r} is not registered") from None
+            raise UnknownMode(f"mode {label!r} is not registered") from None
 
     def amplitude(self, config):
         return self.amplitudes.get(tuple(config), 0j)
@@ -167,18 +134,12 @@ class FockState:
         """Unit-norm copy; the zero state is returned unchanged."""
         n = self.norm()
         if n < PRUNE_EPSILON:
-            return FockState(self.modes, {}, self.n_total_max)
-        return FockState(
-            self.modes,
-            {c: a / n for c, a in self.amplitudes.items()},
-            self.n_total_max,
-        )
+            return self._derived({})
+        return self._derived({c: a / n for c, a in self.amplitudes.items()})
 
     def scaled(self, factor):
-        return FockState(
-            self.modes,
-            {c: a * factor for c, a in self.amplitudes.items()},
-            self.n_total_max,
+        return self._derived(
+            {c: a * factor for c, a in self.amplitudes.items()}
         )
 
     def __repr__(self):
@@ -189,9 +150,10 @@ class FockState:
 
 
 def register_modes(labels, n_total_max=DEFAULT_PHOTON_BUDGET):
-    """Return the vacuum state over ``labels``.
+    """Return the vacuum state over the mode names ``labels``.
 
-    Raises :class:`DuplicateMode` if any label (or label name) repeats.
+    Raises :class:`DuplicateMode` if a name repeats and :class:`BadParam`
+    if a mode is not a non-empty string.
     """
     labels = tuple(labels)
     if not labels:
@@ -217,19 +179,19 @@ def inject_photon(state, label):
     for config, amp in state.amplitudes.items():
         if sum(config) + 1 > state.n_total_max:
             raise PhotonBudget(
-                f"injecting into {label.name!r} exceeds photon budget "
+                f"injecting into {label!r} exceeds photon budget "
                 f"{state.n_total_max}"
             )
         lifted = list(config)
         lifted[pos] += 1
         out[tuple(lifted)] = amp * math.sqrt(lifted[pos])
-    return FockState(state.modes, out, state.n_total_max).normalized()
+    return state._derived(out).normalized()
 
 
 def superposition_source(state, weights):
     """Add one photon in a coherent superposition of modes.
 
-    ``weights`` maps mode labels to complex amplitudes; the injected photon
+    ``weights`` maps mode names to complex amplitudes; the injected photon
     is sum_m w_m a†_m acting on the current state, renormalized afterwards.
     """
     if not weights:
@@ -247,7 +209,7 @@ def superposition_source(state, weights):
             lifted = list(config)
             lifted[pos] += 1
             out[tuple(lifted)] += amp * w * math.sqrt(lifted[pos])
-    result = FockState(state.modes, out, state.n_total_max)
+    result = state._derived(out)
     if result.is_zero:
         raise BadParam("superposition weights are all zero")
     return result.normalized()
@@ -309,7 +271,7 @@ def apply_mode_unitary(state, labels, u):
             for p, m in zip(positions, mono):
                 target[p] = m
             out[tuple(target)] += weight
-    return FockState(state.modes, out, state.n_total_max)
+    return state._derived(out)
 
 
 def apply_fock_phase(state, label, phases):
@@ -332,7 +294,7 @@ def apply_fock_phase(state, label, phases):
                 f"occupation {n}"
             )
         out[config] = amp * phases[n]
-    return FockState(state.modes, out, state.n_total_max)
+    return state._derived(out)
 
 
 def inner_product(a, b):
@@ -357,22 +319,33 @@ def fidelity(a, b):
     return abs(inner_product(a, b)) ** 2
 
 
+def select(state, predicate):
+    """Fock-diagonal selection: the part of ``state`` whose configurations
+    satisfy ``predicate(config)``, unnormalized, and its probability.
+
+    The predicate must depend on occupation numbers only.
+    """
+    kept = {c: a for c, a in state.amplitudes.items() if predicate(c)}
+    probability = sum(abs(a) ** 2 for a in kept.values())
+    return state._derived(kept), float(probability)
+
+
+def matches(state, pattern):
+    """Predicate of the configurations of ``state`` that hold the counts
+    ``pattern`` (mode name to photon count) on its modes."""
+    constraints = [(state.index_of(m), int(n)) for m, n in pattern.items()]
+    return lambda config: all(config[p] == n for p, n in constraints)
+
+
 def project_pattern(state, pattern):
     """Project onto configurations matching a partial occupation pattern.
 
-    ``pattern`` maps mode labels to required photon counts; unconstrained
+    ``pattern`` maps mode names to required photon counts; unconstrained
     modes are left free.  A probability of zero is a valid outcome and
     returns the flagged zero state.
     """
-    constraints = [(state.index_of(m), int(n)) for m, n in pattern.items()]
-    kept = {
-        config: amp
-        for config, amp in state.amplitudes.items()
-        if all(config[p] == n for p, n in constraints)
-    }
-    probability = sum(abs(a) ** 2 for a in kept.values())
-    projected = FockState(state.modes, kept, state.n_total_max).normalized()
-    return ProjectionOutcome(projected, float(probability))
+    kept, probability = select(state, matches(state, pattern))
+    return ProjectionOutcome(kept.normalized(), probability)
 
 
 def project_predicate(state, predicate):
@@ -381,10 +354,8 @@ def project_predicate(state, predicate):
     The predicate must depend on occupation numbers only, so the projector
     is Fock-diagonal.
     """
-    kept = {c: a for c, a in state.amplitudes.items() if predicate(c)}
-    probability = sum(abs(a) ** 2 for a in kept.values())
-    projected = FockState(state.modes, kept, state.n_total_max).normalized()
-    return ProjectionOutcome(projected, float(probability))
+    kept, probability = select(state, predicate)
+    return ProjectionOutcome(kept.normalized(), probability)
 
 
 def project_onto(state, target):
@@ -432,7 +403,7 @@ def schmidt_spectrum(state, partition):
     part = set(partition)
     if not part or part == set(state.modes):
         raise BadPartition("partition must be a proper nonempty mode subset")
-    left_positions = [state.index_of(m) for m in part]
+    left_positions = sorted(state.index_of(m) for m in part)
     right_positions = [
         i for i, m in enumerate(state.modes) if m not in part
     ]

@@ -35,14 +35,14 @@ from .elements import (
 from .errors import BadParam, UndefinedConditioning
 from .fock import (
     FockState,
-    ModeLabel,
     fidelity,
-    mode,
+    matches,
     postselect_subsystem,
     project_pattern,
     project_predicate,
     register_modes,
     schmidt_spectrum,
+    select,
     superposition_source,
 )
 
@@ -82,7 +82,7 @@ class ScenarioPlan:
     kept_ports: list
     alphas: np.ndarray
     merge: Element | None
-    out_mode: ModeLabel | None
+    out_mode: str | None
     outcome_label: str
     metadata: dict = field(default_factory=dict)
 
@@ -212,10 +212,9 @@ def run_plan(plan):
 
 def _attach_tsvf(result, spec):
     for time in sorted(spec.checkpoints):
-        for box in ("A", "B", "C"):
-            proj = tsvf.ProjectorSpec(box, time)
-            result.abl_values[(box, time)] = tsvf.abl_probability(spec, proj)
-            result.weak_values[(box, time)] = tsvf.weak_value(spec, proj)
+        for box, (abl, weak) in tsvf.checkpoint_values(spec, time).items():
+            result.abl_values[(box, time)] = abl
+            result.weak_values[(box, time)] = weak
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +224,7 @@ def _attach_tsvf(result, spec):
 def build_three_box(alpha1, alpha2):
     alphas = as_alpha_vector([alpha1, alpha2], 2)
     shutter = tsvf.shutter_modes()
-    pa = mode("PA", box="A", role="probe_in")
-    pb = mode("PB", box="B", role="probe_in")
-    ra = mode("RA", box="A", role="probe_r")
-    rb = mode("RB", box="B", role="probe_r")
+    pa, pb, ra, rb = "PA", "PB", "RA", "RB"
     initial = _prepare(
         shutter,
         (1 / SQRT3, 1 / SQRT3, 1 / SQRT3),
@@ -259,14 +255,13 @@ def three_box_joint_reference(plan):
     carry the other two shutter branches, all weighted 1/sqrt(3).
     """
     modes = plan.initial.modes
-    idx = {m.name: i for i, m in enumerate(modes)}
     a1, a2 = plan.alphas
     amps = {}
 
     def put(occupied, amplitude):
         config = [0] * len(modes)
         for name in occupied:
-            config[idx[name]] = 1
+            config[plan.initial.index_of(name)] = 1
         amps[tuple(config)] = amplitude
 
     put(("RA", "SA"), a1 / SQRT3)
@@ -323,14 +318,8 @@ def _beam_table_plan(name, beams, alphas, metadata,
     probe modes empty.
     """
     shutter = tsvf.shutter_modes()
-    probes = [
-        mode("P" + tag, box=box, time_slot=slot, role="probe_in")
-        for tag, box, slot, _ in beams
-    ]
-    rails = [
-        mode(rail + tag, box=box, time_slot=slot, role="probe_r")
-        for tag, box, slot, _ in beams
-    ]
+    probes = ["P" + tag for tag, _, _, _ in beams]
+    rails = [rail + tag for tag, _, _, _ in beams]
     sources = [
         (p, a if probe_photon else None) for p, a in zip(probes, alphas)
     ]
@@ -546,14 +535,63 @@ def _bell_state(alphas, product_control=False):
     return collected.state, cavities, shutter
 
 
-def _unnormalized_pattern(state, pattern):
-    constraints = [(state.index_of(m), n) for m, n in pattern.items()]
-    kept = {
-        c: a
-        for c, a in state.amplitudes.items()
-        if all(c[p] == n for p, n in constraints)
+def _check_settings(alice_setting, bob_setting):
+    if alice_setting not in (OPEN_BOXES, SUPERPOSE):
+        raise BadParam(f"unknown Alice setting {alice_setting!r}")
+    if bob_setting not in (OPEN_CAVITIES, SUPERPOSE):
+        raise BadParam(f"unknown Bob setting {bob_setting!r}")
+
+
+def _bell_table(bell, alice_setting, bob_setting):
+    """Clamped joint probability table of one setting pair on the
+    ``(state, cavities, shutter)`` triple from :func:`_bell_state`."""
+    state, cavities, shutter = bell
+    k = len(cavities)
+    alice_super = tsvf.shutter_state((1 / SQRT3,) * 3, shutter)
+    bob_super = _probe_target(
+        tuple(m for m in state.modes if m not in set(shutter)),
+        cavities,
+        np.full(k, 1 / math.sqrt(k)),
+        state.n_total_max,
+    )
+
+    table = {}
+    if alice_setting == OPEN_BOXES and bob_setting == OPEN_CAVITIES:
+        for box, s_mode in zip(("A", "B", "C"), shutter):
+            for cavity in cavities:
+                _, p = select(state, matches(state, {s_mode: 1, cavity: 1}))
+                table[(box, cavity)] = p
+    elif alice_setting == OPEN_BOXES and bob_setting == SUPERPOSE:
+        for box, s_mode in zip(("A", "B", "C"), shutter):
+            sliced, p_box = select(state, matches(state, {s_mode: 1}))
+            p_match = postselect_subsystem(sliced, bob_super).probability
+            table[(box, "match")] = p_match
+            table[(box, "rest")] = p_box - p_match
+    elif alice_setting == SUPERPOSE and bob_setting == OPEN_CAVITIES:
+        for cavity in cavities:
+            sliced, p_cavity = select(state, matches(state, {cavity: 1}))
+            p_match = postselect_subsystem(sliced, alice_super).probability
+            table[("match", cavity)] = p_match
+            table[("rest", cavity)] = p_cavity - p_match
+    else:
+        conditional = postselect_subsystem(state, alice_super)
+        p_alice = conditional.probability
+        p_bob = postselect_subsystem(state, bob_super).probability
+        p_both = p_alice * fidelity(bob_super, conditional.state)
+        table[("match", "match")] = p_both
+        table[("match", "rest")] = p_alice - p_both
+        table[("rest", "match")] = p_bob - p_both
+        table[("rest", "rest")] = 1.0 - p_alice - p_bob + p_both
+    return {k: max(float(v), 0.0) for k, v in table.items()}
+
+
+def _bell_tables(bell):
+    """The clamped tables of all four setting pairs on one Bell state."""
+    return {
+        (a, b): _bell_table(bell, a, b)
+        for a in (OPEN_BOXES, SUPERPOSE)
+        for b in (OPEN_CAVITIES, SUPERPOSE)
     }
-    return FockState(state.modes, kept, state.n_total_max)
 
 
 def bell_test(alphas=None, alice_setting=OPEN_BOXES, bob_setting=OPEN_CAVITIES,
@@ -565,61 +603,9 @@ def bell_test(alphas=None, alice_setting=OPEN_BOXES, bob_setting=OPEN_CAVITIES,
     projects onto the equal superposition with no relative phases versus
     its complement ("match"/"rest").
     """
-    if alice_setting not in (OPEN_BOXES, SUPERPOSE):
-        raise BadParam(f"unknown Alice setting {alice_setting!r}")
-    if bob_setting not in (OPEN_CAVITIES, SUPERPOSE):
-        raise BadParam(f"unknown Bob setting {bob_setting!r}")
-    state, cavities, shutter = _bell_state(alphas, product_control)
-
-    k = len(cavities)
-    alice_super = tsvf.shutter_state((1 / SQRT3,) * 3, shutter)
-    bob_super = _probe_target(
-        tuple(m for m in state.modes if m not in set(shutter)),
-        cavities,
-        np.full(k, 1 / math.sqrt(k)),
-        state.n_total_max,
-    )
-
-    def alice_match_prob(sub_state):
-        return postselect_subsystem(sub_state, alice_super).probability
-
-    def bob_match_prob(sub_state):
-        return postselect_subsystem(sub_state, bob_super).probability
-
-    table = {}
-    if alice_setting == OPEN_BOXES and bob_setting == OPEN_CAVITIES:
-        for box, s_mode in zip(("A", "B", "C"), shutter):
-            for cavity in cavities:
-                p = project_pattern(
-                    state, {s_mode: 1, cavity: 1}
-                ).probability
-                table[(box, cavity.name)] = p
-    elif alice_setting == OPEN_BOXES and bob_setting == SUPERPOSE:
-        for box, s_mode in zip(("A", "B", "C"), shutter):
-            sliced = _unnormalized_pattern(state, {s_mode: 1})
-            p_box = sum(abs(a) ** 2 for a in sliced.amplitudes.values())
-            p_match = bob_match_prob(sliced)
-            table[(box, "match")] = p_match
-            table[(box, "rest")] = p_box - p_match
-    elif alice_setting == SUPERPOSE and bob_setting == OPEN_CAVITIES:
-        for cavity in cavities:
-            sliced = _unnormalized_pattern(state, {cavity: 1})
-            p_cavity = sum(abs(a) ** 2 for a in sliced.amplitudes.values())
-            p_match = alice_match_prob(sliced)
-            table[("match", cavity.name)] = p_match
-            table[("rest", cavity.name)] = p_cavity - p_match
-    else:
-        p_alice = alice_match_prob(state)
-        p_bob = bob_match_prob(state)
-        conditional = postselect_subsystem(state, alice_super)
-        p_both = conditional.probability * fidelity(
-            bob_super, conditional.state
-        )
-        table[("match", "match")] = p_both
-        table[("match", "rest")] = p_alice - p_both
-        table[("rest", "match")] = p_bob - p_both
-        table[("rest", "rest")] = 1.0 - p_alice - p_bob + p_both
-    return {k: max(float(v), 0.0) for k, v in table.items()}
+    _check_settings(alice_setting, bob_setting)
+    bell = _bell_state(alphas, product_control)
+    return _bell_table(bell, alice_setting, bob_setting)
 
 
 def bell_marginals(table, side):
@@ -631,13 +617,7 @@ def bell_marginals(table, side):
     return out
 
 
-def bell_no_signaling_gap(alphas=None, product_control=False):
-    """Largest marginal shift across the other side's setting choices."""
-    tables = {
-        (a, b): bell_test(alphas, a, b, product_control)
-        for a in (OPEN_BOXES, SUPERPOSE)
-        for b in (OPEN_CAVITIES, SUPERPOSE)
-    }
+def _no_signaling_gap(tables):
     gap = 0.0
     for a_setting in (OPEN_BOXES, SUPERPOSE):
         m0 = bell_marginals(tables[(a_setting, OPEN_CAVITIES)], "alice")
@@ -652,15 +632,14 @@ def bell_no_signaling_gap(alphas=None, product_control=False):
     return gap
 
 
-def chsh_value(alphas=None, alice_plus=("B",), bob_plus=("RA1", "RB3"),
-               product_control=False):
-    """CHSH combination over the two available settings per side.
+def bell_no_signaling_gap(alphas=None, product_control=False):
+    """Largest marginal shift across the other side's setting choices."""
+    return _no_signaling_gap(
+        _bell_tables(_bell_state(alphas, product_control))
+    )
 
-    Setting 0 is the position measurement dichotomized by membership in
-    ``alice_plus`` / ``bob_plus``; setting 1 is the superposition projector
-    ("match" counts as +1).  The value is reported, not asserted against
-    any bound.
-    """
+
+def _chsh(tables, alice_plus, bob_plus):
     alice_plus = set(alice_plus)
     bob_plus = set(bob_plus)
 
@@ -672,7 +651,7 @@ def chsh_value(alphas=None, alice_plus=("B",), bob_plus=("RA1", "RB3"),
     correlations = {}
     for i, a_setting in enumerate((OPEN_BOXES, SUPERPOSE)):
         for j, b_setting in enumerate((OPEN_CAVITIES, SUPERPOSE)):
-            table = bell_test(alphas, a_setting, b_setting, product_control)
+            table = tables[(a_setting, b_setting)]
             total = sum(table.values())
             e = sum(
                 sign(a, alice_plus, i) * sign(b, bob_plus, j) * p
@@ -687,15 +666,41 @@ def chsh_value(alphas=None, alice_plus=("B",), bob_plus=("RA1", "RB3"),
     )
 
 
+_CHSH_ALICE_PLUS, _CHSH_BOB_PLUS = ("B",), ("RA1", "RB3")
+
+
+def chsh_value(alphas=None, alice_plus=_CHSH_ALICE_PLUS,
+               bob_plus=_CHSH_BOB_PLUS, product_control=False):
+    """CHSH combination over the two available settings per side.
+
+    Setting 0 is the position measurement dichotomized by membership in
+    ``alice_plus`` / ``bob_plus``; setting 1 is the superposition projector
+    ("match" counts as +1).  The value is reported, not asserted against
+    any bound.
+    """
+    return _chsh(
+        _bell_tables(_bell_state(alphas, product_control)),
+        alice_plus, bob_plus,
+    )
+
+
 def bell_scenario(alphas=None, alice_setting=OPEN_BOXES,
                   bob_setting=OPEN_CAVITIES, product_control=False):
-    """ScenarioResult wrapper around :func:`bell_test` for reporting."""
+    """ScenarioResult of :func:`bell_test` for one setting pair, for
+    reporting.
+
+    The Bell state is built once; the reported table, the no-signaling gap
+    and the CHSH value all come from its four clamped tables.
+    """
     alphas_vec = equal_alphas(5) if alphas is None else as_alpha_vector(alphas, 5)
-    table = bell_test(alphas_vec, alice_setting, bob_setting, product_control)
-    state, cavities, shutter = _bell_state(alphas_vec, product_control)
+    _check_settings(alice_setting, bob_setting)
+    bell = _bell_state(alphas_vec, product_control)
+    tables = _bell_tables(bell)
+    state, _, shutter = bell
     spectrum = schmidt_spectrum(state, set(shutter))
     outcomes = {
-        f"shutter={a}|probe={b}": p for (a, b), p in table.items()
+        f"shutter={a}|probe={b}": p
+        for (a, b), p in tables[(alice_setting, bob_setting)].items()
     }
     return ScenarioResult(
         name="bell_test",
@@ -710,10 +715,8 @@ def bell_scenario(alphas=None, alice_setting=OPEN_BOXES,
             "alice_setting": alice_setting,
             "bob_setting": bob_setting,
             "product_control": product_control,
-            "no_signaling_gap": bell_no_signaling_gap(
-                alphas_vec, product_control
-            ),
-            "chsh": chsh_value(alphas_vec, product_control=product_control),
+            "no_signaling_gap": _no_signaling_gap(tables),
+            "chsh": _chsh(tables, _CHSH_ALICE_PLUS, _CHSH_BOB_PLUS),
         },
     )
 

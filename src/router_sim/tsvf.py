@@ -20,12 +20,8 @@ from dataclasses import dataclass
 from .elements import apply_schedule, tunneling
 from .errors import BadParam, UndefinedConditioning
 from .fock import (
-    Box,
     FockState,
-    ModeLabel,
-    Role,
     inner_product,
-    mode,
     project_pattern,
     register_modes,
     superposition_source,
@@ -52,7 +48,7 @@ class TwoStateSpec:
     ``segments`` is an ordered list of element lists; boundary ``i`` is the
     instant after the first ``i`` segments (boundary 0 is the preparation
     time).  ``checkpoints`` maps names like ``"t2"`` to boundary indices.
-    ``box_modes`` names the mode carrying each box.
+    ``box_modes`` gives the name of the mode carrying each box.
     """
 
     pre: FockState
@@ -90,27 +86,26 @@ class TwoStateSpec:
         return {self.box_modes[box]: 1}
 
 
-def _conditioned_amplitudes(spec, proj):
-    """Transition amplitudes through the projector and its complement."""
-    boundary = spec.boundary(proj.time)
-    forward = spec.forward_state(boundary)
-    backward = spec.backward_state(boundary)
+def _transition_amplitudes(spec, forward, backward, box):
+    """Transition amplitudes through one box projector and its complement,
+    between the forward and backward states at its checkpoint."""
     full_amp = inner_product(backward, forward)
-    outcome = project_pattern(forward, spec._box_pattern(proj.box))
+    outcome = project_pattern(forward, spec._box_pattern(box))
     projected = outcome.state.scaled(math.sqrt(outcome.probability))
     yes_amp = inner_product(backward, projected)
     return yes_amp, full_amp - yes_amp, full_amp
 
 
-def abl_probability(spec, proj, complement=False):
-    """Probability of the dichotomic outcome {proj, 1-proj} at a checkpoint.
+def _conditioned_amplitudes(spec, proj):
+    boundary = spec.boundary(proj.time)
+    return _transition_amplitudes(
+        spec, spec.forward_state(boundary), spec.backward_state(boundary),
+        proj.box,
+    )
 
-    Returns P(proj = 1 | pre, post) for the two-outcome measurement that
-    opens exactly the named box; ``complement=True`` returns P(proj = 0).
-    Raises :class:`UndefinedConditioning` if the post-selection is
-    unreachable through both outcomes.
-    """
-    yes_amp, no_amp, _ = _conditioned_amplitudes(spec, proj)
+
+def _abl(amplitudes, proj, complement=False):
+    yes_amp, no_amp, _ = amplitudes
     p_yes = abs(yes_amp) ** 2
     p_no = abs(no_amp) ** 2
     denominator = p_yes + p_no
@@ -122,17 +117,51 @@ def abl_probability(spec, proj, complement=False):
     return float(value)
 
 
-def weak_value(spec, proj):
-    """Weak value of the box projector at a checkpoint.
-
-    <post| U Π U |pre> / <post| U |pre>; may lie outside [0, 1].
-    """
-    yes_amp, _, full_amp = _conditioned_amplitudes(spec, proj)
+def _weak(amplitudes):
+    yes_amp, _, full_amp = amplitudes
     if abs(full_amp) ** 2 < _ZERO:
         raise UndefinedConditioning(
             "pre- and post-selection are orthogonal after full evolution"
         )
     return complex(yes_amp / full_amp)
+
+
+def abl_probability(spec, proj, complement=False):
+    """Probability of the dichotomic outcome {proj, 1-proj} at a checkpoint.
+
+    Returns P(proj = 1 | pre, post) for the two-outcome measurement that
+    opens exactly the named box; ``complement=True`` returns P(proj = 0).
+    Raises :class:`UndefinedConditioning` if the post-selection is
+    unreachable through both outcomes.
+    """
+    return _abl(_conditioned_amplitudes(spec, proj), proj, complement)
+
+
+def weak_value(spec, proj):
+    """Weak value of the box projector at a checkpoint.
+
+    <post| U Π U |pre> / <post| U |pre>; may lie outside [0, 1].
+    """
+    return _weak(_conditioned_amplitudes(spec, proj))
+
+
+def checkpoint_values(spec, time):
+    """``{box: (ABL probability, weak value)}`` of each box projector at
+    one checkpoint.
+
+    The same numbers as :func:`abl_probability` and :func:`weak_value`, from
+    one forward and one backward propagation for all boxes.
+    """
+    boundary = spec.boundary(time)
+    forward = spec.forward_state(boundary)
+    backward = spec.backward_state(boundary)
+    values = {}
+    for box in spec.box_modes:
+        amplitudes = _transition_amplitudes(spec, forward, backward, box)
+        values[box] = (
+            _abl(amplitudes, ProjectorSpec(box, time)), _weak(amplitudes)
+        )
+    return values
 
 
 def postselection_success(spec, imposed=None):
@@ -160,11 +189,7 @@ def postselection_success(spec, imposed=None):
 
 def shutter_modes():
     """The three box modes of the shutter photon, in A, B, C order."""
-    return (
-        mode("SA", box="A", role="shutter"),
-        mode("SB", box="B", role="shutter"),
-        mode("SC", box="C", role="shutter"),
-    )
+    return ("SA", "SB", "SC")
 
 
 def shutter_state(weights, modes=None):

@@ -149,7 +149,7 @@ def test_criterion_07_stricter_scheme():
 
 
 def test_criterion_08_router_equivalence():
-    labels = [fock.mode(n) for n in ("a", "b", "c", "spec")]
+    labels = [n for n in ("a", "b", "c", "spec")]
     vacuum = fock.register_modes(labels, 2)
     ideal = elements.pqr_ideal(labels[0], labels[1], labels[2])
     decomposed = elements.pqr_decomposed(labels[0], labels[1], labels[2])

@@ -253,6 +253,16 @@ USAGE_ERRORS = (
        for flag in ("--alpha1", "--alpha2")]
     + [["run", name, flag, "open"] for name in SCENARIOS[:-1]
        for flag in ("--alice", "--bob")]
+    # flags that would be ignored: two sources of coefficients or points,
+    # and a seed for a grid
+    + [
+        ["run", "three_box_shutter", "--alphas", "0.6,0.8", "--alpha1", "1"],
+        ["run", "three_box_shutter", "--alphas", "equal", "--alpha2", "1"],
+        ["sweep", "disappearing_full", "--random", "2",
+         "--alpha1-grid", "0:1:5"],
+        ["sweep", "disappearing_full", "--alpha1-grid", "0:1:5",
+         "--seed", "7"],
+    ]
     # options that were read by nothing and are gone
     + [
         ["simulate", str(CIRCUITS / "fig2b.circuit"), "--tol", "1e-9"],

@@ -16,7 +16,7 @@ from dense_oracle import (
 
 
 def modes(*names):
-    return [fock.mode(n) for n in names]
+    return [n for n in names]
 
 
 def one_photon(state, label):

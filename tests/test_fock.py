@@ -5,6 +5,7 @@ import pytest
 
 from router_sim import fock
 from router_sim.errors import (
+    BadParam,
     BadPartition,
     DuplicateMode,
     ModeMismatch,
@@ -24,7 +25,7 @@ BS = np.array([[1, 1j], [1j, 1]]) / math.sqrt(2)
 
 
 def modes(*names):
-    return [fock.mode(n) for n in names]
+    return [n for n in names]
 
 
 def random_unitary(rng, k):
@@ -53,6 +54,33 @@ def test_register_duplicate_raises():
         fock.register_modes(modes("A", "A"))
 
 
+@pytest.mark.parametrize("names, amplitudes, error", [
+    (("A", "A"), {(0, 0): 1.0}, DuplicateMode),
+    (("A", "B"), {(1,): 1.0}, BadParam),
+    (("A", "B"), {(-1, 1): 1.0}, BadParam),
+    (("A", "B"), {(2, 1): 1.0}, PhotonBudget),
+    (("A", 3), {(0, 0): 1.0}, BadParam),
+    (("A", ""), {(0, 0): 1.0}, BadParam),
+], ids=["duplicate", "length", "negative", "budget", "not-str", "empty"])
+def test_constructor_validates(names, amplitudes, error):
+    with pytest.raises(error):
+        fock.FockState(names, amplitudes)
+
+
+def test_register_non_str_mode_raises():
+    with pytest.raises(BadParam):
+        fock.register_modes(["A", ("B", "aux")])
+
+
+def test_derived_states_share_modes_and_budget():
+    ms = modes("A", "B")
+    state = fock.register_modes(ms, n_total_max=3)
+    out = fock.apply_mode_unitary(fock.inject_photon(state, "A"), ms, BS)
+    assert out.modes is state.modes
+    assert out.n_total_max == 3
+    assert out.index_of("B") == 1
+
+
 def test_inject_into_vacuum():
     ms = modes("A", "B")
     state = fock.inject_photon(fock.register_modes(ms), ms[0])
@@ -79,7 +107,7 @@ def test_inject_budget_exceeded():
 def test_inject_unknown_mode():
     state = fock.register_modes(modes("A"))
     with pytest.raises(UnknownMode):
-        fock.inject_photon(state, fock.mode("Z"))
+        fock.inject_photon(state, "Z")
 
 
 def test_superposition_source_weights():

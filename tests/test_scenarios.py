@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from router_sim import scenarios
+from router_sim import scenarios, tsvf
 from router_sim.elements import apply_schedule
 from router_sim.errors import BadParam
 
@@ -46,7 +46,7 @@ def test_three_box_equal_weights():
     assert result.fidelity_to_target == pytest.approx(1.0, abs=1e-10)
     assert conditional(result) == pytest.approx(1.0, abs=1e-10)
     state = result.conditioned_probe_state
-    reflected = {m.name: i for i, m in enumerate(state.modes)}
+    reflected = {m: i for i, m in enumerate(state.modes)}
     config_ra = tuple(
         1 if i == reflected["RA"] else 0 for i in range(len(state.modes))
     )
@@ -241,7 +241,7 @@ def test_stricter_zeroed_t2_matches_disappearing():
         amps = {}
         for config, amp in state.amplitudes.items():
             occupied = [
-                m.name for m, c in zip(state.modes, config) if c == 1
+                m for m, c in zip(state.modes, config) if c == 1
             ]
             if len(occupied) == 1:
                 amps[occupied[0]] = amp
@@ -352,3 +352,44 @@ def test_bell_joint_state_is_entangled_for_generic_alphas():
 def test_chsh_reported_in_valid_range():
     value = scenarios.chsh_value()
     assert -4.0 <= value <= 4.0
+
+
+def test_bell_scenario_builds_its_state_once(monkeypatch):
+    built = []
+    build = scenarios.build_disappearing
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "build_disappearing", counting)
+    alphas = random_alphas(np.random.default_rng(38), 5)
+    result = scenarios.bell_scenario(
+        alphas, scenarios.SUPERPOSE, scenarios.OPEN_CAVITIES
+    )
+    assert len(built) == 1
+    table = scenarios.bell_test(
+        alphas, scenarios.SUPERPOSE, scenarios.OPEN_CAVITIES
+    )
+    assert result.conditional_probabilities == {
+        f"shutter={a}|probe={b}": p for (a, b), p in table.items()
+    }
+    assert (result.metadata["no_signaling_gap"]
+            == scenarios.bell_no_signaling_gap(alphas))
+    assert result.metadata["chsh"] == scenarios.chsh_value(alphas)
+
+
+def test_disappearing_full_propagates_each_checkpoint_once(monkeypatch):
+    calls = {"forward_state": 0, "backward_state": 0}
+    for name in calls:
+        original = getattr(tsvf.TwoStateSpec, name)
+
+        def counting(self, boundary, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, boundary)
+
+        monkeypatch.setattr(tsvf.TwoStateSpec, name, counting)
+    result = scenarios.disappearing_full()
+    assert calls["forward_state"] <= 3
+    assert calls["backward_state"] <= 3
+    assert len(result.abl_values) == len(result.weak_values) == 9

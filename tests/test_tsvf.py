@@ -229,3 +229,19 @@ def test_weak_value_zero_denominator_raises():
     )
     with pytest.raises(UndefinedConditioning):
         tsvf.weak_value(spec, ProjectorSpec("A", "t"))
+
+
+@pytest.mark.parametrize("make_spec", [
+    tsvf.three_box_spec,
+    tsvf.disappearing_spec,
+    lambda: tsvf.disappearing_spec(embed_final_segment=False),
+])
+def test_checkpoint_values_equal_single_queries(make_spec):
+    spec = make_spec()
+    for time in spec.checkpoints:
+        values = tsvf.checkpoint_values(spec, time)
+        assert list(values) == ["A", "B", "C"]
+        for box, (abl, weak) in values.items():
+            proj = tsvf.ProjectorSpec(box, time)
+            assert abl == tsvf.abl_probability(spec, proj)
+            assert weak == tsvf.weak_value(spec, proj)

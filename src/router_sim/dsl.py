@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 from .elements import (
-    RouterOrientation,
     apply_schedule,
     beamsplitter,
     ns_single,
@@ -117,19 +116,6 @@ class CircuitDoc:
     detects: tuple
 
 
-_ELEMENT_ARITY = {
-    # op: (number of leading numeric params, number of mode arguments)
-    "bs": (1, 2),
-    "ps": (1, 1),
-    "ns": (0, 1),
-    "ns2": (0, 2),
-    "relabel": (0, 2),
-    "tunnel": (1, 2),
-}
-
-_MODE_WORDS = {1: "one mode", 2: "two modes", 3: "three modes"}
-
-
 def parse_weight(token):
     """Parse a complex literal of the form REAL, REALi or REAL±REALi."""
     m = _COMPLEX_RE.match(token)
@@ -219,6 +205,36 @@ def _normalize_pairs(pairs, line_number, what):
     return tuple(pairs)
 
 
+def _real(parser):
+    token = parser.next("a real parameter")
+    if not _REAL_RE.match(token):
+        parser.fail(f"invalid real literal {token!r}", token)
+    return float(token)
+
+
+def _orientation(parser):
+    token = parser.next("an orientation (reflect or transmit)")
+    if token not in ("reflect", "transmit"):
+        parser.fail(f"unknown orientation {token!r}", token)
+    return token
+
+
+# op: (parameter readers, mode count, constructor).  The constructor takes
+# the parsed parameters followed by the mode names.
+_ELEMENT_OPS = {
+    "bs": ((_real,), 2, beamsplitter),
+    "ps": ((_real,), 1, phase_shifter),
+    "ns": ((), 1, ns_single),
+    "ns2": ((), 2, ns_two_mode),
+    "pqr": ((_orientation,), 3,
+            lambda orientation, *modes: pqr_ideal(*modes, orientation)),
+    "relabel": ((), 2, lambda a, b: relabel({a: b, b: a})),
+    "tunnel": ((_real,), 2, tunneling),
+}
+
+_MODE_WORDS = {1: "one mode", 2: "two modes", 3: "three modes"}
+
+
 def parse(text):
     """Parse a circuit document; raises :class:`ParseError` on the first
     violation."""
@@ -238,6 +254,12 @@ def parse(text):
             require_declared(parser, m.group(1))
             pattern.append((m.group(1), int(m.group(2))))
         return tuple(pattern)
+
+    def weights(parser, what):
+        pairs = _parse_pairs(parser, parser.rest("mode/weight pairs"), what)
+        for name, _ in pairs:
+            require_declared(parser, name)
+        return _normalize_pairs(pairs, parser.line_number, what)
 
     for line_number, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].rstrip()
@@ -267,22 +289,11 @@ def parse(text):
             modes.append(ModeDecl(name, box, slot, role))
 
         elif directive == "source":
-            items = parser.rest("mode/weight pairs")
-            pairs = _parse_pairs(parser, items, "source")
-            for name, _ in pairs:
-                require_declared(parser, name)
-            sources.append(
-                SourceStmt(_normalize_pairs(pairs, line_number, "source"))
-            )
+            sources.append(SourceStmt(weights(parser, "source")))
 
-        elif directive in _ELEMENT_ARITY:
-            n_params, n_modes = _ELEMENT_ARITY[directive]
-            params = []
-            for _ in range(n_params):
-                token = parser.next("a real parameter")
-                if not _REAL_RE.match(token):
-                    parser.fail(f"invalid real literal {token!r}", token)
-                params.append(float(token))
+        elif directive in _ELEMENT_OPS:
+            readers, n_modes, _ = _ELEMENT_OPS[directive]
+            params = tuple(read(parser) for read in readers)
             mode_args = []
             for _ in range(n_modes):
                 if parser.exhausted:
@@ -294,41 +305,14 @@ def parse(text):
                 mode_args.append(token)
             if not parser.exhausted:
                 parser.fail(f"trailing tokens after {directive}")
-            elements.append(
-                ElementStmt(directive, tuple(params), tuple(mode_args))
-            )
-
-        elif directive == "pqr":
-            orientation = parser.next("an orientation (reflect or transmit)")
-            if orientation not in ("reflect", "transmit"):
-                parser.fail(
-                    f"unknown orientation {orientation!r}", orientation
-                )
-            mode_args = []
-            for _ in range(3):
-                if parser.exhausted:
-                    parser.fail("pqr requires three modes")
-                token = parser.next("a mode name")
-                require_declared(parser, token)
-                mode_args.append(token)
-            if not parser.exhausted:
-                parser.fail("trailing tokens after pqr")
-            elements.append(
-                ElementStmt("pqr", (orientation,), tuple(mode_args))
-            )
+            elements.append(ElementStmt(directive, params, tuple(mode_args)))
 
         elif directive == "postselect":
             postselects.append(PostselectPattern(counts(parser)))
 
         elif directive == "postselect_state":
-            items = parser.rest("mode/weight pairs")
-            pairs = _parse_pairs(parser, items, "postselect_state")
-            for name, _ in pairs:
-                require_declared(parser, name)
             postselects.append(
-                PostselectState(
-                    _normalize_pairs(pairs, line_number, "postselect_state")
-                )
+                PostselectState(weights(parser, "postselect_state"))
             )
 
         elif directive == "detect":
@@ -419,32 +403,11 @@ def compile_doc(doc, n_total_max=2):
 
     schedule = []
     for index, element in enumerate(doc.elements):
-        modes = element.modes
+        if element.op not in _ELEMENT_OPS:
+            raise CompileError(index, f"unknown element {element.op!r}")
+        construct = _ELEMENT_OPS[element.op][2]
         try:
-            if element.op == "bs":
-                schedule.append(beamsplitter(element.params[0], *modes))
-            elif element.op == "ps":
-                schedule.append(phase_shifter(element.params[0], *modes))
-            elif element.op == "ns":
-                schedule.append(ns_single(*modes))
-            elif element.op == "ns2":
-                schedule.append(ns_two_mode(*modes))
-            elif element.op == "pqr":
-                schedule.append(
-                    pqr_ideal(
-                        *modes,
-                        orientation=RouterOrientation(element.params[0]),
-                    )
-                )
-            elif element.op == "relabel":
-                a, b = modes
-                schedule.append(relabel({a: b, b: a}))
-            elif element.op == "tunnel":
-                schedule.append(tunneling(element.params[0], *modes))
-            else:
-                raise CompileError(index, f"unknown element {element.op!r}")
-        except CompileError:
-            raise
+            schedule.append(construct(*element.params, *element.modes))
         except Exception as exc:
             raise CompileError(index, str(exc)) from exc
 

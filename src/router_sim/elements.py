@@ -231,57 +231,55 @@ def _apply_relabel(state, mapping):
     return state._derived(out)
 
 
-def _ns_two_mode_steps(mode_a, mode_b, n_total_max):
+def _mode_matrix(element):
+    """Mode matrix of a linear element (BS, PHASE, TUNNEL, MODE_UNITARY);
+    None for the other kinds."""
+    kind, params = element.kind, element.params
+    if kind is ElementKind.BS:
+        return bs_matrix(params["r"])
+    if kind is ElementKind.PHASE:
+        return np.array([[cmath.exp(1j * params["angle"])]])
+    if kind is ElementKind.TUNNEL:
+        return tunnel_matrix(params["theta"])
+    if kind is ElementKind.MODE_UNITARY:
+        return params["matrix"]
+    return None
+
+
+def _ns_two_mode_parts(mode_a, mode_b):
     bs = bs_matrix(0.5)
-    phases = ns_phases(n_total_max)
     return [
-        ("u", (mode_a, mode_b), bs),
-        ("p", mode_a, phases),
-        ("p", mode_b, phases),
-        ("u", (mode_a, mode_b), bs.conj().T),
+        mode_unitary(bs, (mode_a, mode_b)),
+        ns_single(mode_a),
+        ns_single(mode_b),
+        mode_unitary(bs.conj().T, (mode_a, mode_b)),
     ]
 
 
-def _pqr_decomposed_steps(probe_a, probe_b, control, n_total_max):
+def _pqr_decomposed_parts(probe_a, probe_b, control):
     bs = bs_matrix(0.5)
-    minus = np.array([[cmath.exp(-0.5j * math.pi)]])
-    plus = np.array([[cmath.exp(0.5j * math.pi)]])
-    phases = ns_phases(n_total_max)
     return [
-        ("u", (probe_b,), minus),
-        ("u", (probe_a, probe_b), bs),
-        ("u", (probe_b, control), bs),
-        ("p", probe_b, phases),
-        ("p", control, phases),
-        ("u", (probe_b, control), bs.conj().T),
-        ("u", (probe_a, probe_b), bs.conj().T),
-        ("u", (probe_b,), plus),
+        mode_unitary([[cmath.exp(-0.5j * math.pi)]], (probe_b,)),
+        mode_unitary(bs, (probe_a, probe_b)),
+        *_ns_two_mode_parts(probe_b, control),
+        mode_unitary(bs.conj().T, (probe_a, probe_b)),
+        mode_unitary([[cmath.exp(0.5j * math.pi)]], (probe_b,)),
     ]
-
-
-def _run_steps(state, steps):
-    for step in steps:
-        if step[0] == "u":
-            state = apply_mode_unitary(state, step[1], step[2])
-        else:
-            state = apply_fock_phase(state, step[1], step[2])
-    return state
 
 
 def apply_element(state, element, adjoint=False):
-    """Apply ``element`` (or its adjoint) to a state."""
+    """Apply ``element`` (or its adjoint) to a state.
+
+    A linear element's adjoint is its conjugate-transposed mode matrix; the
+    NS gates and both routers are self-adjoint, and a relabel inverts its
+    mapping.
+    """
+    u = _mode_matrix(element)
+    if u is not None:
+        return apply_mode_unitary(
+            state, element.modes, u.conj().T if adjoint else u
+        )
     kind = element.kind
-    if kind is ElementKind.BS:
-        u = bs_matrix(element.params["r"])
-        if adjoint:
-            u = u.conj().T
-        return apply_mode_unitary(state, element.modes, u)
-    if kind is ElementKind.PHASE:
-        angle = element.params["angle"]
-        if adjoint:
-            angle = -angle
-        u = np.array([[cmath.exp(1j * angle)]])
-        return apply_mode_unitary(state, element.modes, u)
     if kind is ElementKind.NS_SINGLE:
         # Real phases: self-adjoint.
         return apply_fock_phase(
@@ -289,34 +287,20 @@ def apply_element(state, element, adjoint=False):
         )
     if kind is ElementKind.NS_TWO_MODE:
         # (B† N N B)† = B† N N B: the composite is self-adjoint.
-        steps = _ns_two_mode_steps(
-            element.modes[0], element.modes[1], state.n_total_max
-        )
-        return _run_steps(state, steps)
+        return apply_schedule(state, _ns_two_mode_parts(*element.modes))
     if kind is ElementKind.PQR_IDEAL:
         # Swap conditioned on occupation is an involution: self-adjoint.
         return _apply_router_rule(state, *element.modes)
     if kind is ElementKind.PQR_DECOMPOSED:
         _router_sector(state, *element.modes)
-        steps = _pqr_decomposed_steps(*element.modes, state.n_total_max)
         # Identity on the control-absent sector, probe swap on the
         # control-present sector: the composite is its own adjoint.
-        return _run_steps(state, steps)
+        return apply_schedule(state, _pqr_decomposed_parts(*element.modes))
     if kind is ElementKind.RELABEL:
         mapping = element.params["mapping"]
         if adjoint:
             mapping = {v: k for k, v in mapping.items()}
         return _apply_relabel(state, mapping)
-    if kind is ElementKind.TUNNEL:
-        theta = element.params["theta"]
-        if adjoint:
-            theta = -theta
-        return apply_mode_unitary(state, element.modes, tunnel_matrix(theta))
-    if kind is ElementKind.MODE_UNITARY:
-        u = element.params["matrix"]
-        if adjoint:
-            u = u.conj().T
-        return apply_mode_unitary(state, element.modes, u)
     raise BadParam(f"unknown element kind {kind}")
 
 

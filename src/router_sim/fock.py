@@ -174,18 +174,7 @@ def inject_photon(state, label):
     up the bosonic sqrt(n+1) factor; the result is renormalized.  Injecting
     into the vacuum yields the one-photon basis state.
     """
-    pos = state.index_of(label)
-    out = {}
-    for config, amp in state.amplitudes.items():
-        if sum(config) + 1 > state.n_total_max:
-            raise PhotonBudget(
-                f"injecting into {label!r} exceeds photon budget "
-                f"{state.n_total_max}"
-            )
-        lifted = list(config)
-        lifted[pos] += 1
-        out[tuple(lifted)] = amp * math.sqrt(lifted[pos])
-    return state._derived(out).normalized()
+    return superposition_source(state, {label: 1})
 
 
 def superposition_source(state, weights):

@@ -158,7 +158,11 @@ def _prepare(shutter_modes, shutter_weights, probe_sources):
 
 def run_plan(plan):
     """Propagate a plan and assemble its :class:`ScenarioResult`."""
-    joint = apply_schedule(plan.initial, plan.schedule)
+    return _assemble(plan, apply_schedule(plan.initial, plan.schedule))
+
+
+def _assemble(plan, joint):
+    """:class:`ScenarioResult` of ``plan`` from its propagated joint state."""
     shutter_set = set(plan.shutter_post.modes)
     spectrum = schmidt_spectrum(joint, shutter_set) if len(
         joint.modes
@@ -280,8 +284,8 @@ def three_box_shutter(alpha1, alpha2):
     reflected rails with fidelity one, for any normalized coefficients.
     """
     plan = build_three_box(alpha1, alpha2)
-    result = run_plan(plan)
     joint = apply_schedule(plan.initial, plan.schedule)
+    result = _assemble(plan, joint)
     reference = three_box_joint_reference(plan)
     deviation = max(
         abs(joint.amplitude(c) - reference.amplitude(c))

@@ -8,8 +8,6 @@ decomposition, not the ideal routing rule, so scenario-level comparisons
 exercise both the propagation engine and the router equivalence.
 """
 
-import itertools
-
 import numpy as np
 import scipy.linalg
 
@@ -17,11 +15,15 @@ from router_sim.elements import ElementKind, bs_matrix, ns_phases, tunnel_matrix
 
 
 def enumerate_basis(n_modes, n_total_max):
-    configs = [
-        c
-        for c in itertools.product(range(n_total_max + 1), repeat=n_modes)
-        if sum(c) <= n_total_max
-    ]
+    """Occupation tuples of ``n_modes`` modes holding at most
+    ``n_total_max`` photons in total, in lexicographic order, and their
+    positions.  Each mode is appended in turn with every count the
+    remaining budget allows, so no over-budget tuple is ever built."""
+    configs = [()]
+    for _ in range(n_modes):
+        configs = [
+            c + (n,) for c in configs for n in range(n_total_max + 1 - sum(c))
+        ]
     index = {c: i for i, c in enumerate(configs)}
     return configs, index
 

@@ -289,6 +289,15 @@ def test_usage_error_exits_3_with_one_line(argv, capsys):
     assert_one_line_error(capsys)
 
 
+def test_simulate_compile_error_exits_4_with_one_line(tmp_path, capsys):
+    bad = tmp_path / "bad.circuit"
+    bad.write_text("mode A A t1 shutter\nmode B B t1 probe_in\nbs 1.5 A B\n")
+    code, out = run_cli(["simulate", str(bad)])
+    assert code == cli.EXIT_PARSE
+    assert out == ""
+    assert_one_line_error(capsys)
+
+
 def test_bad_tolerance_env_is_usage_error_of_run_only(monkeypatch, capsys):
     monkeypatch.setenv("ROUTER_SIM_TOL", "abc")
     code, out = run_cli(["run", "disappearing_full"])

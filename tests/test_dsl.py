@@ -5,6 +5,7 @@ import pytest
 
 from router_sim import dsl
 from router_sim.dsl import ParseError, parse, render, compile_doc, simulate_text
+from router_sim.elements import ElementKind, RouterOrientation
 from router_sim.errors import CompileError
 
 MINIMAL = "mode A A t1 shutter\nsource A 1\n"
@@ -43,6 +44,22 @@ def test_bs_arity_error():
         parse("mode A A t1 shutter\nbs 0.5 A\n")
     assert err.value.line == 2
     assert "two modes" in err.value.message
+
+
+@pytest.mark.parametrize("line,message", [
+    ("pqr reflect A B", "pqr requires three modes"),
+    ("pqr sideways A B C", "unknown orientation 'sideways'"),
+    ("pqr", "expected an orientation (reflect or transmit)"),
+    ("bs x A B", "invalid real literal 'x'"),
+    ("tunnel", "expected a real parameter"),
+    ("ns A B", "trailing tokens after ns"),
+])
+def test_element_statement_errors(line, message):
+    header = "mode A A t1 shutter\nmode B B t1 shutter\nmode C C t1 shutter\n"
+    with pytest.raises(ParseError) as err:
+        parse(header + line + "\n")
+    assert err.value.line == 4
+    assert err.value.message == message
 
 
 def test_unknown_directive_error():
@@ -189,6 +206,45 @@ def test_compile_rejects_unused_mode():
     text = "mode A A t1 shutter\nmode B B t1 shutter\nsource A 1\n"
     with pytest.raises(CompileError, match="never used"):
         compile_doc(parse(text))
+
+
+ELEMENT_CASES = [
+    ("bs 0.3 A B", ElementKind.BS, {"r": 0.3}),
+    ("ps -1.25 A", ElementKind.PHASE, {"angle": -1.25}),
+    ("ns A", ElementKind.NS_SINGLE, {}),
+    ("ns2 A B", ElementKind.NS_TWO_MODE, {}),
+    ("pqr transmit A B C", ElementKind.PQR_IDEAL,
+     {"orientation": RouterOrientation.TRANSMIT_ON_MATCH}),
+    ("relabel A B", ElementKind.RELABEL, {"mapping": {"A": "B", "B": "A"}}),
+    ("tunnel 0.7 A B", ElementKind.TUNNEL, {"theta": 0.7}),
+]
+
+
+@pytest.mark.parametrize(
+    "line,kind,params", ELEMENT_CASES,
+    ids=[line.split()[0] for line, _, _ in ELEMENT_CASES],
+)
+def test_element_op_round_trips_and_compiles(line, kind, params):
+    names = [t for t in line.split() if t in ("A", "B", "C")]
+    text = "".join(f"mode {n} A t1 internal\n" for n in names) + line + "\n"
+    doc = parse(text)
+    assert parse(render(doc)) == doc
+    (element,) = compile_doc(doc).schedule
+    assert element.kind is kind
+    assert element.params == params
+    assert element.modes == tuple(names)
+
+
+def test_compile_unknown_element_op():
+    doc = dsl.CircuitDoc(
+        modes=(dsl.ModeDecl("A", "A", "t1", "shutter"),),
+        sources=(),
+        elements=(dsl.ElementStmt("foo", (), ("A",)),),
+        postselects=(),
+        detects=(),
+    )
+    with pytest.raises(CompileError, match="unknown element"):
+        compile_doc(doc)
 
 
 def test_relabel_compiles_to_swap():

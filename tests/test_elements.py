@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from router_sim import elements, fock
 from router_sim.elements import RouterOrientation, apply_element
@@ -303,6 +304,9 @@ def all_test_elements(ms):
         elements.pqr_decomposed(ms[0], ms[1], ms[2]),
         elements.tunneling(0.7, ms[0], ms[1]),
         elements.relabel({ms[0]: ms[2], ms[2]: ms[0]}),
+        elements.mode_unitary(
+            scipy.stats.unitary_group.rvs(3, random_state=23), ms
+        ),
     ]
 
 

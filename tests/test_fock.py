@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -234,6 +235,18 @@ def test_sparse_equals_dense_oracle():
                 max_amplitude_deviation(sparse_out, dense_out, configs, index)
                 < 1e-12
             )
+
+
+def test_enumerate_basis_equals_filtered_product():
+    for n_modes in range(1, 7):
+        for budget in range(4):
+            configs, index = enumerate_basis(n_modes, budget)
+            expected = [
+                c for c in itertools.product(range(budget + 1), repeat=n_modes)
+                if sum(c) <= budget
+            ]
+            assert configs == expected
+            assert index == {c: i for i, c in enumerate(expected)}
 
 
 # ---------------------------------------------------------------------------

@@ -393,3 +393,17 @@ def test_disappearing_full_propagates_each_checkpoint_once(monkeypatch):
     assert calls["forward_state"] <= 3
     assert calls["backward_state"] <= 3
     assert len(result.abl_values) == len(result.weak_values) == 9
+
+
+def test_three_box_shutter_propagates_once(monkeypatch):
+    calls = []
+    propagate = scenarios.apply_schedule
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return propagate(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "apply_schedule", counting)
+    result = scenarios.three_box_shutter(0.6, 0.8)
+    assert len(calls) == 1
+    assert result.metadata["joint_state_max_deviation"] < 1e-10

@@ -328,34 +328,30 @@ def build_parser():
     return parser
 
 
+_COMMANDS = {"run": cmd_run, "simulate": cmd_simulate, "sweep": cmd_sweep,
+             "list": cmd_list}
+
+# Exit code of each error a command may end with, most specific first.
+_EXIT_CODES = {
+    UsageError: EXIT_USAGE,
+    dsl.ParseError: EXIT_PARSE,
+    CompileError: EXIT_PARSE,
+    SimulationError: EXIT_ASSERTION,
+}
+
+
 def main(argv=None, stream=None):
     stream = stream or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.command is None:
-            raise UsageError("a command is required (run, simulate, sweep, list)")
-        if args.command == "run":
-            return cmd_run(args, stream)
-        if args.command == "simulate":
-            return cmd_simulate(args, stream)
-        if args.command == "sweep":
-            return cmd_sweep(args, stream)
-        if args.command == "list":
-            return cmd_list(args, stream)
-        raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
+            raise UsageError(f"a command is required ({', '.join(_COMMANDS)})")
+        return _COMMANDS[args.command](args, stream)
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except dsl.ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except CompileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ASSERTION
+        return next(
+            code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind)
+        )
 
 
 if __name__ == "__main__":

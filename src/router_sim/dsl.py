@@ -149,25 +149,25 @@ class _LineParser:
             self.tokens.append((m.group(0), m.start() + 1))
         self.pos = 0
 
-    def fail(self, message, token=""):
-        column = (
-            self.tokens[self.pos][1]
-            if self.pos < len(self.tokens)
-            else len(self.text) + 1
-        )
+    def fail(self, message, token="", column=None):
+        """Raise at ``column``, by default the next token's or line end."""
+        if column is None:
+            column = (len(self.text) + 1 if self.exhausted
+                      else self.tokens[self.pos][1])
         raise ParseError(self.line_number, column, message, token)
 
     def next(self, expected):
+        """The next ``(token, column)``."""
         if self.pos >= len(self.tokens):
             self.fail(f"expected {expected}")
-        token, _ = self.tokens[self.pos]
         self.pos += 1
-        return token
+        return self.tokens[self.pos - 1]
 
     def rest(self, expected):
+        """The remaining ``(token, column)`` pairs, at least one."""
         if self.pos >= len(self.tokens):
             self.fail(f"expected {expected}")
-        remaining = [t for t, _ in self.tokens[self.pos :]]
+        remaining = self.tokens[self.pos :]
         self.pos = len(self.tokens)
         return remaining
 
@@ -177,15 +177,16 @@ class _LineParser:
 
 
 def _parse_pairs(parser, items, what):
-    if len(items) % 2 != 0 or not items:
+    """``(name, weight)`` pairs of ``(token, column)`` items."""
+    if len(items) % 2 != 0:
         parser.fail(f"{what} takes mode/weight pairs")
     pairs = []
-    for name, raw in zip(items[::2], items[1::2]):
+    for (name, name_column), (raw, raw_column) in zip(items[::2], items[1::2]):
         if not _IDENT_RE.match(name):
-            parser.fail(f"invalid mode name {name!r}", name)
+            parser.fail(f"invalid mode name {name!r}", name, name_column)
         weight = parse_weight(raw)
         if weight is None:
-            parser.fail(f"invalid complex weight {raw!r}", raw)
+            parser.fail(f"invalid complex weight {raw!r}", raw, raw_column)
         pairs.append((name, weight))
     return pairs
 
@@ -206,16 +207,16 @@ def _normalize_pairs(pairs, line_number, what):
 
 
 def _real(parser):
-    token = parser.next("a real parameter")
+    token, column = parser.next("a real parameter")
     if not _REAL_RE.match(token):
-        parser.fail(f"invalid real literal {token!r}", token)
+        parser.fail(f"invalid real literal {token!r}", token, column)
     return float(token)
 
 
 def _orientation(parser):
-    token = parser.next("an orientation (reflect or transmit)")
+    token, column = parser.next("an orientation (reflect or transmit)")
     if token not in ("reflect", "transmit"):
-        parser.fail(f"unknown orientation {token!r}", token)
+        parser.fail(f"unknown orientation {token!r}", token, column)
     return token
 
 
@@ -241,24 +242,28 @@ def parse(text):
     modes, sources, elements, postselects, detects = [], [], [], [], []
     declared = set()
 
-    def require_declared(parser, name):
+    def require_declared(parser, name, column, seen=()):
+        """Fail unless ``name`` is declared and not in ``seen``."""
         if name not in declared:
-            parser.fail(f"undeclared mode {name!r}", name)
+            parser.fail(f"undeclared mode {name!r}", name, column)
+        if name in seen:
+            parser.fail(f"repeated mode {name!r}", name, column)
 
     def counts(parser):
-        pattern = []
-        for item in parser.rest("mode=count pairs"):
+        pattern = {}
+        for item, column in parser.rest("mode=count pairs"):
             m = _ASSIGN_RE.match(item)
             if not m:
-                parser.fail(f"expected mode=count, got {item!r}", item)
-            require_declared(parser, m.group(1))
-            pattern.append((m.group(1), int(m.group(2))))
-        return tuple(pattern)
+                parser.fail(f"expected mode=count, got {item!r}", item, column)
+            require_declared(parser, m.group(1), column, pattern)
+            pattern[m.group(1)] = int(m.group(2))
+        return tuple(pattern.items())
 
     def weights(parser, what):
-        pairs = _parse_pairs(parser, parser.rest("mode/weight pairs"), what)
-        for name, _ in pairs:
-            require_declared(parser, name)
+        items = parser.rest("mode/weight pairs")
+        pairs = _parse_pairs(parser, items, what)
+        for i, (name, column) in enumerate(items[::2]):
+            require_declared(parser, name, column, dict(pairs[:i]))
         return _normalize_pairs(pairs, parser.line_number, what)
 
     for line_number, raw_line in enumerate(text.splitlines(), start=1):
@@ -266,23 +271,25 @@ def parse(text):
         if not line.strip():
             continue
         parser = _LineParser(line_number, line)
-        directive = parser.next("a directive")
+        directive, directive_column = parser.next("a directive")
 
         if directive == "mode":
-            name = parser.next("a mode name")
+            name, column = parser.next("a mode name")
             if not _IDENT_RE.match(name):
-                parser.fail(f"invalid mode name {name!r}", name)
+                parser.fail(f"invalid mode name {name!r}", name, column)
             if name in declared:
-                parser.fail(f"duplicate declaration of mode {name!r}", name)
-            box = parser.next("a box tag (A, B, C or aux)")
+                parser.fail(
+                    f"duplicate declaration of mode {name!r}", name, column
+                )
+            box, column = parser.next("a box tag (A, B, C or aux)")
             if box not in _BOX_TAGS:
-                parser.fail(f"unknown box tag {box!r}", box)
-            slot = parser.next("a time tag (t1, t2, t3, tf or none)")
+                parser.fail(f"unknown box tag {box!r}", box, column)
+            slot, column = parser.next("a time tag (t1, t2, t3, tf or none)")
             if slot not in _TIME_TAGS:
-                parser.fail(f"unknown time tag {slot!r}", slot)
-            role = parser.next("a role tag")
+                parser.fail(f"unknown time tag {slot!r}", slot, column)
+            role, column = parser.next("a role tag")
             if role not in _ROLE_TAGS:
-                parser.fail(f"unknown role tag {role!r}", role)
+                parser.fail(f"unknown role tag {role!r}", role, column)
             if not parser.exhausted:
                 parser.fail("trailing tokens after mode declaration")
             declared.add(name)
@@ -300,8 +307,8 @@ def parse(text):
                     parser.fail(
                         f"{directive} requires {_MODE_WORDS[n_modes]}"
                     )
-                token = parser.next("a mode name")
-                require_declared(parser, token)
+                token, column = parser.next("a mode name")
+                require_declared(parser, token, column)
                 mode_args.append(token)
             if not parser.exhausted:
                 parser.fail(f"trailing tokens after {directive}")
@@ -316,14 +323,15 @@ def parse(text):
             )
 
         elif directive == "detect":
-            name = parser.next("an outcome name")
+            name, column = parser.next("an outcome name")
             if not _IDENT_RE.match(name):
-                parser.fail(f"invalid outcome name {name!r}", name)
+                parser.fail(f"invalid outcome name {name!r}", name, column)
             detects.append(DetectStmt(name, counts(parser)))
 
         else:
-            parser.pos = 0
-            parser.fail(f"unknown directive {directive!r}", directive)
+            parser.fail(
+                f"unknown directive {directive!r}", directive, directive_column
+            )
 
     return CircuitDoc(
         tuple(modes), tuple(sources), tuple(elements),

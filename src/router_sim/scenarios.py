@@ -18,7 +18,7 @@ unperturbed schedules are only meaningful against such counterfactuals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -30,7 +30,6 @@ from .elements import (
     apply_schedule,
     mode_unitary,
     pqr_ideal,
-    tunneling,
 )
 from .errors import BadParam, UndefinedConditioning
 from .fock import (
@@ -40,7 +39,6 @@ from .fock import (
     postselect_subsystem,
     project_pattern,
     project_predicate,
-    register_modes,
     schmidt_spectrum,
     select,
     superposition_source,
@@ -70,21 +68,26 @@ class ScenarioResult:
 class ScenarioPlan:
     """Concrete schedule of one scenario, consumable by oracle tests.
 
-    ``schedule`` holds the interaction part (routers and tunneling);
-    ``merge`` is the final recombination unitary over ``kept_ports`` (absent
-    for scenarios that report on the bare reflected rails).
+    ``spec`` is the two-state description of the shutter the plan runs:
+    ``schedule`` holds its tunneling segments with the routers placed at
+    their checkpoints.  ``merge`` is the final recombination unitary over
+    ``kept_ports``, whose first port is the restored one (absent for
+    scenarios that report on the bare reflected rails).
     """
 
     name: str
     initial: FockState
     schedule: list
-    shutter_post: FockState
+    spec: tsvf.TwoStateSpec
     kept_ports: list
     alphas: np.ndarray
     merge: Element | None
-    out_mode: str | None
     outcome_label: str
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def shutter_post(self):
+        return self.spec.post
 
     @property
     def full_schedule(self):
@@ -144,11 +147,14 @@ def _probe_target(probe_modes, kept_ports, alphas, n_total_max=2):
     return FockState(probe_modes, amps, n_total_max)
 
 
-def _prepare(shutter_modes, shutter_weights, probe_sources):
-    all_modes = tuple(shutter_modes) + tuple(m for m, _ in probe_sources)
-    state = register_modes(all_modes)
-    state = superposition_source(
-        state, {m: w for m, w in zip(shutter_modes, shutter_weights)}
+def _prepare(shutter_pre_state, probe_sources):
+    """The shutter pre-state followed by the ``(mode, weight)`` probe
+    modes, with one probe photon over the modes whose weight is not None."""
+    empty = (0,) * len(probe_sources)
+    state = FockState(
+        shutter_pre_state.modes + tuple(m for m, _ in probe_sources),
+        {c + empty: a for c, a in shutter_pre_state.amplitudes.items()},
+        shutter_pre_state.n_total_max,
     )
     live = {m: w for m, w in probe_sources if w is not None}
     if live:
@@ -183,8 +189,8 @@ def _assemble(plan, joint):
     )
     fid = 0.0 if probe_premerge.is_zero else fidelity(target, probe_premerge)
 
-    if plan.out_mode is not None:
-        q = project_pattern(post.state, {plan.out_mode: 1}).probability
+    if plan.merge is not None:
+        q = project_pattern(post.state, {plan.kept_ports[0]: 1}).probability
     else:
         kept_positions = [post.state.index_of(m) for m in plan.kept_ports]
         q = project_predicate(
@@ -221,34 +227,65 @@ def _attach_tsvf(result, spec):
             result.weak_values[(box, time)] = weak
 
 
+_REFLECT = RouterOrientation.REFLECT_ON_MATCH
+_TRANSMIT = RouterOrientation.TRANSMIT_ON_MATCH
+
+
+def _beam_table_plan(name, spec, beams, alphas, metadata, routers=True,
+                     probe_photon=True, recombine=True):
+    """Plan of the two-state shutter ``spec`` probed by a table of beams.
+
+    Each beam ``(tag, box, checkpoint, orientation)`` joins probe mode
+    ``P<tag>`` and rail ``R<tag>`` (reflect) or ``X<tag>`` (transmit) by a
+    router controlled by ``spec``'s mode of ``box``; it runs at the
+    checkpoint, ahead of the segment that starts there.  The probe photon
+    is spread over the probe modes with weights ``alphas``.  ``recombine``
+    merges the kept ports by the adjoint of the splitting, restoring onto
+    the first; ``routers=False`` leaves the routers out of the schedule and
+    ``probe_photon=False`` prepares the probe modes empty.
+    """
+    probes = ["P" + tag for tag, _, _, _ in beams]
+    rails = [("R" if orientation is _REFLECT else "X") + tag
+             for tag, _, _, orientation in beams]
+    sources = [
+        (p, a if probe_photon else None) for p, a in zip(probes, alphas)
+    ]
+    sources += [(r, None) for r in rails]
+
+    at_boundary = [[] for _ in range(len(spec.segments) + 1)]
+    kept = []
+    for (_, box, checkpoint, orientation), p, r in zip(beams, probes, rails):
+        router = pqr_ideal(p, r, spec.box_modes[box], orientation)
+        kept.append(router.kept_port)
+        if routers:
+            at_boundary[spec.boundary(checkpoint)].append(router)
+    schedule = at_boundary[0]
+    for segment, placed in zip(spec.segments, at_boundary[1:]):
+        schedule += segment + placed
+
+    return ScenarioPlan(
+        name=name,
+        initial=_prepare(spec.pre, sources),
+        schedule=schedule,
+        spec=spec,
+        kept_ports=kept,
+        alphas=alphas,
+        merge=(mode_unitary(unitary_with_first_row(alphas.conj()), kept)
+               if recombine else None),
+        outcome_label="restored" if recombine else "reflected",
+        metadata=metadata,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Static three-box shutter
 # ---------------------------------------------------------------------------
 
 def build_three_box(alpha1, alpha2):
-    alphas = as_alpha_vector([alpha1, alpha2], 2)
-    shutter = tsvf.shutter_modes()
-    pa, pb, ra, rb = "PA", "PB", "RA", "RB"
-    initial = _prepare(
-        shutter,
-        (1 / SQRT3, 1 / SQRT3, 1 / SQRT3),
-        [(pa, alphas[0]), (pb, alphas[1]), (ra, None), (rb, None)],
-    )
-    schedule = [
-        pqr_ideal(pa, ra, shutter[0]),
-        pqr_ideal(pb, rb, shutter[1]),
-    ]
-    post = tsvf.shutter_state((1 / SQRT3, 1 / SQRT3, -1 / SQRT3), shutter)
-    return ScenarioPlan(
-        name="three_box_shutter",
-        initial=initial,
-        schedule=schedule,
-        shutter_post=post,
-        kept_ports=[ra, rb],
-        alphas=alphas,
-        merge=None,
-        out_mode=None,
-        outcome_label="reflected",
+    return _beam_table_plan(
+        "three_box_shutter", tsvf.three_box_spec(),
+        [("A", "A", "t", _REFLECT), ("B", "B", "t", _REFLECT)],
+        as_alpha_vector([alpha1, alpha2], 2), {}, recombine=False,
     )
 
 
@@ -292,69 +329,13 @@ def three_box_shutter(alpha1, alpha2):
         for c in set(joint.amplitudes) | set(reference.amplitudes)
     )
     result.metadata["joint_state_max_deviation"] = float(deviation)
-    _attach_tsvf(result, tsvf.three_box_spec())
+    _attach_tsvf(result, plan.spec)
     return result
 
 
 # ---------------------------------------------------------------------------
-# Tunneling schemes built from a table of probe beams
+# Tunneling schemes: beam tables over the disappearing shutter
 # ---------------------------------------------------------------------------
-
-_REFLECT = RouterOrientation.REFLECT_ON_MATCH
-_TRANSMIT = RouterOrientation.TRANSMIT_ON_MATCH
-
-#: shutter pre-selection of the tunneling schemes, over boxes A, B, C
-_TUNNELING_PRE = (1 / SQRT3, 1j / SQRT3, 1 / SQRT3)
-
-
-def _beam_table_plan(name, beams, alphas, metadata,
-                     shutter_weights=_TUNNELING_PRE, routers=True,
-                     probe_photon=True, rail="R"):
-    """Plan of a tunneling scheme described by a table of probe beams.
-
-    Each beam ``(tag, box, slot, orientation)`` is a probe mode ``P<tag>``
-    and a rail ``<rail><tag>`` joined by a router whose control is the
-    shutter's mode for ``box``.  The probe photon is spread over the probe
-    modes with weights ``alphas``; the routers run slot by slot with a pi/4
-    A-B tunneling step after t1 and after t2; the routers' kept ports are
-    recombined by the adjoint of the splitting.  ``routers=False`` leaves
-    the routers out of the schedule and ``probe_photon=False`` prepares the
-    probe modes empty.
-    """
-    shutter = tsvf.shutter_modes()
-    probes = ["P" + tag for tag, _, _, _ in beams]
-    rails = [rail + tag for tag, _, _, _ in beams]
-    sources = [
-        (p, a if probe_photon else None) for p, a in zip(probes, alphas)
-    ]
-    sources += [(r, None) for r in rails]
-    initial = _prepare(shutter, shutter_weights, sources)
-
-    by_slot = {"t1": [], "t2": [], "t3": []}
-    kept = []
-    for (_, box, slot, orientation), p, r in zip(beams, probes, rails):
-        router = pqr_ideal(p, r, shutter["ABC".index(box)], orientation)
-        kept.append(router.kept_port)
-        if routers:
-            by_slot[slot].append(router)
-    step = tunneling(math.pi / 4, shutter[0], shutter[1])
-    schedule = by_slot["t1"] + [step] + by_slot["t2"] + [step] + by_slot["t3"]
-
-    post = tsvf.shutter_state((-1 / SQRT3, -1j / SQRT3, 1 / SQRT3), shutter)
-    merge = mode_unitary(unitary_with_first_row(alphas.conj()), kept)
-    return ScenarioPlan(
-        name=name,
-        initial=initial,
-        schedule=schedule,
-        shutter_post=post,
-        kept_ports=kept,
-        alphas=alphas,
-        merge=merge,
-        out_mode=kept[0],
-        outcome_label="restored",
-        metadata=metadata,
-    )
-
 
 def build_disappearing(alphas=None, perturbation=None):
     check_perturbation("disappearing_full", perturbation)
@@ -376,12 +357,13 @@ def build_disappearing(alphas=None, perturbation=None):
         alphas = np.concatenate(
             [scaled[:3], [weight], scaled[3:]]
         )
-    shutter_weights = _TUNNELING_PRE
+    spec = tsvf.disappearing_spec()
     if perturbation == "remove-shutter-C-t2":
-        shutter_weights = (1 / math.sqrt(2), 1j / math.sqrt(2), 0.0)
+        pre = tsvf.shutter_state((1 / math.sqrt(2), 1j / math.sqrt(2), 0.0))
+        spec = replace(spec, pre=pre)
     return _beam_table_plan(
-        "disappearing_full", beams, alphas, {"perturbation": perturbation},
-        shutter_weights,
+        "disappearing_full", spec, beams, alphas,
+        {"perturbation": perturbation},
     )
 
 
@@ -396,7 +378,7 @@ def disappearing_full(alphas=None, perturbation=None):
     plan = build_disappearing(alphas, perturbation)
     result = run_plan(plan)
     if perturbation is None:
-        _attach_tsvf(result, tsvf.disappearing_spec())
+        _attach_tsvf(result, plan.spec)
     return result
 
 
@@ -409,8 +391,8 @@ def build_simplified_3path(variant=None):
         ("B3", "B", "t3", _REFLECT),
     ]
     return _beam_table_plan(
-        "simplified_3path", beams, equal_alphas(3), {"variant": variant},
-        routers=variant != "identity-routers",
+        "simplified_3path", tsvf.disappearing_spec(), beams, equal_alphas(3),
+        {"variant": variant}, routers=variant != "identity-routers",
     )
 
 
@@ -436,8 +418,8 @@ def build_simplest_2path(variant=None):
         ],
     }
     return _beam_table_plan(
-        "simplest_2path", beams, equal_alphas(2), metadata,
-        probe_photon=variant != "vacuum-probe",
+        "simplest_2path", tsvf.disappearing_spec(), beams, equal_alphas(2),
+        metadata, probe_photon=variant != "vacuum-probe",
     )
 
 
@@ -456,8 +438,8 @@ def build_absence_test(variant=None):
     orientation = _REFLECT if variant == "reflect-orientation" else _TRANSMIT
     beams = [("A", "A", slot, orientation), ("B", "B", slot, orientation)]
     return _beam_table_plan(
-        "absence_test", beams, equal_alphas(2),
-        {"variant": variant, "slot": slot}, rail="X",
+        "absence_test", tsvf.disappearing_spec(), beams, equal_alphas(2),
+        {"variant": variant, "slot": slot},
     )
 
 
@@ -485,7 +467,10 @@ def build_stricter_6beam(alphas=None, flip=None):
         ("B3", "B", "t3", _REFLECT),
         ("C3", "C", "t3", _REFLECT),
     ]
-    return _beam_table_plan("stricter_6beam", beams, alphas, {"flip": flip})
+    return _beam_table_plan(
+        "stricter_6beam", tsvf.disappearing_spec(), beams, alphas,
+        {"flip": flip},
+    )
 
 
 def stricter_6beam(alphas=None, flip=None):
@@ -520,13 +505,10 @@ def _bell_state(alphas, product_control=False):
     cavities = plan.kept_ports
     shutter = plan.shutter_post.modes
     if product_control:
-        state = register_modes(plan.initial.modes)
-        state = superposition_source(
-            state,
-            {shutter[0]: 1 / SQRT3, shutter[1]: -1j / SQRT3, shutter[2]: 1 / SQRT3},
-        )
-        state = superposition_source(
-            state, {c: a for c, a in zip(cavities, plan.alphas)}
+        weights = dict(zip(cavities, plan.alphas))
+        state = _prepare(
+            tsvf.shutter_state((1 / SQRT3, -1j / SQRT3, 1 / SQRT3), shutter),
+            [(m, weights.get(m)) for m in plan.initial.modes[len(shutter):]],
         )
         return state, cavities, shutter
     joint = apply_schedule(plan.initial, plan.schedule)

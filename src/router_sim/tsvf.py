@@ -22,8 +22,10 @@ from .errors import BadParam, UndefinedConditioning
 from .fock import (
     FockState,
     inner_product,
+    matches,
     project_pattern,
     register_modes,
+    select,
     superposition_source,
 )
 
@@ -90,8 +92,7 @@ def _transition_amplitudes(spec, forward, backward, box):
     """Transition amplitudes through one box projector and its complement,
     between the forward and backward states at its checkpoint."""
     full_amp = inner_product(backward, forward)
-    outcome = project_pattern(forward, spec._box_pattern(box))
-    projected = outcome.state.scaled(math.sqrt(outcome.probability))
+    projected, _ = select(forward, matches(forward, spec._box_pattern(box)))
     yes_amp = inner_product(backward, projected)
     return yes_amp, full_amp - yes_amp, full_amp
 

@@ -1,9 +1,10 @@
+import io
 import math
 import warnings
 
 import pytest
 
-from router_sim import dsl
+from router_sim import cli, dsl
 from router_sim.dsl import ParseError, parse, render, compile_doc, simulate_text
 from router_sim.elements import ElementKind, RouterOrientation
 from router_sim.errors import CompileError
@@ -46,20 +47,85 @@ def test_bs_arity_error():
     assert "two modes" in err.value.message
 
 
-@pytest.mark.parametrize("line,message", [
-    ("pqr reflect A B", "pqr requires three modes"),
-    ("pqr sideways A B C", "unknown orientation 'sideways'"),
-    ("pqr", "expected an orientation (reflect or transmit)"),
-    ("bs x A B", "invalid real literal 'x'"),
-    ("tunnel", "expected a real parameter"),
-    ("ns A B", "trailing tokens after ns"),
-])
-def test_element_statement_errors(line, message):
-    header = "mode A A t1 shutter\nmode B B t1 shutter\nmode C C t1 shutter\n"
+HEADER = "mode A A t1 shutter\nmode B B t1 shutter\nmode C C t1 shutter\n"
+
+
+# An error about a token points at that token; an error about a missing
+# token points one past the end of the line.
+ELEMENT_ERRORS = [
+    ("pqr reflect A B", "pqr requires three modes", 16),
+    ("pqr sideways A B C", "unknown orientation 'sideways'", 5),
+    ("pqr", "expected an orientation (reflect or transmit)", 4),
+    ("bs x A B", "invalid real literal 'x'", 4),
+    ("tunnel", "expected a real parameter", 7),
+    ("ns A B", "trailing tokens after ns", 6),
+]
+
+
+@pytest.mark.parametrize(
+    "line,message,column", ELEMENT_ERRORS,
+    ids=[f"{line}-{message}" for line, message, _ in ELEMENT_ERRORS],
+)
+def test_element_statement_errors(line, message, column):
     with pytest.raises(ParseError) as err:
-        parse(header + line + "\n")
+        parse(HEADER + line + "\n")
     assert err.value.line == 4
     assert err.value.message == message
+    assert err.value.column == column
+
+
+@pytest.mark.parametrize("line,message,column,token", [
+    ("source A zz", "invalid complex weight 'zz'", 10, "zz"),
+    ("source 9A 1", "invalid mode name '9A'", 8, "9A"),
+    ("source A 1 Z 1", "undeclared mode 'Z'", 12, "Z"),
+    ("source A", "source takes mode/weight pairs", 9, ""),
+    ("postselect A=x", "expected mode=count, got 'A=x'", 12, "A=x"),
+    ("postselect A=1 Z=0", "undeclared mode 'Z'", 16, "Z"),
+    ("mode 9A A t1 probe_in", "invalid mode name '9A'", 6, "9A"),
+    ("mode A A t1 probe_in", "duplicate declaration of mode 'A'", 6, "A"),
+    ("mode D Q t1 probe_in", "unknown box tag 'Q'", 8, "Q"),
+    ("mode D A t9 probe_in", "unknown time tag 't9'", 10, "t9"),
+    ("mode D A t1 pilot", "unknown role tag 'pilot'", 13, "pilot"),
+    ("mode D A t1 probe_in x", "trailing tokens after mode declaration", 22,
+     ""),
+    ("pqr reflect A B Z", "undeclared mode 'Z'", 17, "Z"),
+    ("detect 9d A=1", "invalid outcome name '9d'", 8, "9d"),
+])
+def test_token_errors_point_at_the_token(line, message, column, token):
+    with pytest.raises(ParseError) as err:
+        parse(HEADER + line + "\n")
+    assert (err.value.line, err.value.column) == (4, column)
+    assert err.value.message == message
+    assert err.value.token == token
+
+
+@pytest.mark.parametrize("line,column", [
+    ("source A 0.6 B 0.6 A -0.6", 20),
+    ("postselect_state A 0.6 A 0.8", 24),
+    ("postselect A=1 B=0 A=0", 20),
+    ("detect d B=1 B=1", 14),
+])
+def test_repeated_mode_in_one_statement(line, column):
+    with pytest.raises(ParseError) as err:
+        parse(HEADER + line + "\n")
+    assert err.value.message == f"repeated mode {err.value.token!r}"
+    assert (err.value.line, err.value.column) == (4, column)
+
+
+@pytest.mark.parametrize("statement", [
+    "source A 0.6 B 0.6 A -0.6",
+    "postselect_state A 0.6 A 0.8",
+])
+def test_simulate_repeated_mode_exits_4_with_one_line(
+        statement, tmp_path, capsys):
+    path = tmp_path / "repeated.circuit"
+    path.write_text(HEADER + "source C 1\n" + statement + "\ndetect d B=1\n")
+    stream = io.StringIO()
+    assert cli.main(["simulate", str(path)], stream) == cli.EXIT_PARSE
+    assert stream.getvalue() == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "repeated mode 'A'" in err
 
 
 def test_unknown_directive_error():

@@ -1,11 +1,15 @@
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from router_sim import scenarios, tsvf
-from router_sim.elements import apply_schedule
+import router_sim
+from router_sim import dsl, scenarios, tsvf
+from router_sim.elements import ElementKind, RouterOrientation, apply_schedule
 from router_sim.errors import BadParam
+from router_sim.fock import postselect_subsystem
 
 S2 = math.sqrt(2.0)
 
@@ -407,3 +411,113 @@ def test_three_box_shutter_propagates_once(monkeypatch):
     result = scenarios.three_box_shutter(0.6, 0.8)
     assert len(calls) == 1
     assert result.metadata["joint_state_max_deviation"] < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# every plan runs the two-state spec it carries
+# ---------------------------------------------------------------------------
+
+BUILDERS = {
+    "three_box_shutter": lambda p: scenarios.build_three_box(0.6, 0.8j),
+    "disappearing_full": lambda p: scenarios.build_disappearing(None, p),
+    "simplified_3path": lambda p: scenarios.build_simplified_3path(p),
+    "simplest_2path": lambda p: scenarios.build_simplest_2path(p),
+    "absence_test": lambda p: scenarios.build_absence_test(p),
+    "stricter_6beam": lambda p: scenarios.build_stricter_6beam(None, p),
+}
+
+PLAN_CASES = [
+    (name, perturbation)
+    for name in BUILDERS
+    for perturbation in (None,) + scenarios.SCENARIOS[name].perturbations
+]
+
+
+@pytest.mark.parametrize("name,perturbation", PLAN_CASES)
+def test_plan_runs_the_spec_it_carries(name, perturbation):
+    """The plan's shutter is its spec: same pre- and post-state, the
+    spec's segments in order between the routers, and each router
+    controlled by its box's mode at its checkpoint."""
+    plan = BUILDERS[name](perturbation)
+    spec = plan.spec
+    assert isinstance(spec, tsvf.TwoStateSpec)
+    assert plan.shutter_post is spec.post
+    assert postselect_subsystem(plan.initial, spec.pre).probability == (
+        pytest.approx(1.0, abs=1e-12)
+    )
+
+    segment_ends = list(itertools.accumulate(len(s) for s in spec.segments))
+    others, routers = [], []
+    for element in plan.schedule:
+        if element.kind is ElementKind.PQR_IDEAL:
+            boundary = sum(end <= len(others) for end in segment_ends)
+            routers.append((element, boundary))
+        else:
+            others.append(element)
+    in_segments = [e for segment in spec.segments for e in segment]
+    assert len(others) == len(in_segments)
+    assert all(a is b for a, b in zip(others, in_segments))
+
+    for router, boundary in routers:
+        probe, rail, control = router.modes
+        tag = probe.removeprefix("P")
+        # the extra probe beam "X2" names its box in the perturbation
+        box = tag[0] if tag[0] in spec.box_modes else perturbation[11]
+        assert control == spec.box_modes[box]
+        reflect = (router.params["orientation"]
+                   is RouterOrientation.REFLECT_ON_MATCH)
+        assert rail == ("R" if reflect else "X") + tag
+        checkpoint = "t" + tag[1:] if tag[1:] else plan.metadata.get(
+            "slot", "t")
+        assert boundary == spec.boundary(checkpoint)
+
+
+def test_remove_shutter_perturbation_carries_its_preparation():
+    plan = scenarios.build_disappearing(perturbation="remove-shutter-C-t2")
+    assert set(plan.spec.pre.amplitudes) == {(1, 0, 0), (0, 1, 0)}
+    result = scenarios.disappearing_full(perturbation="remove-shutter-C-t2")
+    assert result.abl_values == result.weak_values == {}
+
+
+@pytest.mark.parametrize("name,evaluate", [
+    ("disappearing_full", lambda: scenarios.disappearing_full()),
+    ("three_box_shutter", lambda: scenarios.three_box_shutter(0.6, 0.8j)),
+])
+def test_tsvf_values_come_from_the_plans_spec(name, evaluate, monkeypatch):
+    builder = {"disappearing_full": "build_disappearing",
+               "three_box_shutter": "build_three_box"}[name]
+    plans, specs = [], []
+    build, values = getattr(scenarios, builder), tsvf.checkpoint_values
+
+    def building(*args, **kwargs):
+        plans.append(build(*args, **kwargs))
+        return plans[-1]
+
+    def reading(spec, time):
+        specs.append(spec)
+        return values(spec, time)
+
+    monkeypatch.setattr(scenarios, builder, building)
+    monkeypatch.setattr(tsvf, "checkpoint_values", reading)
+    result = evaluate()
+    (plan,) = plans
+    assert specs and all(spec is plan.spec for spec in specs)
+    expected_abl, expected_weak = {}, {}
+    for time in plan.spec.checkpoints:
+        for box, (abl, weak) in values(plan.spec, time).items():
+            expected_abl[(box, time)] = abl
+            expected_weak[(box, time)] = weak
+    assert result.abl_values == expected_abl
+    assert result.weak_values == expected_weak
+
+
+@pytest.mark.parametrize("circuit,build", [
+    ("fig2b", scenarios.build_disappearing),
+    ("fig3a", scenarios.build_simplified_3path),
+    ("fig3b", scenarios.build_simplest_2path),
+    ("fig4", scenarios.build_stricter_6beam),
+])
+def test_shipped_circuit_declares_its_plans_modes(circuit, build):
+    path = Path(router_sim.__file__).parent / "circuits" / f"{circuit}.circuit"
+    doc = dsl.parse(path.read_text(encoding="utf-8"))
+    assert tuple(decl.name for decl in doc.modes) == build().initial.modes

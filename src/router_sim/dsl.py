@@ -420,10 +420,16 @@ def compile_doc(doc, n_total_max=2):
             raise CompileError(index, str(exc)) from exc
 
     postselects = []
-    for ps in doc.postselects:
+    for index, ps in enumerate(doc.postselects):
         if isinstance(ps, PostselectPattern):
             postselects.append(("pattern", dict(ps.pattern)))
         else:
+            if len(ps.weights) == len(names):
+                raise CompileError(
+                    index,
+                    "postselect_state must leave at least one declared mode "
+                    "unselected",
+                )
             sub = register_modes([n for n, _ in ps.weights], n_total_max)
             sub = superposition_source(sub, dict(ps.weights))
             postselects.append(("state", sub))

@@ -1,8 +1,9 @@
 """Circuit primitives: beamsplitters, phase shifters, NS gates and routers.
 
 Elements are immutable descriptions bound to specific modes; application is
-a pure function on :class:`~router_sim.fock.FockState`.  The beamsplitter
-uses the symmetric convention
+a pure function on :class:`~router_sim.fock.FockState`, computed on its
+sector form (:class:`~router_sim.fock.Sectors`) once per schedule.  The
+beamsplitter uses the symmetric convention
 
     BS(r) = [[sqrt(r), i*sqrt(1-r)], [i*sqrt(1-r), sqrt(r)]],
 
@@ -15,13 +16,14 @@ decomposition around a two-mode nonlinear-sign gate.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 import numpy as np
 
 from .errors import BadParam, UnsupportedSector
-from .fock import apply_fock_phase, apply_mode_unitary
+from .fock import PRUNE_EPSILON, Sectors, _check_unitary
 
 
 class ElementKind(Enum):
@@ -89,22 +91,18 @@ def tunnel_matrix(theta):
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
 
 
-def ns_phases(n_total_max):
-    """Fock phases of the idealized nonlinear-sign gate.
-
-    Sign flip on the two-photon component only; identity elsewhere.
-    """
-    phases = [1.0 + 0j] * (n_total_max + 1)
-    if n_total_max >= 2:
-        phases[2] = -1.0 + 0j
-    return tuple(phases)
+def _distinct(modes):
+    modes = tuple(modes)
+    if len(set(modes)) != len(modes):
+        raise BadParam(f"element modes {modes} must be distinct")
+    return modes
 
 
 def beamsplitter(r, mode_a, mode_b):
     """Beamsplitter of reflectivity ``r`` on two modes."""
     if not 0.0 <= r <= 1.0:
         raise BadParam(f"reflectivity {r} outside [0, 1]")
-    return Element(ElementKind.BS, (mode_a, mode_b), {"r": float(r)})
+    return Element(ElementKind.BS, _distinct((mode_a, mode_b)), {"r": float(r)})
 
 
 def phase_shifter(angle, mode_):
@@ -123,7 +121,7 @@ def ns_two_mode(mode_a, mode_b):
     Built as a balanced beamsplitter, a single-mode NS gate on each arm,
     and the inverse beamsplitter.
     """
-    return Element(ElementKind.NS_TWO_MODE, (mode_a, mode_b))
+    return Element(ElementKind.NS_TWO_MODE, _distinct((mode_a, mode_b)))
 
 
 def _router(kind, probe_a, probe_b, control, orientation):
@@ -164,7 +162,9 @@ def pqr_decomposed(probe_a, probe_b, control,
 
 def tunneling(theta, mode_a, mode_b):
     """Two-mode tunneling exp(-i*theta*sigma_x) between two boxes."""
-    return Element(ElementKind.TUNNEL, (mode_a, mode_b), {"theta": float(theta)})
+    return Element(
+        ElementKind.TUNNEL, _distinct((mode_a, mode_b)), {"theta": float(theta)}
+    )
 
 
 def relabel(mapping):
@@ -181,59 +181,18 @@ def relabel(mapping):
 
 
 def mode_unitary(u, modes):
-    """Generic linear-optical element given directly by its mode matrix."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (len(modes), len(modes)):
-        raise BadParam("matrix shape does not match mode count")
-    return Element(ElementKind.MODE_UNITARY, tuple(modes), {"matrix": u})
+    """Generic linear-optical element given directly by its mode matrix.
 
-
-def _router_sector(state, probe_a, probe_b, control):
-    """Positions of the router's modes in ``state``.
-
-    Raises UnsupportedSector unless every configuration has at most one
-    photon in each bound mode and at most one across the probe pair.
+    Raises NotUnitary here, when the element is built, if ``u`` is not
+    unitary; applying the element does not check it again.
     """
-    ia = state.index_of(probe_a)
-    ib = state.index_of(probe_b)
-    ic = state.index_of(control)
-    for config in state.amplitudes:
-        na, nb, nc = config[ia], config[ib], config[ic]
-        if na > 1 or nb > 1 or na + nb > 1 or nc > 1:
-            raise UnsupportedSector(
-                f"router applied outside its sector: occupations "
-                f"({na}, {nb}, {nc}) on (probe_a, probe_b, control)"
-            )
-    return ia, ib, ic
-
-
-def _apply_router_rule(state, probe_a, probe_b, control):
-    ia, ib, ic = _router_sector(state, probe_a, probe_b, control)
-    out = {}
-    for config, amp in state.amplitudes.items():
-        na, nb = config[ia], config[ib]
-        if config[ic] == 1 and na != nb:
-            swapped = list(config)
-            swapped[ia], swapped[ib] = nb, na
-            config = tuple(swapped)
-        out[config] = out.get(config, 0j) + amp
-    return state._derived(out)
-
-
-def _apply_relabel(state, mapping):
-    source_positions = {state.index_of(k): state.index_of(v) for k, v in mapping.items()}
-    out = {}
-    for config, amp in state.amplitudes.items():
-        permuted = list(config)
-        for src, dst in source_positions.items():
-            permuted[dst] = config[src]
-        out[tuple(permuted)] = amp
-    return state._derived(out)
+    modes = _distinct(modes)
+    u = _check_unitary(u, len(modes))
+    return Element(ElementKind.MODE_UNITARY, modes, {"matrix": u})
 
 
 def _mode_matrix(element):
-    """Mode matrix of a linear element (BS, PHASE, TUNNEL, MODE_UNITARY);
-    None for the other kinds."""
+    """Mode matrix of a linear element (BS, PHASE, TUNNEL, MODE_UNITARY)."""
     kind, params = element.kind, element.params
     if kind is ElementKind.BS:
         return bs_matrix(params["r"])
@@ -241,75 +200,136 @@ def _mode_matrix(element):
         return np.array([[cmath.exp(1j * params["angle"])]])
     if kind is ElementKind.TUNNEL:
         return tunnel_matrix(params["theta"])
-    if kind is ElementKind.MODE_UNITARY:
-        return params["matrix"]
-    return None
+    return params["matrix"]
 
 
+@functools.lru_cache(maxsize=256)
 def _ns_two_mode_parts(mode_a, mode_b):
     bs = bs_matrix(0.5)
-    return [
+    return (
         mode_unitary(bs, (mode_a, mode_b)),
         ns_single(mode_a),
         ns_single(mode_b),
         mode_unitary(bs.conj().T, (mode_a, mode_b)),
-    ]
+    )
 
 
+@functools.lru_cache(maxsize=256)
 def _pqr_decomposed_parts(probe_a, probe_b, control):
     bs = bs_matrix(0.5)
-    return [
+    return (
         mode_unitary([[cmath.exp(-0.5j * math.pi)]], (probe_b,)),
         mode_unitary(bs, (probe_a, probe_b)),
         *_ns_two_mode_parts(probe_b, control),
         mode_unitary(bs.conj().T, (probe_a, probe_b)),
         mode_unitary([[cmath.exp(0.5j * math.pi)]], (probe_b,)),
-    ]
+    )
 
 
-def apply_element(state, element, adjoint=False):
-    """Apply ``element`` (or its adjoint) to a state.
+def _router_positions(sectors, element):
+    """Positions of the router's (probe_a, probe_b, control) modes.
 
-    A linear element's adjoint is its conjugate-transposed mode matrix; the
-    NS gates and both routers are self-adjoint, and a relabel inverts its
-    mapping.
+    Raises UnsupportedSector unless every configuration has at most one
+    photon in each bound mode and at most one across the probe pair,
+    judged on Fock amplitudes of modulus :data:`~router_sim.fock.PRUNE_EPSILON`
+    or more.
     """
+    ia, ib, ic = (sectors.state.index_of(m) for m in element.modes)
+    if sectors.two is not None:
+        for occupations, pair in (
+            ((2, 0, 0), (ia, ia)),
+            ((0, 2, 0), (ib, ib)),
+            ((0, 0, 2), (ic, ic)),
+            ((1, 1, 0), (ia, ib)),
+        ):
+            if abs(sectors.two_photon_amplitude(*pair)) >= PRUNE_EPSILON:
+                raise UnsupportedSector(
+                    f"router applied outside its sector: occupations "
+                    f"{occupations} on (probe_a, probe_b, control)"
+                )
+    return ia, ib, ic
+
+
+def _linear_rule(sectors, element, adjoint):
     u = _mode_matrix(element)
-    if u is not None:
-        return apply_mode_unitary(
-            state, element.modes, u.conj().T if adjoint else u
-        )
-    kind = element.kind
-    if kind is ElementKind.NS_SINGLE:
-        # Real phases: self-adjoint.
-        return apply_fock_phase(
-            state, element.modes[0], ns_phases(state.n_total_max)
-        )
-    if kind is ElementKind.NS_TWO_MODE:
-        # (B† N N B)† = B† N N B: the composite is self-adjoint.
-        return apply_schedule(state, _ns_two_mode_parts(*element.modes))
-    if kind is ElementKind.PQR_IDEAL:
-        # Swap conditioned on occupation is an involution: self-adjoint.
-        return _apply_router_rule(state, *element.modes)
-    if kind is ElementKind.PQR_DECOMPOSED:
-        _router_sector(state, *element.modes)
-        # Identity on the control-absent sector, probe swap on the
-        # control-present sector: the composite is its own adjoint.
-        return apply_schedule(state, _pqr_decomposed_parts(*element.modes))
-    if kind is ElementKind.RELABEL:
-        mapping = element.params["mapping"]
-        if adjoint:
-            mapping = {v: k for k, v in mapping.items()}
-        return _apply_relabel(state, mapping)
-    raise BadParam(f"unknown element kind {kind}")
+    positions = [sectors.state.index_of(m) for m in element.modes]
+    sectors.apply_linear(positions, u.conj().T if adjoint else u)
+
+
+def _ns_rule(sectors, element, adjoint):
+    # Sign flip of |2_m>, the S_mm entry: real, so self-adjoint.
+    if sectors.two is not None:
+        m = sectors.state.index_of(element.modes[0])
+        sectors.two[m, m] = -sectors.two[m, m]
+
+
+def _ns_two_mode_rule(sectors, element, adjoint):
+    # (B† N N B)† = B† N N B: the composite is self-adjoint.
+    _run(sectors, _ns_two_mode_parts(*element.modes))
+
+
+def _router_rule(sectors, element, adjoint):
+    # A photon in the control swaps probe_a and probe_b: the two-photon
+    # entries S[a, c] and S[b, c] trade places.  An involution, so
+    # self-adjoint.
+    ia, ib, ic = _router_positions(sectors, element)
+    two = sectors.two
+    if two is not None:
+        two[[ia, ib], ic] = two[[ib, ia], ic]
+        two[ic, [ia, ib]] = two[ic, [ib, ia]]
+
+
+def _decomposed_router_rule(sectors, element, adjoint):
+    _router_positions(sectors, element)
+    # Identity on the control-absent sector, probe swap on the
+    # control-present sector: the composite is its own adjoint.
+    _run(sectors, _pqr_decomposed_parts(*element.modes))
+
+
+def _relabel_rule(sectors, element, adjoint):
+    mapping = element.params["mapping"]
+    if adjoint:
+        mapping = {v: k for k, v in mapping.items()}
+    # The photons of mode ``src`` move to mode ``dst``.
+    perm = list(range(len(sectors.one)))
+    for src, dst in mapping.items():
+        perm[sectors.state.index_of(dst)] = sectors.state.index_of(src)
+    sectors.one = sectors.one[perm]
+    if sectors.two is not None:
+        sectors.two = sectors.two[np.ix_(perm, perm)]
+
+
+_RULES = {
+    ElementKind.BS: _linear_rule,
+    ElementKind.PHASE: _linear_rule,
+    ElementKind.TUNNEL: _linear_rule,
+    ElementKind.MODE_UNITARY: _linear_rule,
+    ElementKind.NS_SINGLE: _ns_rule,
+    ElementKind.NS_TWO_MODE: _ns_two_mode_rule,
+    ElementKind.PQR_IDEAL: _router_rule,
+    ElementKind.PQR_DECOMPOSED: _decomposed_router_rule,
+    ElementKind.RELABEL: _relabel_rule,
+}
+
+
+def _run(sectors, elements, adjoint=False):
+    for element in reversed(elements) if adjoint else elements:
+        _RULES[element.kind](sectors, element, adjoint)
 
 
 def apply_schedule(state, elements, adjoint=False):
-    """Fold a list of elements over a state, optionally as the adjoint."""
-    if adjoint:
-        for element in reversed(elements):
-            state = apply_element(state, element, adjoint=True)
-        return state
-    for element in elements:
-        state = apply_element(state, element)
-    return state
+    """Apply a list of elements to a state, or the adjoint of the list.
+
+    The state is converted to its sector form once, every element acts on
+    that form, and the result is converted back.  A linear element's
+    adjoint is its conjugate-transposed mode matrix; the NS gates and both
+    routers are self-adjoint, and a relabel inverts its mapping.
+    """
+    sectors = Sectors(state)
+    _run(sectors, elements, adjoint)
+    return sectors.to_state()
+
+
+def apply_element(state, element, adjoint=False):
+    """Apply ``element`` (or its adjoint) to a state."""
+    return apply_schedule(state, [element], adjoint)

@@ -1,17 +1,21 @@
-"""Sparse multi-photon Fock states over named optical modes.
+"""Fock states of at most two photons over named optical modes.
 
 A state is a sparse map from occupation-number tuples (one entry per
 registered mode) to complex amplitudes; a mode is identified by its name, a
-non-empty string.  Mode-subset unitaries are applied through the
-second-quantization homomorphism: every creation operator on an input mode
-is rewritten as the matrix image over the output modes, expanded with the
-standard sqrt(n!) normalization.  All operations are pure functions
-returning new states; a ``FockState`` is never mutated after construction, so
-states can be shared freely between threads.
+non-empty string.  The photon budget is 0, 1 or 2: one shutter photon plus
+one probe photon.  Circuits propagate on the sector form of a state
+(:class:`Sectors`): a vacuum amplitude, a one-photon vector ``v`` and a
+symmetric two-photon matrix ``S`` with the amplitude of |2_i> equal to
+S_ii and that of |1_i 1_j> equal to sqrt(2)*S_ij.  A mode unitary U then
+acts as v -> U v and S -> U S U^T, the two-photon case of the permanent
+rule.  All public operations are pure functions returning new states; a
+``FockState`` is never mutated after construction, so states can be shared
+freely between threads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -32,9 +36,11 @@ from .errors import (
 PRUNE_EPSILON = 1e-14
 # Maximum allowed entrywise deviation of u†u from the identity.
 UNITARITY_TOL = 1e-10
-# Default total-photon budget: one shutter photon plus one probe photon.
-# Two is also the minimum for the nonlinear-sign gates to be nontrivial.
+# Default and largest total-photon budget: one shutter photon plus one
+# probe photon.  Two is also the minimum for the nonlinear-sign gates to be
+# nontrivial, and the most that the sector form holds.
 DEFAULT_PHOTON_BUDGET = 2
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -56,7 +62,8 @@ class FockState:
         Sparse map from occupation tuples to complex amplitudes.  Entries
         with modulus below :data:`PRUNE_EPSILON` are dropped.
     n_total_max:
-        Total-photon budget enforced on every stored configuration.
+        Total-photon budget enforced on every stored configuration: 0, 1
+        or 2.
 
     The constructor validates its input; states that operations derive from
     an existing state over the same modes are built by :meth:`_derived`,
@@ -66,6 +73,8 @@ class FockState:
     __slots__ = ("modes", "amplitudes", "n_total_max", "_index")
 
     def __init__(self, modes, amplitudes, n_total_max=DEFAULT_PHOTON_BUDGET):
+        if n_total_max not in (0, 1, 2):
+            raise BadParam(f"photon budget {n_total_max!r} is not 0, 1 or 2")
         modes = tuple(modes)
         index = {}
         for i, label in enumerate(modes):
@@ -153,7 +162,7 @@ def register_modes(labels, n_total_max=DEFAULT_PHOTON_BUDGET):
     """Return the vacuum state over the mode names ``labels``.
 
     Raises :class:`DuplicateMode` if a name repeats and :class:`BadParam`
-    if a mode is not a non-empty string.
+    if a mode is not a non-empty string or the budget is not 0, 1 or 2.
     """
     labels = tuple(labels)
     if not labels:
@@ -214,53 +223,100 @@ def _check_unitary(u, k):
     return u
 
 
-def apply_mode_unitary(state, labels, u):
-    """Apply a k-mode unitary through the Fock-space homomorphism.
+class Sectors:
+    """Mutable sector form of a :class:`FockState` (see the module
+    docstring): ``vacuum``, ``one`` (the vector v) and ``two`` (the
+    symmetric matrix S, or None while the state has no two-photon part).
 
-    Every creation operator on input mode i is rewritten as
-    sum_j u[j, i] a†_j; products are expanded multinomially with sqrt(n!)
-    normalization.  Total photon number is conserved exactly.
+    :meth:`to_state` turns it back into a state over the same modes and
+    budget and prunes Fock amplitudes below :data:`PRUNE_EPSILON`; nothing
+    is pruned in between.
     """
+
+    __slots__ = ("state", "vacuum", "one", "two")
+
+    def __init__(self, state):
+        n = len(state.modes)
+        self.state = state
+        self.vacuum = 0j
+        self.one = np.zeros(n, dtype=complex)
+        self.two = None
+        for config, amp in state.amplitudes.items():
+            photons = sum(config)
+            if photons == 0:
+                self.vacuum = amp
+            elif photons == 1:
+                self.one[config.index(1)] = amp
+            else:
+                if self.two is None:
+                    self.two = np.zeros((n, n), dtype=complex)
+                if 2 in config:
+                    i = j = config.index(2)
+                else:
+                    i = config.index(1)
+                    j = config.index(1, i + 1)
+                    amp /= _SQRT2
+                self.two[i, j] = self.two[j, i] = amp
+
+    def two_photon_amplitude(self, i, j):
+        """Fock amplitude of |2_i> (i == j) or |1_i 1_j>."""
+        if self.two is None:
+            return 0j
+        amp = self.two[i, j]
+        return amp if i == j else _SQRT2 * amp
+
+    def apply_linear(self, positions, u):
+        """v[pos] <- U v[pos], S[pos, :] <- U S[pos, :],
+        S[:, pos] <- S[:, pos] U^T; ``u`` is trusted to be unitary."""
+        self.one[positions] = u @ self.one[positions]
+        two = self.two
+        if two is not None:
+            two[positions, :] = u @ two[positions, :]
+            two[:, positions] = two[:, positions] @ u.T
+
+    def to_state(self):
+        n = len(self.state.modes)
+        zeros = [0] * n
+        out = {}
+        if abs(self.vacuum) >= PRUNE_EPSILON:
+            out[tuple(zeros)] = self.vacuum
+        one = self.one
+        for i in np.flatnonzero(np.abs(one) >= PRUNE_EPSILON).tolist():
+            config = zeros.copy()
+            config[i] = 1
+            out[tuple(config)] = one[i]
+        if self.two is not None:
+            rows, cols, weights = _upper_triangle(n)
+            amps = self.two[rows, cols] * weights
+            kept = np.flatnonzero(np.abs(amps) >= PRUNE_EPSILON)
+            for i, j, amp in zip(rows[kept].tolist(), cols[kept].tolist(),
+                                 amps[kept].tolist()):
+                config = zeros.copy()
+                config[i] += 1
+                config[j] += 1
+                out[tuple(config)] = amp
+        return self.state._derived(out)
+
+
+@functools.lru_cache(maxsize=64)
+def _upper_triangle(n):
+    """Row and column indices of S's upper triangle, row-major, and the
+    factor that turns each entry into its Fock amplitude."""
+    rows, cols = np.triu_indices(n)
+    return rows, cols, np.where(rows == cols, 1.0, _SQRT2)
+
+
+def apply_mode_unitary(state, labels, u):
+    """Apply a k-mode unitary through the Fock-space homomorphism:
+    v -> U v and S -> U S U^T on the modes ``labels``.  Total photon
+    number is conserved exactly."""
     labels = tuple(labels)
     if len(set(labels)) != len(labels):
         raise BadParam("mode list for a unitary must not repeat")
     u = _check_unitary(u, len(labels))
-    positions = [state.index_of(m) for m in labels]
-    k = len(labels)
-    columns = [u[:, i] for i in range(k)]
-
-    out = defaultdict(complex)
-    for config, amp in state.amplitudes.items():
-        sub = tuple(config[p] for p in positions)
-        if sum(sub) == 0:
-            out[config] += amp
-            continue
-        norm_in = math.sqrt(math.prod(math.factorial(n) for n in sub))
-        poly = {(0,) * k: amp / norm_in}
-        for i, n in enumerate(sub):
-            col = columns[i]
-            for _ in range(n):
-                grown = defaultdict(complex)
-                for mono, coeff in poly.items():
-                    for j in range(k):
-                        cj = col[j]
-                        if cj == 0:
-                            continue
-                        lifted = list(mono)
-                        lifted[j] += 1
-                        grown[tuple(lifted)] += coeff * cj
-                poly = grown
-        for mono, coeff in poly.items():
-            weight = coeff * math.sqrt(
-                math.prod(math.factorial(m) for m in mono)
-            )
-            if abs(weight) < PRUNE_EPSILON:
-                continue
-            target = list(config)
-            for p, m in zip(positions, mono):
-                target[p] = m
-            out[tuple(target)] += weight
-    return state._derived(out)
+    sectors = Sectors(state)
+    sectors.apply_linear([state.index_of(m) for m in labels], u)
+    return sectors.to_state()
 
 
 def apply_fock_phase(state, label, phases):

@@ -1,9 +1,9 @@
-"""Brute-force dense Fock-space propagation, independent of the sparse path.
+"""Brute-force dense Fock-space propagation, independent of the engine.
 
 The dense route builds ladder-operator matrices over an explicitly
 enumerated occupation basis and exponentiates the quadratic Hamiltonian
-h = -i log(u) of each mode matrix, instead of expanding creation-operator
-polynomials.  Routers are densified through their Mach-Zehnder
+h = -i log(u) of each mode matrix, instead of transforming the engine's
+one- and two-photon sectors.  Routers are densified through their Mach-Zehnder
 decomposition, not the ideal routing rule, so scenario-level comparisons
 exercise both the propagation engine and the router equivalence.
 """
@@ -11,7 +11,12 @@ exercise both the propagation engine and the router equivalence.
 import numpy as np
 import scipy.linalg
 
-from router_sim.elements import ElementKind, bs_matrix, ns_phases, tunnel_matrix
+from router_sim.elements import ElementKind, bs_matrix, tunnel_matrix
+
+
+def ns_phases(n_total_max):
+    """Fock phases of the nonlinear-sign gate: -1 on two photons."""
+    return [-1.0 if n == 2 else 1.0 for n in range(n_total_max + 1)]
 
 
 def enumerate_basis(n_modes, n_total_max):

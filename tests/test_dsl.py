@@ -128,6 +128,20 @@ def test_simulate_repeated_mode_exits_4_with_one_line(
     assert "repeated mode 'A'" in err
 
 
+def test_simulate_postselect_state_over_every_mode_exits_4(tmp_path, capsys):
+    path = tmp_path / "all-modes.circuit"
+    path.write_text(
+        "mode A A t1 shutter\nmode B B t1 probe_in\nsource A 1\n"
+        "source B 1\npostselect_state A 0.6 B 0.8\ndetect d B=1\n"
+    )
+    stream = io.StringIO()
+    assert cli.main(["simulate", str(path)], stream) == cli.EXIT_PARSE
+    assert stream.getvalue() == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "postselect_state must leave at least one declared mode" in err
+
+
 def test_unknown_directive_error():
     with pytest.raises(ParseError) as err:
         parse("wibble 1 2\n")

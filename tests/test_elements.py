@@ -7,7 +7,7 @@ import scipy.stats
 
 from router_sim import elements, fock
 from router_sim.elements import RouterOrientation, apply_element
-from router_sim.errors import BadParam, UnsupportedSector
+from router_sim.errors import BadParam, NotUnitary, UnsupportedSector
 from dense_oracle import (
     dense_element,
     enumerate_basis,
@@ -282,6 +282,24 @@ def test_relabel_preserves_amplitudes():
     out = apply_element(state, elements.relabel({ms[0]: ms[1], ms[1]: ms[0]}))
     assert out.amplitude((0, 1)) == pytest.approx(0.6)
     assert out.amplitude((1, 0)) == pytest.approx(0.8j)
+
+
+def test_mode_unitary_rejects_non_unitary_at_construction():
+    with pytest.raises(NotUnitary):
+        elements.mode_unitary([[1, 0], [0, 2]], ("a", "b"))
+    with pytest.raises(BadParam):
+        elements.mode_unitary(np.eye(3), ("a", "b"))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: elements.beamsplitter(0.5, "a", "a"),
+    lambda: elements.tunneling(0.3, "a", "a"),
+    lambda: elements.ns_two_mode("a", "a"),
+    lambda: elements.mode_unitary(np.eye(2), ("a", "a")),
+], ids=["bs", "tunnel", "ns2", "unitary"])
+def test_repeated_element_modes_rejected_at_construction(build):
+    with pytest.raises(BadParam):
+        build()
 
 
 def test_relabel_rejects_non_bijection():

@@ -75,11 +75,19 @@ def test_register_non_str_mode_raises():
 
 def test_derived_states_share_modes_and_budget():
     ms = modes("A", "B")
-    state = fock.register_modes(ms, n_total_max=3)
+    state = fock.register_modes(ms, n_total_max=1)
     out = fock.apply_mode_unitary(fock.inject_photon(state, "A"), ms, BS)
     assert out.modes is state.modes
-    assert out.n_total_max == 3
+    assert out.n_total_max == 1
     assert out.index_of("B") == 1
+
+
+@pytest.mark.parametrize("budget", [-1, 3])
+def test_budget_outside_0_to_2_rejected(budget):
+    with pytest.raises(BadParam):
+        fock.register_modes(modes("A", "B"), n_total_max=budget)
+    with pytest.raises(BadParam):
+        fock.FockState(("A",), {(0,): 1.0}, budget)
 
 
 def test_inject_into_vacuum():

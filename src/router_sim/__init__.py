@@ -31,10 +31,8 @@ from .fock import (
     apply_fock_phase,
     apply_mode_unitary,
     fidelity,
-    inject_photon,
     inner_product,
     postselect_subsystem,
-    project_onto,
     project_pattern,
     register_modes,
     schmidt_spectrum,
@@ -46,7 +44,6 @@ from .tsvf import (
     abl_probability,
     disappearing_spec,
     postselection_success,
-    three_box_retrodiction,
     three_box_spec,
     weak_value,
 )

@@ -188,7 +188,7 @@ def cmd_simulate(args, stream):
     try:
         with open(args.file, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(str(exc)) from exc
     report = dsl.simulate_text(text)
     if args.format == "csv":
@@ -232,9 +232,10 @@ def _sweep_points(args, arity):
             ) from exc
         if count <= 0:
             raise UsageError("empty sweep grid")
+        if not (-1.0 <= start <= 1.0 and -1.0 <= stop <= 1.0):
+            raise UsageError("--alpha1-grid endpoints must lie in [-1, 1]")
         points = []
         for a1 in np.linspace(start, stop, count):
-            a1 = min(max(a1, -1.0), 1.0)
             rest = math.sqrt(max(0.0, 1.0 - a1 * a1) / (arity - 1))
             vec = np.full(arity, rest, dtype=complex)
             vec[0] = a1

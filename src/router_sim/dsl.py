@@ -19,6 +19,8 @@ re-parse is structurally identical.
 
 from __future__ import annotations
 
+import cmath
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -35,6 +37,7 @@ from .elements import (
 )
 from .errors import CompileError
 from .fock import (
+    PHOTON_BUDGET,
     FockState,
     postselect_subsystem,
     project_pattern,
@@ -117,16 +120,17 @@ class CircuitDoc:
 
 
 def parse_weight(token):
-    """Parse a complex literal of the form REAL, REALi or REAL±REALi."""
-    m = _COMPLEX_RE.match(token)
-    if m:
-        return complex(float(m.group(1)), float(m.group(2)))
-    m = _IMAG_RE.match(token)
-    if m:
-        return complex(0.0, float(m.group(1)))
-    if _REAL_RE.match(token):
-        return complex(float(token), 0.0)
-    return None
+    """Parse a complex literal of the form REAL, REALi or REAL±REALi;
+    None if ``token`` is not one or a part overflows to infinity."""
+    if m := _COMPLEX_RE.match(token):
+        value = complex(float(m.group(1)), float(m.group(2)))
+    elif m := _IMAG_RE.match(token):
+        value = complex(0.0, float(m.group(1)))
+    elif _REAL_RE.match(token):
+        value = complex(float(token), 0.0)
+    else:
+        return None
+    return value if cmath.isfinite(value) else None
 
 
 def render_weight(value):
@@ -192,7 +196,10 @@ def _parse_pairs(parser, items, what):
 
 
 def _normalize_pairs(pairs, line_number, what):
-    total = sum(abs(w) ** 2 for _, w in pairs)
+    try:
+        total = sum(abs(w) ** 2 for _, w in pairs)
+    except OverflowError:
+        raise ParseError(line_number, 1, f"{what} weights overflow") from None
     if total == 0.0:
         raise ParseError(line_number, 1, f"{what} weights are all zero")
     if abs(total - 1.0) > _WEIGHT_NORM_TOL:
@@ -208,7 +215,7 @@ def _normalize_pairs(pairs, line_number, what):
 
 def _real(parser):
     token, column = parser.next("a real parameter")
-    if not _REAL_RE.match(token):
+    if not _REAL_RE.match(token) or not math.isfinite(float(token)):
         parser.fail(f"invalid real literal {token!r}", token, column)
     return float(token)
 
@@ -379,16 +386,16 @@ class CompiledCircuit:
     detects: list  # (name, {mode: count})
 
 
-def compile_doc(doc, n_total_max=2):
+def compile_doc(doc):
     """Lower a parsed document to an initial state plus element schedule."""
     names = [decl.name for decl in doc.modes]
     if not names:
         raise CompileError(0, "circuit declares no modes")
-    if len(doc.sources) > n_total_max:
+    if len(doc.sources) > PHOTON_BUDGET:
         raise CompileError(
             len(doc.modes) + len(doc.sources),
             f"{len(doc.sources)} source photons exceed the photon budget "
-            f"{n_total_max}",
+            f"{PHOTON_BUDGET}",
         )
 
     used = set()
@@ -405,7 +412,7 @@ def compile_doc(doc, n_total_max=2):
     if dangling:
         raise CompileError(0, f"modes declared but never used: {dangling}")
 
-    state = register_modes(names, n_total_max)
+    state = register_modes(names)
     for source in doc.sources:
         state = superposition_source(state, dict(source.weights))
 
@@ -430,7 +437,7 @@ def compile_doc(doc, n_total_max=2):
                     "postselect_state must leave at least one declared mode "
                     "unselected",
                 )
-            sub = register_modes([n for n, _ in ps.weights], n_total_max)
+            sub = register_modes([n for n, _ in ps.weights])
             sub = superposition_source(sub, dict(ps.weights))
             postselects.append(("state", sub))
     detects = [(det.name, dict(det.pattern)) for det in doc.detects]
@@ -454,39 +461,27 @@ def execute(compiled):
         postselections.append(
             {"kind": kind, "probability": outcome.probability}
         )
-        conditioned_states.append((kind, outcome.state))
+        conditioned_states.append(outcome.state)
 
     detections = []
     for name, pattern in compiled.detects:
-        entry = {
+        # Detection patterns refer to probe modes, which survive a
+        # subsystem post-selection; a zero state detects with probability 0.
+        conditional = [
+            project_pattern(
+                conditioned,
+                {m: c for m, c in pattern.items() if m in conditioned.modes},
+            ).probability
+            for conditioned in conditioned_states
+        ]
+        detections.append({
             "name": name,
             "probability": project_pattern(final, pattern).probability,
-            "conditional": [],
-        }
-        for kind, conditioned in conditioned_states:
-            if kind == "state":
-                # Detection patterns refer to probe modes, which survive
-                # the subsystem post-selection.
-                probe_pattern = {
-                    m: c for m, c in pattern.items()
-                    if m in set(conditioned.modes)
-                }
-            else:
-                probe_pattern = pattern
-            if conditioned.is_zero:
-                entry["conditional"].append(0.0)
-            else:
-                entry["conditional"].append(
-                    project_pattern(conditioned, probe_pattern).probability
-                )
-        detections.append(entry)
-    return {
-        "postselections": postselections,
-        "detections": detections,
-        "final_norm": final.norm(),
-    }
+            "conditional": conditional,
+        })
+    return {"postselections": postselections, "detections": detections}
 
 
-def simulate_text(text, n_total_max=2):
+def simulate_text(text):
     """Parse, compile and execute a circuit document in one call."""
-    return execute(compile_doc(parse(text), n_total_max))
+    return execute(compile_doc(parse(text)))

@@ -71,13 +71,6 @@ class Element:
             return self.modes[1]
         return self.modes[0]
 
-    @property
-    def discarded_port(self):
-        if self.kind not in (ElementKind.PQR_IDEAL, ElementKind.PQR_DECOMPOSED):
-            return None
-        kept = self.kept_port
-        return self.modes[0] if kept == self.modes[1] else self.modes[1]
-
 
 def bs_matrix(r):
     t = math.sqrt(1.0 - r)
@@ -89,6 +82,13 @@ def bs_matrix(r):
 def tunnel_matrix(theta):
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+
+
+def _finite_angle(angle):
+    angle = float(angle)
+    if not math.isfinite(angle):
+        raise BadParam(f"angle {angle} is not finite")
+    return angle
 
 
 def _distinct(modes):
@@ -107,7 +107,7 @@ def beamsplitter(r, mode_a, mode_b):
 
 def phase_shifter(angle, mode_):
     """Single-mode phase shifter: n photons acquire exp(i*n*angle)."""
-    return Element(ElementKind.PHASE, (mode_,), {"angle": float(angle)})
+    return Element(ElementKind.PHASE, (mode_,), {"angle": _finite_angle(angle)})
 
 
 def ns_single(mode_):
@@ -162,9 +162,8 @@ def pqr_decomposed(probe_a, probe_b, control,
 
 def tunneling(theta, mode_a, mode_b):
     """Two-mode tunneling exp(-i*theta*sigma_x) between two boxes."""
-    return Element(
-        ElementKind.TUNNEL, _distinct((mode_a, mode_b)), {"theta": float(theta)}
-    )
+    return Element(ElementKind.TUNNEL, _distinct((mode_a, mode_b)),
+                   {"theta": _finite_angle(theta)})
 
 
 def relabel(mapping):

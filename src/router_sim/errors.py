@@ -14,7 +14,7 @@ class UnknownMode(SimulationError):
 
 
 class PhotonBudget(SimulationError):
-    """An operation would exceed the total-photon budget of the state."""
+    """An operation would exceed the photon budget, ``fock.PHOTON_BUDGET``."""
 
 
 class NotUnitary(SimulationError):

@@ -2,15 +2,15 @@
 
 A state is a sparse map from occupation-number tuples (one entry per
 registered mode) to complex amplitudes; a mode is identified by its name, a
-non-empty string.  The photon budget is 0, 1 or 2: one shutter photon plus
-one probe photon.  Circuits propagate on the sector form of a state
-(:class:`Sectors`): a vacuum amplitude, a one-photon vector ``v`` and a
-symmetric two-photon matrix ``S`` with the amplitude of |2_i> equal to
-S_ii and that of |1_i 1_j> equal to sqrt(2)*S_ij.  A mode unitary U then
-acts as v -> U v and S -> U S U^T, the two-photon case of the permanent
-rule.  All public operations are pure functions returning new states; a
-``FockState`` is never mutated after construction, so states can be shared
-freely between threads.
+non-empty string.  Every state holds at most :data:`PHOTON_BUDGET` = 2
+photons, one shutter photon plus one probe photon, so circuits propagate
+on the sector form of a state (:class:`Sectors`): a vacuum amplitude, a
+one-photon vector ``v`` and a symmetric two-photon matrix ``S`` with the
+amplitude of |2_i> equal to S_ii and that of |1_i 1_j> equal to
+sqrt(2)*S_ij.  A mode unitary U then acts as v -> U v and S -> U S U^T,
+the two-photon case of the permanent rule.  All public operations are pure
+functions returning new states; a ``FockState`` is never mutated after
+construction, so states can be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -36,10 +36,10 @@ from .errors import (
 PRUNE_EPSILON = 1e-14
 # Maximum allowed entrywise deviation of u†u from the identity.
 UNITARITY_TOL = 1e-10
-# Default and largest total-photon budget: one shutter photon plus one
-# probe photon.  Two is also the minimum for the nonlinear-sign gates to be
+# Total-photon budget of every state: one shutter photon plus one probe
+# photon.  Two is also the minimum for the nonlinear-sign gates to be
 # nontrivial, and the most that the sector form holds.
-DEFAULT_PHOTON_BUDGET = 2
+PHOTON_BUDGET = 2
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -61,20 +61,16 @@ class FockState:
     amplitudes:
         Sparse map from occupation tuples to complex amplitudes.  Entries
         with modulus below :data:`PRUNE_EPSILON` are dropped.
-    n_total_max:
-        Total-photon budget enforced on every stored configuration: 0, 1
-        or 2.
 
-    The constructor validates its input; states that operations derive from
-    an existing state over the same modes are built by :meth:`_derived`,
-    which skips those checks.
+    The constructor validates its input, including that no configuration
+    holds more than :data:`PHOTON_BUDGET` photons; states that operations
+    derive from an existing state over the same modes are built by
+    :meth:`_derived`, which skips those checks.
     """
 
-    __slots__ = ("modes", "amplitudes", "n_total_max", "_index")
+    __slots__ = ("modes", "amplitudes", "_index")
 
-    def __init__(self, modes, amplitudes, n_total_max=DEFAULT_PHOTON_BUDGET):
-        if n_total_max not in (0, 1, 2):
-            raise BadParam(f"photon budget {n_total_max!r} is not 0, 1 or 2")
+    def __init__(self, modes, amplitudes):
         modes = tuple(modes)
         index = {}
         for i, label in enumerate(modes):
@@ -93,14 +89,15 @@ class FockState:
                 )
             if any(n < 0 for n in config):
                 raise BadParam(f"negative occupation in {config}")
-            if sum(config) > n_total_max:
+            if sum(config) > PHOTON_BUDGET:
                 raise PhotonBudget(
-                    f"configuration {config} exceeds photon budget {n_total_max}"
+                    f"configuration {config} exceeds photon budget "
+                    f"{PHOTON_BUDGET}"
                 )
             checked[config] = amp
-        self._set(modes, index, checked, n_total_max)
+        self._set(modes, index, checked)
 
-    def _set(self, modes, index, amplitudes, n_total_max):
+    def _set(self, modes, index, amplitudes):
         clean = {}
         for config, amp in amplitudes.items():
             amp = complex(amp)
@@ -108,15 +105,14 @@ class FockState:
                 clean[config] = amp
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "amplitudes", clean)
-        object.__setattr__(self, "n_total_max", int(n_total_max))
         object.__setattr__(self, "_index", index)
 
     def _derived(self, amplitudes):
-        """State over these modes and budget from ``amplitudes`` computed
-        from valid configurations, converted and pruned as in the
-        constructor but not checked."""
+        """State over these modes from ``amplitudes`` computed from valid
+        configurations, converted and pruned as in the constructor but not
+        checked."""
         state = object.__new__(FockState)
-        state._set(self.modes, self._index, amplitudes, self.n_total_max)
+        state._set(self.modes, self._index, amplitudes)
         return state
 
     def __setattr__(self, name, value):
@@ -146,11 +142,6 @@ class FockState:
             return self._derived({})
         return self._derived({c: a / n for c, a in self.amplitudes.items()})
 
-    def scaled(self, factor):
-        return self._derived(
-            {c: a * factor for c, a in self.amplitudes.items()}
-        )
-
     def __repr__(self):
         return (
             f"FockState({len(self.modes)} modes, {len(self.amplitudes)} "
@@ -158,32 +149,22 @@ class FockState:
         )
 
 
-def register_modes(labels, n_total_max=DEFAULT_PHOTON_BUDGET):
+def register_modes(labels):
     """Return the vacuum state over the mode names ``labels``.
 
     Raises :class:`DuplicateMode` if a name repeats and :class:`BadParam`
-    if a mode is not a non-empty string or the budget is not 0, 1 or 2.
+    if there are no modes or a mode is not a non-empty string.
     """
     labels = tuple(labels)
     if not labels:
         raise BadParam("at least one mode is required")
     vacuum = (0,) * len(labels)
-    return FockState(labels, {vacuum: 1.0 + 0j}, n_total_max)
+    return FockState(labels, {vacuum: 1.0 + 0j})
 
 
 def basis_state(template, config):
     """Basis state with the given occupation tuple over ``template``'s modes."""
-    return FockState(template.modes, {tuple(config): 1.0 + 0j}, template.n_total_max)
-
-
-def inject_photon(state, label):
-    """Apply the normalized creation operator on ``label``.
-
-    Each configuration's count at the mode increments and its amplitude picks
-    up the bosonic sqrt(n+1) factor; the result is renormalized.  Injecting
-    into the vacuum yields the one-photon basis state.
-    """
-    return superposition_source(state, {label: 1})
+    return FockState(template.modes, {tuple(config): 1.0 + 0j})
 
 
 def superposition_source(state, weights):
@@ -191,16 +172,16 @@ def superposition_source(state, weights):
 
     ``weights`` maps mode names to complex amplitudes; the injected photon
     is sum_m w_m a†_m acting on the current state, renormalized afterwards.
+    Raises :class:`PhotonBudget` if the state already holds
+    :data:`PHOTON_BUDGET` photons.
     """
     if not weights:
         raise BadParam("superposition source needs at least one mode")
     positions = {state.index_of(m): complex(w) for m, w in weights.items()}
     out = defaultdict(complex)
     for config, amp in state.amplitudes.items():
-        if sum(config) + 1 > state.n_total_max:
-            raise PhotonBudget(
-                f"source exceeds photon budget {state.n_total_max}"
-            )
+        if sum(config) + 1 > PHOTON_BUDGET:
+            raise PhotonBudget(f"source exceeds photon budget {PHOTON_BUDGET}")
         for pos, w in positions.items():
             if w == 0:
                 continue
@@ -217,6 +198,8 @@ def _check_unitary(u, k):
     u = np.asarray(u, dtype=complex)
     if u.shape != (k, k):
         raise BadParam(f"expected a {k}x{k} matrix, got shape {u.shape}")
+    if not np.isfinite(u).all():
+        raise NotUnitary("matrix has non-finite entries")
     defect = np.max(np.abs(u.conj().T @ u - np.eye(k)))
     if defect > UNITARITY_TOL:
         raise NotUnitary(f"matrix deviates from unitarity by {defect:.3e}")
@@ -229,7 +212,7 @@ class Sectors:
     symmetric matrix S, or None while the state has no two-photon part).
 
     :meth:`to_state` turns it back into a state over the same modes and
-    budget and prunes Fock amplitudes below :data:`PRUNE_EPSILON`; nothing
+    prunes Fock amplitudes below :data:`PRUNE_EPSILON`; nothing
     is pruned in between.
     """
 
@@ -403,12 +386,6 @@ def project_predicate(state, predicate):
     return ProjectionOutcome(kept.normalized(), probability)
 
 
-def project_onto(state, target):
-    """Rank-one projection onto ``target`` (same full mode list)."""
-    overlap = inner_product(target, state)
-    return ProjectionOutcome(target, float(abs(overlap) ** 2))
-
-
 def postselect_subsystem(state, target):
     """Project the modes of ``target`` onto it and return the rest.
 
@@ -434,7 +411,7 @@ def postselect_subsystem(state, target):
         rest = tuple(config[p] for p in rest_positions)
         out[rest] += t_amp.conjugate() * amp
     probability = sum(abs(a) ** 2 for a in out.values())
-    conditional = FockState(rest_modes, out, state.n_total_max).normalized()
+    conditional = FockState(rest_modes, out).normalized()
     return ProjectionOutcome(conditional, float(probability))
 
 

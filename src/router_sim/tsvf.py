@@ -88,21 +88,20 @@ class TwoStateSpec:
         return {self.box_modes[box]: 1}
 
 
-def _transition_amplitudes(spec, forward, backward, box):
-    """Transition amplitudes through one box projector and its complement,
-    between the forward and backward states at its checkpoint."""
+def _checkpoint_amplitudes(spec, time, boxes):
+    """``{box: (yes, no, full)}``: the transition amplitudes through each
+    box projector at checkpoint ``time``, through its complement and in
+    total, from one forward and one backward propagation."""
+    boundary = spec.boundary(time)
+    forward = spec.forward_state(boundary)
+    backward = spec.backward_state(boundary)
     full_amp = inner_product(backward, forward)
-    projected, _ = select(forward, matches(forward, spec._box_pattern(box)))
-    yes_amp = inner_product(backward, projected)
-    return yes_amp, full_amp - yes_amp, full_amp
-
-
-def _conditioned_amplitudes(spec, proj):
-    boundary = spec.boundary(proj.time)
-    return _transition_amplitudes(
-        spec, spec.forward_state(boundary), spec.backward_state(boundary),
-        proj.box,
-    )
+    amplitudes = {}
+    for box in boxes:
+        projected, _ = select(forward, matches(forward, spec._box_pattern(box)))
+        yes_amp = inner_product(backward, projected)
+        amplitudes[box] = (yes_amp, full_amp - yes_amp, full_amp)
+    return amplitudes
 
 
 def _abl(amplitudes, proj, complement=False):
@@ -135,7 +134,8 @@ def abl_probability(spec, proj, complement=False):
     Raises :class:`UndefinedConditioning` if the post-selection is
     unreachable through both outcomes.
     """
-    return _abl(_conditioned_amplitudes(spec, proj), proj, complement)
+    amplitudes = _checkpoint_amplitudes(spec, proj.time, [proj.box])
+    return _abl(amplitudes[proj.box], proj, complement)
 
 
 def weak_value(spec, proj):
@@ -143,7 +143,8 @@ def weak_value(spec, proj):
 
     <post| U Π U |pre> / <post| U |pre>; may lie outside [0, 1].
     """
-    return _weak(_conditioned_amplitudes(spec, proj))
+    amplitudes = _checkpoint_amplitudes(spec, proj.time, [proj.box])
+    return _weak(amplitudes[proj.box])
 
 
 def checkpoint_values(spec, time):
@@ -153,16 +154,11 @@ def checkpoint_values(spec, time):
     The same numbers as :func:`abl_probability` and :func:`weak_value`, from
     one forward and one backward propagation for all boxes.
     """
-    boundary = spec.boundary(time)
-    forward = spec.forward_state(boundary)
-    backward = spec.backward_state(boundary)
-    values = {}
-    for box in spec.box_modes:
-        amplitudes = _transition_amplitudes(spec, forward, backward, box)
-        values[box] = (
-            _abl(amplitudes, ProjectorSpec(box, time)), _weak(amplitudes)
-        )
-    return values
+    amplitudes = _checkpoint_amplitudes(spec, time, spec.box_modes)
+    return {
+        box: (_abl(amps, ProjectorSpec(box, time)), _weak(amps))
+        for box, amps in amplitudes.items()
+    }
 
 
 def postselection_success(spec, imposed=None):
@@ -207,10 +203,6 @@ def three_box_spec():
     modes = shutter_modes()
     pre = shutter_state((1 / SQRT3, 1 / SQRT3, 1 / SQRT3), modes)
     post = shutter_state((1 / SQRT3, 1 / SQRT3, -1 / SQRT3), modes)
-    return _static_spec(pre, post, modes)
-
-
-def _static_spec(pre, post, modes):
     return TwoStateSpec(
         pre=pre,
         post=post,
@@ -220,45 +212,27 @@ def _static_spec(pre, post, modes):
     )
 
 
-def disappearing_spec(embed_final_segment=True):
+def disappearing_spec():
     """Two-state spec of the disappearing-reappearing shutter.
 
     Preparation (|A> + i|B> + |C>)/sqrt3 at t1, A-B tunneling of pi/4 per
     step so the shutter is evenly split at t2 and fully moved to B at t3.
-
-    With ``embed_final_segment=True`` (the circuit convention) the selection
-    is measured directly after t3 against (-|A> - i|B> + |C>)/sqrt3.  With
-    ``False`` a further pi/2 tunneling segment runs to the final time and
-    the selection is (-|A> + i|B> + |C>)/sqrt3.  Both pairs describe the
-    same two-state vector at every checkpoint.
+    The selection is measured directly after t3 against
+    (-|A> - i|B> + |C>)/sqrt3, the circuit convention: it is the selection
+    (-|A> + i|B> + |C>)/sqrt3 at the final time carried back through the
+    last pi/2 tunneling step.
     """
     modes = shutter_modes()
     pre = shutter_state((1 / SQRT3, 1j / SQRT3, 1 / SQRT3), modes)
-    segments = [
-        [tunneling(math.pi / 4, modes[0], modes[1])],
-        [tunneling(math.pi / 4, modes[0], modes[1])],
-    ]
-    if embed_final_segment:
-        post = shutter_state((-1 / SQRT3, -1j / SQRT3, 1 / SQRT3), modes)
-    else:
-        post = shutter_state((-1 / SQRT3, 1j / SQRT3, 1 / SQRT3), modes)
-        segments.append([tunneling(math.pi / 2, modes[0], modes[1])])
+    post = shutter_state((-1 / SQRT3, -1j / SQRT3, 1 / SQRT3), modes)
     return TwoStateSpec(
         pre=pre,
         post=post,
-        segments=segments,
+        segments=[
+            [tunneling(math.pi / 4, modes[0], modes[1])],
+            [tunneling(math.pi / 4, modes[0], modes[1])],
+        ],
         checkpoints={"t1": 0, "t2": 1, "t3": 2},
         box_modes={"A": modes[0], "B": modes[1], "C": modes[2]},
     )
 
-
-def three_box_retrodiction(pre, post, box):
-    """ABL probability of finding the particle in one box, no evolution.
-
-    ``pre`` and ``post`` are single-photon states over three box modes (in
-    A, B, C order); ``box`` is "A" or "B" (any box name is accepted).
-    """
-    if pre.modes != post.modes or len(pre.modes) != 3:
-        raise BadParam("pre and post must share one three-mode register")
-    spec = _static_spec(pre, post, pre.modes)
-    return abl_probability(spec, ProjectorSpec(str(box), "t"))

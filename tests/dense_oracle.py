@@ -12,6 +12,7 @@ import numpy as np
 import scipy.linalg
 
 from router_sim.elements import ElementKind, bs_matrix, tunnel_matrix
+from router_sim.fock import PHOTON_BUDGET
 
 
 def ns_phases(n_total_max):
@@ -161,11 +162,11 @@ def _dense_relabel(element, state_modes, configs, index):
 
 def dense_propagate(state, schedule):
     """Propagate a sparse initial state densely through a schedule."""
-    configs, index = enumerate_basis(len(state.modes), state.n_total_max)
+    configs, index = enumerate_basis(len(state.modes), PHOTON_BUDGET)
     vec = state_to_vector(state, configs, index)
     for element in schedule:
         matrix = dense_element(
-            element, state.modes, configs, index, state.n_total_max
+            element, state.modes, configs, index, PHOTON_BUDGET
         )
         vec = matrix @ vec
     return vec, configs, index

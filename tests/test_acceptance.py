@@ -150,7 +150,7 @@ def test_criterion_07_stricter_scheme():
 
 def test_criterion_08_router_equivalence():
     labels = [n for n in ("a", "b", "c", "spec")]
-    vacuum = fock.register_modes(labels, 2)
+    vacuum = fock.register_modes(labels)
     ideal = elements.pqr_ideal(labels[0], labels[1], labels[2])
     decomposed = elements.pqr_decomposed(labels[0], labels[1], labels[2])
     checked = 0

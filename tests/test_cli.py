@@ -263,6 +263,15 @@ USAGE_ERRORS = (
         ["sweep", "disappearing_full", "--alpha1-grid", "0:1:5",
          "--seed", "7"],
     ]
+    # numbers that are not finite or out of range
+    + [
+        ["run", "three_box_shutter", "--alphas", "1e400,0"],
+        ["run", "three_box_shutter", "--alphas", "1e200,0"],
+        ["sweep", "disappearing_full", "--alpha1-grid", "nan:1:2"],
+        ["sweep", "disappearing_full", "--alpha1-grid", "0:inf:2"],
+        ["sweep", "disappearing_full", "--alpha1-grid", "-2:2:3"],
+        ["sweep", "disappearing_full", "--alpha1-grid", "0:1.5:3"],
+    ]
     # options that were read by nothing and are gone
     + [
         ["simulate", str(CIRCUITS / "fig2b.circuit"), "--tol", "1e-9"],
@@ -278,6 +287,8 @@ def assert_one_line_error(capsys):
     assert err.count("\n") == 1
 
 
+# A numpy RuntimeWarning would print a second stderr line.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "argv", USAGE_ERRORS,
     ids=lambda argv: " ".join(argv).replace(str(CIRCUITS), "circuits"),
@@ -287,6 +298,24 @@ def test_usage_error_exits_3_with_one_line(argv, capsys):
     assert code == cli.EXIT_USAGE
     assert out == ""
     assert_one_line_error(capsys)
+
+
+def test_simulate_non_utf8_file_exits_3_with_one_line(tmp_path, capsys):
+    path = tmp_path / "latin1.circuit"
+    path.write_bytes("mode A A t1 shutter\nsource A 1 # caf\u00e9\n"
+                     .encode("latin-1"))
+    code, out = run_cli(["simulate", str(path)])
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert_one_line_error(capsys)
+
+
+def test_alpha1_grid_endpoints_are_kept_exactly():
+    code, out = run_cli(
+        ["sweep", "disappearing_full", "--alpha1-grid", "-1:1:3"])
+    assert code == cli.EXIT_OK
+    firsts = [r["alphas"][0] for r in json.loads(out)["records"]]
+    assert firsts == [[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
 
 
 def test_simulate_compile_error_exits_4_with_one_line(tmp_path, capsys):

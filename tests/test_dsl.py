@@ -142,6 +142,33 @@ def test_simulate_postselect_state_over_every_mode_exits_4(tmp_path, capsys):
     assert "postselect_state must leave at least one declared mode" in err
 
 
+@pytest.mark.parametrize("line,column", [
+    ("tunnel 1e400 A B", 8),
+    ("ps 1e400 A", 4),
+    ("source A 1e400", 10),
+    ("postselect_state A -1e400i", 20),
+])
+def test_overflowing_literal_exits_4_at_the_token(line, column, tmp_path,
+                                                  capsys):
+    text = HEADER + "source C 1\n" + line + "\ndetect d A=1 B=0\n"
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == (5, column)
+    assert "1e400" in err.value.token
+    path = tmp_path / "overflow.circuit"
+    path.write_text(text)
+    stream = io.StringIO()
+    assert cli.main(["simulate", str(path)], stream) == cli.EXIT_PARSE
+    assert stream.getvalue() == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: line 5:")
+
+
+@pytest.mark.parametrize("token", ["1e400", "-1e400", "1e400i", "1-1e400i"])
+def test_overflowing_weight_literal_is_rejected(token):
+    assert dsl.parse_weight(token) is None
+
+
 def test_unknown_directive_error():
     with pytest.raises(ParseError) as err:
         parse("wibble 1 2\n")
@@ -279,7 +306,7 @@ def test_compile_budget_violation():
         "bs 0.5 A B\nps 1 C\n"
     )
     with pytest.raises(CompileError, match="photon budget"):
-        compile_doc(parse(text), n_total_max=2)
+        compile_doc(parse(text))
 
 
 def test_compile_rejects_unused_mode():

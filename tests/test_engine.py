@@ -125,7 +125,7 @@ def random_state(rng, names, probes, controls, budget):
                     put([p, c], draw())
     if not amps:
         put([names[0]], 1.0)
-    return fock.FockState(names, amps, budget).normalized()
+    return fock.FockState(names, amps).normalized()
 
 
 def dense_matrix(schedule, names, budget):
@@ -136,9 +136,9 @@ def dense_matrix(schedule, names, budget):
     return total, configs, index
 
 
-def vector_to_state(vec, names, configs, budget):
+def vector_to_state(vec, names, configs):
     return fock.FockState(
-        names, {c: a for c, a in zip(configs, vec) if a != 0}, budget
+        names, {c: a for c, a in zip(configs, vec) if a != 0}
     )
 
 
@@ -172,12 +172,29 @@ def test_engine_matches_dense_oracle(seed):
     phi_vec = matrix @ state_to_vector(
         random_state(rng, names, probes, controls, budget), configs, index
     )
-    phi = vector_to_state(phi_vec, names, configs, budget)
+    phi = vector_to_state(phi_vec, names, configs)
     back = apply_schedule(phi, schedule, adjoint=True)
     expected = matrix.conj().T @ state_to_vector(phi, configs, index)
     assert max_amplitude_deviation(back, expected, configs, index) <= TOL
 
     assert_same_state(apply_schedule(out, schedule, adjoint=True), psi)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_router_builds_agree_on_random_superpositions(seed):
+    """The ideal and decomposed routers give the same amplitudes on an
+    in-sector random superposition (probes in P, control in C), for both
+    orientations, forward and adjoint."""
+    rng, names, probes, controls, budget = draw_setup(seed)
+    psi = random_state(rng, names, probes, controls, budget)
+    a, b = pick(rng, probes, 2)
+    c = pick(rng, controls, 1)[0]
+    for orientation in RouterOrientation:
+        ideal = elements.pqr_ideal(a, b, c, orientation)
+        decomposed = elements.pqr_decomposed(a, b, c, orientation)
+        for adjoint in (False, True):
+            assert_same_state(apply_schedule(psi, [ideal], adjoint),
+                              apply_schedule(psi, [decomposed], adjoint))
 
 
 def test_random_circuits_cover_every_kind():

@@ -29,6 +29,11 @@ def modes(*names):
     return [n for n in names]
 
 
+def add_photon(state, label):
+    """One more photon on ``label``: the normalized creation operator."""
+    return fock.superposition_source(state, {label: 1})
+
+
 def random_unitary(rng, k):
     z = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
     q, r = np.linalg.qr(z)
@@ -75,48 +80,44 @@ def test_register_non_str_mode_raises():
 
 def test_derived_states_share_modes_and_budget():
     ms = modes("A", "B")
-    state = fock.register_modes(ms, n_total_max=1)
-    out = fock.apply_mode_unitary(fock.inject_photon(state, "A"), ms, BS)
+    state = fock.register_modes(ms)
+    two = add_photon(add_photon(state, "A"), "B")
+    out = fock.apply_mode_unitary(two, ms, BS)
     assert out.modes is state.modes
-    assert out.n_total_max == 1
     assert out.index_of("B") == 1
-
-
-@pytest.mark.parametrize("budget", [-1, 3])
-def test_budget_outside_0_to_2_rejected(budget):
-    with pytest.raises(BadParam):
-        fock.register_modes(modes("A", "B"), n_total_max=budget)
-    with pytest.raises(BadParam):
-        fock.FockState(("A",), {(0,): 1.0}, budget)
+    assert {sum(c) for c in out.amplitudes} == {fock.PHOTON_BUDGET}
+    with pytest.raises(PhotonBudget):
+        add_photon(out, "A")
 
 
 def test_inject_into_vacuum():
     ms = modes("A", "B")
-    state = fock.inject_photon(fock.register_modes(ms), ms[0])
+    state = add_photon(fock.register_modes(ms), ms[0])
     assert state.amplitude((1, 0)) == pytest.approx(1.0)
 
 
 def test_inject_second_photon_renormalizes():
     ms = modes("A", "B")
     state = fock.register_modes(ms)
-    state = fock.inject_photon(state, ms[0])
-    state = fock.inject_photon(state, ms[0])
+    state = add_photon(state, ms[0])
+    state = add_photon(state, ms[0])
     assert state.amplitude((2, 0)) == pytest.approx(1.0)
     assert state.norm() == pytest.approx(1.0)
 
 
 def test_inject_budget_exceeded():
     ms = modes("A", "B")
-    state = fock.register_modes(ms, n_total_max=1)
-    state = fock.inject_photon(state, ms[0])
+    state = fock.register_modes(ms)
+    for _ in range(fock.PHOTON_BUDGET):
+        state = add_photon(state, ms[0])
     with pytest.raises(PhotonBudget):
-        fock.inject_photon(state, ms[1])
+        add_photon(state, ms[1])
 
 
 def test_inject_unknown_mode():
     state = fock.register_modes(modes("A"))
     with pytest.raises(UnknownMode):
-        fock.inject_photon(state, "Z")
+        add_photon(state, "Z")
 
 
 def test_superposition_source_weights():
@@ -136,7 +137,7 @@ def test_superposition_source_weights():
 
 def test_balanced_beamsplitter_single_photon():
     ms = modes("a", "b")
-    one = fock.inject_photon(fock.register_modes(ms), ms[0])
+    one = add_photon(fock.register_modes(ms), ms[0])
     out = fock.apply_mode_unitary(one, ms, BS)
     assert out.amplitude((1, 0)) == pytest.approx(1 / math.sqrt(2))
     assert out.amplitude((0, 1)) == pytest.approx(1j / math.sqrt(2))
@@ -157,8 +158,8 @@ def test_hong_ou_mandel_bunching():
     exponential of the quadratic Hamiltonian."""
     ms = modes("a", "b")
     state = fock.register_modes(ms)
-    state = fock.inject_photon(state, ms[0])
-    state = fock.inject_photon(state, ms[1])
+    state = add_photon(state, ms[0])
+    state = add_photon(state, ms[1])
     out = fock.apply_mode_unitary(state, ms, BS)
     assert out.amplitude((1, 1)) == pytest.approx(0.0, abs=1e-12)
     assert out.amplitude((2, 0)) == pytest.approx(1j / math.sqrt(2))
@@ -186,7 +187,7 @@ def test_unitary_norm_preserved():
             state, {m: w for m, w in zip(ms, rng.normal(size=3) + 1j * rng.normal(size=3))}
         )
         if rng.random() < 0.5:
-            state = fock.inject_photon(state, ms[int(rng.integers(3))])
+            state = add_photon(state, ms[int(rng.integers(3))])
         u = random_unitary(rng, 3)
         out = fock.apply_mode_unitary(state, ms, u)
         assert out.norm() == pytest.approx(state.norm(), abs=1e-10)
@@ -196,8 +197,8 @@ def test_photon_number_distribution_invariant():
     rng = np.random.default_rng(5)
     ms = modes("a", "b", "c")
     state = fock.register_modes(ms)
-    state = fock.inject_photon(state, ms[0])
-    state = fock.inject_photon(state, ms[1])
+    state = add_photon(state, ms[0])
+    state = add_photon(state, ms[1])
     u = random_unitary(rng, 3)
     out = fock.apply_mode_unitary(state, ms, u)
     assert all(sum(c) == 2 for c in out.amplitudes)
@@ -264,15 +265,15 @@ def test_enumerate_basis_equals_filtered_product():
 def test_ns_phase_flips_two_photon_component():
     ms = modes("a")
     state = fock.register_modes(ms)
-    state = fock.inject_photon(state, ms[0])
-    state = fock.inject_photon(state, ms[0])
+    state = add_photon(state, ms[0])
+    state = add_photon(state, ms[0])
     out = fock.apply_fock_phase(state, ms[0], (1, 1, -1))
     assert out.amplitude((2,)) == pytest.approx(-1.0)
 
 
 def test_ns_phase_trivial_below_two():
     ms = modes("a")
-    one = fock.inject_photon(fock.register_modes(ms), ms[0])
+    one = add_photon(fock.register_modes(ms), ms[0])
     out = fock.apply_fock_phase(one, ms[0], (1, 1, -1))
     assert out.amplitude((1,)) == pytest.approx(1.0)
 
@@ -283,7 +284,7 @@ def test_componentwise_phase():
         fock.register_modes(ms), {ms[0]: 1.0}
     )
     state = fock.FockState(
-        state.modes, {(0,): 0.6, (1,): 0.8}, state.n_total_max
+        state.modes, {(0,): 0.6, (1,): 0.8}
     )
     out = fock.apply_fock_phase(state, ms[0], (1, 1j, -1))
     assert out.amplitude((0,)) == pytest.approx(0.6)
@@ -309,8 +310,8 @@ def test_inner_product_vacuum():
 def test_inner_product_orthogonal_basis():
     ms = modes("a", "b")
     vac = fock.register_modes(ms)
-    left = fock.inject_photon(vac, ms[0])
-    right = fock.inject_photon(vac, ms[1])
+    left = add_photon(vac, ms[0])
+    right = add_photon(vac, ms[1])
     assert fock.inner_product(left, right) == pytest.approx(0.0)
 
 
@@ -341,7 +342,7 @@ def test_project_pattern_born_rule():
 
 def test_project_pattern_full_support():
     ms = modes("a", "b")
-    state = fock.inject_photon(fock.register_modes(ms), ms[0])
+    state = add_photon(fock.register_modes(ms), ms[0])
     outcome = fock.project_pattern(state, {ms[0]: 1, ms[1]: 0})
     assert outcome.probability == pytest.approx(1.0)
     assert outcome.state.amplitude((1, 0)) == pytest.approx(1.0)
@@ -349,18 +350,21 @@ def test_project_pattern_full_support():
 
 def test_project_pattern_impossible_outcome():
     ms = modes("a", "b")
-    state = fock.inject_photon(fock.register_modes(ms), ms[0])
+    state = add_photon(fock.register_modes(ms), ms[0])
     outcome = fock.project_pattern(state, {ms[1]: 1})
     assert outcome.probability == 0.0
     assert outcome.state.is_zero
 
+
+# The rank-one projection onto a full-register state succeeds with
+# probability |<target|state>|², the fidelity.
 
 def test_project_onto_self():
     ms = modes("a", "b")
     state = fock.superposition_source(
         fock.register_modes(ms), {ms[0]: 0.6, ms[1]: 0.8}
     )
-    assert fock.project_onto(state, state).probability == pytest.approx(1.0)
+    assert fock.fidelity(state, state) == pytest.approx(1.0)
 
 
 def test_project_onto_three_mode_overlap():
@@ -375,23 +379,23 @@ def test_project_onto_three_mode_overlap():
     vac = fock.register_modes(ms)
     state = fock.superposition_source(vac, {ms[0]: 1, ms[1]: 1j, ms[2]: 1})
     target = fock.superposition_source(vac, {ms[0]: -1, ms[1]: 1j, ms[2]: 1})
-    assert fock.project_onto(state, target).probability == pytest.approx(1 / 9)
+    assert fock.fidelity(target, state) == pytest.approx(1 / 9)
 
 
 def test_project_onto_orthogonal():
     ms = modes("a", "b")
     vac = fock.register_modes(ms)
-    left = fock.inject_photon(vac, ms[0])
-    right = fock.inject_photon(vac, ms[1])
-    assert fock.project_onto(left, right).probability == pytest.approx(0.0)
+    left = add_photon(vac, ms[0])
+    right = add_photon(vac, ms[1])
+    assert fock.fidelity(right, left) == pytest.approx(0.0)
 
 
 def test_postselect_subsystem_product_state():
     ms = modes("s", "p")
     state = fock.register_modes(ms)
-    state = fock.inject_photon(state, ms[0])
-    state = fock.inject_photon(state, ms[1])
-    target = fock.inject_photon(fock.register_modes([ms[0]]), ms[0])
+    state = add_photon(state, ms[0])
+    state = add_photon(state, ms[1])
+    target = add_photon(fock.register_modes([ms[0]]), ms[0])
     outcome = fock.postselect_subsystem(state, target)
     assert outcome.probability == pytest.approx(1.0)
     assert outcome.state.amplitude((1,)) == pytest.approx(1.0)
@@ -401,7 +405,7 @@ def test_postselect_subsystem_partial_overlap():
     ms = modes("s1", "s2", "p")
     state = fock.register_modes(ms)
     state = fock.superposition_source(state, {ms[0]: 0.6, ms[1]: 0.8})
-    state = fock.inject_photon(state, ms[2])
+    state = add_photon(state, ms[2])
     sub = fock.superposition_source(
         fock.register_modes(ms[:2]), {ms[0]: 1 / math.sqrt(2), ms[1]: 1 / math.sqrt(2)}
     )
@@ -417,8 +421,8 @@ def test_postselect_subsystem_partial_overlap():
 def test_schmidt_product_state():
     ms = modes("a", "c")
     state = fock.register_modes(ms)
-    state = fock.inject_photon(state, ms[0])
-    state = fock.inject_photon(state, ms[1])
+    state = add_photon(state, ms[0])
+    state = add_photon(state, ms[1])
     assert fock.schmidt_spectrum(state, {ms[0]}) == pytest.approx([1.0])
 
 
@@ -428,7 +432,6 @@ def test_schmidt_maximally_entangled_pair():
     state = fock.FockState(
         vac.modes,
         {(1, 0, 0, 1): 1 / math.sqrt(2), (0, 1, 1, 0): 1 / math.sqrt(2)},
-        2,
     )
     spectrum = fock.schmidt_spectrum(state, set(ms[:2]))
     assert spectrum == pytest.approx([0.5, 0.5])

@@ -9,9 +9,10 @@ import router_sim
 from router_sim import dsl, scenarios, tsvf
 from router_sim.elements import ElementKind, RouterOrientation, apply_schedule
 from router_sim.errors import BadParam
-from router_sim.fock import postselect_subsystem
+from router_sim.fock import FockState, postselect_subsystem
 
 S2 = math.sqrt(2.0)
+S3 = math.sqrt(3.0)
 
 
 def random_alphas(rng, n):
@@ -65,12 +66,46 @@ def test_three_box_single_branch():
     assert len(occupied) == 1
 
 
+def three_box_joint_reference(plan):
+    """Expected joint state after the routers, built by hand.
+
+    Reflected rails carry the matching-shutter branches, transmitted rails
+    carry the other two shutter branches, all weighted 1/sqrt(3).
+    """
+    modes = plan.initial.modes
+    a1, a2 = plan.alphas
+    amps = {}
+
+    def put(occupied, amplitude):
+        config = [0] * len(modes)
+        for name in occupied:
+            config[plan.initial.index_of(name)] = 1
+        amps[tuple(config)] = amplitude
+
+    put(("RA", "SA"), a1 / S3)
+    put(("RB", "SB"), a2 / S3)
+    put(("PA", "SB"), a1 / S3)
+    put(("PA", "SC"), a1 / S3)
+    put(("PB", "SA"), a2 / S3)
+    put(("PB", "SC"), a2 / S3)
+    return FockState(modes, amps)
+
+
+def joint_state_max_deviation(plan, joint):
+    reference = three_box_joint_reference(plan)
+    return max(
+        abs(joint.amplitude(c) - reference.amplitude(c))
+        for c in set(joint.amplitudes) | set(reference.amplitudes)
+    )
+
+
 def test_three_box_joint_state_matches_reference():
     rng = np.random.default_rng(31)
     for _ in range(5):
         a = random_alphas(rng, 2)
-        result = scenarios.three_box_shutter(a[0], a[1])
-        assert result.metadata["joint_state_max_deviation"] < 1e-10
+        plan = scenarios.build_three_box(a[0], a[1])
+        joint = apply_schedule(plan.initial, plan.schedule)
+        assert joint_state_max_deviation(plan, joint) < 1e-10
 
 
 def test_three_box_postselection_success_is_one_ninth():
@@ -400,17 +435,18 @@ def test_disappearing_full_propagates_each_checkpoint_once(monkeypatch):
 
 
 def test_three_box_shutter_propagates_once(monkeypatch):
-    calls = []
+    joints = []
     propagate = scenarios.apply_schedule
 
     def counting(*args, **kwargs):
-        calls.append(args)
-        return propagate(*args, **kwargs)
+        joints.append(propagate(*args, **kwargs))
+        return joints[-1]
 
     monkeypatch.setattr(scenarios, "apply_schedule", counting)
-    result = scenarios.three_box_shutter(0.6, 0.8)
-    assert len(calls) == 1
-    assert result.metadata["joint_state_max_deviation"] < 1e-10
+    scenarios.three_box_shutter(0.6, 0.8)
+    assert len(joints) == 1
+    plan = scenarios.build_three_box(0.6, 0.8)
+    assert joint_state_max_deviation(plan, joints[0]) < 1e-10
 
 
 # ---------------------------------------------------------------------------

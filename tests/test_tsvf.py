@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from router_sim import tsvf
+from router_sim.elements import tunneling
 from router_sim.errors import UndefinedConditioning
 from router_sim.tsvf import ProjectorSpec
 
@@ -12,6 +13,38 @@ S3 = math.sqrt(3.0)
 
 CHECKPOINTS = ("t1", "t2", "t3")
 BOXES = ("A", "B", "C")
+
+
+def static_spec(pre, post):
+    """Two-state spec of single-photon ``pre`` and ``post`` states over the
+    three box modes with no evolution and one checkpoint ``t``."""
+    return tsvf.TwoStateSpec(
+        pre=pre,
+        post=post,
+        segments=[],
+        checkpoints={"t": 0},
+        box_modes=dict(zip(BOXES, pre.modes)),
+    )
+
+
+def retrodiction(pre, post, box):
+    """ABL probability of finding the particle in one box, no evolution."""
+    return tsvf.abl_probability(static_spec(pre, post), ProjectorSpec(box, "t"))
+
+
+def explicit_disappearing_spec():
+    """:func:`tsvf.disappearing_spec` with the final pi/2 tunneling step
+    made explicit: the selection (-|A> + i|B> + |C>)/sqrt3 is measured at
+    the final time instead of directly after t3."""
+    spec = tsvf.disappearing_spec()
+    modes = tsvf.shutter_modes()
+    return tsvf.TwoStateSpec(
+        pre=spec.pre,
+        post=tsvf.shutter_state((-1 / S3, 1j / S3, 1 / S3), modes),
+        segments=spec.segments + [[tunneling(math.pi / 2, *modes[:2])]],
+        checkpoints=spec.checkpoints,
+        box_modes=spec.box_modes,
+    )
 
 
 def abl_direct(pre, post, box_index):
@@ -120,8 +153,8 @@ def test_postselection_success_trivial():
 def test_embedded_and_full_final_segment_agree():
     """The selection measured right after t3 and the equivalent selection
     carried through the extra evolution give identical conditioning."""
-    embedded = tsvf.disappearing_spec(embed_final_segment=True)
-    explicit = tsvf.disappearing_spec(embed_final_segment=False)
+    embedded = tsvf.disappearing_spec()
+    explicit = explicit_disappearing_spec()
     for time in CHECKPOINTS:
         for box in BOXES:
             proj = ProjectorSpec(box, time)
@@ -157,8 +190,8 @@ def test_three_box_retrodiction_certainty():
     modes = tsvf.shutter_modes()
     pre = tsvf.shutter_state((1 / S3, 1 / S3, 1 / S3), modes)
     post = tsvf.shutter_state((1 / S3, 1 / S3, -1 / S3), modes)
-    assert tsvf.three_box_retrodiction(pre, post, "A") == pytest.approx(1.0)
-    assert tsvf.three_box_retrodiction(pre, post, "B") == pytest.approx(1.0)
+    assert retrodiction(pre, post, "A") == pytest.approx(1.0)
+    assert retrodiction(pre, post, "B") == pytest.approx(1.0)
 
 
 def test_three_box_retrodiction_post_equals_pre():
@@ -171,7 +204,7 @@ def test_three_box_retrodiction_post_equals_pre():
 
     modes = tsvf.shutter_modes()
     pre = tsvf.shutter_state((1 / S3, 1 / S3, 1 / S3), modes)
-    assert tsvf.three_box_retrodiction(pre, pre, "A") == pytest.approx(
+    assert retrodiction(pre, pre, "A") == pytest.approx(
         expected, abs=1e-12
     )
 
@@ -187,7 +220,7 @@ def test_abl_matches_direct_formula_on_random_pairs():
         pre = tsvf.shutter_state(pre_vec, modes)
         post = tsvf.shutter_state(post_vec, modes)
         for i, box in enumerate(BOXES):
-            assert tsvf.three_box_retrodiction(pre, post, box) == pytest.approx(
+            assert retrodiction(pre, post, box) == pytest.approx(
                 abl_direct(pre_vec, post_vec, i), abs=1e-10
             )
 
@@ -198,10 +231,10 @@ def test_abl_reduces_to_born_for_unbiased_dichotomy():
     is 0, 1/2 or 1."""
     modes = tsvf.shutter_modes()
     even = tsvf.shutter_state((1 / S2, 1 / S2, 0), modes)
-    assert tsvf.three_box_retrodiction(even, even, "A") == pytest.approx(0.5)
+    assert retrodiction(even, even, "A") == pytest.approx(0.5)
     only_a = tsvf.shutter_state((1, 0, 0), modes)
-    assert tsvf.three_box_retrodiction(only_a, only_a, "A") == pytest.approx(1.0)
-    assert tsvf.three_box_retrodiction(only_a, only_a, "B") == pytest.approx(0.0)
+    assert retrodiction(only_a, only_a, "A") == pytest.approx(1.0)
+    assert retrodiction(only_a, only_a, "B") == pytest.approx(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +246,7 @@ def test_orthogonal_selection_raises():
     pre = tsvf.shutter_state((1, 0, 0), modes)
     post = tsvf.shutter_state((0, 1, 0), modes)
     with pytest.raises(UndefinedConditioning):
-        tsvf.three_box_retrodiction(pre, post, "C")
+        retrodiction(pre, post, "C")
 
 
 def test_weak_value_zero_denominator_raises():
@@ -234,7 +267,7 @@ def test_weak_value_zero_denominator_raises():
 @pytest.mark.parametrize("make_spec", [
     tsvf.three_box_spec,
     tsvf.disappearing_spec,
-    lambda: tsvf.disappearing_spec(embed_final_segment=False),
+    lambda: explicit_disappearing_spec(),
 ])
 def test_checkpoint_values_equal_single_queries(make_spec):
     spec = make_spec()

@@ -250,16 +250,13 @@ def cmd_sweep(args, stream):
         raise UsageError(
             f"scenario {args.scenario!r} takes no coefficient sweep"
         )
-    settings = (scenarios.OPEN_BOXES, scenarios.OPEN_CAVITIES)
-    records = []
-    for index, point in enumerate(_sweep_points(args, entry.arity)):
-        result = entry.evaluate(point, None, settings)
-        records.append({
-            "index": index,
-            "alphas": [complex(a) for a in point],
-            "summary": entry.summarize(result),
-            "schmidt": list(result.schmidt_spectrum or []),
-        })
+    points = _sweep_points(args, entry.arity)
+    records = [
+        {"index": index, "alphas": [complex(a) for a in point],
+         "summary": summary, "schmidt": schmidt}
+        for index, (point, (summary, schmidt))
+        in enumerate(zip(points, entry.sweep(points)))
+    ]
     if args.format == "csv":
         writer = csv.writer(stream)
         keys = sorted(records[0]["summary"]) if records else []

@@ -200,7 +200,8 @@ def _normalize_pairs(pairs, line_number, what):
         total = sum(abs(w) ** 2 for _, w in pairs)
     except OverflowError:
         raise ParseError(line_number, 1, f"{what} weights overflow") from None
-    if total == 0.0:
+    largest = max(abs(w) for _, w in pairs)
+    if largest == 0.0:
         raise ParseError(line_number, 1, f"{what} weights are all zero")
     if abs(total - 1.0) > _WEIGHT_NORM_TOL:
         warnings.warn(
@@ -208,8 +209,11 @@ def _normalize_pairs(pairs, line_number, what):
             f"(sum of squares was {total:.12g})",
             stacklevel=2,
         )
-        scale = total**-0.5
-        pairs = [(n, w * scale) for n, w in pairs]
+        # Divided by the largest modulus, the squares can no longer
+        # underflow: 1e-200 and 1e-200 become an equal split.
+        pairs = [(n, w / largest) for n, w in pairs]
+        norm = math.sqrt(sum(abs(w) ** 2 for _, w in pairs))
+        pairs = [(n, w / norm) for n, w in pairs]
     return tuple(pairs)
 
 

@@ -38,7 +38,8 @@ class BadParam(SimulationError):
 
 
 class UnsupportedSector(SimulationError):
-    """A router was applied to an occupation pattern outside its sector."""
+    """A router, or a compiled sweep, met an occupation pattern outside
+    its sector."""
 
 
 class UndefinedConditioning(SimulationError):

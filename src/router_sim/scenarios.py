@@ -31,9 +31,11 @@ from .elements import (
     mode_unitary,
     pqr_ideal,
 )
-from .errors import BadParam, UndefinedConditioning
+from .errors import BadParam, UndefinedConditioning, UnsupportedSector
 from .fock import (
+    PRUNE_EPSILON,
     FockState,
+    Sectors,
     fidelity,
     matches,
     postselect_subsystem,
@@ -70,15 +72,18 @@ class ScenarioPlan:
 
     ``spec`` is the two-state description of the shutter the plan runs:
     ``schedule`` holds its tunneling segments with the routers placed at
-    their checkpoints.  ``merge`` is the final recombination unitary over
-    ``kept_ports``, whose first port is the restored one (absent for
-    scenarios that report on the bare reflected rails).
+    their checkpoints.  ``probes`` and ``kept_ports`` give each beam's probe
+    mode and kept port in coefficient order.  ``merge`` is the final
+    recombination unitary over ``kept_ports``, whose first port is the
+    restored one (absent for scenarios that report on the bare reflected
+    rails).
     """
 
     name: str
     initial: FockState
     schedule: list
     spec: tsvf.TwoStateSpec
+    probes: list
     kept_ports: list
     alphas: np.ndarray
     merge: Element | None
@@ -114,28 +119,28 @@ def equal_alphas(n):
 
 
 def unitary_with_first_row(row):
-    """Unitary whose first row is the given unit vector.
+    """Unitary whose first row is the given unit vector; for a stack of
+    rows, the stack of those unitaries.
 
     Used to recombine the kept rails: applying it maps the superposition
     sum_k row_k* ... sum_k alpha_k |rail_k> onto the first rail exactly, so
     it is the adjoint of any splitting network producing those weights.
     """
-    row = np.asarray(row, dtype=complex)
-    k = row.shape[0]
-    norm = np.linalg.norm(row)
-    if abs(norm - 1.0) > 1e-12:
-        row = row / norm
-    first_column = row.conj()
-    anchor = int(np.argmax(np.abs(first_column)))
-    columns = [first_column]
-    for i in range(k):
-        if i != anchor:
-            e = np.zeros(k, dtype=complex)
-            e[i] = 1.0
-            columns.append(e)
-    q, r = np.linalg.qr(np.column_stack(columns))
-    q[:, 0] *= r[0, 0] / abs(r[0, 0])
-    return q.conj().T
+    rows = np.atleast_2d(np.asarray(row, dtype=complex))
+    n, k = rows.shape
+    norms = np.array([[np.linalg.norm(r)] for r in rows])
+    rows = np.where(np.abs(norms - 1.0) > 1e-12, rows / norms, rows)
+    # Columns: the conjugated row, then every unit vector but the one at
+    # the row's largest entry, in order.
+    columns = np.zeros((n, k, k), dtype=complex)
+    columns[:, :, 0] = rows.conj()
+    others = np.arange(k - 1)
+    others = others + (others >= np.argmax(np.abs(rows), axis=-1)[:, None])
+    columns[np.arange(n)[:, None], others, np.arange(1, k)] = 1.0
+    q, r = np.linalg.qr(columns)
+    q[:, :, 0] *= (r[:, 0, 0] / abs(r[:, 0, 0]))[:, None]
+    unitaries = q.conj().transpose(0, 2, 1)
+    return unitaries[0] if np.ndim(row) == 1 else unitaries
 
 
 def _probe_target(probe_modes, kept_ports, alphas):
@@ -190,19 +195,11 @@ def run_plan(plan):
             lambda c: sum(c[p] for p in kept_positions) == 1,
         ).probability
 
-    label = plan.outcome_label
-    conditionals = {
-        "postselection_success": p_post,
-        f"{label}_given_postselection": q,
-        f"postselected_and_{label}": p_post * q,
-        f"postselected_not_{label}": p_post * (1.0 - q),
-        "postselection_failed": 1.0 - p_post,
-    }
     metadata = dict(plan.metadata)
     metadata["alphas"] = [complex(a) for a in plan.alphas]
     return ScenarioResult(
         name=plan.name,
-        conditional_probabilities=conditionals,
+        conditional_probabilities=_conditionals(plan.outcome_label, p_post, q),
         conditioned_probe_state=probe_premerge,
         fidelity_to_target=float(fid),
         weak_values={},
@@ -210,6 +207,18 @@ def run_plan(plan):
         schmidt_spectrum=spectrum,
         metadata=metadata,
     )
+
+
+def _conditionals(label, p_post, q):
+    """Outcome partition from the post-selection probability ``p_post``
+    and the probability ``q`` of outcome ``label`` given it."""
+    return {
+        "postselection_success": p_post,
+        f"{label}_given_postselection": q,
+        f"postselected_and_{label}": p_post * q,
+        f"postselected_not_{label}": p_post * (1.0 - q),
+        "postselection_failed": 1.0 - p_post,
+    }
 
 
 def _attach_tsvf(result, spec):
@@ -260,6 +269,7 @@ def _beam_table_plan(name, spec, beams, alphas, metadata, routers=True,
         initial=_prepare(spec.pre, sources),
         schedule=schedule,
         spec=spec,
+        probes=probes,
         kept_ports=kept,
         alphas=alphas,
         merge=(mode_unitary(unitary_with_first_row(alphas.conj()), kept)
@@ -667,6 +677,109 @@ def bell_scenario(alphas=None, alice_setting=OPEN_BOXES,
 
 
 # ---------------------------------------------------------------------------
+# Compiled sweeps: a beam-table plan as a linear map of its coefficients
+# ---------------------------------------------------------------------------
+
+def _pruned(amplitudes):
+    """``amplitudes`` with each entry of modulus below PRUNE_EPSILON set to
+    zero, as a :class:`FockState` drops it."""
+    return np.where(np.abs(amplitudes) < PRUNE_EPSILON, 0j, amplitudes)
+
+
+def _normalized(probes):
+    """Each row of ``probes`` as :meth:`FockState.normalized` leaves it:
+    divided by its norm and pruned, or zero when that norm is below
+    PRUNE_EPSILON."""
+    norms = np.sqrt(np.sum(np.abs(probes) ** 2, axis=-1, keepdims=True))
+    live = norms >= PRUNE_EPSILON
+    return _pruned(np.where(live, probes / np.where(live, norms, 1.0), 0j))
+
+
+@dataclass(frozen=True)
+class SweepMap:
+    """A beam-table plan compiled for coefficient sweeps.
+
+    The schedule does not depend on the probe coefficients, so the joint
+    state ahead of the merge is ``sum_k alpha_k basis[k]``, where
+    ``basis[k]`` holds the |1_s 1_p> amplitudes (shutter mode s, probe
+    mode p) of the plan run with the probe photon in beam k alone.
+    """
+
+    plan: ScenarioPlan
+    basis: np.ndarray
+
+    def evaluate(self, points):
+        """``(summary, Schmidt spectrum)`` of each coefficient vector in
+        ``points``: the fields and numbers :func:`run_plan` and
+        :func:`_outcome_summary` give for that point, pruned where
+        :func:`run_plan`'s states prune."""
+        plan = self.plan
+        points = np.asarray(points, dtype=complex)
+        probe_modes = plan.initial.modes[len(plan.spec.post.modes):]
+        kept = [probe_modes.index(m) for m in plan.kept_ports]
+        post = Sectors(plan.spec.post).one.conj()
+
+        def postselect(joint):
+            probes = np.einsum("s,nsp->np", post, joint)
+            return _pruned(probes), np.sum(np.abs(probes) ** 2, axis=-1)
+
+        joint = _pruned(np.einsum("nk,ksp->nsp", points, self.basis))
+        singular = np.linalg.svd(joint, compute_uv=False)
+        premerge, _ = postselect(joint)
+        targets = np.where(np.abs(points) < PRUNE_EPSILON, 0j, points)
+        fidelities = np.abs(np.einsum(
+            "nk,nk->n", targets.conj(), _normalized(premerge)[:, kept])) ** 2
+
+        if plan.merge is not None:
+            merges = unitary_with_first_row(points.conj())
+            merged = joint.copy()
+            merged[:, :, kept] = joint[:, :, kept] @ merges.transpose(0, 2, 1)
+            joint = _pruned(merged)
+        probes, p_posts = postselect(joint)
+        if np.any(p_posts < 1e-24):
+            raise UndefinedConditioning(
+                f"post-selection never succeeds in scenario {plan.name}"
+            )
+        restored = kept[:1] if plan.merge is not None else kept
+        qs = np.sum(np.abs(_normalized(probes)[:, restored]) ** 2, axis=-1)
+
+        records = []
+        for p_post, q, fid, values in zip(p_posts.tolist(), qs.tolist(),
+                                          fidelities.tolist(), singular):
+            summary = _conditionals(plan.outcome_label, p_post, q)
+            summary["fidelity"] = fid
+            spectrum = [float(s) ** 2 for s in values if s**2 > PRUNE_EPSILON]
+            records.append((summary, spectrum))
+        return records
+
+
+def compile_sweep(plan):
+    """:class:`SweepMap` of a beam-table ``plan``: one propagation per beam.
+
+    Raises :class:`UnsupportedSector` if a beam's joint state has any
+    amplitude outside the one-shutter-photon, one-probe-photon block.
+    """
+    shutter = len(plan.spec.post.modes)
+    probe_modes = plan.initial.modes[shutter:]
+    basis = np.zeros((len(plan.probes), shutter, len(probe_modes)),
+                     dtype=complex)
+    for k, probe in enumerate(plan.probes):
+        initial = _prepare(plan.spec.pre, [
+            (m, 1.0 if m == probe else None) for m in probe_modes
+        ])
+        joint = apply_schedule(initial, plan.schedule)
+        for config, amp in joint.amplitudes.items():
+            s, p = config[:shutter], config[shutter:]
+            if sum(s) != 1 or sum(p) != 1:
+                raise UnsupportedSector(
+                    f"beam {probe} of {plan.name} reaches {config}, outside "
+                    "one shutter photon and one probe photon"
+                )
+            basis[k, s.index(1), p.index(1)] = amp
+    return SweepMap(plan, basis)
+
+
+# ---------------------------------------------------------------------------
 # Registry: what the command line knows about each scenario
 # ---------------------------------------------------------------------------
 
@@ -706,12 +819,16 @@ class Scenario:
 
     ``evaluate(alphas, perturbation, settings)`` runs the scenario, where
     ``settings`` is an (Alice, Bob) pair that only ``takes_settings``
-    scenarios read.  The evaluators call the scenario functions through
-    their module-level names, so rebinding a name (to trace or patch it)
-    also reaches the registry.  ``arity`` is the number of probe
-    coefficients; 0 means the scenario takes none and cannot be swept.
+    scenarios read.  The evaluators and ``build`` call the scenario
+    functions through their module-level names, so rebinding a name (to
+    trace or patch it) also reaches the registry.  ``arity`` is the number
+    of probe coefficients; 0 means the scenario takes none and cannot be
+    swept.
     ``certain(result, tol)`` checks the built-in claim of an unperturbed
     run and ``summarize(result)`` gives a sweep record's summary.
+    ``build()``, given for beam-table scenarios, builds the unperturbed
+    plan that :meth:`sweep` compiles; without it a sweep evaluates each
+    point.
     """
 
     evaluate: Callable
@@ -720,6 +837,19 @@ class Scenario:
     perturbations: tuple = ()
     summarize: Callable = _outcome_summary
     takes_settings: bool = False
+    build: Callable | None = None
+
+    def sweep(self, points):
+        """``(summary, Schmidt spectrum)`` of each coefficient vector in
+        ``points``, unperturbed and with OPEN/OPEN settings."""
+        if self.build is not None:
+            return compile_sweep(self.build()).evaluate(points)
+        records = []
+        for point in points:
+            result = self.evaluate(point, None, (OPEN_BOXES, OPEN_CAVITIES))
+            records.append((self.summarize(result),
+                            list(result.schmidt_spectrum or [])))
+        return records
 
 
 SCENARIOS = {
@@ -727,6 +857,7 @@ SCENARIOS = {
         lambda alphas, perturbation, settings: three_box_shutter(*alphas),
         arity=2,
         certain=_reflected_with_fidelity_one,
+        build=lambda: build_three_box(*equal_alphas(2)),
     ),
     "disappearing_full": Scenario(
         lambda alphas, perturbation, settings: disappearing_full(
@@ -735,6 +866,7 @@ SCENARIOS = {
         certain=_restored_with_certainty,
         perturbations=("remove-shutter-C-t2", "extra-beam-A-t2",
                        "extra-beam-B-t2"),
+        build=lambda: build_disappearing(),
     ),
     "simplified_3path": Scenario(
         lambda alphas, perturbation, settings: simplified_3path(perturbation),
@@ -760,6 +892,7 @@ SCENARIOS = {
         arity=6,
         certain=_restored_with_certainty,
         perturbations=("flip-A-t2", "flip-B-t2"),
+        build=lambda: build_stricter_6beam(),
     ),
     "bell_test": Scenario(
         lambda alphas, perturbation, settings: bell_scenario(

@@ -360,14 +360,17 @@ def test_leading_minus_coefficient_as_own_word(scenario, options):
 
 def test_commands_reach_scenarios_through_module_names(monkeypatch):
     # Tracing and patching rebind module attributes; the CLI must see them.
+    # A run builds its plan once, and so does a compiled sweep of any
+    # number of points.
     calls = []
-    original = scenarios.stricter_6beam
+    original = scenarios.build_stricter_6beam
 
     def spy(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(scenarios, "stricter_6beam", spy)
+    monkeypatch.setattr(scenarios, "build_stricter_6beam", spy)
     run_cli(["run", "stricter_6beam"])
+    assert len(calls) == 1
     run_cli(["sweep", "stricter_6beam", "--random", "2"])
-    assert len(calls) == 3
+    assert len(calls) == 2

@@ -234,6 +234,28 @@ def test_source_in_tolerance_kept_verbatim():
     assert doc.sources[0].weights[0][1] == complex(float(s3))
 
 
+@pytest.mark.parametrize("statement", ["source", "postselect_state"])
+def test_underflowing_weights_normalize_to_an_equal_split(statement):
+    # The squares of 1e-200 underflow to zero; the weights are still a
+    # valid direction.
+    weights = {"source": "SA 0.6 SB 0.8", "postselect_state": "SA 0.6 SB 0.8"}
+    weights[statement] = "SA 1e-200 SB 1e-200"
+    text = (
+        "mode SA A t1 shutter\nmode SB B t1 shutter\nmode P A t1 probe_in\n"
+        f"source {weights['source']}\nsource P 1\n"
+        f"postselect_state {weights['postselect_state']}\ndetect d P=1\n"
+    )
+    with pytest.warns(UserWarning, match="normalized"):
+        doc = parse(text)
+    stmt = doc.sources[0] if statement == "source" else doc.postselects[0]
+    assert [m for m, _ in stmt.weights] == ["SA", "SB"]
+    for _, w in stmt.weights:
+        assert w == pytest.approx(1 / math.sqrt(2), abs=1e-15)
+    with pytest.warns(UserWarning, match="normalized"):
+        report = simulate_text(text)
+    assert report["postselections"][0]["probability"] == pytest.approx(0.98)
+
+
 # ---------------------------------------------------------------------------
 # rendering round-trip
 # ---------------------------------------------------------------------------

@@ -160,6 +160,8 @@ def draw_setup(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_engine_matches_dense_oracle(seed):
+    """Amplitudes agree with the dense matrix, and the norm of a
+    normalized state is kept, forward and adjoint."""
     rng, names, probes, controls, budget = draw_setup(seed)
     schedule = random_circuit(rng, probes, controls)
     matrix, configs, index = dense_matrix(schedule, names, budget)
@@ -168,6 +170,7 @@ def test_engine_matches_dense_oracle(seed):
     out = apply_schedule(psi, schedule)
     expected = matrix @ state_to_vector(psi, configs, index)
     assert max_amplitude_deviation(out, expected, configs, index) <= TOL
+    assert abs(out.norm() - 1.0) <= TOL
 
     phi_vec = matrix @ state_to_vector(
         random_state(rng, names, probes, controls, budget), configs, index
@@ -176,6 +179,7 @@ def test_engine_matches_dense_oracle(seed):
     back = apply_schedule(phi, schedule, adjoint=True)
     expected = matrix.conj().T @ state_to_vector(phi, configs, index)
     assert max_amplitude_deviation(back, expected, configs, index) <= TOL
+    assert abs(back.norm() - 1.0) <= TOL
 
     assert_same_state(apply_schedule(out, schedule, adjoint=True), psi)
 

@@ -1,14 +1,23 @@
+import io
 import itertools
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import router_sim
-from router_sim import dsl, scenarios, tsvf
-from router_sim.elements import ElementKind, RouterOrientation, apply_schedule
-from router_sim.errors import BadParam
+from router_sim import cli, dsl, scenarios, tsvf
+from router_sim.elements import (
+    ElementKind,
+    RouterOrientation,
+    apply_schedule,
+    beamsplitter,
+)
+from router_sim.errors import BadParam, UnsupportedSector
 from router_sim.fock import FockState, postselect_subsystem
 
 S2 = math.sqrt(2.0)
@@ -557,3 +566,115 @@ def test_shipped_circuit_declares_its_plans_modes(circuit, build):
     path = Path(router_sim.__file__).parent / "circuits" / f"{circuit}.circuit"
     doc = dsl.parse(path.read_text(encoding="utf-8"))
     assert tuple(decl.name for decl in doc.modes) == build().initial.modes
+
+
+# ---------------------------------------------------------------------------
+# compiled sweeps against the per-point path
+# ---------------------------------------------------------------------------
+
+COMPILED = {
+    "three_box_shutter": "build_three_box",
+    "disappearing_full": "build_disappearing",
+    "stricter_6beam": "build_stricter_6beam",
+}
+
+coefficient_parts = st.floats(min_value=-1.0, max_value=1.0,
+                              allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def sweep_points(draw, arity):
+    """A few normalized coefficient vectors: random ones, and the grid
+    end points alpha1 = +-1, where every other coefficient is zero."""
+    points = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            vec = np.zeros(arity, dtype=complex)
+            vec[0] = draw(st.sampled_from([1.0, -1.0]))
+        else:
+            vec = np.array([complex(draw(coefficient_parts),
+                                    draw(coefficient_parts))
+                            for _ in range(arity)])
+            norm = np.linalg.norm(vec)
+            assume(norm > 1e-3)
+            vec = vec / norm
+        points.append(vec)
+    return points
+
+
+def test_compiled_scenarios_are_the_beam_table_sweeps():
+    compiled = {name for name, entry in scenarios.SCENARIOS.items()
+                if entry.build is not None}
+    assert compiled == set(COMPILED)
+
+
+@pytest.mark.parametrize("name", COMPILED)
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(data=st.data())
+def test_compiled_sweep_matches_each_point(name, data):
+    entry = scenarios.SCENARIOS[name]
+    points = data.draw(sweep_points(entry.arity))
+    open_open = (scenarios.OPEN_BOXES, scenarios.OPEN_CAVITIES)
+    for point, (summary, schmidt) in zip(points, entry.sweep(points)):
+        result = entry.evaluate(point, None, open_open)
+        expected = entry.summarize(result)
+        assert list(summary) == list(expected)
+        for key, value in expected.items():
+            assert abs(summary[key] - value) <= 1e-12, key
+        assert len(schmidt) == len(result.schmidt_spectrum)
+        assert np.allclose(schmidt, result.schmidt_spectrum,
+                           rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", COMPILED)
+@pytest.mark.parametrize("count", [1, 9])
+def test_compiled_sweep_builds_and_propagates_once(name, count, monkeypatch):
+    calls = {"build": 0, "apply_schedule": 0, "checkpoint_values": 0}
+
+    def spy(module, attr, key):
+        original = getattr(module, attr)
+
+        def counting(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counting)
+
+    spy(scenarios, COMPILED[name], "build")
+    spy(scenarios, "apply_schedule", "apply_schedule")
+    spy(tsvf, "checkpoint_values", "checkpoint_values")
+    stream = io.StringIO()
+    argv = ["sweep", name, "--random", str(count)]
+    assert cli.main(argv, stream) == cli.EXIT_OK
+    assert stream.getvalue().count('"index"') == count
+    assert calls == {"build": 1,
+                     "apply_schedule": scenarios.SCENARIOS[name].arity,
+                     "checkpoint_values": 0}
+
+
+def test_compile_rejects_amplitude_outside_the_block():
+    # A beamsplitter between a shutter mode and a probe rail moves
+    # amplitude to zero shutter photons and two probe photons.
+    plan = scenarios.build_disappearing()
+    leaky = replace(plan, schedule=plan.schedule + [
+        beamsplitter(0.5, "SA", plan.kept_ports[0])
+    ])
+    with pytest.raises(UnsupportedSector, match="outside one shutter"):
+        scenarios.compile_sweep(leaky)
+
+
+@pytest.mark.parametrize("name", ["disappearing_full", "stricter_6beam"])
+def test_compiled_restoration_is_exact_where_each_point_is(name):
+    # Pruned where the per-point states prune, the merged probe is one
+    # amplitude, so restoration comes out exactly 1 and its complement 0.
+    entry = scenarios.SCENARIOS[name]
+    rng = np.random.default_rng(2024)
+    points = [random_alphas(rng, entry.arity) for _ in range(40)]
+    open_open = (scenarios.OPEN_BOXES, scenarios.OPEN_CAVITIES)
+    for point, (summary, _) in zip(points, entry.sweep(points)):
+        expected = entry.evaluate(point, None, open_open)
+        probabilities = expected.conditional_probabilities
+        for key in ("restored_given_postselection",
+                    "postselected_not_restored"):
+            assert summary[key] == probabilities[key] == float(
+                key.startswith("restored"))

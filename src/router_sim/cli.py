@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -214,6 +215,8 @@ def _sweep_points(args, arity):
     if args.random is not None:
         if args.random <= 0:
             raise UsageError("--random needs a positive count")
+        if args.seed is not None and args.seed < 0:
+            raise UsageError("--seed must be a non-negative integer")
         rng = np.random.default_rng(0 if args.seed is None else args.seed)
         points = []
         for _ in range(args.random):
@@ -282,6 +285,18 @@ def cmd_list(args, stream):
 
 
 def build_parser():
+    """The command-line parser, built once per process; each call sets the
+    ``run --tol`` default from ``ROUTER_SIM_TOL`` as it stands."""
+    parser, tol = _parser()
+    # A string default goes through ``type`` only when --tol is absent, so
+    # a malformed ROUTER_SIM_TOL is a usage error of ``run`` alone.
+    tol.default = os.environ.get("ROUTER_SIM_TOL", str(DEFAULT_TOL))
+    return parser
+
+
+@functools.cache
+def _parser():
+    """The parser and its ``run --tol`` action."""
     parser = _Parser(
         prog="router-sim",
         description=(
@@ -302,11 +317,8 @@ def build_parser():
     run.add_argument("--alice", choices=tuple(_ALICE), help="default: open")
     run.add_argument("--bob", choices=tuple(_BOB), help="default: open")
     add_format(run)
-    # A string default goes through ``type`` only when --tol is absent, so
-    # a malformed ROUTER_SIM_TOL is a usage error of ``run`` alone.
-    run.add_argument(
+    tol = run.add_argument(
         "--tol", type=float,
-        default=os.environ.get("ROUTER_SIM_TOL", str(DEFAULT_TOL)),
         help="tolerance for built-in certainty assertions "
              "(default: $ROUTER_SIM_TOL or 1e-9)",
     )
@@ -323,7 +335,7 @@ def build_parser():
     add_format(sweep)
 
     sub.add_parser("list", help="list scenario names")
-    return parser
+    return parser, tol
 
 
 _COMMANDS = {"run": cmd_run, "simulate": cmd_simulate, "sweep": cmd_sweep,

@@ -25,13 +25,15 @@ import re
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .elements import (
-    apply_schedule,
     beamsplitter,
     ns_single,
     ns_two_mode,
     phase_shifter,
     pqr_ideal,
+    propagate,
     relabel,
     tunneling,
 )
@@ -39,8 +41,7 @@ from .errors import CompileError
 from .fock import (
     PHOTON_BUDGET,
     FockState,
-    postselect_subsystem,
-    project_pattern,
+    normalized_rows,
     register_modes,
     superposition_source,
 )
@@ -452,35 +453,42 @@ def execute(compiled):
     """Run a compiled circuit and report detection probabilities.
 
     Detect-pattern probabilities are reported unconditionally and
-    conditioned on each post-selection statement separately.
+    conditioned on each post-selection statement separately.  Every
+    request is answered on the final sector form, pruned where a
+    :class:`~router_sim.fock.FockState` of it would be.
     """
-    final = apply_schedule(compiled.initial, compiled.schedule)
+    final = propagate(compiled.initial, compiled.schedule)
+    amplitudes = final.fock_amplitudes()
+    probabilities = np.abs(amplitudes) ** 2
     postselections = []
-    conditioned_states = []
+    conditioned = []  # (probabilities of the conditional state, its modes)
     for kind, payload in compiled.postselects:
         if kind == "pattern":
-            outcome = project_pattern(final, payload)
+            mask = final.matches(payload)
+            kept = np.where(mask, amplitudes, 0j)
+            probability = float(np.sum(probabilities[mask]))
+            modes = final.state.modes
         else:
-            outcome = postselect_subsystem(final, payload)
-        postselections.append(
-            {"kind": kind, "probability": outcome.probability}
-        )
-        conditioned_states.append(outcome.state)
+            kept, probability = final.postselect_state(payload)
+            modes = [m for m in final.state.modes if m not in payload.modes]
+        postselections.append({"kind": kind, "probability": probability})
+        conditioned.append((np.abs(normalized_rows(kept)) ** 2, modes))
 
     detections = []
     for name, pattern in compiled.detects:
         # Detection patterns refer to probe modes, which survive a
         # subsystem post-selection; a zero state detects with probability 0.
         conditional = [
-            project_pattern(
-                conditioned,
-                {m: c for m, c in pattern.items() if m in conditioned.modes},
-            ).probability
-            for conditioned in conditioned_states
+            float(np.sum(given[final.matches(
+                {m: c for m, c in pattern.items() if m in modes}
+            )]))
+            for given, modes in conditioned
         ]
         detections.append({
             "name": name,
-            "probability": project_pattern(final, pattern).probability,
+            "probability": float(
+                np.sum(probabilities[final.matches(pattern)])
+            ),
             "conditional": conditional,
         })
     return {"postselections": postselections, "detections": detections}

@@ -2,8 +2,10 @@
 
 Elements are immutable descriptions bound to specific modes; application is
 a pure function on :class:`~router_sim.fock.FockState`, computed on its
-sector form (:class:`~router_sim.fock.Sectors`) once per schedule.  The
-beamsplitter uses the symmetric convention
+sector form (:class:`~router_sim.fock.Sectors`) once per schedule.  Each
+run of consecutive linear elements and relabels is composed into one mode
+matrix, which acts on the sector form once, ahead of the NS gate or router
+that ends the run.  The beamsplitter uses the symmetric convention
 
     BS(r) = [[sqrt(r), i*sqrt(1-r)], [i*sqrt(1-r), sqrt(r)]],
 
@@ -249,12 +251,6 @@ def _router_positions(sectors, element):
     return ia, ib, ic
 
 
-def _linear_rule(sectors, element, adjoint):
-    u = _mode_matrix(element)
-    positions = [sectors.state.index_of(m) for m in element.modes]
-    sectors.apply_linear(positions, u.conj().T if adjoint else u)
-
-
 def _ns_rule(sectors, element, adjoint):
     # Sign flip of |2_m>, the S_mm entry: real, so self-adjoint.
     if sectors.two is not None:
@@ -285,48 +281,73 @@ def _decomposed_router_rule(sectors, element, adjoint):
     _run(sectors, _pqr_decomposed_parts(*element.modes))
 
 
-def _relabel_rule(sectors, element, adjoint):
-    mapping = element.params["mapping"]
-    if adjoint:
-        mapping = {v: k for k, v in mapping.items()}
-    # The photons of mode ``src`` move to mode ``dst``.
-    perm = list(range(len(sectors.one)))
-    for src, dst in mapping.items():
-        perm[sectors.state.index_of(dst)] = sectors.state.index_of(src)
-    sectors.one = sectors.one[perm]
-    if sectors.two is not None:
-        sectors.two = sectors.two[np.ix_(perm, perm)]
-
-
 _RULES = {
-    ElementKind.BS: _linear_rule,
-    ElementKind.PHASE: _linear_rule,
-    ElementKind.TUNNEL: _linear_rule,
-    ElementKind.MODE_UNITARY: _linear_rule,
     ElementKind.NS_SINGLE: _ns_rule,
     ElementKind.NS_TWO_MODE: _ns_two_mode_rule,
     ElementKind.PQR_IDEAL: _router_rule,
     ElementKind.PQR_DECOMPOSED: _decomposed_router_rule,
-    ElementKind.RELABEL: _relabel_rule,
 }
 
 
+def _compose(run, sectors, element, adjoint):
+    """The mode matrix of ``element`` (its adjoint if ``adjoint``), a
+    linear element or a relabel, times ``run``, the n x n matrix of the
+    elements before it (None for the identity)."""
+    index_of = sectors.state.index_of
+    if run is None:
+        run = np.eye(len(sectors.one), dtype=complex)
+    if element.kind is ElementKind.RELABEL:
+        mapping = element.params["mapping"]
+        if adjoint:
+            mapping = {v: k for k, v in mapping.items()}
+        # The photons of mode ``src`` move to mode ``dst``.
+        perm = list(range(len(run)))
+        for src, dst in mapping.items():
+            perm[index_of(dst)] = index_of(src)
+        return run[perm]
+    u = _mode_matrix(element)
+    positions = [index_of(m) for m in element.modes]
+    run[positions] = (u.conj().T if adjoint else u) @ run[positions]
+    return run
+
+
 def _run(sectors, elements, adjoint=False):
+    # Linear elements and relabels compose into one mode matrix, applied
+    # when an NS gate or a router needs the state, or at the end.
+    run = None
     for element in reversed(elements) if adjoint else elements:
-        _RULES[element.kind](sectors, element, adjoint)
+        rule = _RULES.get(element.kind)
+        if rule is None:
+            run = _compose(run, sectors, element, adjoint)
+            continue
+        if run is not None:
+            sectors.apply_mode_matrix(run)
+            run = None
+        rule(sectors, element, adjoint)
+    if run is not None:
+        sectors.apply_mode_matrix(run)
 
 
 def apply_schedule(state, elements, adjoint=False):
     """Apply a list of elements to a state, or the adjoint of the list.
 
-    The state is converted to its sector form once, every element acts on
-    that form, and the result is converted back.  A linear element's
-    adjoint is its conjugate-transposed mode matrix; the NS gates and both
-    routers are self-adjoint, and a relabel inverts its mapping.
+    The result is :func:`propagate`'s, converted back to a state.
+    """
+    return propagate(state, elements, adjoint).to_state()
+
+
+def propagate(state, elements, adjoint=False):
+    """Sector form (:class:`~router_sim.fock.Sectors`) of a state after a
+    list of elements, or after the adjoint of the list.
+
+    Each run of consecutive linear elements and relabels acts as one mode
+    matrix, the product of theirs.  A linear element's adjoint is its
+    conjugate-transposed mode matrix and a relabel's inverts its mapping;
+    the NS gates and both routers are self-adjoint.
     """
     sectors = Sectors(state)
     _run(sectors, elements, adjoint)
-    return sectors.to_state()
+    return sectors
 
 
 def apply_element(state, element, adjoint=False):

@@ -10,7 +10,7 @@ amplitude of |2_i> equal to S_ii and that of |1_i 1_j> equal to
 sqrt(2)*S_ij.  A mode unitary U then acts as v -> U v and S -> U S U^T,
 the two-photon case of the permanent rule.  All public operations are pure
 functions returning new states; a ``FockState`` is never mutated after
-construction, so states can be shared freely between threads.
+construction.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import (
@@ -162,11 +164,6 @@ def register_modes(labels):
     return FockState(labels, {vacuum: 1.0 + 0j})
 
 
-def basis_state(template, config):
-    """Basis state with the given occupation tuple over ``template``'s modes."""
-    return FockState(template.modes, {tuple(config): 1.0 + 0j})
-
-
 def superposition_source(state, weights):
     """Add one photon in a coherent superposition of modes.
 
@@ -211,8 +208,11 @@ class Sectors:
     docstring): ``vacuum``, ``one`` (the vector v) and ``two`` (the
     symmetric matrix S, or None while the state has no two-photon part).
 
-    :meth:`to_state` turns it back into a state over the same modes and
-    prunes Fock amplitudes below :data:`PRUNE_EPSILON`; nothing
+    Its Fock amplitudes are read in one flat layout over the n modes: the
+    vacuum, one photon in each mode, then two photons in modes (i, j),
+    i <= j, row-major, with S read from its upper triangle.
+    :meth:`fock_amplitudes` prunes them below :data:`PRUNE_EPSILON`;
+    :meth:`to_state` and the measurements start from there, and nothing
     is pruned in between.
     """
 
@@ -248,45 +248,113 @@ class Sectors:
         amp = self.two[i, j]
         return amp if i == j else _SQRT2 * amp
 
-    def apply_linear(self, positions, u):
-        """v[pos] <- U v[pos], S[pos, :] <- U S[pos, :],
-        S[:, pos] <- S[:, pos] U^T; ``u`` is trusted to be unitary."""
-        self.one[positions] = u @ self.one[positions]
-        two = self.two
-        if two is not None:
-            two[positions, :] = u @ two[positions, :]
-            two[:, positions] = two[:, positions] @ u.T
+    def apply_mode_matrix(self, u):
+        """v <- U v and S <- U S U^T for an n x n mode matrix ``u`` over
+        all modes, trusted to be unitary."""
+        self.one = u @ self.one
+        if self.two is not None:
+            self.two = u @ self.two @ u.T
+
+    def fock_amplitudes(self):
+        """Fock amplitude of every configuration, in the flat layout, with
+        those of modulus below PRUNE_EPSILON set to zero."""
+        n = len(self.one)
+        layout = _layout(n)
+        amps = np.zeros(len(layout.first), dtype=complex)
+        amps[0] = self.vacuum
+        amps[1:1 + n] = self.one
+        if self.two is not None:
+            amps[1 + n:] = self.two[layout.rows, layout.cols] * layout.weights
+        return pruned(amps)
 
     def to_state(self):
-        n = len(self.state.modes)
-        zeros = [0] * n
+        amps = self.fock_amplitudes()
+        layout = _layout(len(self.one))
+        kept = np.flatnonzero(amps)
+        zeros = [0] * len(self.one)
         out = {}
-        if abs(self.vacuum) >= PRUNE_EPSILON:
-            out[tuple(zeros)] = self.vacuum
-        one = self.one
-        for i in np.flatnonzero(np.abs(one) >= PRUNE_EPSILON).tolist():
+        for i, j, amp in zip(layout.first[kept].tolist(),
+                             layout.second[kept].tolist(),
+                             amps[kept].tolist()):
             config = zeros.copy()
-            config[i] = 1
-            out[tuple(config)] = one[i]
-        if self.two is not None:
-            rows, cols, weights = _upper_triangle(n)
-            amps = self.two[rows, cols] * weights
-            kept = np.flatnonzero(np.abs(amps) >= PRUNE_EPSILON)
-            for i, j, amp in zip(rows[kept].tolist(), cols[kept].tolist(),
-                                 amps[kept].tolist()):
-                config = zeros.copy()
+            if i >= 0:
                 config[i] += 1
+            if j >= 0:
                 config[j] += 1
-                out[tuple(config)] = amp
+            out[tuple(config)] = amp
         return self.state._derived(out)
+
+    def matches(self, pattern):
+        """Mask over the flat layout of the configurations that hold the
+        counts ``pattern`` (mode name to photon count)."""
+        layout = _layout(len(self.one))
+        mask = np.ones(len(layout.first), dtype=bool)
+        for mode, count in pattern.items():
+            p = self.state.index_of(mode)
+            held = np.add(layout.first == p, layout.second == p,
+                          dtype=np.int8)
+            # No configuration holds more than PHOTON_BUDGET photons.
+            mask &= held == min(count, PHOTON_BUDGET + 1)
+        return mask
+
+    def postselect_state(self, target):
+        """Project the modes of ``target``, a one-photon state over some of
+        these modes, onto it, as :func:`postselect_subsystem` does.
+
+        Returns the rest state in the flat layout, with no photon in the
+        target's modes and pruned, and its Born probability, taken before
+        that pruning.
+        """
+        amplitudes = self.fock_amplitudes()
+        n = len(self.one)
+        layout = _layout(n)
+        sub = np.array([self.state.index_of(m) for m in target.modes])
+        bra = Sectors(target).one.conj()
+        pairs = np.zeros((n, n), dtype=complex)
+        pairs[layout.rows, layout.cols] = amplitudes[1 + n:]
+        pairs[layout.cols, layout.rows] = amplitudes[1 + n:]
+        rest = np.zeros_like(amplitudes)
+        rest[0] = bra @ amplitudes[1 + sub]
+        rest[1:1 + n] = bra @ pairs[sub]
+        rest[1 + sub] = 0
+        return pruned(rest), float(np.sum(np.abs(rest) ** 2))
+
+
+class _Layout(NamedTuple):
+    rows: np.ndarray  # S's upper triangle, row-major
+    cols: np.ndarray
+    weights: np.ndarray  # turns each entry into its Fock amplitude
+    first: np.ndarray  # per configuration, mode of the first photon or -1
+    second: np.ndarray  # mode of the second photon or -1
 
 
 @functools.lru_cache(maxsize=64)
-def _upper_triangle(n):
-    """Row and column indices of S's upper triangle, row-major, and the
-    factor that turns each entry into its Fock amplitude."""
+def _layout(n):
+    """The flat configuration layout over n modes (see :class:`Sectors`)."""
     rows, cols = np.triu_indices(n)
-    return rows, cols, np.where(rows == cols, 1.0, _SQRT2)
+    none = np.full(1 + n, -1)
+    return _Layout(
+        rows, cols, np.where(rows == cols, 1.0, _SQRT2),
+        np.concatenate([none[:1], np.arange(n), rows]),
+        np.concatenate([none, cols]),
+    )
+
+
+def pruned(amplitudes):
+    """``amplitudes`` with each entry of modulus below PRUNE_EPSILON set to
+    zero, as a :class:`FockState` drops it."""
+    return np.where(np.abs(amplitudes) < PRUNE_EPSILON, 0j, amplitudes)
+
+
+def normalized_rows(amplitudes):
+    """Each row of ``amplitudes`` as :meth:`FockState.normalized` leaves
+    it: divided by its norm and pruned, or zero when that norm is below
+    PRUNE_EPSILON."""
+    norms = np.sqrt(np.sum(np.abs(amplitudes) ** 2, axis=-1, keepdims=True))
+    live = norms >= PRUNE_EPSILON
+    return pruned(
+        np.where(live, amplitudes / np.where(live, norms, 1.0), 0j)
+    )
 
 
 def apply_mode_unitary(state, labels, u):
@@ -297,8 +365,11 @@ def apply_mode_unitary(state, labels, u):
     if len(set(labels)) != len(labels):
         raise BadParam("mode list for a unitary must not repeat")
     u = _check_unitary(u, len(labels))
+    positions = [state.index_of(m) for m in labels]
+    full = np.eye(len(state.modes), dtype=complex)
+    full[np.ix_(positions, positions)] = u
     sectors = Sectors(state)
-    sectors.apply_linear([state.index_of(m) for m in labels], u)
+    sectors.apply_mode_matrix(full)
     return sectors.to_state()
 
 

@@ -38,9 +38,11 @@ from .fock import (
     Sectors,
     fidelity,
     matches,
+    normalized_rows,
     postselect_subsystem,
     project_pattern,
     project_predicate,
+    pruned,
     schmidt_spectrum,
     select,
     superposition_source,
@@ -680,21 +682,6 @@ def bell_scenario(alphas=None, alice_setting=OPEN_BOXES,
 # Compiled sweeps: a beam-table plan as a linear map of its coefficients
 # ---------------------------------------------------------------------------
 
-def _pruned(amplitudes):
-    """``amplitudes`` with each entry of modulus below PRUNE_EPSILON set to
-    zero, as a :class:`FockState` drops it."""
-    return np.where(np.abs(amplitudes) < PRUNE_EPSILON, 0j, amplitudes)
-
-
-def _normalized(probes):
-    """Each row of ``probes`` as :meth:`FockState.normalized` leaves it:
-    divided by its norm and pruned, or zero when that norm is below
-    PRUNE_EPSILON."""
-    norms = np.sqrt(np.sum(np.abs(probes) ** 2, axis=-1, keepdims=True))
-    live = norms >= PRUNE_EPSILON
-    return _pruned(np.where(live, probes / np.where(live, norms, 1.0), 0j))
-
-
 @dataclass(frozen=True)
 class SweepMap:
     """A beam-table plan compiled for coefficient sweeps.
@@ -721,27 +708,30 @@ class SweepMap:
 
         def postselect(joint):
             probes = np.einsum("s,nsp->np", post, joint)
-            return _pruned(probes), np.sum(np.abs(probes) ** 2, axis=-1)
+            return pruned(probes), np.sum(np.abs(probes) ** 2, axis=-1)
 
-        joint = _pruned(np.einsum("nk,ksp->nsp", points, self.basis))
+        joint = pruned(np.einsum("nk,ksp->nsp", points, self.basis))
         singular = np.linalg.svd(joint, compute_uv=False)
         premerge, _ = postselect(joint)
-        targets = np.where(np.abs(points) < PRUNE_EPSILON, 0j, points)
         fidelities = np.abs(np.einsum(
-            "nk,nk->n", targets.conj(), _normalized(premerge)[:, kept])) ** 2
+            "nk,nk->n", pruned(points).conj(),
+            normalized_rows(premerge)[:, kept],
+        )) ** 2
 
         if plan.merge is not None:
             merges = unitary_with_first_row(points.conj())
             merged = joint.copy()
             merged[:, :, kept] = joint[:, :, kept] @ merges.transpose(0, 2, 1)
-            joint = _pruned(merged)
+            joint = pruned(merged)
         probes, p_posts = postselect(joint)
         if np.any(p_posts < 1e-24):
             raise UndefinedConditioning(
                 f"post-selection never succeeds in scenario {plan.name}"
             )
         restored = kept[:1] if plan.merge is not None else kept
-        qs = np.sum(np.abs(_normalized(probes)[:, restored]) ** 2, axis=-1)
+        qs = np.sum(
+            np.abs(normalized_rows(probes)[:, restored]) ** 2, axis=-1
+        )
 
         records = []
         for p_post, q, fid, values in zip(p_posts.tolist(), qs.tolist(),

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg
 
 from router_sim.elements import ElementKind, bs_matrix, tunnel_matrix
-from router_sim.fock import PHOTON_BUDGET
+from router_sim.fock import PHOTON_BUDGET, FockState
 
 
 def ns_phases(n_total_max):
@@ -32,6 +32,12 @@ def enumerate_basis(n_modes, n_total_max):
         ]
     index = {c: i for i, c in enumerate(configs)}
     return configs, index
+
+
+def basis_state(template, config):
+    """Basis state with the given occupation tuple over ``template``'s
+    modes."""
+    return FockState(template.modes, {tuple(config): 1.0 + 0j})
 
 
 def state_to_vector(state, configs, index):

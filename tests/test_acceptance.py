@@ -16,7 +16,11 @@ from router_sim import dsl, elements, fock, scenarios, tsvf
 from router_sim.elements import apply_element, apply_schedule
 from router_sim.errors import UnsupportedSector
 from router_sim.tsvf import ProjectorSpec
-from dense_oracle import dense_propagate, max_amplitude_deviation
+from dense_oracle import (
+    basis_state,
+    dense_propagate,
+    max_amplitude_deviation,
+)
 
 CIRCUITS = Path(router_sim.__file__).parent / "circuits"
 
@@ -157,7 +161,7 @@ def test_criterion_08_router_equivalence():
     for config in itertools.product(range(3), repeat=4):
         if sum(config) > 2:
             continue
-        basis = fock.basis_state(vacuum, config)
+        basis = basis_state(vacuum, config)
         try:
             out_ideal = apply_element(basis, ideal)
         except UnsupportedSector:

@@ -114,6 +114,42 @@ def test_tolerance_env_override(monkeypatch):
     assert args.tol == 0.5
 
 
+# main reuses one parser per process; nothing of one call may reach the
+# next.
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_tol_flag_does_not_reach_the_next_call():
+    assert run_cli(["run", "disappearing_full", "--tol", "-1"])[0] == (
+        cli.EXIT_ASSERTION)
+    assert run_cli(["run", "disappearing_full"])[0] == cli.EXIT_OK
+
+
+def test_tolerance_env_is_read_on_every_call(monkeypatch):
+    monkeypatch.setenv("ROUTER_SIM_TOL", "-1")
+    assert run_cli(["run", "disappearing_full"])[0] == cli.EXIT_ASSERTION
+    monkeypatch.setenv("ROUTER_SIM_TOL", "1e-9")
+    assert run_cli(["run", "disappearing_full"])[0] == cli.EXIT_OK
+    monkeypatch.delenv("ROUTER_SIM_TOL")
+    assert run_cli(["run", "disappearing_full"])[0] == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "disappearing_full"],
+    ["simulate", str(CIRCUITS / "fig2b.circuit")],
+    ["sweep", "disappearing_full", "--random", "2"],
+], ids=lambda argv: argv[0])
+def test_csv_format_does_not_reach_the_next_call(argv):
+    code, out = run_cli(argv + ["--format", "csv"])
+    assert code == cli.EXIT_OK
+    assert not out.startswith("{")
+    code, out = run_cli(argv)
+    assert code == cli.EXIT_OK
+    json.loads(out)
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -271,6 +307,7 @@ USAGE_ERRORS = (
         ["sweep", "disappearing_full", "--alpha1-grid", "0:inf:2"],
         ["sweep", "disappearing_full", "--alpha1-grid", "-2:2:3"],
         ["sweep", "disappearing_full", "--alpha1-grid", "0:1.5:3"],
+        ["sweep", "disappearing_full", "--random", "3", "--seed", "-1"],
     ]
     # options that were read by nothing and are gone
     + [
@@ -328,6 +365,7 @@ def test_simulate_compile_error_exits_4_with_one_line(tmp_path, capsys):
 
 
 def test_bad_tolerance_env_is_usage_error_of_run_only(monkeypatch, capsys):
+    assert run_cli(["run", "disappearing_full"])[0] == cli.EXIT_OK
     monkeypatch.setenv("ROUTER_SIM_TOL", "abc")
     code, out = run_cli(["run", "disappearing_full"])
     assert code == cli.EXIT_USAGE
@@ -336,6 +374,8 @@ def test_bad_tolerance_env_is_usage_error_of_run_only(monkeypatch, capsys):
     code, out = run_cli(["list"])
     assert code == cli.EXIT_OK
     assert "disappearing_full" in out
+    monkeypatch.delenv("ROUTER_SIM_TOL")
+    assert run_cli(["run", "disappearing_full"])[0] == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)

@@ -1,23 +1,29 @@
-"""The propagation engine against the independent dense oracle on seeded
-random circuits of at most five modes and two photons.
+"""The propagation engine and the measurements of ``dsl.execute`` against
+the independent dense oracle on seeded random circuits.
 
-A circuit has two phases.  Its modes are split into control modes C and
-probe modes P, and the initial state mixes the vacuum, one photon anywhere
-and two photons with one in C and one in P.  The first phase keeps that
-structure, so its routers (probes in P, control in C) stay in their sector:
-linear elements and relabels act inside C or inside P, and the NS gates act
-on a probe and a control mode.  The second phase mixes all modes and holds
-no routers, so single-mode NS gates meet |2_m> components.
+An engine circuit has at most five modes and two photons, and two phases.
+Its modes are split into control modes C and probe modes P, and the
+initial state mixes the vacuum, one photon anywhere and two photons with
+one in C and one in P.  The first phase keeps that structure, so its
+routers (probes in P, control in C) stay in their sector: linear elements
+and relabels act inside C or inside P, and the NS gates act on a probe and
+a control mode.  The second phase mixes all modes and holds no routers, so
+single-mode NS gates meet |2_m> components.  Each phase holds a run of ten
+or more linear elements and relabels, which the engine applies as one mode
+matrix.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
-from router_sim import elements, fock
+from router_sim import dsl, elements, fock
 from router_sim.elements import RouterOrientation, apply_schedule
 from router_sim.errors import UnsupportedSector
 from dense_oracle import (
     dense_element,
+    dense_propagate,
     enumerate_basis,
     max_amplitude_deviation,
     state_to_vector,
@@ -66,6 +72,25 @@ def random_router(rng, probes, controls):
     return build(a, b, c, orientation)
 
 
+def random_run(rng, blocks):
+    """10 to 15 linear elements and relabels, each inside one of
+    ``blocks``; the engine composes such a run into one mode matrix."""
+    run = []
+    for _ in range(int(rng.integers(10, 16))):
+        block = blocks[int(rng.integers(len(blocks)))]
+        if rng.random() < 0.2:
+            run.append(random_relabel(rng, block))
+        else:
+            run.append(random_linear(rng, block))
+    return run
+
+
+def random_ns(rng, names):
+    if rng.random() < 0.5:
+        return elements.ns_single(pick(rng, names, 1)[0])
+    return elements.ns_two_mode(*pick(rng, names, 2))
+
+
 def random_circuit(rng, probes, controls):
     names = probes + controls
     schedule = []
@@ -84,6 +109,10 @@ def random_circuit(rng, probes, controls):
         else:
             block = probes if rng.random() < 0.5 else controls
             schedule.append(random_linear(rng, block))
+    at = int(rng.integers(0, len(schedule) + 1))
+    schedule[at:at] = random_run(rng, [probes, controls])
+    schedule.append(random_ns(rng, names))
+    schedule += random_run(rng, [names])
     for _ in range(int(rng.integers(0, 8))):
         roll = rng.random()
         if roll < 0.2:
@@ -202,13 +231,23 @@ def test_router_builds_agree_on_random_superpositions(seed):
 
 
 def test_random_circuits_cover_every_kind():
+    """Every kind and both ideal-router orientations occur, and each
+    circuit holds at least two runs of ten or more consecutive linear
+    elements and relabels."""
+    linear = {elements.ElementKind.BS, elements.ElementKind.PHASE,
+              elements.ElementKind.TUNNEL, elements.ElementKind.MODE_UNITARY,
+              elements.ElementKind.RELABEL}
     kinds, orientations = set(), set()
     for seed in SEEDS:
         rng, _, probes, controls, _ = draw_setup(seed)
-        for element in random_circuit(rng, probes, controls):
+        schedule = random_circuit(rng, probes, controls)
+        for element in schedule:
             kinds.add(element.kind)
             if element.kind is elements.ElementKind.PQR_IDEAL:
                 orientations.add(element.params["orientation"])
+        runs = [len(list(run)) for is_linear, run in itertools.groupby(
+            schedule, key=lambda e: e.kind in linear) if is_linear]
+        assert sum(length >= 10 for length in runs) >= 2, seed
     assert kinds == set(elements.ElementKind)
     assert orientations == set(RouterOrientation)
 
@@ -236,3 +275,104 @@ def test_router_rejects_out_of_sector_input(build, pair):
         apply_schedule(state, [build("a", "b", "c")])
     with pytest.raises(UnsupportedSector):
         apply_schedule(state, [build("a", "b", "c")], adjoint=True)
+
+
+# ---------------------------------------------------------------------------
+# dsl.execute: measurements on the sector form against dense projections
+# ---------------------------------------------------------------------------
+
+def random_compiled(seed):
+    """A compiled circuit of three to eight modes with one source photon
+    (odd seeds) or two, linear runs between NS gates, and post-selections
+    and detections of every kind: a pattern, a pattern with count 2, a
+    pattern of probability 0 and a one-photon state; a detection of a mode
+    the state post-selection consumes, one with count 2 and one of an empty
+    mode."""
+    rng = np.random.default_rng([seed, 9])
+    names = [f"M{i}" for i in range(int(rng.integers(3, 9)))]
+    sources = 2 - seed % 2
+    initial = fock.register_modes(names)
+    for _ in range(sources):
+        chosen = pick(rng, names, int(rng.integers(1, len(names) + 1)))
+        initial = fock.superposition_source(
+            initial, {m: complex(rng.normal(), rng.normal()) for m in chosen}
+        )
+    schedule = []
+    for _ in range(int(rng.integers(1, 3))):
+        schedule += random_run(rng, [names])
+        schedule.append(random_ns(rng, names))
+    schedule += random_run(rng, [names])
+
+    a, b, c = pick(rng, names, 3)
+    sub = pick(rng, names, int(rng.integers(1, len(names))))
+    target = fock.superposition_source(
+        fock.register_modes(sub),
+        {m: complex(rng.normal(), rng.normal()) for m in sub},
+    )
+    # Two photons never leave the vacuum; one never fills two modes.
+    impossible = ({m: 0 for m in names} if sources == 2 else {a: 1, b: 1})
+    rest = [m for m in names if m not in sub]
+    postselects = [("pattern", {a: 1}), ("pattern", {b: 2}),
+                   ("pattern", impossible), ("state", target)]
+    detects = [("consumed", {sub[0]: 1, rest[0]: 1}), ("bunch", {c: 2}),
+               ("empty", {a: 0, c: 0})]
+    return dsl.CompiledCircuit(initial, schedule, postselects, detects)
+
+
+def dense_measure(amplitudes, modes, pattern):
+    """Probability of ``pattern`` in {config: amplitude} over ``modes``."""
+    positions = [(modes.index(m), n) for m, n in pattern.items()]
+    return sum(abs(a) ** 2 for config, a in amplitudes.items()
+               if all(config[p] == n for p, n in positions))
+
+
+def dense_report(compiled):
+    """Every probability ``dsl.execute`` reports, from the dense vector:
+    (post-selection probabilities, [(detection, conditionals)])."""
+    vec, configs, _ = dense_propagate(compiled.initial, compiled.schedule)
+    names = list(compiled.initial.modes)
+    final = dict(zip(configs, vec))
+    posts, conditioned = [], []
+    for kind, payload in compiled.postselects:
+        if kind == "pattern":
+            modes = names
+            kept = {c: a for c, a in final.items()
+                    if dense_measure({c: 1}, names, payload)}
+        else:
+            sub = [names.index(m) for m in payload.modes]
+            rest = [i for i, m in enumerate(names) if m not in payload.modes]
+            modes = [names[i] for i in rest]
+            kept = {}
+            for config, amp in final.items():
+                bra = np.conj(payload.amplitude([config[p] for p in sub]))
+                key = tuple(config[p] for p in rest)
+                kept[key] = kept.get(key, 0j) + bra * amp
+        p = dense_measure(kept, modes, {})
+        posts.append(p)
+        conditioned.append((kept, modes, p))
+    detections = []
+    for _, pattern in compiled.detects:
+        conditional = [
+            dense_measure(kept, modes, {m: n for m, n in pattern.items()
+                                        if m in modes}) / p if p > 0 else 0.0
+            for kept, modes, p in conditioned
+        ]
+        detections.append((dense_measure(final, names, pattern), conditional))
+    return posts, detections
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_execute_matches_dense_projections(seed):
+    """Every probability ``dsl.execute`` reports matches the dense
+    projections to TOL, and the impossible pattern reads exactly 0."""
+    compiled = random_compiled(seed)
+    report = dsl.execute(compiled)
+    posts, detections = dense_report(compiled)
+    got = [p["probability"] for p in report["postselections"]]
+    assert np.allclose(got, posts, rtol=0, atol=TOL)
+    assert got[2] == 0.0
+    for det, (probability, conditional) in zip(report["detections"],
+                                               detections):
+        assert abs(det["probability"] - probability) <= TOL
+        assert np.allclose(det["conditional"], conditional, rtol=0, atol=TOL)
+        assert det["conditional"][2] == 0.0

@@ -38,8 +38,9 @@ class BadParam(SimulationError):
 
 
 class UnsupportedSector(SimulationError):
-    """A router, or a compiled sweep, met an occupation pattern outside
-    its sector."""
+    """A router met an occupation pattern outside its sector, or a
+    scenario state has amplitude outside its block of one shutter photon
+    and at most one probe photon."""
 
 
 class UndefinedConditioning(SimulationError):

@@ -15,6 +15,7 @@ construction.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from collections import defaultdict
@@ -62,7 +63,8 @@ class FockState:
         Ordered mode names; their order fixes the occupation-tuple layout.
     amplitudes:
         Sparse map from occupation tuples to complex amplitudes.  Entries
-        with modulus below :data:`PRUNE_EPSILON` are dropped.
+        with modulus below :data:`PRUNE_EPSILON` are dropped; a non-finite
+        one raises :class:`BadParam`.
 
     The constructor validates its input, including that no configuration
     holds more than :data:`PHOTON_BUDGET` photons; states that operations
@@ -96,6 +98,9 @@ class FockState:
                     f"configuration {config} exceeds photon budget "
                     f"{PHOTON_BUDGET}"
                 )
+            amp = complex(amp)
+            if not cmath.isfinite(amp):
+                raise BadParam(f"amplitude {amp} of {config} is not finite")
             checked[config] = amp
         self._set(modes, index, checked)
 
@@ -167,14 +172,16 @@ def register_modes(labels):
 def superposition_source(state, weights):
     """Add one photon in a coherent superposition of modes.
 
-    ``weights`` maps mode names to complex amplitudes; the injected photon
-    is sum_m w_m a†_m acting on the current state, renormalized afterwards.
-    Raises :class:`PhotonBudget` if the state already holds
+    ``weights`` maps mode names to finite complex amplitudes; the injected
+    photon is sum_m w_m a†_m acting on the current state, renormalized
+    afterwards.  Raises :class:`PhotonBudget` if the state already holds
     :data:`PHOTON_BUDGET` photons.
     """
     if not weights:
         raise BadParam("superposition source needs at least one mode")
     positions = {state.index_of(m): complex(w) for m, w in weights.items()}
+    if not all(map(cmath.isfinite, positions.values())):
+        raise BadParam("superposition weights are not finite")
     out = defaultdict(complex)
     for config, amp in state.amplitudes.items():
         if sum(config) + 1 > PHOTON_BUDGET:
@@ -512,6 +519,10 @@ def schmidt_spectrum(state, partition):
     matrix = np.zeros((len(left_index), len(right_index)), dtype=complex)
     for li, ri, amp in entries:
         matrix[li, ri] = amp
-    singular = np.linalg.svd(matrix, compute_uv=False)
-    spectrum = [float(s) ** 2 for s in singular if s**2 > PRUNE_EPSILON]
-    return spectrum
+    return spectrum_of(np.linalg.svd(matrix, compute_uv=False))
+
+
+def spectrum_of(singular):
+    """Squared Schmidt coefficients from the singular values of an
+    amplitude matrix: each square above :data:`PRUNE_EPSILON`."""
+    return [float(s) ** 2 for s in singular if s**2 > PRUNE_EPSILON]

@@ -9,7 +9,14 @@ are recombined by the exact adjoint of the splitting network, the shutter
 is post-selected, and the conditional probability of recovering the probe
 in its original state is reported along with the full outcome partition.
 
-Probabilities are computed exactly from amplitudes; there is no sampling.
+Every state a scenario reports on holds one shutter photon over boxes A,
+B and C plus at most one probe photon, so it is read once into a
+3 x (1 + n_probe) amplitude block (:func:`_read_block`): rows are boxes,
+column 0 is the probe vacuum and column 1 + p is probe mode p.  Runs and
+compiled sweeps measure stacks of blocks with one function
+(:func:`_measure`), and the Bell tables are matrix algebra on the block's
+cavity columns.  Probabilities are computed exactly from amplitudes;
+there is no sampling.
 Perturbed variants (wrong box, wrong time, switched router orientation,
 extra probe beam) are first-class because the certainty claims of the
 unperturbed schedules are only meaningful against such counterfactuals.
@@ -27,27 +34,22 @@ from . import tsvf
 from .elements import (
     Element,
     RouterOrientation,
-    apply_schedule,
     mode_unitary,
     pqr_ideal,
+    propagate,
 )
 from .errors import BadParam, UndefinedConditioning, UnsupportedSector
 from .fock import (
     PRUNE_EPSILON,
     FockState,
     Sectors,
-    fidelity,
-    matches,
     normalized_rows,
-    postselect_subsystem,
-    project_pattern,
-    project_predicate,
     pruned,
-    schmidt_spectrum,
-    select,
+    spectrum_of,
     superposition_source,
 )
 
+SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
 
 #: tolerance on |alpha|² sums supplied by callers
@@ -97,6 +99,17 @@ class ScenarioPlan:
         return self.spec.post
 
     @property
+    def probe_modes(self):
+        """The modes after the shutter's: probe modes, then rails."""
+        return self.initial.modes[len(self.spec.post.modes):]
+
+    @property
+    def kept_columns(self):
+        """Columns of the kept ports in the amplitude block (see
+        :func:`_read_block`)."""
+        return [1 + self.probe_modes.index(m) for m in self.kept_ports]
+
+    @property
     def full_schedule(self):
         if self.merge is None:
             return list(self.schedule)
@@ -105,10 +118,13 @@ class ScenarioPlan:
 
 def as_alpha_vector(alphas, arity):
     """``alphas`` as a complex vector of length ``arity``; raises
-    :class:`BadParam` unless it has that length and unit norm."""
+    :class:`BadParam` unless it has that length, finite entries and unit
+    norm."""
     alphas = np.asarray(list(alphas), dtype=complex)
     if alphas.shape != (arity,):
         raise BadParam(f"expected {arity} coefficients, got {alphas.shape}")
+    if not np.isfinite(alphas).all():
+        raise BadParam("coefficients are not finite")
     with np.errstate(over="ignore"):
         total = float(np.sum(np.abs(alphas) ** 2))
     if abs(total - 1.0) > _NORM_TOL:
@@ -145,16 +161,6 @@ def unitary_with_first_row(row):
     return unitaries[0] if np.ndim(row) == 1 else unitaries
 
 
-def _probe_target(probe_modes, kept_ports, alphas):
-    amps = {}
-    positions = {m: i for i, m in enumerate(probe_modes)}
-    for port, alpha in zip(kept_ports, alphas):
-        config = [0] * len(probe_modes)
-        config[positions[port]] = 1
-        amps[tuple(config)] = complex(alpha)
-    return FockState(probe_modes, amps)
-
-
 def _prepare(shutter_pre_state, probe_sources):
     """The shutter pre-state followed by the ``(mode, weight)`` probe
     modes, with one probe photon over the modes whose weight is not None."""
@@ -169,41 +175,97 @@ def _prepare(shutter_pre_state, probe_sources):
     return state
 
 
-def run_plan(plan):
-    """Propagate a plan and assemble its :class:`ScenarioResult`."""
-    joint = apply_schedule(plan.initial, plan.schedule)
-    shutter_set = set(plan.shutter_post.modes)
-    spectrum = (schmidt_spectrum(joint, shutter_set)
-                if len(joint.modes) > len(shutter_set) else None)
+def _read_block(plan, sectors):
+    """The amplitude block of ``sectors``, a state over ``plan``'s modes.
 
-    merged = joint if plan.merge is None else apply_schedule(joint, [plan.merge])
-    post = postselect_subsystem(merged, plan.shutter_post)
-    p_post = post.probability
-    if p_post < 1e-24:
+    Row s is shutter mode s.  Column 0 holds |1_s> with every probe mode
+    empty and column 1 + p holds |1_s 1_p> for probe mode p, pruned as
+    :meth:`~router_sim.fock.Sectors.fock_amplitudes` prunes.  Raises
+    :class:`UnsupportedSector` if any other Fock amplitude is nonzero.
+    """
+    s = len(plan.spec.post.modes)
+    one, two = sectors.one, sectors.two
+    if two is None:
+        two = np.zeros((len(one), len(one)), dtype=complex)
+    pairs = SQRT2 * two
+    np.fill_diagonal(pairs, two.diagonal())
+    block = pruned(np.column_stack([one[:s], pairs[:s, s:]]))
+    pairs[:s, s:] = pairs[s:, :s] = 0
+    outside = np.concatenate([[sectors.vacuum], one[s:], pairs.ravel()])
+    if np.any(np.abs(outside) >= PRUNE_EPSILON):
+        raise UnsupportedSector(
+            f"a state of {plan.name} has amplitude outside one shutter "
+            "photon and at most one probe photon"
+        )
+    return block
+
+
+def _measure(plan, points, joint, merges):
+    """Measure ``plan`` on the stacked blocks ``joint`` of its state ahead
+    of the merge, one per coefficient vector in ``points``.
+
+    ``merges`` stacks each point's recombination unitary over the kept
+    ports (None when the plan has no merge).  Returns, per point, the
+    outcome partition, the fidelity of the post-selected probe to the
+    coefficients on the kept ports, the Schmidt spectrum of the shutter
+    versus the probe, and the post-selected probe ahead of the merge as a
+    normalized row in the block's column layout.
+    """
+    kept = plan.kept_columns
+    post = Sectors(plan.spec.post).one.conj()
+
+    def postselect(joint):
+        probes = np.einsum("s,nsp->np", post, joint)
+        return (normalized_rows(pruned(probes)),
+                np.sum(np.abs(probes) ** 2, axis=-1))
+
+    singular = np.linalg.svd(joint, compute_uv=False)
+    premerge, _ = postselect(joint)
+    fidelities = np.abs(np.einsum(
+        "nk,nk->n", pruned(points).conj(), premerge[:, kept]
+    )) ** 2
+
+    if merges is not None:
+        merged = joint.copy()
+        merged[:, :, kept] = joint[:, :, kept] @ merges.transpose(0, 2, 1)
+        joint = pruned(merged)
+    probes, p_posts = postselect(joint)
+    if np.any(p_posts < 1e-24):
         raise UndefinedConditioning(
             f"post-selection never succeeds in scenario {plan.name}"
         )
-    probe_premerge = postselect_subsystem(joint, plan.shutter_post).state
+    restored = kept[:1] if merges is not None else kept
+    qs = np.sum(np.abs(probes[:, restored]) ** 2, axis=-1)
+    return [
+        (_conditionals(plan.outcome_label, p_post, q), fid,
+         spectrum_of(values), row)
+        for p_post, q, fid, values, row in zip(
+            p_posts.tolist(), qs.tolist(), fidelities.tolist(), singular,
+            premerge,
+        )
+    ]
 
-    target = _probe_target(probe_premerge.modes, plan.kept_ports, plan.alphas)
-    fid = 0.0 if probe_premerge.is_zero else fidelity(target, probe_premerge)
 
-    if plan.merge is not None:
-        q = project_pattern(post.state, {plan.kept_ports[0]: 1}).probability
-    else:
-        kept_positions = [post.state.index_of(m) for m in plan.kept_ports]
-        q = project_predicate(
-            post.state,
-            lambda c: sum(c[p] for p in kept_positions) == 1,
-        ).probability
-
+def run_plan(plan):
+    """Propagate a plan and assemble its :class:`ScenarioResult` from the
+    amplitude block of its state ahead of the merge."""
+    joint = _read_block(plan, propagate(plan.initial, plan.schedule))
+    merges = None if plan.merge is None else plan.merge.params["matrix"][None]
+    ((conditionals, fid, spectrum, probe),) = _measure(
+        plan, plan.alphas[None], joint[None], merges
+    )
+    # Block column 0 is the probe vacuum, column 1 + p one photon in mode p.
+    n = len(plan.probe_modes)
+    configs = map(tuple, np.eye(n + 1, n, -1, dtype=int).tolist())
     metadata = dict(plan.metadata)
     metadata["alphas"] = [complex(a) for a in plan.alphas]
     return ScenarioResult(
         name=plan.name,
-        conditional_probabilities=_conditionals(plan.outcome_label, p_post, q),
-        conditioned_probe_state=probe_premerge,
-        fidelity_to_target=float(fid),
+        conditional_probabilities=conditionals,
+        conditioned_probe_state=FockState(
+            plan.probe_modes, dict(zip(configs, probe.tolist()))
+        ),
+        fidelity_to_target=fid,
         weak_values={},
         abl_values={},
         schmidt_spectrum=spectrum,
@@ -465,32 +527,26 @@ SUPERPOSE = "SUPERPOSE"
 
 
 def _bell_state(alphas, product_control=False):
-    """Joint shutter-probe state with the probe collected in the cavities.
+    """Shutter-probe amplitudes with the probe collected in the cavities.
 
     Runs the five-beam schedule up to (not including) post-selection and
-    restricts to the reflected subspace: the idealized setting where Bob has
-    collected the reflected probe photon in five separate cavities.  With
-    ``product_control=True`` an unentangled reference state with the same
-    marginals' supports is built instead.
+    keeps the block's cavity columns: the idealized setting where Bob has
+    collected the reflected probe photon in five separate cavities.
+    Returns that normalized 3 x 5 matrix (rows boxes A, B, C) and the
+    cavity names.  With ``product_control=True`` an unentangled reference
+    state with the same marginals' supports is built instead.
     """
     plan = build_disappearing(alphas)
-    cavities = plan.kept_ports
-    shutter = plan.shutter_post.modes
     if product_control:
-        weights = dict(zip(cavities, plan.alphas))
-        state = _prepare(
-            tsvf.shutter_state((1 / SQRT3, -1j / SQRT3, 1 / SQRT3), shutter),
-            [(m, weights.get(m)) for m in plan.initial.modes[len(shutter):]],
-        )
-        return state, cavities, shutter
-    joint = apply_schedule(plan.initial, plan.schedule)
-    positions = [joint.index_of(c) for c in cavities]
-    collected = project_predicate(
-        joint, lambda c: sum(c[p] for p in positions) == 1
-    )
-    if collected.probability < 1e-24:
+        shutter = tsvf.shutter_state((1 / SQRT3, -1j / SQRT3, 1 / SQRT3))
+        collected = np.outer(Sectors(shutter).one, plan.alphas)
+    else:
+        block = _read_block(plan, propagate(plan.initial, plan.schedule))
+        collected = block[:, plan.kept_columns]
+    if np.sum(np.abs(collected) ** 2) < 1e-24:
         raise UndefinedConditioning("the probe is never reflected")
-    return collected.state, cavities, shutter
+    state = normalized_rows(collected.ravel()).reshape(collected.shape)
+    return state, plan.kept_ports
 
 
 def _check_settings(alice_setting, bob_setting):
@@ -502,43 +558,39 @@ def _check_settings(alice_setting, bob_setting):
 
 def _bell_table(bell, alice_setting, bob_setting):
     """Clamped joint probability table of one setting pair on the
-    ``(state, cavities, shutter)`` triple from :func:`_bell_state`."""
-    state, cavities, shutter = bell
-    k = len(cavities)
-    alice_super = tsvf.shutter_state((1 / SQRT3,) * 3, shutter)
-    bob_super = _probe_target(
-        tuple(m for m in state.modes if m not in set(shutter)),
-        cavities,
-        np.full(k, 1 / math.sqrt(k)),
-    )
+    ``(state, cavities)`` pair from :func:`_bell_state`."""
+    state, cavities = bell
+    alice = Sectors(tsvf.shutter_state((1 / SQRT3,) * 3)).one.conj()
+    bob = np.full(len(cavities), 1 / math.sqrt(len(cavities)))
+    probs = np.abs(state) ** 2
 
-    table = {}
     if alice_setting == OPEN_BOXES and bob_setting == OPEN_CAVITIES:
-        for box, s_mode in zip(("A", "B", "C"), shutter):
-            for cavity in cavities:
-                _, p = select(state, matches(state, {s_mode: 1, cavity: 1}))
-                table[(box, cavity)] = p
-    elif alice_setting == OPEN_BOXES and bob_setting == SUPERPOSE:
-        for box, s_mode in zip(("A", "B", "C"), shutter):
-            sliced, p_box = select(state, matches(state, {s_mode: 1}))
-            p_match = postselect_subsystem(sliced, bob_super).probability
-            table[(box, "match")] = p_match
-            table[(box, "rest")] = p_box - p_match
-    elif alice_setting == SUPERPOSE and bob_setting == OPEN_CAVITIES:
-        for cavity in cavities:
-            sliced, p_cavity = select(state, matches(state, {cavity: 1}))
-            p_match = postselect_subsystem(sliced, alice_super).probability
-            table[("match", cavity)] = p_match
-            table[("rest", cavity)] = p_cavity - p_match
+        table = {(box, cavity): probs[s, c]
+                 for s, box in enumerate("ABC")
+                 for c, cavity in enumerate(cavities)}
+    elif alice_setting == OPEN_BOXES:
+        p_match = np.abs(state @ bob) ** 2
+        table = {}
+        for box, p_box, p in zip("ABC", probs.sum(axis=1), p_match):
+            table[(box, "match")] = p
+            table[(box, "rest")] = p_box - p
+    elif bob_setting == OPEN_CAVITIES:
+        p_match = np.abs(alice @ state) ** 2
+        table = {}
+        for cavity, p_cavity, p in zip(cavities, probs.sum(axis=0), p_match):
+            table[("match", cavity)] = p
+            table[("rest", cavity)] = p_cavity - p
     else:
-        conditional = postselect_subsystem(state, alice_super)
-        p_alice = conditional.probability
-        p_bob = postselect_subsystem(state, bob_super).probability
-        p_both = p_alice * fidelity(bob_super, conditional.state)
-        table[("match", "match")] = p_both
-        table[("match", "rest")] = p_alice - p_both
-        table[("rest", "match")] = p_bob - p_both
-        table[("rest", "rest")] = 1.0 - p_alice - p_bob + p_both
+        bob_given_alice = alice @ state
+        p_alice = np.sum(np.abs(bob_given_alice) ** 2)
+        p_bob = np.sum(np.abs(state @ bob) ** 2)
+        p_both = abs(bob_given_alice @ bob) ** 2
+        table = {
+            ("match", "match"): p_both,
+            ("match", "rest"): p_alice - p_both,
+            ("rest", "match"): p_bob - p_both,
+            ("rest", "rest"): 1.0 - p_alice - p_bob + p_both,
+        }
     return {k: max(float(v), 0.0) for k, v in table.items()}
 
 
@@ -589,56 +641,30 @@ def _no_signaling_gap(tables):
     return gap
 
 
-def bell_no_signaling_gap(alphas=None, product_control=False):
-    """Largest marginal shift across the other side's setting choices."""
-    return _no_signaling_gap(
-        _bell_tables(_bell_state(alphas, product_control))
-    )
-
-
-def _chsh(tables, alice_plus, bob_plus):
-    alice_plus = set(alice_plus)
-    bob_plus = set(bob_plus)
-
-    def sign(label, plus, setting):
-        if setting == 1:
-            return 1.0 if label == "match" else -1.0
-        return 1.0 if label in plus else -1.0
-
-    correlations = {}
-    for i, a_setting in enumerate((OPEN_BOXES, SUPERPOSE)):
-        for j, b_setting in enumerate((OPEN_CAVITIES, SUPERPOSE)):
-            table = tables[(a_setting, b_setting)]
-            total = sum(table.values())
-            e = sum(
-                sign(a, alice_plus, i) * sign(b, bob_plus, j) * p
-                for (a, b), p in table.items()
-            )
-            correlations[(i, j)] = e / total
-    return (
-        correlations[(0, 0)]
-        + correlations[(0, 1)]
-        + correlations[(1, 0)]
-        - correlations[(1, 1)]
-    )
-
-
+#: Position outcomes counted +1 in the CHSH combination.
 _CHSH_ALICE_PLUS, _CHSH_BOB_PLUS = ("B",), ("RA1", "RB3")
 
 
-def chsh_value(alphas=None, alice_plus=_CHSH_ALICE_PLUS,
-               bob_plus=_CHSH_BOB_PLUS, product_control=False):
-    """CHSH combination over the two available settings per side.
+def _chsh(tables):
+    """CHSH combination E00 + E01 + E10 - E11 over the two available
+    settings per side.
 
-    Setting 0 is the position measurement dichotomized by membership in
-    ``alice_plus`` / ``bob_plus``; setting 1 is the superposition projector
-    ("match" counts as +1).  The value is reported, not asserted against
-    any bound.
+    Setting 0 is the position measurement, +1 on the outcomes in
+    ``_CHSH_ALICE_PLUS`` / ``_CHSH_BOB_PLUS``; setting 1 is the
+    superposition projector, +1 on "match".  The value is reported, not
+    asserted against any bound.
     """
-    return _chsh(
-        _bell_tables(_bell_state(alphas, product_control)),
-        alice_plus, bob_plus,
-    )
+    alice = ((OPEN_BOXES, _CHSH_ALICE_PLUS), (SUPERPOSE, ("match",)))
+    bob = ((OPEN_CAVITIES, _CHSH_BOB_PLUS), (SUPERPOSE, ("match",)))
+    value = 0.0
+    for i, (a_setting, a_plus) in enumerate(alice):
+        for j, (b_setting, b_plus) in enumerate(bob):
+            table = tables[(a_setting, b_setting)]
+            e = sum((1.0 if a in a_plus else -1.0)
+                    * (1.0 if b in b_plus else -1.0) * p
+                    for (a, b), p in table.items())
+            value += (-1.0 if i == j == 1 else 1.0) * e / sum(table.values())
+    return value
 
 
 def bell_scenario(alphas=None, alice_setting=OPEN_BOXES,
@@ -653,8 +679,7 @@ def bell_scenario(alphas=None, alice_setting=OPEN_BOXES,
     _check_settings(alice_setting, bob_setting)
     bell = _bell_state(alphas_vec, product_control)
     tables = _bell_tables(bell)
-    state, _, shutter = bell
-    spectrum = schmidt_spectrum(state, set(shutter))
+    spectrum = spectrum_of(np.linalg.svd(bell[0], compute_uv=False))
     outcomes = {
         f"shutter={a}|probe={b}": p
         for (a, b), p in tables[(alice_setting, bob_setting)].items()
@@ -673,7 +698,7 @@ def bell_scenario(alphas=None, alice_setting=OPEN_BOXES,
             "bob_setting": bob_setting,
             "product_control": product_control,
             "no_signaling_gap": _no_signaling_gap(tables),
-            "chsh": _chsh(tables, _CHSH_ALICE_PLUS, _CHSH_BOB_PLUS),
+            "chsh": _chsh(tables),
         },
     )
 
@@ -688,8 +713,8 @@ class SweepMap:
 
     The schedule does not depend on the probe coefficients, so the joint
     state ahead of the merge is ``sum_k alpha_k basis[k]``, where
-    ``basis[k]`` holds the |1_s 1_p> amplitudes (shutter mode s, probe
-    mode p) of the plan run with the probe photon in beam k alone.
+    ``basis[k]`` is the amplitude block (see :func:`_read_block`) of the
+    plan run with the probe photon in beam k alone.
     """
 
     plan: ScenarioPlan
@@ -697,75 +722,30 @@ class SweepMap:
 
     def evaluate(self, points):
         """``(summary, Schmidt spectrum)`` of each coefficient vector in
-        ``points``: the fields and numbers :func:`run_plan` and
-        :func:`_outcome_summary` give for that point, pruned where
-        :func:`run_plan`'s states prune."""
-        plan = self.plan
+        ``points``, measured as :func:`run_plan` measures one point."""
         points = np.asarray(points, dtype=complex)
-        probe_modes = plan.initial.modes[len(plan.spec.post.modes):]
-        kept = [probe_modes.index(m) for m in plan.kept_ports]
-        post = Sectors(plan.spec.post).one.conj()
-
-        def postselect(joint):
-            probes = np.einsum("s,nsp->np", post, joint)
-            return pruned(probes), np.sum(np.abs(probes) ** 2, axis=-1)
-
         joint = pruned(np.einsum("nk,ksp->nsp", points, self.basis))
-        singular = np.linalg.svd(joint, compute_uv=False)
-        premerge, _ = postselect(joint)
-        fidelities = np.abs(np.einsum(
-            "nk,nk->n", pruned(points).conj(),
-            normalized_rows(premerge)[:, kept],
-        )) ** 2
-
-        if plan.merge is not None:
-            merges = unitary_with_first_row(points.conj())
-            merged = joint.copy()
-            merged[:, :, kept] = joint[:, :, kept] @ merges.transpose(0, 2, 1)
-            joint = pruned(merged)
-        probes, p_posts = postselect(joint)
-        if np.any(p_posts < 1e-24):
-            raise UndefinedConditioning(
-                f"post-selection never succeeds in scenario {plan.name}"
-            )
-        restored = kept[:1] if plan.merge is not None else kept
-        qs = np.sum(
-            np.abs(normalized_rows(probes)[:, restored]) ** 2, axis=-1
-        )
-
-        records = []
-        for p_post, q, fid, values in zip(p_posts.tolist(), qs.tolist(),
-                                          fidelities.tolist(), singular):
-            summary = _conditionals(plan.outcome_label, p_post, q)
-            summary["fidelity"] = fid
-            spectrum = [float(s) ** 2 for s in values if s**2 > PRUNE_EPSILON]
-            records.append((summary, spectrum))
-        return records
+        merges = (None if self.plan.merge is None
+                  else unitary_with_first_row(points.conj()))
+        return [
+            ({**conditionals, "fidelity": fid}, spectrum)
+            for conditionals, fid, spectrum, _ in _measure(
+                self.plan, points, joint, merges)
+        ]
 
 
 def compile_sweep(plan):
     """:class:`SweepMap` of a beam-table ``plan``: one propagation per beam.
 
-    Raises :class:`UnsupportedSector` if a beam's joint state has any
-    amplitude outside the one-shutter-photon, one-probe-photon block.
+    Raises :class:`UnsupportedSector` if a beam's state has any amplitude
+    outside its block.
     """
-    shutter = len(plan.spec.post.modes)
-    probe_modes = plan.initial.modes[shutter:]
-    basis = np.zeros((len(plan.probes), shutter, len(probe_modes)),
-                     dtype=complex)
-    for k, probe in enumerate(plan.probes):
-        initial = _prepare(plan.spec.pre, [
-            (m, 1.0 if m == probe else None) for m in probe_modes
-        ])
-        joint = apply_schedule(initial, plan.schedule)
-        for config, amp in joint.amplitudes.items():
-            s, p = config[:shutter], config[shutter:]
-            if sum(s) != 1 or sum(p) != 1:
-                raise UnsupportedSector(
-                    f"beam {probe} of {plan.name} reaches {config}, outside "
-                    "one shutter photon and one probe photon"
-                )
-            basis[k, s.index(1), p.index(1)] = amp
+    basis = np.stack([
+        _read_block(plan, propagate(_prepare(plan.spec.pre, [
+            (m, 1.0 if m == probe else None) for m in plan.probe_modes
+        ]), plan.schedule))
+        for probe in plan.probes
+    ])
     return SweepMap(plan, basis)
 
 

@@ -211,9 +211,9 @@ def test_criterion_10_entanglement_and_no_signaling():
         joint = apply_schedule(plan.initial, plan.schedule)
         spectrum = fock.schmidt_spectrum(joint, set(plan.shutter_post.modes))
         assert len(spectrum) >= 2 and spectrum[1] > 1e-6
-        gap = scenarios.bell_no_signaling_gap(alphas)
+        gap = scenarios.bell_scenario(alphas).metadata["no_signaling_gap"]
         assert gap <= TOL_NO_SIGNALING
-    chsh = scenarios.chsh_value()
+    chsh = scenarios.bell_scenario().metadata["chsh"]
     report(10, f"joint state entangled for random coefficients; "
                f"no-signaling within 1e-10 on all setting pairs "
                f"(CHSH reported: {chsh:.4f})")

@@ -74,6 +74,16 @@ def test_constructor_validates(names, amplitudes, error):
         fock.FockState(names, amplitudes)
 
 
+NON_FINITE = [math.nan, math.inf, complex(0.0, math.nan)]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_constructor_rejects_non_finite_amplitude(bad):
+    # NaN fails every modulus comparison, so pruning alone would drop it.
+    with pytest.raises(BadParam, match="not finite"):
+        fock.FockState(("a", "b"), {(1, 0): bad, (0, 1): 1.0})
+
+
 def test_register_non_str_mode_raises():
     with pytest.raises(BadParam):
         fock.register_modes(["A", ("B", "aux")])
@@ -130,6 +140,13 @@ def test_superposition_source_weights():
     assert state.amplitude((1, 0, 0)) == pytest.approx(s3)
     assert state.amplitude((0, 1, 0)) == pytest.approx(1j * s3)
     assert state.amplitude((0, 0, 1)) == pytest.approx(s3)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_superposition_source_rejects_non_finite_weight(bad):
+    vacuum = fock.register_modes(modes("a", "b"))
+    with pytest.raises(BadParam, match="not finite"):
+        fock.superposition_source(vacuum, {"a": bad, "b": 1.0})
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,215 @@
+"""Scenario numbers held to the sparse-state computation, to 1e-12.
+
+``run_plan`` and the Bell functions measure each final state on its dense
+shutter x probe amplitude block.  This module keeps the dict ``FockState``
+path as an independent reference: ``apply_schedule``, then
+``postselect_subsystem``, ``fidelity``, ``project_pattern`` /
+``project_predicate`` and ``schmidt_spectrum`` for the scenarios, and
+``select`` / ``matches`` / ``postselect_subsystem`` on the collected state
+for the Bell tables.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from router_sim import scenarios, tsvf
+from router_sim.elements import apply_schedule
+from router_sim.fock import (
+    FockState,
+    fidelity,
+    matches,
+    postselect_subsystem,
+    project_pattern,
+    project_predicate,
+    schmidt_spectrum,
+    select,
+    superposition_source,
+)
+
+TOL = 1e-12
+S3 = math.sqrt(3.0)
+
+
+def random_alphas(rng, n):
+    vec = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return vec / np.linalg.norm(vec)
+
+
+def one_photon(modes, weights):
+    """Unnormalized one-photon state over ``modes`` with the given
+    ``{mode: amplitude}`` weights."""
+    amps = {}
+    for mode, weight in weights.items():
+        config = [0] * len(modes)
+        config[modes.index(mode)] = 1
+        amps[tuple(config)] = complex(weight)
+    return FockState(modes, amps)
+
+
+def reference_run(plan):
+    """Outcome partition, fidelity, Schmidt spectrum and conditioned probe
+    state of ``plan`` on the sparse-state path."""
+    joint = apply_schedule(plan.initial, plan.schedule)
+    spectrum = schmidt_spectrum(joint, set(plan.shutter_post.modes))
+    merged = (joint if plan.merge is None
+              else apply_schedule(joint, [plan.merge]))
+    post = postselect_subsystem(merged, plan.shutter_post)
+    probe = postselect_subsystem(joint, plan.shutter_post).state
+
+    target = one_photon(probe.modes, dict(zip(plan.kept_ports, plan.alphas)))
+    fid = 0.0 if probe.is_zero else fidelity(target, probe)
+    if plan.merge is not None:
+        q = project_pattern(post.state, {plan.kept_ports[0]: 1}).probability
+    else:
+        positions = [post.state.index_of(m) for m in plan.kept_ports]
+        q = project_predicate(
+            post.state, lambda c: sum(c[p] for p in positions) == 1
+        ).probability
+    p, label = post.probability, plan.outcome_label
+    conditionals = {
+        "postselection_success": p,
+        f"{label}_given_postselection": q,
+        f"postselected_and_{label}": p * q,
+        f"postselected_not_{label}": p * (1.0 - q),
+        "postselection_failed": 1.0 - p,
+    }
+    return conditionals, fid, spectrum, probe
+
+
+def assert_same_state(a, b):
+    assert a.modes == b.modes
+    for config in set(a.amplitudes) | set(b.amplitudes):
+        assert abs(a.amplitude(config) - b.amplitude(config)) <= TOL, config
+
+
+def assert_run_matches_reference(plan):
+    result = scenarios.run_plan(plan)
+    conditionals, fid, spectrum, probe = reference_run(plan)
+    assert list(result.conditional_probabilities) == list(conditionals)
+    for key, value in conditionals.items():
+        assert abs(result.conditional_probabilities[key] - value) <= TOL, key
+    assert abs(result.fidelity_to_target - fid) <= TOL
+    assert len(result.schmidt_spectrum) == len(spectrum)
+    assert np.allclose(result.schmidt_spectrum, spectrum, rtol=0, atol=TOL)
+    assert_same_state(result.conditioned_probe_state, probe)
+
+
+BUILDERS = {
+    "three_box_shutter": lambda p: scenarios.build_three_box(0.6, 0.8j),
+    "disappearing_full": lambda p: scenarios.build_disappearing(None, p),
+    "simplified_3path": lambda p: scenarios.build_simplified_3path(p),
+    "simplest_2path": lambda p: scenarios.build_simplest_2path(p),
+    "absence_test": lambda p: scenarios.build_absence_test(p),
+    "stricter_6beam": lambda p: scenarios.build_stricter_6beam(None, p),
+}
+
+
+@pytest.mark.parametrize("name,perturbation", [
+    (name, perturbation)
+    for name in BUILDERS
+    for perturbation in (None,) + scenarios.SCENARIOS[name].perturbations
+])
+def test_run_plan_matches_the_sparse_path(name, perturbation):
+    assert_run_matches_reference(BUILDERS[name](perturbation))
+
+
+@pytest.mark.parametrize("build,arity", [
+    (lambda a: scenarios.build_three_box(*a), 2),
+    (lambda a: scenarios.build_disappearing(a), 5),
+    (lambda a: scenarios.build_disappearing(a, "remove-shutter-C-t2"), 5),
+    (lambda a: scenarios.build_disappearing(a, "extra-beam-B-t2"), 5),
+    (lambda a: scenarios.build_stricter_6beam(a), 6),
+    (lambda a: scenarios.build_stricter_6beam(a, "flip-A-t2"), 6),
+])
+def test_run_plan_matches_the_sparse_path_at_random_alphas(build, arity):
+    rng = np.random.default_rng(1000 + arity)
+    for _ in range(8):
+        assert_run_matches_reference(build(random_alphas(rng, arity)))
+
+
+# ---------------------------------------------------------------------------
+# Bell tables
+# ---------------------------------------------------------------------------
+
+def reference_collected(alphas, product_control):
+    """The collected Bell state as a ``FockState``, with its cavities and
+    shutter modes."""
+    plan = scenarios.build_disappearing(alphas)
+    cavities = plan.kept_ports
+    shutter = plan.shutter_post.modes
+    if product_control:
+        pre = tsvf.shutter_state((1 / S3, -1j / S3, 1 / S3), shutter)
+        empty = (0,) * (len(plan.initial.modes) - len(shutter))
+        state = FockState(plan.initial.modes,
+                          {c + empty: a for c, a in pre.amplitudes.items()})
+        state = superposition_source(state, dict(zip(cavities, plan.alphas)))
+        return state, cavities, shutter
+    joint = apply_schedule(plan.initial, plan.schedule)
+    positions = [joint.index_of(c) for c in cavities]
+    collected = project_predicate(
+        joint, lambda c: sum(c[p] for p in positions) == 1
+    )
+    return collected.state, cavities, shutter
+
+
+def reference_table(state, cavities, shutter, alice_setting, bob_setting):
+    alice_super = tsvf.shutter_state((1 / S3,) * 3, shutter)
+    probe_modes = tuple(m for m in state.modes if m not in set(shutter))
+    k = len(cavities)
+    bob_super = one_photon(probe_modes, {c: 1 / math.sqrt(k)
+                                         for c in cavities})
+    table = {}
+    if (alice_setting, bob_setting) == (scenarios.OPEN_BOXES,
+                                        scenarios.OPEN_CAVITIES):
+        for box, s_mode in zip("ABC", shutter):
+            for cavity in cavities:
+                _, p = select(state, matches(state, {s_mode: 1, cavity: 1}))
+                table[(box, cavity)] = p
+    elif alice_setting == scenarios.OPEN_BOXES:
+        for box, s_mode in zip("ABC", shutter):
+            sliced, p_box = select(state, matches(state, {s_mode: 1}))
+            p_match = postselect_subsystem(sliced, bob_super).probability
+            table[(box, "match")] = p_match
+            table[(box, "rest")] = p_box - p_match
+    elif bob_setting == scenarios.OPEN_CAVITIES:
+        for cavity in cavities:
+            sliced, p_cavity = select(state, matches(state, {cavity: 1}))
+            p_match = postselect_subsystem(sliced, alice_super).probability
+            table[("match", cavity)] = p_match
+            table[("rest", cavity)] = p_cavity - p_match
+    else:
+        conditional = postselect_subsystem(state, alice_super)
+        p_alice = conditional.probability
+        p_bob = postselect_subsystem(state, bob_super).probability
+        p_both = p_alice * fidelity(bob_super, conditional.state)
+        table[("match", "match")] = p_both
+        table[("match", "rest")] = p_alice - p_both
+        table[("rest", "match")] = p_bob - p_both
+        table[("rest", "rest")] = 1.0 - p_alice - p_bob + p_both
+    return {key: max(float(v), 0.0) for key, v in table.items()}
+
+
+SETTINGS = [(a, b) for a in (scenarios.OPEN_BOXES, scenarios.SUPERPOSE)
+            for b in (scenarios.OPEN_CAVITIES, scenarios.SUPERPOSE)]
+
+
+@pytest.mark.parametrize("product_control", [False, True])
+@pytest.mark.parametrize("settings", SETTINGS)
+def test_bell_tables_match_the_sparse_path(settings, product_control):
+    rng = np.random.default_rng(77)
+    for alphas in [None] + [random_alphas(rng, 5) for _ in range(6)]:
+        state, cavities, shutter = reference_collected(alphas, product_control)
+        expected = reference_table(state, cavities, shutter, *settings)
+        table = scenarios.bell_test(alphas, *settings,
+                                    product_control=product_control)
+        assert list(table) == list(expected)
+        for key, value in expected.items():
+            assert abs(table[key] - value) <= TOL, key
+        spectrum = schmidt_spectrum(state, set(shutter))
+        result = scenarios.bell_scenario(alphas, *settings,
+                                         product_control=product_control)
+        assert len(result.schmidt_spectrum) == len(spectrum)
+        assert np.allclose(result.schmidt_spectrum, spectrum, rtol=0,
+                           atol=TOL)

@@ -132,6 +132,16 @@ def test_three_box_rejects_non_normalized():
         scenarios.three_box_shutter(1.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_coefficients_must_be_finite(bad):
+    # sum |a|^2 is NaN for a NaN coefficient, and a NaN passes the
+    # normalization check.
+    with pytest.raises(BadParam, match="not finite"):
+        scenarios.as_alpha_vector([bad, 1.0], 2)
+    with pytest.raises(BadParam, match="not finite"):
+        scenarios.three_box_shutter(bad, 1.0)
+
+
 def test_three_box_carries_tsvf_values():
     result = scenarios.three_box_shutter(1 / S2, 1 / S2)
     assert result.abl_values[("A", "t")] == pytest.approx(1.0)
@@ -371,8 +381,8 @@ def test_bell_tables_sum_to_one_all_settings():
 def test_bell_no_signaling():
     rng = np.random.default_rng(36)
     for _ in range(3):
-        gap = scenarios.bell_no_signaling_gap(random_alphas(rng, 5))
-        assert gap <= 1e-10
+        result = scenarios.bell_scenario(random_alphas(rng, 5))
+        assert result.metadata["no_signaling_gap"] <= 1e-10
 
 
 def test_bell_product_control_factorizes():
@@ -398,7 +408,7 @@ def test_bell_joint_state_is_entangled_for_generic_alphas():
 
 
 def test_chsh_reported_in_valid_range():
-    value = scenarios.chsh_value()
+    value = scenarios.bell_scenario().metadata["chsh"]
     assert -4.0 <= value <= 4.0
 
 
@@ -422,9 +432,10 @@ def test_bell_scenario_builds_its_state_once(monkeypatch):
     assert result.conditional_probabilities == {
         f"shutter={a}|probe={b}": p for (a, b), p in table.items()
     }
+    open_open = scenarios.bell_scenario(alphas).metadata
     assert (result.metadata["no_signaling_gap"]
-            == scenarios.bell_no_signaling_gap(alphas))
-    assert result.metadata["chsh"] == scenarios.chsh_value(alphas)
+            == open_open["no_signaling_gap"])
+    assert result.metadata["chsh"] == open_open["chsh"]
 
 
 def test_disappearing_full_propagates_each_checkpoint_once(monkeypatch):
@@ -445,17 +456,17 @@ def test_disappearing_full_propagates_each_checkpoint_once(monkeypatch):
 
 def test_three_box_shutter_propagates_once(monkeypatch):
     joints = []
-    propagate = scenarios.apply_schedule
+    propagate = scenarios.propagate
 
     def counting(*args, **kwargs):
         joints.append(propagate(*args, **kwargs))
         return joints[-1]
 
-    monkeypatch.setattr(scenarios, "apply_schedule", counting)
+    monkeypatch.setattr(scenarios, "propagate", counting)
     scenarios.three_box_shutter(0.6, 0.8)
     assert len(joints) == 1
     plan = scenarios.build_three_box(0.6, 0.8)
-    assert joint_state_max_deviation(plan, joints[0]) < 1e-10
+    assert joint_state_max_deviation(plan, joints[0].to_state()) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +640,7 @@ def test_compiled_sweep_matches_each_point(name, data):
 @pytest.mark.parametrize("name", COMPILED)
 @pytest.mark.parametrize("count", [1, 9])
 def test_compiled_sweep_builds_and_propagates_once(name, count, monkeypatch):
-    calls = {"build": 0, "apply_schedule": 0, "checkpoint_values": 0}
+    calls = {"build": 0, "propagate": 0, "checkpoint_values": 0}
 
     def spy(module, attr, key):
         original = getattr(module, attr)
@@ -641,14 +652,14 @@ def test_compiled_sweep_builds_and_propagates_once(name, count, monkeypatch):
         monkeypatch.setattr(module, attr, counting)
 
     spy(scenarios, COMPILED[name], "build")
-    spy(scenarios, "apply_schedule", "apply_schedule")
+    spy(scenarios, "propagate", "propagate")
     spy(tsvf, "checkpoint_values", "checkpoint_values")
     stream = io.StringIO()
     argv = ["sweep", name, "--random", str(count)]
     assert cli.main(argv, stream) == cli.EXIT_OK
     assert stream.getvalue().count('"index"') == count
     assert calls == {"build": 1,
-                     "apply_schedule": scenarios.SCENARIOS[name].arity,
+                     "propagate": scenarios.SCENARIOS[name].arity,
                      "checkpoint_values": 0}
 
 
@@ -661,6 +672,8 @@ def test_compile_rejects_amplitude_outside_the_block():
     ])
     with pytest.raises(UnsupportedSector, match="outside one shutter"):
         scenarios.compile_sweep(leaky)
+    with pytest.raises(UnsupportedSector, match="outside one shutter"):
+        scenarios.run_plan(leaky)
 
 
 @pytest.mark.parametrize("name", ["disappearing_full", "stricter_6beam"])

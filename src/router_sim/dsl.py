@@ -29,18 +29,18 @@ import numpy as np
 
 from .elements import (
     beamsplitter,
+    evolve,
     ns_single,
     ns_two_mode,
     phase_shifter,
     pqr_ideal,
-    propagate,
     relabel,
     tunneling,
 )
 from .errors import CompileError
 from .fock import (
     PHOTON_BUDGET,
-    FockState,
+    Sectors,
     normalized_rows,
     register_modes,
     superposition_source,
@@ -149,30 +149,30 @@ class _LineParser:
     def __init__(self, line_number, text):
         self.line_number = line_number
         self.text = text
-        self.tokens = []
-        for m in re.finditer(r"\S+", text):
-            self.tokens.append((m.group(0), m.start() + 1))
+        self.tokens = text.split()
         self.pos = 0
 
-    def fail(self, message, token="", column=None):
-        """Raise at ``column``, by default the next token's or line end."""
-        if column is None:
-            column = (len(self.text) + 1 if self.exhausted
-                      else self.tokens[self.pos][1])
+    def fail(self, message, token="", index=None):
+        """Raise at token ``index``, by default the next one or line end."""
+        index = self.pos if index is None else index
+        # str.split() and \S+ break a line at the same characters.
+        starts = [m.start() for m in re.finditer(r"\S+", self.text)]
+        column = (starts + [len(self.text)])[index] + 1
         raise ParseError(self.line_number, column, message, token)
 
     def next(self, expected):
-        """The next ``(token, column)``."""
-        if self.pos >= len(self.tokens):
+        """The next token and its index."""
+        if self.exhausted:
             self.fail(f"expected {expected}")
         self.pos += 1
-        return self.tokens[self.pos - 1]
+        return self.tokens[self.pos - 1], self.pos - 1
 
     def rest(self, expected):
-        """The remaining ``(token, column)`` pairs, at least one."""
-        if self.pos >= len(self.tokens):
+        """The remaining ``(token, index)`` pairs, at least one."""
+        if self.exhausted:
             self.fail(f"expected {expected}")
-        remaining = self.tokens[self.pos :]
+        remaining = [(token, i) for i, token in
+                     enumerate(self.tokens[self.pos:], self.pos)]
         self.pos = len(self.tokens)
         return remaining
 
@@ -182,16 +182,16 @@ class _LineParser:
 
 
 def _parse_pairs(parser, items, what):
-    """``(name, weight)`` pairs of ``(token, column)`` items."""
+    """``(name, weight)`` pairs of ``(token, index)`` items."""
     if len(items) % 2 != 0:
         parser.fail(f"{what} takes mode/weight pairs")
     pairs = []
-    for (name, name_column), (raw, raw_column) in zip(items[::2], items[1::2]):
+    for (name, name_index), (raw, raw_index) in zip(items[::2], items[1::2]):
         if not _IDENT_RE.match(name):
-            parser.fail(f"invalid mode name {name!r}", name, name_column)
+            parser.fail(f"invalid mode name {name!r}", name, name_index)
         weight = parse_weight(raw)
         if weight is None:
-            parser.fail(f"invalid complex weight {raw!r}", raw, raw_column)
+            parser.fail(f"invalid complex weight {raw!r}", raw, raw_index)
         pairs.append((name, weight))
     return pairs
 
@@ -219,16 +219,16 @@ def _normalize_pairs(pairs, line_number, what):
 
 
 def _real(parser):
-    token, column = parser.next("a real parameter")
+    token, index = parser.next("a real parameter")
     if not _REAL_RE.match(token) or not math.isfinite(float(token)):
-        parser.fail(f"invalid real literal {token!r}", token, column)
+        parser.fail(f"invalid real literal {token!r}", token, index)
     return float(token)
 
 
 def _orientation(parser):
-    token, column = parser.next("an orientation (reflect or transmit)")
+    token, index = parser.next("an orientation (reflect or transmit)")
     if token not in ("reflect", "transmit"):
-        parser.fail(f"unknown orientation {token!r}", token, column)
+        parser.fail(f"unknown orientation {token!r}", token, index)
     return token
 
 
@@ -254,28 +254,28 @@ def parse(text):
     modes, sources, elements, postselects, detects = [], [], [], [], []
     declared = set()
 
-    def require_declared(parser, name, column, seen=()):
+    def require_declared(parser, name, index, seen=()):
         """Fail unless ``name`` is declared and not in ``seen``."""
         if name not in declared:
-            parser.fail(f"undeclared mode {name!r}", name, column)
+            parser.fail(f"undeclared mode {name!r}", name, index)
         if name in seen:
-            parser.fail(f"repeated mode {name!r}", name, column)
+            parser.fail(f"repeated mode {name!r}", name, index)
 
     def counts(parser):
         pattern = {}
-        for item, column in parser.rest("mode=count pairs"):
+        for item, index in parser.rest("mode=count pairs"):
             m = _ASSIGN_RE.match(item)
             if not m:
-                parser.fail(f"expected mode=count, got {item!r}", item, column)
-            require_declared(parser, m.group(1), column, pattern)
+                parser.fail(f"expected mode=count, got {item!r}", item, index)
+            require_declared(parser, m.group(1), index, pattern)
             pattern[m.group(1)] = int(m.group(2))
         return tuple(pattern.items())
 
     def weights(parser, what):
         items = parser.rest("mode/weight pairs")
         pairs = _parse_pairs(parser, items, what)
-        for i, (name, column) in enumerate(items[::2]):
-            require_declared(parser, name, column, dict(pairs[:i]))
+        for i, (name, index) in enumerate(items[::2]):
+            require_declared(parser, name, index, dict(pairs[:i]))
         return _normalize_pairs(pairs, parser.line_number, what)
 
     for line_number, raw_line in enumerate(text.splitlines(), start=1):
@@ -283,25 +283,25 @@ def parse(text):
         if not line.strip():
             continue
         parser = _LineParser(line_number, line)
-        directive, directive_column = parser.next("a directive")
+        directive, _ = parser.next("a directive")
 
         if directive == "mode":
-            name, column = parser.next("a mode name")
+            name, index = parser.next("a mode name")
             if not _IDENT_RE.match(name):
-                parser.fail(f"invalid mode name {name!r}", name, column)
+                parser.fail(f"invalid mode name {name!r}", name, index)
             if name in declared:
                 parser.fail(
-                    f"duplicate declaration of mode {name!r}", name, column
+                    f"duplicate declaration of mode {name!r}", name, index
                 )
-            box, column = parser.next("a box tag (A, B, C or aux)")
+            box, index = parser.next("a box tag (A, B, C or aux)")
             if box not in _BOX_TAGS:
-                parser.fail(f"unknown box tag {box!r}", box, column)
-            slot, column = parser.next("a time tag (t1, t2, t3, tf or none)")
+                parser.fail(f"unknown box tag {box!r}", box, index)
+            slot, index = parser.next("a time tag (t1, t2, t3, tf or none)")
             if slot not in _TIME_TAGS:
-                parser.fail(f"unknown time tag {slot!r}", slot, column)
-            role, column = parser.next("a role tag")
+                parser.fail(f"unknown time tag {slot!r}", slot, index)
+            role, index = parser.next("a role tag")
             if role not in _ROLE_TAGS:
-                parser.fail(f"unknown role tag {role!r}", role, column)
+                parser.fail(f"unknown role tag {role!r}", role, index)
             if not parser.exhausted:
                 parser.fail("trailing tokens after mode declaration")
             declared.add(name)
@@ -319,8 +319,8 @@ def parse(text):
                     parser.fail(
                         f"{directive} requires {_MODE_WORDS[n_modes]}"
                     )
-                token, column = parser.next("a mode name")
-                require_declared(parser, token, column)
+                token, index = parser.next("a mode name")
+                require_declared(parser, token, index)
                 mode_args.append(token)
             if not parser.exhausted:
                 parser.fail(f"trailing tokens after {directive}")
@@ -335,15 +335,15 @@ def parse(text):
             )
 
         elif directive == "detect":
-            name, column = parser.next("an outcome name")
+            name, index = parser.next("an outcome name")
             if not _IDENT_RE.match(name):
-                parser.fail(f"invalid outcome name {name!r}", name, column)
+                parser.fail(f"invalid outcome name {name!r}", name, index)
+            if any(det.name == name for det in detects):
+                parser.fail(f"repeated outcome name {name!r}", name, index)
             detects.append(DetectStmt(name, counts(parser)))
 
         else:
-            parser.fail(
-                f"unknown directive {directive!r}", directive, directive_column
-            )
+            parser.fail(f"unknown directive {directive!r}", directive, 0)
 
     return CircuitDoc(
         tuple(modes), tuple(sources), tuple(elements),
@@ -385,7 +385,7 @@ def render(doc):
 
 @dataclass
 class CompiledCircuit:
-    initial: FockState
+    initial: Sectors
     schedule: list
     postselects: list  # ("pattern", {mode: count}) | ("state", FockState)
     detects: list  # (name, {mode: count})
@@ -417,9 +417,9 @@ def compile_doc(doc):
     if dangling:
         raise CompileError(0, f"modes declared but never used: {dangling}")
 
-    state = register_modes(names)
+    initial = Sectors(register_modes(names))
     for source in doc.sources:
-        state = superposition_source(state, dict(source.weights))
+        initial.add_photon(dict(source.weights))
 
     schedule = []
     for index, element in enumerate(doc.elements):
@@ -446,7 +446,7 @@ def compile_doc(doc):
             sub = superposition_source(sub, dict(ps.weights))
             postselects.append(("state", sub))
     detects = [(det.name, dict(det.pattern)) for det in doc.detects]
-    return CompiledCircuit(state, schedule, postselects, detects)
+    return CompiledCircuit(initial, schedule, postselects, detects)
 
 
 def execute(compiled):
@@ -457,7 +457,8 @@ def execute(compiled):
     request is answered on the final sector form, pruned where a
     :class:`~router_sim.fock.FockState` of it would be.
     """
-    final = propagate(compiled.initial, compiled.schedule)
+    final = compiled.initial.copy()
+    evolve(final, compiled.schedule)
     amplitudes = final.fock_amplitudes()
     probabilities = np.abs(amplitudes) ** 2
     postselections = []

@@ -260,7 +260,7 @@ def _ns_rule(sectors, element, adjoint):
 
 def _ns_two_mode_rule(sectors, element, adjoint):
     # (B† N N B)† = B† N N B: the composite is self-adjoint.
-    _run(sectors, _ns_two_mode_parts(*element.modes))
+    evolve(sectors, _ns_two_mode_parts(*element.modes))
 
 
 def _router_rule(sectors, element, adjoint):
@@ -278,7 +278,7 @@ def _decomposed_router_rule(sectors, element, adjoint):
     _router_positions(sectors, element)
     # Identity on the control-absent sector, probe swap on the
     # control-present sector: the composite is its own adjoint.
-    _run(sectors, _pqr_decomposed_parts(*element.modes))
+    evolve(sectors, _pqr_decomposed_parts(*element.modes))
 
 
 _RULES = {
@@ -289,13 +289,18 @@ _RULES = {
 }
 
 
+@functools.lru_cache(maxsize=64)
+def _identity(n):
+    return np.eye(n, dtype=complex)
+
+
 def _compose(run, sectors, element, adjoint):
     """The mode matrix of ``element`` (its adjoint if ``adjoint``), a
     linear element or a relabel, times ``run``, the n x n matrix of the
     elements before it (None for the identity)."""
     index_of = sectors.state.index_of
     if run is None:
-        run = np.eye(len(sectors.one), dtype=complex)
+        run = _identity(len(sectors.one)).copy()
     if element.kind is ElementKind.RELABEL:
         mapping = element.params["mapping"]
         if adjoint:
@@ -306,14 +311,23 @@ def _compose(run, sectors, element, adjoint):
             perm[index_of(dst)] = index_of(src)
         return run[perm]
     u = _mode_matrix(element)
+    u = u.conj().T if adjoint else u
     positions = [index_of(m) for m in element.modes]
-    run[positions] = (u.conj().T if adjoint else u) @ run[positions]
+    if len(positions) == 1:
+        run[positions[0]] *= u[0, 0]
+    elif len(positions) == 2:
+        # Rows i and j, in that order, as one strided view.
+        i, j = positions
+        rows = run[i::j - i][:2]
+        rows[:] = u @ rows
+    else:
+        run[positions] = u @ run[positions]
     return run
 
 
-def _run(sectors, elements, adjoint=False):
-    # Linear elements and relabels compose into one mode matrix, applied
-    # when an NS gate or a router needs the state, or at the end.
+def evolve(sectors, elements, adjoint=False):
+    """Apply ``elements``, or their adjoint, to ``sectors`` in place; see
+    :func:`propagate`."""
     run = None
     for element in reversed(elements) if adjoint else elements:
         rule = _RULES.get(element.kind)
@@ -346,7 +360,7 @@ def propagate(state, elements, adjoint=False):
     the NS gates and both routers are self-adjoint.
     """
     sectors = Sectors(state)
-    _run(sectors, elements, adjoint)
+    evolve(sectors, elements, adjoint)
     return sectors
 
 

@@ -248,6 +248,28 @@ class Sectors:
                     amp /= _SQRT2
                 self.two[i, j] = self.two[j, i] = amp
 
+    def copy(self):
+        """A copy to evolve apart from this form."""
+        twin = object.__new__(Sectors)
+        twin.state, twin.vacuum = self.state, self.vacuum
+        twin.one = self.one.copy()
+        twin.two = None if self.two is None else self.two.copy()
+        return twin
+
+    def add_photon(self, weights):
+        """Add a photon sum_m w_m a†_m, w_m finite and not all zero, as
+        :func:`superposition_source` does: S <- (v w^T + w v^T)/sqrt(2) and
+        v <- vacuum*w, renormalized; a third photon raises PhotonBudget."""
+        if self.two is not None:
+            raise PhotonBudget(f"source exceeds photon budget {PHOTON_BUDGET}")
+        w = np.zeros(len(self.one), dtype=complex)
+        w[[self.state.index_of(m) for m in weights]] = list(weights.values())
+        pair = np.outer(self.one, w)
+        two, one = (pair + pair.T) / _SQRT2, self.vacuum * w
+        norm = math.hypot(np.linalg.norm(one), np.linalg.norm(two))
+        self.two = two / norm if pair.any() else None
+        self.vacuum, self.one = 0j, one / norm
+
     def two_photon_amplitude(self, i, j):
         """Fock amplitude of |2_i> (i == j) or |1_i 1_j>."""
         if self.two is None:

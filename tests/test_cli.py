@@ -378,6 +378,17 @@ def test_bad_tolerance_env_is_usage_error_of_run_only(monkeypatch, capsys):
     assert run_cli(["run", "disappearing_full"])[0] == cli.EXIT_OK
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_tolerance_is_usage_error(value, monkeypatch, capsys):
+    code, out = run_cli(["run", "three_box_shutter", "--tol", value])
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert_one_line_error(capsys)
+    monkeypatch.setenv("ROUTER_SIM_TOL", value)
+    code, out = run_cli(["run", "three_box_shutter"])
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert_one_line_error(capsys)
+
+
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_every_unperturbed_run_asserts(scenario):
     assert run_cli(["run", scenario])[0] == cli.EXIT_OK

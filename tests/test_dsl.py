@@ -128,6 +128,18 @@ def test_simulate_repeated_mode_exits_4_with_one_line(
     assert "repeated mode 'A'" in err
 
 
+def test_simulate_repeated_detect_name_exits_4_with_one_line(tmp_path,
+                                                             capsys):
+    path = tmp_path / "repeated-detect.circuit"
+    path.write_text(HEADER + "source C 1\ndetect x A=1\n"
+                    "detect\t x B=1  # second x\n")
+    stream = io.StringIO()
+    assert cli.main(["simulate", str(path)], stream) == cli.EXIT_PARSE
+    assert stream.getvalue() == ""
+    err = capsys.readouterr().err
+    assert err == "error: line 6:9: repeated outcome name 'x'\n"
+
+
 def test_simulate_postselect_state_over_every_mode_exits_4(tmp_path, capsys):
     path = tmp_path / "all-modes.circuit"
     path.write_text(
@@ -318,7 +330,17 @@ def test_compile_no_elements_gives_vacuum_and_empty_schedule():
     doc = parse("mode A A t1 shutter\npostselect A=0\n")
     compiled = compile_doc(doc)
     assert compiled.schedule == []
-    assert compiled.initial.amplitude((0,)) == 1.0
+    assert compiled.initial.vacuum == 1.0
+
+
+def test_execute_leaves_the_compiled_initial_state_unchanged():
+    # The NS gate flips the |2_A> amplitude of the state it is given.
+    compiled = compile_doc(parse(
+        "mode A A t1 shutter\nmode B B t1 probe_in\n"
+        "source A 0.6 B 0.8i\nsource A 1\nns A\nbs 0.5 A B\ndetect d A=2\n"
+    ))
+    first = dsl.execute(compiled)
+    assert dsl.execute(compiled) == first
 
 
 def test_compile_budget_violation():

@@ -278,6 +278,58 @@ def test_router_rejects_out_of_sector_input(build, pair):
 
 
 # ---------------------------------------------------------------------------
+# run composition: each way an element enters the run's mode matrix
+# ---------------------------------------------------------------------------
+
+KERNEL_NAMES = [f"M{i}" for i in range(6)]
+
+
+def assert_matches_dense_both_ways(schedule, rng):
+    """The schedule and its adjoint on a random state of up to two photons
+    over KERNEL_NAMES agree with the dense matrix to TOL."""
+    matrix, configs, index = dense_matrix(schedule, KERNEL_NAMES, 2)
+    vec = rng.normal(size=len(configs)) + 1j * rng.normal(size=len(configs))
+    psi = vector_to_state(vec / np.linalg.norm(vec), KERNEL_NAMES, configs)
+    expected = state_to_vector(psi, configs, index)
+    for adjoint, dense in ((False, matrix), (True, matrix.conj().T)):
+        out = apply_schedule(psi, schedule, adjoint)
+        assert max_amplitude_deviation(
+            out, dense @ expected, configs, index) <= TOL
+
+
+KERNEL_CASES = {
+    # A non-symmetric 2 x 2 matrix, so that reading its rows in register
+    # order without flipping it gives a different element.
+    "two modes, first after second": lambda rng: [
+        elements.mode_unitary(random_unitary(rng, 2), ("M4", "M1"))],
+    "two modes in register order": lambda rng: [
+        elements.mode_unitary(random_unitary(rng, 2), ("M0", "M5"))],
+    "one mode": lambda rng: [
+        elements.phase_shifter(rng.uniform(-np.pi, np.pi), "M3")],
+    "three modes": lambda rng: [
+        elements.mode_unitary(random_unitary(rng, 3), ("M5", "M0", "M2"))],
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+@pytest.mark.parametrize("seed", range(3))
+def test_single_element_run_matches_dense_oracle(case, seed):
+    rng = np.random.default_rng([seed, 17])
+    assert_matches_dense_both_ways(KERNEL_CASES[case](rng), rng)
+
+
+def test_long_linear_run_matches_dense_oracle():
+    """120 linear elements and relabels with no NS gate or router: one
+    mode matrix composed over the whole schedule."""
+    rng = np.random.default_rng(23)
+    schedule = [random_relabel(rng, KERNEL_NAMES) if rng.random() < 0.2
+                else random_linear(rng, KERNEL_NAMES) for _ in range(120)]
+    assert not any(e.kind in elements._RULES for e in schedule)
+    assert {len(e.modes) for e in schedule} >= {1, 2, 3}
+    assert_matches_dense_both_ways(schedule, rng)
+
+
+# ---------------------------------------------------------------------------
 # dsl.execute: measurements on the sector form against dense projections
 # ---------------------------------------------------------------------------
 
@@ -316,7 +368,8 @@ def random_compiled(seed):
                    ("pattern", impossible), ("state", target)]
     detects = [("consumed", {sub[0]: 1, rest[0]: 1}), ("bunch", {c: 2}),
                ("empty", {a: 0, c: 0})]
-    return dsl.CompiledCircuit(initial, schedule, postselects, detects)
+    return dsl.CompiledCircuit(fock.Sectors(initial), schedule, postselects,
+                               detects)
 
 
 def dense_measure(amplitudes, modes, pattern):
@@ -329,8 +382,9 @@ def dense_measure(amplitudes, modes, pattern):
 def dense_report(compiled):
     """Every probability ``dsl.execute`` reports, from the dense vector:
     (post-selection probabilities, [(detection, conditionals)])."""
-    vec, configs, _ = dense_propagate(compiled.initial, compiled.schedule)
-    names = list(compiled.initial.modes)
+    initial = compiled.initial.to_state()
+    vec, configs, _ = dense_propagate(initial, compiled.schedule)
+    names = list(initial.modes)
     final = dict(zip(configs, vec))
     posts, conditioned = [], []
     for kind, payload in compiled.postselects:

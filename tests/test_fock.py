@@ -149,6 +149,70 @@ def test_superposition_source_rejects_non_finite_weight(bad):
         fock.superposition_source(vacuum, {"a": bad, "b": 1.0})
 
 
+SOURCE_NAMES = [f"M{i}" for i in range(7)]
+
+# Supports of the first and the second photon: disjoint, overlapping, both
+# in one mode (the |2_m> amplitude), and equal.
+SOURCE_SUPPORTS = [
+    ([0, 1, 2], [3, 4]),
+    ([0, 2, 4, 6], [1, 2, 6]),
+    ([5], [5]),
+    ([1, 3, 5], [1, 3, 5]),
+]
+
+
+def random_weights(rng, support):
+    return {SOURCE_NAMES[i]: complex(rng.normal(), rng.normal())
+            for i in support}
+
+
+def assert_same_sectors(got, state):
+    """``got`` holds the sector form of ``state`` to 1e-15."""
+    want = fock.Sectors(state)
+    assert abs(got.vacuum - want.vacuum) <= 1e-15
+    assert np.max(np.abs(got.one - want.one)) <= 1e-15
+    if want.two is None:
+        assert got.two is None
+    else:
+        assert np.max(np.abs(got.two - want.two)) <= 1e-15
+
+
+@pytest.mark.parametrize("supports", SOURCE_SUPPORTS)
+@pytest.mark.parametrize("seed", range(4))
+def test_add_photon_equals_superposition_source(supports, seed):
+    """One photon, then a second, added on the sector form; then a third
+    exceeds the budget, as for the sparse state."""
+    rng = np.random.default_rng([seed, 31])
+    state = fock.register_modes(SOURCE_NAMES)
+    sectors = fock.Sectors(state)
+    for support in supports:
+        weights = random_weights(rng, support)
+        state = fock.superposition_source(state, weights)
+        sectors.add_photon(weights)
+        assert_same_sectors(sectors, state)
+    weights = random_weights(rng, [0])
+    with pytest.raises(PhotonBudget):
+        fock.superposition_source(state, weights)
+    with pytest.raises(PhotonBudget):
+        sectors.add_photon(weights)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_add_photon_to_vacuum_and_one_photon_mixture(seed):
+    """The vacuum part gains one photon and the one-photon part a second."""
+    rng = np.random.default_rng([seed, 37])
+    amplitudes = {(0,) * len(SOURCE_NAMES): complex(rng.normal(), 1.0)}
+    for i in (0, 2, 3):
+        config = [0] * len(SOURCE_NAMES)
+        config[i] = 1
+        amplitudes[tuple(config)] = complex(rng.normal(), rng.normal())
+    state = fock.FockState(SOURCE_NAMES, amplitudes).normalized()
+    weights = random_weights(rng, [2, 3, 6])
+    sectors = fock.Sectors(state)
+    sectors.add_photon(weights)
+    assert_same_sectors(sectors, fock.superposition_source(state, weights))
+
+
 # ---------------------------------------------------------------------------
 # mode unitaries
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ same documents and texts and the suite stays fast.
 
 import io
 import math
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -167,3 +168,91 @@ def test_overflowing_weight_sum_exits_4(text, tmp_path, capsys):
     assert cli.main(["simulate", str(path)], io.StringIO()) == cli.EXIT_PARSE
     err = capsys.readouterr().err
     assert err.startswith("error: line 2:1:") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# error positions under any whitespace
+# ---------------------------------------------------------------------------
+
+# Whitespace inside a line, and line breaks of str.splitlines.
+INLINE_SPACE = st.text(alphabet=" \t\x1f\xa0\u2003\u3000",
+                       min_size=1, max_size=3)
+LINE_BREAKS = st.sampled_from(["\n", "\r\n", "\x0b", "\x1c", "\x1d", "\x1e",
+                               "\x85", "\u2028"])
+HEADER_STATEMENTS = [["mode", m, m, "t1", "shutter"] for m in "ABC"]
+
+# Per statement kind: its valid tokens, and the faults it may take as
+# (token position, replacement or None to drop the token, error token).
+# Some faulty tokens repeat an earlier token of their line.
+STATEMENT_FAULTS = {
+    "mode": (["mode", "N", "A", "t1", "probe_in"],
+             [(1, "9x", "9x"), (1, "A", "A"), (2, "Q", "Q"),
+              (3, "t9", "t9"), (3, "A", "A"), (4, "pilot", "pilot")]),
+    "bs": (["bs", "0.5", "A", "B"],
+           [(1, "x", "x"), (1, "1e400", "1e400"), (2, "Z", "Z"),
+            (3, "Z", "Z"), (3, None, "")]),
+    "postselect": (["postselect", "A=1", "B=0"],
+                   [(1, "A=x", "A=x"), (2, "Z=0", "Z"), (2, "A=1", "A")]),
+    "source": (["source", "A", "1"],
+               [(1, "9A", "9A"), (1, "Z", "Z"), (2, "zz", "zz"),
+                (2, "A", "A")]),
+    "detect": (["detect", "d", "C=1"],
+               [(1, "9d", "9d"), (2, "C=x", "C=x")]),
+}
+
+
+@st.composite
+def spaced_documents(draw):
+    """A document whose tokens are separated by mixed Unicode whitespace
+    and whose lines end in mixed line breaks, with faults in some
+    statements; and the (line, token position, error token) of the first
+    fault, or None."""
+    statements, first = [], None
+    for i in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(sorted(STATEMENT_FAULTS)))
+        tokens, faults = STATEMENT_FAULTS[kind]
+        tokens = list(tokens)
+        if kind == "mode":
+            tokens[1] = f"N{i}"
+        elif kind == "detect":
+            tokens[1] = f"d{i}"
+        if draw(st.booleans()):
+            at, replacement, error_token = draw(st.sampled_from(faults))
+            if replacement is None:
+                del tokens[at:]
+            else:
+                tokens[at] = replacement
+            if first is None:
+                first = (len(HEADER_STATEMENTS) + len(statements), at,
+                         error_token)
+        statements.append(tokens)
+    lines = []
+    for tokens in HEADER_STATEMENTS + statements:
+        lead = draw(st.sampled_from(["", " ", "\t", "\u3000 "]))
+        body = tokens[0]
+        for token in tokens[1:]:
+            body += draw(INLINE_SPACE) + token
+        lines.append(lead + body + draw(st.sampled_from(["", "\xa0", " \t"])))
+    text = "".join(line + draw(LINE_BREAKS) for line in lines)
+    return text, first
+
+
+@PROPERTY_SETTINGS
+@given(spaced_documents())
+def test_error_position_is_that_of_the_whitespace_split_token(case):
+    """Every ParseError names the line, the 1-based column and the token
+    that ``re.finditer(r"\\S+")`` finds on that line, or the line end for a
+    missing token."""
+    text, first = case
+    if first is None:
+        dsl.parse(text)
+        return
+    with pytest.raises(dsl.ParseError) as err:
+        dsl.parse(text)
+    statement, at, error_token = first
+    line = text.splitlines()[statement]
+    matches = list(re.finditer(r"\S+", line))
+    column = (matches[at].start() if at < len(matches)
+              else len(line.rstrip()))
+    assert (err.value.line, err.value.column, err.value.token) == (
+        statement + 1, column + 1, error_token)

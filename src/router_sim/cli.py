@@ -1,7 +1,8 @@
 """Command-line front end: run scenarios, simulate circuit files, sweep.
 
-Exit codes are a stable contract: 0 success, 2 built-in assertion failure,
-3 usage error, 4 parse/compile error.  JSON output is schema-stable with a
+Exit codes are a stable contract: 0 success, 1 output closed early (the
+reader of standard output went away), 2 built-in assertion failure, 3 usage
+error, 4 parse/compile error.  JSON output is schema-stable with a
 fixed field set and 12-significant-digit numbers; identical inputs produce
 byte-identical output.
 """
@@ -11,11 +12,11 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
 import math
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _escape
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .errors import BadParam, CompileError, SimulationError
 DEFAULT_TOL = 1e-9
 
 EXIT_OK = 0
+EXIT_CLOSED = 1
 EXIT_ASSERTION = 2
 EXIT_USAGE = 3
 EXIT_PARSE = 4
@@ -50,20 +52,44 @@ _ALICE = {"open": scenarios.OPEN_BOXES, "superpose": scenarios.SUPERPOSE}
 _BOB = {"open": scenarios.OPEN_CAVITIES, "superpose": scenarios.SUPERPOSE}
 
 
-def _round12(value):
-    return float(f"{value:.12g}")
+def _float_text(value):
+    """JSON text of ``value`` rounded to 12 significant digits, as the
+    stdlib encoder writes ``float(f"{value:.12g}")``."""
+    text = f"{value:.12g}"
+    if "." in text and "e" not in text:
+        return text
+    special = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+    return special.get(text) or repr(float(text))
 
 
-def _json_ready(obj):
+def _json_text(obj, newline="\n"):
+    """``obj`` as the stdlib JSON encoder indents it by two spaces, each
+    float rounded by :func:`_float_text` and a complex number as ``[re,
+    im]``; ``newline`` breaks a line at the depth of ``obj``."""
     if isinstance(obj, float):
-        return _round12(obj)
+        return _float_text(obj)
+    kind = type(obj)
+    if kind is str:
+        return _escape(obj)
+    if kind is dict or kind is list or kind is tuple:
+        if not obj:
+            return "{}" if kind is dict else "[]"
+        inner = newline + "  "
+        if kind is dict:
+            items = [_escape(k) + ": " + _json_text(v, inner)
+                     for k, v in obj.items()]
+            return "{" + inner + ("," + inner).join(items) + newline + "}"
+        items = [_json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(obj, complex):
-        return [_round12(obj.real), _round12(obj.imag)]
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    return obj
+        inner = newline + "  "
+        return (f"[{inner}{_float_text(obj.real)},{inner}"
+                f"{_float_text(obj.imag)}{newline}]")
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    return int.__repr__(obj)  # a TypeError unless obj is an int
 
 
 def _result_payload(result, parameters):
@@ -93,7 +119,9 @@ def _result_payload(result, parameters):
 
 
 def _emit_json(payload, stream):
-    stream.write(json.dumps(_json_ready(payload), indent=2))
+    stream.write(_json_text(payload))
+    # Unbuffered, a write the reader cut short is not an error; this next
+    # write is, so a closed stdout is noticed either way.
     stream.write("\n")
 
 
@@ -220,11 +248,10 @@ def _sweep_points(args, arity):
         if args.seed is not None and args.seed < 0:
             raise UsageError("--seed must be a non-negative integer")
         rng = np.random.default_rng(0 if args.seed is None else args.seed)
-        points = []
-        for _ in range(args.random):
-            vec = rng.normal(size=arity) + 1j * rng.normal(size=arity)
-            points.append(vec / np.linalg.norm(vec))
-        return points
+        # The stream of a real then an imaginary part draw per point.
+        parts = rng.normal(size=(args.random, 2, arity))
+        vecs = parts[:, 0] + 1j * parts[:, 1]
+        return [vec / np.linalg.norm(vec) for vec in vecs]
     if args.alpha1_grid is not None:
         if args.seed is not None:
             raise UsageError("--seed applies to --random only")
@@ -358,7 +385,16 @@ def main(argv=None, stream=None):
         args = build_parser().parse_args(argv)
         if args.command is None:
             raise UsageError(f"a command is required ({', '.join(_COMMANDS)})")
-        return _COMMANDS[args.command](args, stream)
+        code = _COMMANDS[args.command](args, stream)
+        stream.flush()
+        return code
+    except BrokenPipeError:
+        if stream is not sys.stdout:
+            raise
+        # The reader is gone; the flush at exit must not fail again.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_CLOSED
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(

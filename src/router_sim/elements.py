@@ -233,21 +233,21 @@ def _router_positions(sectors, element):
     Raises UnsupportedSector unless every configuration has at most one
     photon in each bound mode and at most one across the probe pair,
     judged on Fock amplitudes of modulus :data:`~router_sim.fock.PRUNE_EPSILON`
-    or more.
+    or more, in every matrix of a stacked ``two``.
     """
     ia, ib, ic = (sectors.state.index_of(m) for m in element.modes)
     if sectors.two is not None:
-        for occupations, pair in (
-            ((2, 0, 0), (ia, ia)),
-            ((0, 2, 0), (ib, ib)),
-            ((0, 0, 2), (ic, ic)),
-            ((1, 1, 0), (ia, ib)),
-        ):
-            if abs(sectors.two_photon_amplitude(*pair)) >= PRUNE_EPSILON:
-                raise UnsupportedSector(
-                    f"router applied outside its sector: occupations "
-                    f"{occupations} on (probe_a, probe_b, control)"
-                )
+        # |2> in each bound mode, then |1 1> on the probe pair.
+        amps = sectors.two[..., [ia, ib, ic, ia], [ia, ib, ic, ib]]
+        amps[..., 3] *= math.sqrt(2.0)
+        over = (abs(amps) >= PRUNE_EPSILON).ravel().tolist()
+        if True in over:
+            occupations = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0)]
+            raise UnsupportedSector(
+                f"router applied outside its sector: occupations "
+                f"{occupations[over.index(True) % 4]} on (probe_a, "
+                "probe_b, control)"
+            )
     return ia, ib, ic
 
 
@@ -255,7 +255,7 @@ def _ns_rule(sectors, element, adjoint):
     # Sign flip of |2_m>, the S_mm entry: real, so self-adjoint.
     if sectors.two is not None:
         m = sectors.state.index_of(element.modes[0])
-        sectors.two[m, m] = -sectors.two[m, m]
+        sectors.two[..., m, m] = -sectors.two[..., m, m]
 
 
 def _ns_two_mode_rule(sectors, element, adjoint):
@@ -270,8 +270,8 @@ def _router_rule(sectors, element, adjoint):
     ia, ib, ic = _router_positions(sectors, element)
     two = sectors.two
     if two is not None:
-        two[[ia, ib], ic] = two[[ib, ia], ic]
-        two[ic, [ia, ib]] = two[ic, [ib, ia]]
+        two[..., [ia, ib], ic] = two[..., [ib, ia], ic]
+        two[..., ic, [ia, ib]] = two[..., ic, [ib, ia]]
 
 
 def _decomposed_router_rule(sectors, element, adjoint):

@@ -214,6 +214,8 @@ class Sectors:
     """Mutable sector form of a :class:`FockState` (see the module
     docstring): ``vacuum``, ``one`` (the vector v) and ``two`` (the
     symmetric matrix S, or None while the state has no two-photon part).
+    ``two`` may also stack k matrices (k, n, n) over one ``vacuum`` and
+    ``one``; the element rules evolve them together, measurements read one.
 
     Its Fock amplitudes are read in one flat layout over the n modes: the
     vacuum, one photon in each mode, then two photons in modes (i, j),
@@ -269,13 +271,6 @@ class Sectors:
         norm = math.hypot(np.linalg.norm(one), np.linalg.norm(two))
         self.two = two / norm if pair.any() else None
         self.vacuum, self.one = 0j, one / norm
-
-    def two_photon_amplitude(self, i, j):
-        """Fock amplitude of |2_i> (i == j) or |1_i 1_j>."""
-        if self.two is None:
-            return 0j
-        amp = self.two[i, j]
-        return amp if i == j else _SQRT2 * amp
 
     def apply_mode_matrix(self, u):
         """v <- U v and S <- U S U^T for an n x n mode matrix ``u`` over

@@ -34,6 +34,7 @@ from . import tsvf
 from .elements import (
     Element,
     RouterOrientation,
+    evolve,
     mode_unitary,
     pqr_ideal,
     propagate,
@@ -176,7 +177,8 @@ def _prepare(shutter_pre_state, probe_sources):
 
 
 def _read_block(plan, sectors):
-    """The amplitude block of ``sectors``, a state over ``plan``'s modes.
+    """The amplitude block of ``sectors``, a state over ``plan``'s modes,
+    or the stack of blocks of a stacked ``two``.
 
     Row s is shutter mode s.  Column 0 holds |1_s> with every probe mode
     empty and column 1 + p holds |1_s 1_p> for probe mode p, pruned as
@@ -187,10 +189,10 @@ def _read_block(plan, sectors):
     one, two = sectors.one, sectors.two
     if two is None:
         two = np.zeros((len(one), len(one)), dtype=complex)
-    pairs = SQRT2 * two
-    np.fill_diagonal(pairs, two.diagonal())
-    block = pruned(np.column_stack([one[:s], pairs[:s, s:]]))
-    pairs[:s, s:] = pairs[s:, :s] = 0
+    pairs = np.where(np.eye(len(one), dtype=bool), two, SQRT2 * two)
+    vacuum_column = np.broadcast_to(one[:s, None], pairs.shape[:-2] + (s, 1))
+    block = pruned(np.concatenate([vacuum_column, pairs[..., :s, s:]], -1))
+    pairs[..., :s, s:] = pairs[..., s:, :s] = 0
     outside = np.concatenate([[sectors.vacuum], one[s:], pairs.ravel()])
     if np.any(np.abs(outside) >= PRUNE_EPSILON):
         raise UnsupportedSector(
@@ -735,18 +737,24 @@ class SweepMap:
 
 
 def compile_sweep(plan):
-    """:class:`SweepMap` of a beam-table ``plan``: one propagation per beam.
+    """:class:`SweepMap` of a beam-table ``plan``: every beam in one evolve.
 
     Raises :class:`UnsupportedSector` if a beam's state has any amplitude
     outside its block.
     """
-    basis = np.stack([
-        _read_block(plan, propagate(_prepare(plan.spec.pre, [
-            (m, 1.0 if m == probe else None) for m in plan.probe_modes
-        ]), plan.schedule))
-        for probe in plan.probes
-    ])
-    return SweepMap(plan, basis)
+    first = plan.probes[0]
+    sectors = Sectors(_prepare(plan.spec.pre, [
+        (m, 1.0 if m == first else None) for m in plan.probe_modes
+    ]))
+    # Beam k's state is the first beam's with the modes of their probes
+    # swapped: the same amplitudes, moved.
+    beams = [sectors.state.index_of(p) for p in plan.probes]
+    perms = np.tile(np.arange(len(sectors.one)), (len(beams), 1))
+    perms[np.arange(len(beams)), beams] = beams[0]
+    perms[:, beams[0]] = beams
+    sectors.two = sectors.two[perms[:, :, None], perms[:, None, :]]
+    evolve(sectors, plan.schedule)
+    return SweepMap(plan, _read_block(plan, sectors))
 
 
 # ---------------------------------------------------------------------------

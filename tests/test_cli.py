@@ -1,7 +1,11 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import router_sim
@@ -242,6 +246,48 @@ def test_sweep_empty_grid_is_usage_error():
 def test_sweep_requires_grid():
     code, _ = run_cli(["sweep", "disappearing_full"])
     assert code == cli.EXIT_USAGE
+
+
+def test_random_sweep_points_are_drawn_real_then_imaginary_per_point():
+    args = cli.build_parser().parse_args(
+        ["sweep", "stricter_6beam", "--random", "7", "--seed", "5"])
+    rng = np.random.default_rng(5)
+    for point in cli._sweep_points(args, 6):
+        vec = rng.normal(size=6) + 1j * rng.normal(size=6)
+        assert (point == vec / np.linalg.norm(vec)).all()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv, lines_read", [
+    # 200 records are far more than a pipe buffers, so the writer meets
+    # the closed pipe in the middle of the payload.
+    (["sweep", "disappearing_full", "--random", "200"], 1),
+    # One run fits in the stream's buffer: met only when it is flushed.
+    (["run", "three_box_shutter"], 0),
+])
+def test_closed_stdout_exits_1_without_a_traceback(argv, lines_read,
+                                                   unbuffered):
+    src = str(Path(router_sim.__file__).parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys; from router_sim.cli import main; sys.exit(main())",
+         *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    for _ in range(lines_read):
+        assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    code = proc.wait(timeout=60)
+    assert err == b""
+    assert code == 1 == cli.EXIT_CLOSED
 
 
 def test_sweep_deterministic_order():

@@ -161,6 +161,24 @@ def test_router_unsupported_sector():
         apply_element(two, elements.pqr_ideal(ms[0], ms[1], ms[2]))
 
 
+@pytest.mark.parametrize("kind", [elements.pqr_ideal, elements.pqr_decomposed])
+def test_router_sector_is_judged_on_fock_amplitudes(kind):
+    ms, vac = router_register()
+    router = kind(ms[0], ms[1], ms[2])
+    sectors = fock.Sectors(vac)
+    sectors.vacuum = 0j
+    sectors.two = np.zeros((4, 4), dtype=complex)
+    sectors.two[0, 2] = sectors.two[2, 0] = 1 / math.sqrt(2.0)
+    # |2_a> has amplitude S_aa, here below PRUNE_EPSILON ...
+    sectors.two[0, 0] = 0.8 * fock.PRUNE_EPSILON
+    elements.evolve(sectors.copy(), [router])
+    # ... but |1_a 1_b> has sqrt(2) S_ab, here above it.
+    sectors.two[0, 0] = 0
+    sectors.two[0, 1] = sectors.two[1, 0] = 0.8 * fock.PRUNE_EPSILON
+    with pytest.raises(UnsupportedSector, match=r"\(1, 1, 0\)"):
+        elements.evolve(sectors, [router])
+
+
 def test_router_orientation_designates_ports():
     ms, _ = router_register()
     reflecting = elements.pqr_ideal(ms[0], ms[1], ms[2])

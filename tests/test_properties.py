@@ -1,15 +1,18 @@
-"""Property tests of the circuit DSL, with examples drawn by ``hypothesis``.
+"""Property tests of the circuit DSL and of the JSON the command line
+writes, with examples drawn by ``hypothesis``.
 
 Examples are derandomized and bounded in number, so every run checks the
 same documents and texts and the suite stays fast.
 """
 
 import io
+import json
 import math
 import re
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from router_sim import cli, dsl
@@ -256,3 +259,93 @@ def test_error_position_is_that_of_the_whitespace_split_token(case):
               else len(line.rstrip()))
     assert (err.value.line, err.value.column, err.value.token) == (
         statement + 1, column + 1, error_token)
+
+
+# ---------------------------------------------------------------------------
+# The JSON writer against the stdlib's indented form
+# ---------------------------------------------------------------------------
+
+def round12(obj):
+    """``obj`` as the stdlib encoder is to see it: floats rounded to 12
+    significant digits, complex numbers as ``[re, im]``, tuples as lists."""
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, complex):
+        return [round12(obj.real), round12(obj.imag)]
+    if isinstance(obj, dict):
+        return {k: round12(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [round12(v) for v in obj]
+    return obj
+
+
+def stdlib_json(obj):
+    return json.dumps(round12(obj), indent=2) + "\n"
+
+
+def written(obj):
+    stream = io.StringIO()
+    cli._emit_json(obj, stream)
+    return stream.getvalue()
+
+
+EDGE_FLOATS = [0.0, -0.0, 1.0, 100.0, -2.5, 1e-5, 9.99999999999e-6,
+               1.00000000000049e-5, 1e-4, 1e11, 1e12, 123456789012.5,
+               999999999999.5, 1e15, 1e16, 12345678901234567.0, 5e-324,
+               2.2250738585072014e-308, 1.7976931348623157e308,
+               math.nan, math.inf, -math.inf]
+json_floats = st.one_of(
+    st.floats(),
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(min_value=1e-6, max_value=1e-4),
+    st.floats(min_value=1e11, max_value=1e17),
+    st.floats(allow_subnormal=True, min_value=-1e-307, max_value=1e-307),
+)
+json_strings = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é", "\u2028", "😀",
+                     'say "hi"\n\tback\\slash']),
+)
+json_scalars = st.one_of(
+    json_floats,
+    json_floats.map(np.float64),
+    json_strings,
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.complex_numbers(),
+    st.builds(complex, json_floats, json_floats),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(json_strings, children, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(json_values)
+@example({"a": [], "b": {}, "c": [[], {}, ()], "d": {"e": [{}]}})
+@example({"s": 'q"\\\n\x01é', "f": [100.0, -0.0, 1e-5, 1e16],
+          "z": [complex(1.5, -2.0)], "n": [None, True, False, 7]})
+@example([math.nan, math.inf, -math.inf, np.float64(0.1)])
+def test_json_writer_matches_the_stdlib_indented_form(obj):
+    assert written(obj) == stdlib_json(obj)
+
+
+def test_float_fast_path_matches_the_rounded_repr():
+    mantissas = [1.0, 1.5, 2.5e-3, 1 / 3, 2 / 3, 9.999999999995,
+                 9.9999999999949, 7.0000000000005, 1.23456789012345,
+                 4.99999999999999, 0.1 + 0.2]
+    values = []
+    for exponent in range(-20, 21):
+        for m in mantissas:
+            v = m * 10.0 ** exponent
+            values += [v, -v, np.nextafter(v, 0.0), np.nextafter(v, np.inf)]
+    values += EDGE_FLOATS[:-3]  # all but NaN and the infinities
+    for v in values:
+        assert cli._float_text(v) == repr(float(f"{v:.12g}")), v

@@ -10,15 +10,23 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import router_sim
-from router_sim import cli, dsl, scenarios, tsvf
+from router_sim import cli, dsl, elements, scenarios, tsvf
 from router_sim.elements import (
     ElementKind,
     RouterOrientation,
     apply_schedule,
     beamsplitter,
+    pqr_decomposed,
+    pqr_ideal,
+    propagate,
 )
 from router_sim.errors import BadParam, UnsupportedSector
-from router_sim.fock import FockState, postselect_subsystem
+from router_sim.fock import (
+    PRUNE_EPSILON,
+    FockState,
+    Sectors,
+    postselect_subsystem,
+)
 
 S2 = math.sqrt(2.0)
 S3 = math.sqrt(3.0)
@@ -640,27 +648,106 @@ def test_compiled_sweep_matches_each_point(name, data):
 @pytest.mark.parametrize("name", COMPILED)
 @pytest.mark.parametrize("count", [1, 9])
 def test_compiled_sweep_builds_and_propagates_once(name, count, monkeypatch):
-    calls = {"build": 0, "propagate": 0, "checkpoint_values": 0}
+    calls = {"build": 0, "propagate": 0, "evolve": 0, "checkpoint_values": 0}
+    stacks = []
 
     def spy(module, attr, key):
         original = getattr(module, attr)
 
         def counting(*args, **kwargs):
             calls[key] += 1
+            if key == "evolve":
+                stacks.append(args[0].two.shape)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, attr, counting)
 
     spy(scenarios, COMPILED[name], "build")
     spy(scenarios, "propagate", "propagate")
+    spy(scenarios, "evolve", "evolve")
     spy(tsvf, "checkpoint_values", "checkpoint_values")
     stream = io.StringIO()
     argv = ["sweep", name, "--random", str(count)]
     assert cli.main(argv, stream) == cli.EXIT_OK
     assert stream.getvalue().count('"index"') == count
-    assert calls == {"build": 1,
-                     "propagate": scenarios.SCENARIOS[name].arity,
+    # One evolve of every beam's state, stacked, and no other propagation.
+    assert calls == {"build": 1, "propagate": 0, "evolve": 1,
                      "checkpoint_values": 0}
+    assert len(stacks) == 1
+    assert stacks[0][0] == scenarios.SCENARIOS[name].arity
+
+
+def per_beam_basis(plan):
+    """The amplitude block of each beam's state, propagated alone."""
+    return np.stack([
+        scenarios._read_block(plan, propagate(scenarios._prepare(
+            plan.spec.pre,
+            [(m, 1.0 if m == probe else None) for m in plan.probe_modes],
+        ), plan.schedule))
+        for probe in plan.probes
+    ])
+
+
+@pytest.mark.parametrize("name,perturbation", PLAN_CASES)
+def test_batched_compile_equals_one_propagation_per_beam(name, perturbation):
+    plan = BUILDERS[name](perturbation)
+    basis = scenarios.compile_sweep(plan).basis
+    expected = per_beam_basis(plan)
+    assert basis.shape == expected.shape == (
+        len(plan.probes), len(plan.spec.post.modes),
+        1 + len(plan.probe_modes))
+    assert basis.tobytes() == expected.tobytes()
+
+
+def stacked(plan, blocks):
+    """Sectors over ``plan``'s modes whose stacked S holds ``blocks``, each
+    a shutter x (1 + probe) amplitude block with an empty column 0."""
+    sectors = Sectors(plan.initial)
+    n, s = len(sectors.one), len(plan.spec.post.modes)
+    sectors.one = np.zeros(n, dtype=complex)
+    sectors.vacuum = 0j
+    sectors.two = np.zeros((len(blocks), n, n), dtype=complex)
+    sectors.two[:, :s, s:] = np.asarray(blocks)[:, :, 1:] / S2
+    sectors.two[:, s:, :s] = sectors.two[:, :s, s:].transpose(0, 2, 1)
+    return sectors
+
+
+@pytest.mark.parametrize("kind", [pqr_ideal, pqr_decomposed])
+@pytest.mark.parametrize("bad", [0, 2])
+def test_router_rejects_a_stack_when_one_member_leaves_its_sector(kind, bad):
+    plan = scenarios.build_disappearing()
+    blocks = per_beam_basis(plan)[:3]
+    # Each member holds the probe photon in one of the first three beams,
+    # so the router sees at most one photon on its probe pair, until one
+    # member gains |1 1> there.
+    router = kind(plan.probe_modes[0], plan.probe_modes[1], "SA")
+    good = stacked(plan, blocks)
+    elements.evolve(good, [router])
+    for k, block in enumerate(blocks):
+        alone = stacked(plan, [block])
+        elements.evolve(alone, [router])
+        assert np.array_equal(alone.two[0], good.two[k])
+    leaky = stacked(plan, blocks)
+    a, b = (leaky.state.index_of(m) for m in plan.probe_modes[:2])
+    leaky.two[bad, a, b] = leaky.two[bad, b, a] = 0.5
+    with pytest.raises(UnsupportedSector, match=r"occupations \(1, 1, 0\)"):
+        elements.evolve(leaky, [router])
+
+
+def test_read_block_rejects_a_stack_when_one_member_leaves_it():
+    plan = scenarios.build_stricter_6beam()
+    sectors = stacked(plan, per_beam_basis(plan))
+    assert np.array_equal(scenarios._read_block(plan, sectors),
+                          per_beam_basis(plan))
+    p, q = (sectors.state.index_of(m) for m in plan.probe_modes[:2])
+    # |2_p> has amplitude S_pp: below PRUNE_EPSILON it is pruned.
+    sectors.two[-1, p, p] = 0.8 * PRUNE_EPSILON
+    assert np.array_equal(scenarios._read_block(plan, sectors),
+                          per_beam_basis(plan))
+    # Two probe photons in the last member only.
+    sectors.two[-1, p, q] = sectors.two[-1, q, p] = 1e-3
+    with pytest.raises(UnsupportedSector, match="outside one shutter"):
+        scenarios._read_block(plan, sectors)
 
 
 def test_compile_rejects_amplitude_outside_the_block():

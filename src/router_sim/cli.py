@@ -22,6 +22,7 @@ import numpy as np
 
 from . import dsl, scenarios
 from .errors import BadParam, CompileError, SimulationError
+from .fock import row_norms
 
 DEFAULT_TOL = 1e-9
 
@@ -240,6 +241,8 @@ def cmd_simulate(args, stream):
 
 
 def _sweep_points(args, arity):
+    """The coefficient vectors of a sweep, one per row; raises UsageError
+    for a malformed request or one with more points than fit in memory."""
     if args.random is not None and args.alpha1_grid is not None:
         raise UsageError("give --random or --alpha1-grid, not both")
     if args.random is not None:
@@ -247,12 +250,8 @@ def _sweep_points(args, arity):
             raise UsageError("--random needs a positive count")
         if args.seed is not None and args.seed < 0:
             raise UsageError("--seed must be a non-negative integer")
-        rng = np.random.default_rng(0 if args.seed is None else args.seed)
-        # The stream of a real then an imaginary part draw per point.
-        parts = rng.normal(size=(args.random, 2, arity))
-        vecs = parts[:, 0] + 1j * parts[:, 1]
-        return [vec / np.linalg.norm(vec) for vec in vecs]
-    if args.alpha1_grid is not None:
+        count = args.random
+    elif args.alpha1_grid is not None:
         if args.seed is not None:
             raise UsageError("--seed applies to --random only")
         try:
@@ -266,19 +265,31 @@ def _sweep_points(args, arity):
             raise UsageError("empty sweep grid")
         if not (-1.0 <= start <= 1.0 and -1.0 <= stop <= 1.0):
             raise UsageError("--alpha1-grid endpoints must lie in [-1, 1]")
-        points = []
-        for a1 in np.linspace(start, stop, count):
-            rest = math.sqrt(max(0.0, 1.0 - a1 * a1) / (arity - 1))
-            vec = np.full(arity, rest, dtype=complex)
-            vec[0] = a1
-            points.append(vec)
-        return points
-    raise UsageError("sweep needs --random N or --alpha1-grid start:stop:count")
+    else:
+        raise UsageError(
+            "sweep needs --random N or --alpha1-grid start:stop:count")
+    try:
+        if args.random is not None:
+            rng = np.random.default_rng(args.seed or 0)
+            # The stream of a real then an imaginary part draw per point.
+            parts = rng.normal(size=(count, 2, arity))
+            vecs = parts[:, 0] + 1j * parts[:, 1]
+            return vecs / row_norms(vecs)
+        a1 = np.linspace(start, stop, count)
+        vecs = np.empty((count, arity), dtype=complex)
+        vecs[:] = np.sqrt(np.maximum(0.0, 1.0 - a1 * a1)
+                          / (arity - 1))[:, None]
+        vecs[:, 0] = a1
+        return vecs
+    except (MemoryError, ValueError):
+        # numpy refuses a size past its index range with ValueError.
+        raise UsageError(
+            f"a sweep of {count} points does not fit in memory") from None
 
 
 def cmd_sweep(args, stream):
     entry = _scenario(args.scenario)
-    if not entry.arity:
+    if entry.sweep is None:
         raise UsageError(
             f"scenario {args.scenario!r} takes no coefficient sweep"
         )

@@ -370,6 +370,15 @@ def pruned(amplitudes):
     return np.where(np.abs(amplitudes) < PRUNE_EPSILON, 0j, amplitudes)
 
 
+def row_norms(rows):
+    """The 2-norm of each row of the complex matrix ``rows``, as an (n, 1)
+    column, bit for bit as :func:`numpy.linalg.norm` computes it one row at
+    a time: two stacked dot products, unlike ``norm(axis=1)``."""
+    re, im = rows.real, rows.imag
+    return np.sqrt(re[:, None, :] @ re[:, :, None]
+                   + im[:, None, :] @ im[:, :, None])[:, 0]
+
+
 def normalized_rows(amplitudes):
     """Each row of ``amplitudes`` as :meth:`FockState.normalized` leaves
     it: divided by its norm and pruned, or zero when that norm is below

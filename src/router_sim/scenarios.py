@@ -24,8 +24,10 @@ unperturbed schedules are only meaningful against such counterfactuals.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
+from itertools import zip_longest
 from typing import Callable
 
 import numpy as np
@@ -46,6 +48,7 @@ from .fock import (
     Sectors,
     normalized_rows,
     pruned,
+    row_norms,
     spectrum_of,
     superposition_source,
 )
@@ -147,7 +150,7 @@ def unitary_with_first_row(row):
     """
     rows = np.atleast_2d(np.asarray(row, dtype=complex))
     n, k = rows.shape
-    norms = np.array([[np.linalg.norm(r)] for r in rows])
+    norms = row_norms(rows)
     rows = np.where(np.abs(norms - 1.0) > 1e-12, rows / norms, rows)
     # Columns: the conjugated row, then every unit vector but the one at
     # the row's largest entry, in order.
@@ -545,10 +548,15 @@ def _bell_state(alphas, product_control=False):
     else:
         block = _read_block(plan, propagate(plan.initial, plan.schedule))
         collected = block[:, plan.kept_columns]
+    return _collected_state(collected), plan.kept_ports
+
+
+def _collected_state(collected):
+    """The cavity columns ``collected`` of a block, normalized; raises
+    :class:`UndefinedConditioning` if they hold no amplitude."""
     if np.sum(np.abs(collected) ** 2) < 1e-24:
         raise UndefinedConditioning("the probe is never reflected")
-    state = normalized_rows(collected.ravel()).reshape(collected.shape)
-    return state, plan.kept_ports
+    return normalized_rows(collected.ravel()).reshape(collected.shape)
 
 
 def _check_settings(alice_setting, bob_setting):
@@ -558,11 +566,20 @@ def _check_settings(alice_setting, bob_setting):
         raise BadParam(f"unknown Bob setting {bob_setting!r}")
 
 
+@functools.cache
+def _alice_superposition():
+    """Alice's SUPERPOSE bra: the equal superposition of boxes A, B and C,
+    read-only because every table shares it."""
+    bra = Sectors(tsvf.shutter_state((1 / SQRT3,) * 3)).one.conj()
+    bra.flags.writeable = False
+    return bra
+
+
 def _bell_table(bell, alice_setting, bob_setting):
     """Clamped joint probability table of one setting pair on the
     ``(state, cavities)`` pair from :func:`_bell_state`."""
     state, cavities = bell
-    alice = Sectors(tsvf.shutter_state((1 / SQRT3,) * 3)).one.conj()
+    alice = _alice_superposition()
     bob = np.full(len(cavities), 1 / math.sqrt(len(cavities)))
     probs = np.abs(state) ** 2
 
@@ -679,9 +696,8 @@ def bell_scenario(alphas=None, alice_setting=OPEN_BOXES,
     """
     alphas_vec = equal_alphas(5) if alphas is None else as_alpha_vector(alphas, 5)
     _check_settings(alice_setting, bob_setting)
-    bell = _bell_state(alphas_vec, product_control)
-    tables = _bell_tables(bell)
-    spectrum = spectrum_of(np.linalg.svd(bell[0], compute_uv=False))
+    tables, summary, spectrum = _bell_report(
+        _bell_state(alphas_vec, product_control))
     outcomes = {
         f"shutter={a}|probe={b}": p
         for (a, b), p in tables[(alice_setting, bob_setting)].items()
@@ -699,10 +715,50 @@ def bell_scenario(alphas=None, alice_setting=OPEN_BOXES,
             "alice_setting": alice_setting,
             "bob_setting": bob_setting,
             "product_control": product_control,
-            "no_signaling_gap": _no_signaling_gap(tables),
-            "chsh": _chsh(tables),
+            **summary,
         },
     )
+
+
+def _bell_report(bell):
+    """The four clamped tables of the Bell state ``bell``, its summary (the
+    no-signaling gap and the CHSH value) and its Schmidt spectrum."""
+    tables = _bell_tables(bell)
+    summary = {"no_signaling_gap": _no_signaling_gap(tables),
+               "chsh": _chsh(tables)}
+    return tables, summary, spectrum_of(
+        np.linalg.svd(bell[0], compute_uv=False))
+
+
+#: Most points of a Bell sweep evolved as one stack, which bounds its memory.
+BELL_SLICE = 256
+
+
+def bell_sweep(points):
+    """``(summary, Schmidt spectrum)`` of :func:`bell_scenario` at each
+    coefficient vector in ``points``, with OPEN/OPEN settings.
+
+    The five-beam plan is built once.  Each point's shutter x probe state is
+    prepared as :func:`build_disappearing` prepares it, and the two-photon
+    matrices of up to :data:`BELL_SLICE` points evolve stacked, in one pass
+    through the schedule; every point is then read and measured as
+    :func:`bell_scenario` measures it alone.
+    """
+    plan = build_disappearing()
+    records = []
+    for start in range(0, len(points), BELL_SLICE):
+        sectors = Sectors(plan.initial)
+        sectors.two = np.stack([
+            Sectors(_prepare(plan.spec.pre, list(zip_longest(
+                plan.probe_modes, as_alpha_vector(point, 5))))).two
+            for point in points[start:start + BELL_SLICE]
+        ])
+        evolve(sectors, plan.schedule)
+        for collected in _read_block(plan, sectors)[:, :, plan.kept_columns]:
+            _, summary, spectrum = _bell_report(
+                (_collected_state(collected), plan.kept_ports))
+            records.append((summary, spectrum))
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -778,56 +834,32 @@ def _bell_consistent(result, tol):
             and result.metadata["no_signaling_gap"] <= tol)
 
 
-def _outcome_summary(result):
-    summary = dict(result.conditional_probabilities)
-    summary["fidelity"] = result.fidelity_to_target
-    return summary
-
-
-def _bell_summary(result):
-    return {
-        "no_signaling_gap": result.metadata["no_signaling_gap"],
-        "chsh": result.metadata["chsh"],
-    }
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One entry of :data:`SCENARIOS`.
 
     ``evaluate(alphas, perturbation, settings)`` runs the scenario, where
     ``settings`` is an (Alice, Bob) pair that only ``takes_settings``
-    scenarios read.  The evaluators and ``build`` call the scenario
+    scenarios read.  The evaluators and ``sweep`` call the scenario
     functions through their module-level names, so rebinding a name (to
     trace or patch it) also reaches the registry.  ``arity`` is the number
     of probe coefficients; 0 means the scenario takes none and cannot be
     swept.
     ``certain(result, tol)`` checks the built-in claim of an unperturbed
-    run and ``summarize(result)`` gives a sweep record's summary.
-    ``build()``, given for beam-table scenarios, builds the unperturbed
-    plan that :meth:`sweep` compiles; without it a sweep evaluates each
-    point.
+    run.  ``sweep(points)``, given for every scenario with coefficients,
+    returns the ``(summary, Schmidt spectrum)`` record of each coefficient
+    vector in ``points``, unperturbed and with OPEN/OPEN settings, from one
+    propagation: beam-table scenarios compile their plan
+    (:func:`compile_sweep`) and ``bell_test`` evolves its points' states
+    stacked (:func:`bell_sweep`).
     """
 
     evaluate: Callable
     arity: int
     certain: Callable
     perturbations: tuple = ()
-    summarize: Callable = _outcome_summary
     takes_settings: bool = False
-    build: Callable | None = None
-
-    def sweep(self, points):
-        """``(summary, Schmidt spectrum)`` of each coefficient vector in
-        ``points``, unperturbed and with OPEN/OPEN settings."""
-        if self.build is not None:
-            return compile_sweep(self.build()).evaluate(points)
-        records = []
-        for point in points:
-            result = self.evaluate(point, None, (OPEN_BOXES, OPEN_CAVITIES))
-            records.append((self.summarize(result),
-                            list(result.schmidt_spectrum or [])))
-        return records
+    sweep: Callable | None = None
 
 
 SCENARIOS = {
@@ -835,7 +867,8 @@ SCENARIOS = {
         lambda alphas, perturbation, settings: three_box_shutter(*alphas),
         arity=2,
         certain=_reflected_with_fidelity_one,
-        build=lambda: build_three_box(*equal_alphas(2)),
+        sweep=lambda points: compile_sweep(
+            build_three_box(*equal_alphas(2))).evaluate(points),
     ),
     "disappearing_full": Scenario(
         lambda alphas, perturbation, settings: disappearing_full(
@@ -844,7 +877,8 @@ SCENARIOS = {
         certain=_restored_with_certainty,
         perturbations=("remove-shutter-C-t2", "extra-beam-A-t2",
                        "extra-beam-B-t2"),
-        build=lambda: build_disappearing(),
+        sweep=lambda points: compile_sweep(
+            build_disappearing()).evaluate(points),
     ),
     "simplified_3path": Scenario(
         lambda alphas, perturbation, settings: simplified_3path(perturbation),
@@ -870,15 +904,16 @@ SCENARIOS = {
         arity=6,
         certain=_restored_with_certainty,
         perturbations=("flip-A-t2", "flip-B-t2"),
-        build=lambda: build_stricter_6beam(),
+        sweep=lambda points: compile_sweep(
+            build_stricter_6beam()).evaluate(points),
     ),
     "bell_test": Scenario(
         lambda alphas, perturbation, settings: bell_scenario(
             alphas, *settings),
         arity=5,
         certain=_bell_consistent,
-        summarize=_bell_summary,
         takes_settings=True,
+        sweep=lambda points: bell_sweep(points),
     ),
 }
 

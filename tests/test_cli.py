@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -257,6 +258,23 @@ def test_random_sweep_points_are_drawn_real_then_imaginary_per_point():
         assert (point == vec / np.linalg.norm(vec)).all()
 
 
+@pytest.mark.parametrize("arity", [2, 5, 6])
+@pytest.mark.parametrize("grid", ["0:1:11", "-1:1:33", "-0.3:0.9:17",
+                                  "1:-1:4", "0.5:0.5:1"])
+def test_grid_sweep_points_match_the_per_point_formula(grid, arity):
+    args = cli.build_parser().parse_args(
+        ["sweep", "bell_test", f"--alpha1-grid={grid}"])
+    start, stop, count = grid.split(":")
+    expected = []
+    for a1 in np.linspace(float(start), float(stop), int(count)):
+        rest = math.sqrt(max(0.0, 1.0 - a1 * a1) / (arity - 1))
+        vec = np.full(arity, rest, dtype=complex)
+        vec[0] = a1
+        expected.append(vec)
+    points = cli._sweep_points(args, arity)
+    assert points.tobytes() == np.array(expected).tobytes()
+
+
 @pytest.mark.parametrize("unbuffered", [False, True])
 @pytest.mark.parametrize("argv, lines_read", [
     # 200 records are far more than a pipe buffers, so the writer meets
@@ -354,6 +372,14 @@ USAGE_ERRORS = (
         ["sweep", "disappearing_full", "--alpha1-grid", "-2:2:3"],
         ["sweep", "disappearing_full", "--alpha1-grid", "0:1.5:3"],
         ["sweep", "disappearing_full", "--random", "3", "--seed", "-1"],
+    ]
+    # point counts whose arrays fail to allocate at once
+    + [
+        ["sweep", "bell_test", "--random", "100000000000"],
+        ["sweep", "bell_test", "--random", "99999999999999999999999"],
+        ["sweep", "bell_test", "--alpha1-grid=0:1:100000000000"],
+        ["sweep", "stricter_6beam",
+         "--alpha1-grid=0:1:99999999999999999999999"],
     ]
     # options that were read by nothing and are gone
     + [

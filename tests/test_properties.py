@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from router_sim import cli, dsl
+from router_sim.fock import row_norms
 
 PROPERTY_SETTINGS = settings(
     derandomize=True,
@@ -349,3 +350,30 @@ def test_float_fast_path_matches_the_rounded_repr():
     values += EDGE_FLOATS[:-3]  # all but NaN and the infinities
     for v in values:
         assert cli._float_text(v) == repr(float(f"{v:.12g}")), v
+
+
+# ---------------------------------------------------------------------------
+# Row norms
+# ---------------------------------------------------------------------------
+
+norm_parts = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(st.integers(1, 8).flatmap(lambda k: st.lists(
+    st.lists(st.builds(complex, norm_parts, norm_parts),
+             min_size=k, max_size=k),
+    min_size=1, max_size=12)))
+def test_row_norms_are_the_per_row_norms_bit_for_bit(rows):
+    rows = np.array(rows, dtype=complex)
+    expected = np.array([[np.linalg.norm(row)] for row in rows])
+    assert row_norms(rows).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_row_norms_of_gaussian_rows_are_the_per_row_norms(k):
+    rng = np.random.default_rng(k)
+    rows = rng.normal(size=(2000, k)) + 1j * rng.normal(size=(2000, k))
+    rows *= 10.0 ** rng.integers(-8, 9, size=(2000, 1))
+    expected = np.array([[np.linalg.norm(row)] for row in rows])
+    assert row_norms(rows).tobytes() == expected.tobytes()

@@ -1,3 +1,4 @@
+import builtins
 import io
 import itertools
 import math
@@ -622,9 +623,14 @@ def sweep_points(draw, arity):
 
 
 def test_compiled_scenarios_are_the_beam_table_sweeps():
-    compiled = {name for name, entry in scenarios.SCENARIOS.items()
-                if entry.build is not None}
-    assert compiled == set(COMPILED)
+    # Every scenario that takes coefficients sweeps them from one
+    # propagation: the beam tables through compile_sweep, bell_test
+    # through bell_sweep.
+    swept = {name for name, entry in scenarios.SCENARIOS.items()
+             if entry.sweep is not None}
+    assert swept == set(COMPILED) | {"bell_test"}
+    assert swept == {name for name, entry in scenarios.SCENARIOS.items()
+                     if entry.arity}
 
 
 @pytest.mark.parametrize("name", COMPILED)
@@ -636,7 +642,8 @@ def test_compiled_sweep_matches_each_point(name, data):
     open_open = (scenarios.OPEN_BOXES, scenarios.OPEN_CAVITIES)
     for point, (summary, schmidt) in zip(points, entry.sweep(points)):
         result = entry.evaluate(point, None, open_open)
-        expected = entry.summarize(result)
+        expected = {**result.conditional_probabilities,
+                    "fidelity": result.fidelity_to_target}
         assert list(summary) == list(expected)
         for key, value in expected.items():
             assert abs(summary[key] - value) <= 1e-12, key
@@ -675,6 +682,109 @@ def test_compiled_sweep_builds_and_propagates_once(name, count, monkeypatch):
                      "checkpoint_values": 0}
     assert len(stacks) == 1
     assert stacks[0][0] == scenarios.SCENARIOS[name].arity
+
+
+def cli_points(argv):
+    """The coefficient vectors of the ``router-sim sweep`` options."""
+    args = cli.build_parser().parse_args(["sweep", "bell_test"] + argv)
+    return cli._sweep_points(args, 5)
+
+
+def bell_records_point_by_point(points):
+    """Sweep records of ``bell_scenario`` run at each point alone."""
+    records = []
+    for point in points:
+        result = scenarios.bell_scenario(point)
+        records.append(({key: result.metadata[key]
+                         for key in ("no_signaling_gap", "chsh")},
+                        result.schmidt_spectrum))
+    return records
+
+
+def same_bits(records, expected):
+    """Assert that two lists of sweep records hold the same float bits."""
+    assert len(records) == len(expected)
+    for (summary, spectrum), (want, want_spectrum) in zip(records, expected):
+        assert list(summary) == list(want)
+        got = np.array(list(summary.values()) + spectrum)
+        ref = np.array(list(want.values()) + want_spectrum)
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.fixture(scope="module")
+def bell_reference():
+    """257 seeded points, one past a full slice, and their records."""
+    points = cli_points(["--random", "257", "--seed", "11"])
+    return points, bell_records_point_by_point(points)
+
+
+@pytest.mark.parametrize("count", [1, 3, 255, 256, 257])
+def test_bell_sweep_is_bell_scenario_point_by_point(count, bell_reference):
+    points, expected = bell_reference
+    assert scenarios.BELL_SLICE == 256
+    records = scenarios.SCENARIOS["bell_test"].sweep(points[:count])
+    assert len(records) == count
+    same_bits(records, expected[:count])
+
+
+@pytest.mark.parametrize("grid", ["0:1:11", "-1:1:33", "0:1:5"])
+def test_bell_grid_sweep_is_bell_scenario_point_by_point(grid):
+    points = cli_points([f"--alpha1-grid={grid}"])
+    same_bits(scenarios.SCENARIOS["bell_test"].sweep(points),
+              bell_records_point_by_point(points))
+
+
+@pytest.mark.parametrize("count", [1, 256, 257, 600])
+def test_bell_sweep_builds_once_and_evolves_once_per_slice(count,
+                                                           monkeypatch):
+    calls = {"build": 0, "evolve": 0, "propagate": 0, "bell_scenario": 0}
+    stacks = []
+
+    def spy(attr, key):
+        original = getattr(scenarios, attr)
+
+        def counting(*args, **kwargs):
+            calls[key] += 1
+            if key == "evolve":
+                stacks.append(args[0].two.shape[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, attr, counting)
+
+    spy("build_disappearing", "build")
+    spy("evolve", "evolve")
+    spy("propagate", "propagate")
+    spy("bell_scenario", "bell_scenario")
+    stream = io.StringIO()
+    argv = ["sweep", "bell_test", "--random", str(count)]
+    assert cli.main(argv, stream) == cli.EXIT_OK
+    assert stream.getvalue().count('"index"') == count
+    slices = -(-count // 256)
+    assert calls == {"build": 1, "evolve": slices, "propagate": 0,
+                     "bell_scenario": 0}
+    assert stacks == [256] * (slices - 1) + [count - 256 * (slices - 1)]
+
+
+def test_bell_clamp_removes_almost_no_probability(monkeypatch):
+    # _bell_table clamps each probability with max(v, 0.0); record what
+    # each call removes.  The gap's max(gap, |d|) calls never have a
+    # negative first argument, so they remove nothing.
+    removed = []
+
+    def clamp(value, floor):
+        if floor == 0.0:
+            removed.append(builtins.max(-value, 0.0))
+        return builtins.max(value, floor)
+
+    monkeypatch.setattr(scenarios, "max", clamp, raising=False)
+    points = np.concatenate([
+        cli_points(["--random", "200", "--seed", "4"]),
+        cli_points(["--alpha1-grid=0:1:11"]),
+    ])
+    scenarios.SCENARIOS["bell_test"].sweep(points)
+    # Four tables of 15, 10, 10 and 4 entries per point.
+    assert len(removed) >= 39 * len(points)
+    assert sum(removed) < 1e-12
 
 
 def per_beam_basis(plan):

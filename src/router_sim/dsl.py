@@ -23,7 +23,7 @@ import cmath
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,17 +75,21 @@ class ParseError(Exception):
         self.token = token
 
 
+# A statement's ``line`` is the 1-based line it was parsed from, for compile
+# errors; it is not compared, so parse(render(doc)) == doc.
 @dataclass(frozen=True)
 class ModeDecl:
     name: str
     box: str
     time_slot: str
     role: str
+    line: int = field(default=0, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class SourceStmt:
     weights: tuple  # ((mode_name, complex), ...)
+    line: int = field(default=0, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -93,22 +97,26 @@ class ElementStmt:
     op: str
     params: tuple  # numeric parameters / orientation keyword
     modes: tuple
+    line: int = field(default=0, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class PostselectPattern:
     pattern: tuple  # ((mode_name, int), ...)
+    line: int = field(default=0, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class PostselectState:
     weights: tuple
+    line: int = field(default=0, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class DetectStmt:
     name: str
     pattern: tuple
+    line: int = field(default=0, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -145,58 +153,45 @@ def render_weight(value):
     return f"{re_part!r}{sign}{abs(im_part)!r}i"
 
 
-class _LineParser:
-    def __init__(self, line_number, text):
-        self.line_number = line_number
-        self.text = text
-        self.tokens = text.split()
-        self.pos = 0
-
-    def fail(self, message, token="", index=None):
-        """Raise at token ``index``, by default the next one or line end."""
-        index = self.pos if index is None else index
-        # str.split() and \S+ break a line at the same characters.
-        starts = [m.start() for m in re.finditer(r"\S+", self.text)]
-        column = (starts + [len(self.text)])[index] + 1
-        raise ParseError(self.line_number, column, message, token)
-
-    def next(self, expected):
-        """The next token and its index."""
-        if self.exhausted:
-            self.fail(f"expected {expected}")
-        self.pos += 1
-        return self.tokens[self.pos - 1], self.pos - 1
-
-    def rest(self, expected):
-        """The remaining ``(token, index)`` pairs, at least one."""
-        if self.exhausted:
-            self.fail(f"expected {expected}")
-        remaining = [(token, i) for i, token in
-                     enumerate(self.tokens[self.pos:], self.pos)]
-        self.pos = len(self.tokens)
-        return remaining
-
-    @property
-    def exhausted(self):
-        return self.pos >= len(self.tokens)
+def _fail(line_number, text, index, message, token=""):
+    """Raise :class:`ParseError` at token ``index`` of the line ``text``,
+    or one past its end when the line has no such token."""
+    # str.split() and \S+ break a line at the same characters.
+    starts = [m.start() for m in re.finditer(r"\S+", text)]
+    column = (starts + [len(text.rstrip())])[index] + 1
+    raise ParseError(line_number, column, message, token)
 
 
-def _parse_pairs(parser, items, what):
-    """``(name, weight)`` pairs of ``(token, index)`` items."""
-    if len(items) % 2 != 0:
-        parser.fail(f"{what} takes mode/weight pairs")
+def _require(line_number, text, index, name, declared, seen=()):
+    """Fail at token ``index`` unless ``name`` is declared and not seen."""
+    if name not in declared:
+        _fail(line_number, text, index, f"undeclared mode {name!r}", name)
+    if name in seen:
+        _fail(line_number, text, index, f"repeated mode {name!r}", name)
+
+
+def _weights(line_number, text, tokens, declared):
+    """The normalized ``(mode, weight)`` pairs of a ``source`` or
+    ``postselect_state`` line split into ``tokens``."""
+    what, n = tokens[0], len(tokens)
+    if n == 1:
+        _fail(line_number, text, 1, "expected mode/weight pairs")
+    if n % 2 == 0:
+        _fail(line_number, text, n, f"{what} takes mode/weight pairs")
     pairs = []
-    for (name, name_index), (raw, raw_index) in zip(items[::2], items[1::2]):
+    for index in range(1, n, 2):
+        name, raw = tokens[index], tokens[index + 1]
         if not _IDENT_RE.match(name):
-            parser.fail(f"invalid mode name {name!r}", name, name_index)
+            _fail(line_number, text, index, f"invalid mode name {name!r}",
+                  name)
         weight = parse_weight(raw)
         if weight is None:
-            parser.fail(f"invalid complex weight {raw!r}", raw, raw_index)
+            _fail(line_number, text, index + 1,
+                  f"invalid complex weight {raw!r}", raw)
         pairs.append((name, weight))
-    return pairs
-
-
-def _normalize_pairs(pairs, line_number, what):
+    for index in range(1, n, 2):
+        _require(line_number, text, index, tokens[index], declared,
+                 tokens[1:index:2])
     try:
         total = sum(abs(w) ** 2 for _, w in pairs)
     except OverflowError:
@@ -218,17 +213,35 @@ def _normalize_pairs(pairs, line_number, what):
     return tuple(pairs)
 
 
-def _real(parser):
-    token, index = parser.next("a real parameter")
-    if not _REAL_RE.match(token) or not math.isfinite(float(token)):
-        parser.fail(f"invalid real literal {token!r}", token, index)
-    return float(token)
+def _counts(line_number, text, tokens, start, declared):
+    """The ``(mode, count)`` pairs of ``tokens[start:]``."""
+    if start == len(tokens):
+        _fail(line_number, text, start, "expected mode=count pairs")
+    pattern = {}
+    for index, item in enumerate(tokens[start:], start):
+        m = _ASSIGN_RE.match(item)
+        if not m:
+            _fail(line_number, text, index,
+                  f"expected mode=count, got {item!r}", item)
+        _require(line_number, text, index, m.group(1), declared, pattern)
+        pattern[m.group(1)] = int(m.group(2))
+    return tuple(pattern.items())
 
 
-def _orientation(parser):
-    token, index = parser.next("an orientation (reflect or transmit)")
+# A parameter reader takes the parameter's token ("" if the line ends
+# before it) and returns its value or raises ValueError saying what is wrong.
+def _real(token):
+    value = float(token) if _REAL_RE.match(token) else math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"invalid real literal {token!r}" if token
+                         else "expected a real parameter")
+    return value
+
+
+def _orientation(token):
     if token not in ("reflect", "transmit"):
-        parser.fail(f"unknown orientation {token!r}", token, index)
+        raise ValueError(f"unknown orientation {token!r}" if token
+                         else "expected an orientation (reflect or transmit)")
     return token
 
 
@@ -247,103 +260,102 @@ _ELEMENT_OPS = {
 
 _MODE_WORDS = {1: "one mode", 2: "two modes", 3: "three modes"}
 
+# The tags of a mode declaration after its name: (allowed, what, hint).
+_MODE_TAGS = ((_BOX_TAGS, "box tag", " (A, B, C or aux)"),
+              (_TIME_TAGS, "time tag", " (t1, t2, t3, tf or none)"),
+              (_ROLE_TAGS, "role tag", ""))
+
 
 def parse(text):
     """Parse a circuit document; raises :class:`ParseError` on the first
-    violation."""
+    violation.  Lines end at ``\\n`` only, as ``grep -n`` counts them, and
+    tokens are separated by any whitespace."""
     modes, sources, elements, postselects, detects = [], [], [], [], []
-    declared = set()
-
-    def require_declared(parser, name, index, seen=()):
-        """Fail unless ``name`` is declared and not in ``seen``."""
-        if name not in declared:
-            parser.fail(f"undeclared mode {name!r}", name, index)
-        if name in seen:
-            parser.fail(f"repeated mode {name!r}", name, index)
-
-    def counts(parser):
-        pattern = {}
-        for item, index in parser.rest("mode=count pairs"):
-            m = _ASSIGN_RE.match(item)
-            if not m:
-                parser.fail(f"expected mode=count, got {item!r}", item, index)
-            require_declared(parser, m.group(1), index, pattern)
-            pattern[m.group(1)] = int(m.group(2))
-        return tuple(pattern.items())
-
-    def weights(parser, what):
-        items = parser.rest("mode/weight pairs")
-        pairs = _parse_pairs(parser, items, what)
-        for i, (name, index) in enumerate(items[::2]):
-            require_declared(parser, name, index, dict(pairs[:i]))
-        return _normalize_pairs(pairs, parser.line_number, what)
-
-    for line_number, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].rstrip()
-        if not line.strip():
+    declared, outcomes = set(), set()
+    for line_number, line in enumerate(text.split("\n"), start=1):
+        if "#" in line:
+            line = line[:line.index("#")]
+        tokens = line.split()
+        if not tokens:
             continue
-        parser = _LineParser(line_number, line)
-        directive, _ = parser.next("a directive")
+        directive, n = tokens[0], len(tokens)
+        op = _ELEMENT_OPS.get(directive)
 
-        if directive == "mode":
-            name, index = parser.next("a mode name")
+        if op is not None:
+            readers, n_modes, _ = op
+            params = []
+            for index, read in enumerate(readers, 1):
+                token = tokens[index] if index < n else ""
+                try:
+                    params.append(read(token))
+                except ValueError as exc:
+                    _fail(line_number, line, index, str(exc), token)
+            first, end = 1 + len(readers), 1 + len(readers) + n_modes
+            for index, name in enumerate(tokens[first:end], first):
+                if name not in declared:
+                    _fail(line_number, line, index,
+                          f"undeclared mode {name!r}", name)
+            if n < end:
+                _fail(line_number, line, n,
+                      f"{directive} requires {_MODE_WORDS[n_modes]}")
+            if n > end:
+                _fail(line_number, line, end,
+                      f"trailing tokens after {directive}")
+            elements.append(ElementStmt(directive, tuple(params),
+                                        tuple(tokens[first:]), line_number))
+
+        elif directive == "mode":
+            if n == 1:
+                _fail(line_number, line, 1, "expected a mode name")
+            name = tokens[1]
             if not _IDENT_RE.match(name):
-                parser.fail(f"invalid mode name {name!r}", name, index)
+                _fail(line_number, line, 1, f"invalid mode name {name!r}",
+                      name)
             if name in declared:
-                parser.fail(
-                    f"duplicate declaration of mode {name!r}", name, index
-                )
-            box, index = parser.next("a box tag (A, B, C or aux)")
-            if box not in _BOX_TAGS:
-                parser.fail(f"unknown box tag {box!r}", box, index)
-            slot, index = parser.next("a time tag (t1, t2, t3, tf or none)")
-            if slot not in _TIME_TAGS:
-                parser.fail(f"unknown time tag {slot!r}", slot, index)
-            role, index = parser.next("a role tag")
-            if role not in _ROLE_TAGS:
-                parser.fail(f"unknown role tag {role!r}", role, index)
-            if not parser.exhausted:
-                parser.fail("trailing tokens after mode declaration")
+                _fail(line_number, line, 1,
+                      f"duplicate declaration of mode {name!r}", name)
+            for index, (allowed, what, hint) in enumerate(_MODE_TAGS, 2):
+                if index == n:
+                    _fail(line_number, line, n, f"expected a {what}{hint}")
+                if tokens[index] not in allowed:
+                    _fail(line_number, line, index,
+                          f"unknown {what} {tokens[index]!r}", tokens[index])
+            if n > 5:
+                _fail(line_number, line, 5,
+                      "trailing tokens after mode declaration")
             declared.add(name)
-            modes.append(ModeDecl(name, box, slot, role))
+            modes.append(ModeDecl(*tokens[1:], line_number))
 
         elif directive == "source":
-            sources.append(SourceStmt(weights(parser, "source")))
-
-        elif directive in _ELEMENT_OPS:
-            readers, n_modes, _ = _ELEMENT_OPS[directive]
-            params = tuple(read(parser) for read in readers)
-            mode_args = []
-            for _ in range(n_modes):
-                if parser.exhausted:
-                    parser.fail(
-                        f"{directive} requires {_MODE_WORDS[n_modes]}"
-                    )
-                token, index = parser.next("a mode name")
-                require_declared(parser, token, index)
-                mode_args.append(token)
-            if not parser.exhausted:
-                parser.fail(f"trailing tokens after {directive}")
-            elements.append(ElementStmt(directive, params, tuple(mode_args)))
+            sources.append(SourceStmt(
+                _weights(line_number, line, tokens, declared), line_number))
 
         elif directive == "postselect":
-            postselects.append(PostselectPattern(counts(parser)))
+            postselects.append(PostselectPattern(
+                _counts(line_number, line, tokens, 1, declared), line_number))
 
         elif directive == "postselect_state":
-            postselects.append(
-                PostselectState(weights(parser, "postselect_state"))
-            )
+            postselects.append(PostselectState(
+                _weights(line_number, line, tokens, declared), line_number))
 
         elif directive == "detect":
-            name, index = parser.next("an outcome name")
+            if n == 1:
+                _fail(line_number, line, 1, "expected an outcome name")
+            name = tokens[1]
             if not _IDENT_RE.match(name):
-                parser.fail(f"invalid outcome name {name!r}", name, index)
-            if any(det.name == name for det in detects):
-                parser.fail(f"repeated outcome name {name!r}", name, index)
-            detects.append(DetectStmt(name, counts(parser)))
+                _fail(line_number, line, 1, f"invalid outcome name {name!r}",
+                      name)
+            if name in outcomes:
+                _fail(line_number, line, 1, f"repeated outcome name {name!r}",
+                      name)
+            outcomes.add(name)
+            detects.append(DetectStmt(
+                name, _counts(line_number, line, tokens, 2, declared),
+                line_number))
 
         else:
-            parser.fail(f"unknown directive {directive!r}", directive, 0)
+            _fail(line_number, line, 0, f"unknown directive {directive!r}",
+                  directive)
 
     return CircuitDoc(
         tuple(modes), tuple(sources), tuple(elements),
@@ -353,33 +365,24 @@ def parse(text):
 
 def render(doc):
     """Canonical pretty-print; ``parse(render(doc))`` equals ``doc``."""
-    lines = []
-    for decl in doc.modes:
-        lines.append(f"mode {decl.name} {decl.box} {decl.time_slot} {decl.role}")
-    for source in doc.sources:
-        pairs = " ".join(
-            f"{name} {render_weight(w)}" for name, w in source.weights
-        )
-        lines.append(f"source {pairs}")
+    def weights(pairs):
+        return " ".join(f"{name} {render_weight(w)}" for name, w in pairs)
+
+    def counts(pairs):
+        return " ".join(f"{name}={count}" for name, count in pairs)
+
+    lines = [f"mode {decl.name} {decl.box} {decl.time_slot} {decl.role}"
+             for decl in doc.modes]
+    lines += [f"source {weights(source.weights)}" for source in doc.sources]
     for element in doc.elements:
-        params = " ".join(
-            p if isinstance(p, str) else repr(p) for p in element.params
-        )
-        mode_args = " ".join(element.modes)
-        middle = f"{params} " if params else ""
-        lines.append(f"{element.op} {middle}{mode_args}")
+        params = [p if isinstance(p, str) else repr(p) for p in element.params]
+        lines.append(" ".join([element.op, *params, *element.modes]))
     for ps in doc.postselects:
-        if isinstance(ps, PostselectPattern):
-            pairs = " ".join(f"{n}={c}" for n, c in ps.pattern)
-            lines.append(f"postselect {pairs}")
-        else:
-            pairs = " ".join(
-                f"{name} {render_weight(w)}" for name, w in ps.weights
-            )
-            lines.append(f"postselect_state {pairs}")
-    for det in doc.detects:
-        pairs = " ".join(f"{n}={c}" for n, c in det.pattern)
-        lines.append(f"detect {det.name} {pairs}")
+        lines.append(f"postselect {counts(ps.pattern)}"
+                     if isinstance(ps, PostselectPattern)
+                     else f"postselect_state {weights(ps.weights)}")
+    lines += [f"detect {det.name} {counts(det.pattern)}"
+              for det in doc.detects]
     return "\n".join(lines) + "\n"
 
 
@@ -392,53 +395,55 @@ class CompiledCircuit:
 
 
 def compile_doc(doc):
-    """Lower a parsed document to an initial state plus element schedule."""
+    """Lower a parsed document to an initial state plus element schedule.
+
+    A :class:`CompileError` names the line of the statement at fault.
+    """
     names = [decl.name for decl in doc.modes]
     if not names:
-        raise CompileError(0, "circuit declares no modes")
+        raise CompileError(None, "circuit declares no modes")
     if len(doc.sources) > PHOTON_BUDGET:
         raise CompileError(
-            len(doc.modes) + len(doc.sources),
+            doc.sources[PHOTON_BUDGET].line,
             f"{len(doc.sources)} source photons exceed the photon budget "
             f"{PHOTON_BUDGET}",
         )
 
-    used = set()
-    for source in doc.sources:
-        used.update(name for name, _ in source.weights)
-    for element in doc.elements:
-        used.update(element.modes)
+    pairs = [pair for stmt in doc.sources for pair in stmt.weights]
+    pairs += [pair for stmt in doc.detects for pair in stmt.pattern]
     for ps in doc.postselects:
-        pairs = ps.pattern if isinstance(ps, PostselectPattern) else ps.weights
-        used.update(name for name, _ in pairs)
-    for det in doc.detects:
-        used.update(name for name, _ in det.pattern)
-    dangling = sorted(set(names) - used)
+        pairs += ps.pattern if isinstance(ps, PostselectPattern) else ps.weights
+    used = {name for element in doc.elements for name in element.modes}
+    used.update([name for name, _ in pairs])
+    dangling = [decl for decl in doc.modes if decl.name not in used]
     if dangling:
-        raise CompileError(0, f"modes declared but never used: {dangling}")
+        unused = sorted({decl.name for decl in dangling})
+        raise CompileError(dangling[0].line,
+                           f"modes declared but never used: {unused}")
 
     initial = Sectors(register_modes(names))
     for source in doc.sources:
         initial.add_photon(dict(source.weights))
 
     schedule = []
-    for index, element in enumerate(doc.elements):
-        if element.op not in _ELEMENT_OPS:
-            raise CompileError(index, f"unknown element {element.op!r}")
-        construct = _ELEMENT_OPS[element.op][2]
+    for element in doc.elements:
+        op = _ELEMENT_OPS.get(element.op)
+        if op is None:
+            raise CompileError(element.line,
+                               f"unknown element {element.op!r}")
         try:
-            schedule.append(construct(*element.params, *element.modes))
+            schedule.append(op[2](*element.params, *element.modes))
         except Exception as exc:
-            raise CompileError(index, str(exc)) from exc
+            raise CompileError(element.line, str(exc)) from exc
 
     postselects = []
-    for index, ps in enumerate(doc.postselects):
+    for ps in doc.postselects:
         if isinstance(ps, PostselectPattern):
             postselects.append(("pattern", dict(ps.pattern)))
         else:
             if len(ps.weights) == len(names):
                 raise CompileError(
-                    index,
+                    ps.line,
                     "postselect_state must leave at least one declared mode "
                     "unselected",
                 )
@@ -467,7 +472,7 @@ def execute(compiled):
         if kind == "pattern":
             mask = final.matches(payload)
             kept = np.where(mask, amplitudes, 0j)
-            probability = float(np.sum(probabilities[mask]))
+            probability = float(probabilities[mask].sum())
             modes = final.state.modes
         else:
             kept, probability = final.postselect_state(payload)
@@ -480,15 +485,15 @@ def execute(compiled):
         # Detection patterns refer to probe modes, which survive a
         # subsystem post-selection; a zero state detects with probability 0.
         conditional = [
-            float(np.sum(given[final.matches(
+            float(given[final.matches(
                 {m: c for m, c in pattern.items() if m in modes}
-            )]))
+            )].sum())
             for given, modes in conditioned
         ]
         detections.append({
             "name": name,
             "probability": float(
-                np.sum(probabilities[final.matches(pattern)])
+                probabilities[final.matches(pattern)].sum()
             ),
             "conditional": conditional,
         })

@@ -39,6 +39,9 @@ class ElementKind(Enum):
     TUNNEL = "tunnel"
     MODE_UNITARY = "unitary"
 
+    # Members are singletons: hashed by identity, in C, per evolved element.
+    __hash__ = object.__hash__
+
 
 class RouterOrientation(Enum):
     """Which router port is kept by the downstream network.
@@ -235,7 +238,7 @@ def _router_positions(sectors, element):
     judged on Fock amplitudes of modulus :data:`~router_sim.fock.PRUNE_EPSILON`
     or more, in every matrix of a stacked ``two``.
     """
-    ia, ib, ic = (sectors.state.index_of(m) for m in element.modes)
+    ia, ib, ic = map(sectors.state._index.__getitem__, element.modes)
     if sectors.two is not None:
         # |2> in each bound mode, then |1 1> on the probe pair.
         amps = sectors.two[..., [ia, ib, ic, ia], [ia, ib, ic, ib]]
@@ -254,7 +257,7 @@ def _router_positions(sectors, element):
 def _ns_rule(sectors, element, adjoint):
     # Sign flip of |2_m>, the S_mm entry: real, so self-adjoint.
     if sectors.two is not None:
-        m = sectors.state.index_of(element.modes[0])
+        m = sectors.state._index[element.modes[0]]
         sectors.two[..., m, m] = -sectors.two[..., m, m]
 
 
@@ -294,50 +297,45 @@ def _identity(n):
     return np.eye(n, dtype=complex)
 
 
-def _compose(run, sectors, element, adjoint):
-    """The mode matrix of ``element`` (its adjoint if ``adjoint``), a
-    linear element or a relabel, times ``run``, the n x n matrix of the
-    elements before it (None for the identity)."""
-    index_of = sectors.state.index_of
-    if run is None:
-        run = _identity(len(sectors.one)).copy()
-    if element.kind is ElementKind.RELABEL:
-        mapping = element.params["mapping"]
-        if adjoint:
-            mapping = {v: k for k, v in mapping.items()}
-        # The photons of mode ``src`` move to mode ``dst``.
-        perm = list(range(len(run)))
-        for src, dst in mapping.items():
-            perm[index_of(dst)] = index_of(src)
-        return run[perm]
-    u = _mode_matrix(element)
-    u = u.conj().T if adjoint else u
-    positions = [index_of(m) for m in element.modes]
-    if len(positions) == 1:
-        run[positions[0]] *= u[0, 0]
-    elif len(positions) == 2:
-        # Rows i and j, in that order, as one strided view.
-        i, j = positions
-        rows = run[i::j - i][:2]
-        rows[:] = u @ rows
-    else:
-        run[positions] = u @ run[positions]
-    return run
-
-
 def evolve(sectors, elements, adjoint=False):
     """Apply ``elements``, or their adjoint, to ``sectors`` in place; see
-    :func:`propagate`."""
+    :func:`propagate`.  ``run`` is the mode matrix of the current run of
+    linear elements and relabels (None for the identity)."""
+    index = sectors.state._index
     run = None
     for element in reversed(elements) if adjoint else elements:
-        rule = _RULES.get(element.kind)
-        if rule is None:
-            run = _compose(run, sectors, element, adjoint)
+        kind, modes = element.kind, element.modes
+        rule = _RULES.get(kind)
+        if rule is not None:
+            if run is not None:
+                sectors.apply_mode_matrix(run)
+                run = None
+            rule(sectors, element, adjoint)
             continue
-        if run is not None:
-            sectors.apply_mode_matrix(run)
-            run = None
-        rule(sectors, element, adjoint)
+        if run is None:
+            run = _identity(len(sectors.one)).copy()
+        if kind is ElementKind.RELABEL:
+            mapping = element.params["mapping"]
+            if adjoint:
+                mapping = {v: k for k, v in mapping.items()}
+            # The photons of mode ``src`` move to mode ``dst``.
+            perm = list(range(len(run)))
+            for src, dst in mapping.items():
+                perm[index[dst]] = index[src]
+            run = run[perm]
+            continue
+        u = _mode_matrix(element)
+        u = u.conj().T if adjoint else u
+        if len(modes) == 1:
+            run[index[modes[0]]] *= u[0, 0]
+        elif len(modes) == 2:
+            # Rows i and j, in that order, as one strided view.
+            i, j = index[modes[0]], index[modes[1]]
+            rows = run[i::j - i][:2]
+            rows[:] = u @ rows
+        else:
+            positions = [index[m] for m in modes]
+            run[positions] = u @ run[positions]
     if run is not None:
         sectors.apply_mode_matrix(run)
 

@@ -48,9 +48,11 @@ class UndefinedConditioning(SimulationError):
 
 
 class CompileError(SimulationError):
-    """A circuit document failed semantic validation."""
+    """A circuit document failed semantic validation; ``line`` is that of
+    the statement at fault (None for the document as a whole)."""
 
-    def __init__(self, statement_index, message):
-        super().__init__(f"statement {statement_index}: {message}")
-        self.statement_index = statement_index
+    def __init__(self, line, message):
+        where = "" if line is None else f"line {line}: "
+        super().__init__(where + message)
+        self.line = line
         self.message = message

@@ -54,6 +54,13 @@ class ProjectionOutcome:
     probability: float
 
 
+class _ModeIndex(dict):
+    """Mode name to position; a name not registered raises UnknownMode."""
+
+    def __missing__(self, label):
+        raise UnknownMode(f"mode {label!r} is not registered")
+
+
 class FockState:
     """Pure state over an ordered tuple of registered modes.
 
@@ -76,7 +83,7 @@ class FockState:
 
     def __init__(self, modes, amplitudes):
         modes = tuple(modes)
-        index = {}
+        index = _ModeIndex()
         for i, label in enumerate(modes):
             if not isinstance(label, str) or not label:
                 raise BadParam(f"mode {label!r} is not a non-empty name")
@@ -127,10 +134,7 @@ class FockState:
 
     def index_of(self, label):
         """Position of ``label`` in the registered mode order."""
-        try:
-            return self._index[label]
-        except KeyError:
-            raise UnknownMode(f"mode {label!r} is not registered") from None
+        return self._index[label]
 
     def amplitude(self, config):
         return self.amplitudes.get(tuple(config), 0j)
@@ -284,7 +288,7 @@ class Sectors:
         those of modulus below PRUNE_EPSILON set to zero."""
         n = len(self.one)
         layout = _layout(n)
-        amps = np.zeros(len(layout.first), dtype=complex)
+        amps = np.zeros(layout.occupations.shape[1], dtype=complex)
         amps[0] = self.vacuum
         amps[1:1 + n] = self.one
         if self.two is not None:
@@ -293,32 +297,20 @@ class Sectors:
 
     def to_state(self):
         amps = self.fock_amplitudes()
-        layout = _layout(len(self.one))
         kept = np.flatnonzero(amps)
-        zeros = [0] * len(self.one)
-        out = {}
-        for i, j, amp in zip(layout.first[kept].tolist(),
-                             layout.second[kept].tolist(),
-                             amps[kept].tolist()):
-            config = zeros.copy()
-            if i >= 0:
-                config[i] += 1
-            if j >= 0:
-                config[j] += 1
-            out[tuple(config)] = amp
-        return self.state._derived(out)
+        configs = _layout(len(self.one)).occupations[:, kept].T.tolist()
+        return self.state._derived(
+            dict(zip(map(tuple, configs), amps[kept].tolist())))
 
     def matches(self, pattern):
         """Mask over the flat layout of the configurations that hold the
         counts ``pattern`` (mode name to photon count)."""
-        layout = _layout(len(self.one))
-        mask = np.ones(len(layout.first), dtype=bool)
+        occupations = _layout(len(self.one)).occupations
+        mask = np.ones(occupations.shape[1], dtype=bool)
         for mode, count in pattern.items():
-            p = self.state.index_of(mode)
-            held = np.add(layout.first == p, layout.second == p,
-                          dtype=np.int8)
             # No configuration holds more than PHOTON_BUDGET photons.
-            mask &= held == min(count, PHOTON_BUDGET + 1)
+            mask &= (occupations[self.state.index_of(mode)]
+                     == min(count, PHOTON_BUDGET + 1))
         return mask
 
     def postselect_state(self, target):
@@ -348,20 +340,18 @@ class _Layout(NamedTuple):
     rows: np.ndarray  # S's upper triangle, row-major
     cols: np.ndarray
     weights: np.ndarray  # turns each entry into its Fock amplitude
-    first: np.ndarray  # per configuration, mode of the first photon or -1
-    second: np.ndarray  # mode of the second photon or -1
+    occupations: np.ndarray  # photons of each mode (row) per configuration
 
 
 @functools.lru_cache(maxsize=64)
 def _layout(n):
     """The flat configuration layout over n modes (see :class:`Sectors`)."""
     rows, cols = np.triu_indices(n)
-    none = np.full(1 + n, -1)
-    return _Layout(
-        rows, cols, np.where(rows == cols, 1.0, _SQRT2),
-        np.concatenate([none[:1], np.arange(n), rows]),
-        np.concatenate([none, cols]),
-    )
+    none, modes = np.full(1 + n, -1), np.arange(n)[:, None]
+    first = np.concatenate([none[:1], np.arange(n), rows])
+    second = np.concatenate([none, cols])
+    return _Layout(rows, cols, np.where(rows == cols, 1.0, _SQRT2),
+                   np.add(first == modes, second == modes, dtype=np.int8))
 
 
 def pruned(amplitudes):

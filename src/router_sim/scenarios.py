@@ -376,16 +376,15 @@ def three_box_shutter(alpha1, alpha2):
 # Tunneling schemes: beam tables over the disappearing shutter
 # ---------------------------------------------------------------------------
 
+# Beams (tag, box, checkpoint, orientation) of the disappearing scheme.
+_DISAPPEARING_BEAMS = tuple((tag, tag[0], f"t{tag[1]}", _REFLECT)
+                            for tag in ("A1", "C1", "C2", "B3", "C3"))
+
+
 def build_disappearing(alphas=None, perturbation=None):
     check_perturbation("disappearing_full", perturbation)
     alphas = equal_alphas(5) if alphas is None else as_alpha_vector(alphas, 5)
-    beams = [
-        ("A1", "A", "t1", _REFLECT),
-        ("C1", "C", "t1", _REFLECT),
-        ("C2", "C", "t2", _REFLECT),
-        ("B3", "B", "t3", _REFLECT),
-        ("C3", "C", "t3", _REFLECT),
-    ]
+    beams = list(_DISAPPEARING_BEAMS)
     extra_box = {"extra-beam-A-t2": "A", "extra-beam-B-t2": "B"}.get(
         perturbation
     )
@@ -738,21 +737,25 @@ def bell_sweep(points):
     """``(summary, Schmidt spectrum)`` of :func:`bell_scenario` at each
     coefficient vector in ``points``, with OPEN/OPEN settings.
 
-    The five-beam plan is built once.  Each point's shutter x probe state is
-    prepared as :func:`build_disappearing` prepares it, and the two-photon
-    matrices of up to :data:`BELL_SLICE` points evolve stacked, in one pass
-    through the schedule; every point is then read and measured as
-    :func:`bell_scenario` measures it alone.
+    The five-beam schedule is built once, without the merge or the probe
+    state of :func:`build_disappearing`.  Each point's state is prepared as
+    that prepares it, and the two-photon matrices of up to
+    :data:`BELL_SLICE` points evolve stacked, in one pass through the
+    schedule; every point is then measured as :func:`bell_scenario` does.
     """
-    plan = build_disappearing()
+    plan = _beam_table_plan(
+        "disappearing_full", tsvf.disappearing_spec(), _DISAPPEARING_BEAMS,
+        equal_alphas(5), {}, probe_photon=False, recombine=False,
+    )
     records = []
     for start in range(0, len(points), BELL_SLICE):
-        sectors = Sectors(plan.initial)
-        sectors.two = np.stack([
+        prepared = [
             Sectors(_prepare(plan.spec.pre, list(zip_longest(
-                plan.probe_modes, as_alpha_vector(point, 5))))).two
+                plan.probe_modes, as_alpha_vector(point, 5)))))
             for point in points[start:start + BELL_SLICE]
-        ])
+        ]
+        sectors = prepared[0]
+        sectors.two = np.stack([each.two for each in prepared])
         evolve(sectors, plan.schedule)
         for collected in _read_block(plan, sectors)[:, :, plan.kept_columns]:
             _, summary, spectrum = _bell_report(

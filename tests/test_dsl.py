@@ -398,6 +398,84 @@ def test_compile_unknown_element_op():
         compile_doc(doc)
 
 
+# Each compile error names the line of its statement, as grep -n counts it.
+COMPILE_HEAD = ("mode A A t1 shutter\nmode B B t1 shutter  # spare\n\n"
+                "mode C C t1 probe_in\nsource A 1\n")
+COMPILE_TAIL = "detect d A=1 B=0 C=1\n"
+COMPILE_ERRORS = [
+    ("bs 2 A B", "line 6: reflectivity 2.0 outside [0, 1]"),
+    ("tunnel 0.5 A A", "line 6: element modes ('A', 'A') must be distinct"),
+    ("pqr reflect A B A", "line 6: router needs three distinct modes"),
+    ("postselect_state A 0.6 B 0.8i C 0",
+     "line 6: postselect_state must leave at least one declared mode "
+     "unselected"),
+    ("source B 1\nsource C 1",
+     "line 7: 3 source photons exceed the photon budget 2"),
+]
+
+
+@pytest.mark.parametrize(
+    "statement,message", COMPILE_ERRORS,
+    ids=[statement.split()[0] for statement, _ in COMPILE_ERRORS[:-1]]
+    + ["budget"])
+def test_compile_error_names_the_statement_line(statement, message,
+                                                tmp_path, capsys):
+    text = COMPILE_HEAD + statement + "\n" + COMPILE_TAIL
+    with pytest.raises(CompileError) as err:
+        compile_doc(parse(text))
+    assert str(err.value) == message
+    assert text.split("\n")[err.value.line - 1] == statement.split("\n")[-1]
+    path = tmp_path / "bad.circuit"
+    path.write_text(text)
+    stream = io.StringIO()
+    assert cli.main(["simulate", str(path)], stream) == cli.EXIT_PARSE
+    assert stream.getvalue() == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_unused_modes_name_the_first_declared():
+    text = ("mode A A t1 shutter\nmode Z B t1 shutter\nmode B B t1 shutter\n"
+            "source A 1\ndetect d A=1\n")
+    with pytest.raises(CompileError) as err:
+        compile_doc(parse(text))
+    assert str(err.value) == "line 2: modes declared but never used: ['B', 'Z']"
+
+
+def test_compile_error_of_an_empty_document_names_no_line():
+    with pytest.raises(CompileError) as err:
+        compile_doc(parse("# nothing\n\n"))
+    assert str(err.value) == "circuit declares no modes"
+    assert err.value.line is None
+
+
+def test_statement_lines_do_not_take_part_in_equality():
+    doc = parse("mode A A t1 shutter\n\nsource A 1\nps 0.5 A\ndetect d A=1\n")
+    assert [doc.modes[0].line, doc.sources[0].line, doc.elements[0].line,
+            doc.detects[0].line] == [1, 3, 4, 5]
+    again = parse(render(doc))
+    assert again == doc and again.elements[0].line == 3
+    assert "line" not in repr(doc)
+
+
+@pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                 "\x85", "\u2028", "\u2029"])
+def test_lines_end_at_newline_only(brk, tmp_path, capsys):
+    # str.splitlines() would also break at ``brk``: at a line end or inside
+    # a comment it must not move the next lines, and between tokens it is
+    # whitespace.
+    text = (f"mode A A t1 shutter{brk}\nmode B{brk}B t1 shutter # a{brk}b\n"
+            "bs x A B\n")
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == (3, 4)
+    # Read through universal newlines, \r\n line ends count the same.
+    path = tmp_path / "breaks.circuit"
+    path.write_text(text.replace("\n", "\r\n"), encoding="utf-8")
+    assert cli.main(["simulate", str(path)], io.StringIO()) == cli.EXIT_PARSE
+    assert capsys.readouterr().err == (
+        "error: line 3:4: invalid real literal 'x'\n")
+
+
 def test_relabel_compiles_to_swap():
     text = (
         "mode A A t1 probe_in\nmode B A t2 probe_in\n"

@@ -178,11 +178,12 @@ def test_overflowing_weight_sum_exits_4(text, tmp_path, capsys):
 # error positions under any whitespace
 # ---------------------------------------------------------------------------
 
-# Whitespace inside a line, and line breaks of str.splitlines.
-INLINE_SPACE = st.text(alphabet=" \t\x1f\xa0\u2003\u3000",
+# Whitespace inside a line, the line breaks of str.splitlines other than
+# \n included, and line ends: a line ends at \n only.
+INLINE_SPACE = st.text(alphabet=" \t\x1f\xa0\u2003\u3000\x0b\x0c\x1c\x1d"
+                                "\x1e\x85\u2028\u2029",
                        min_size=1, max_size=3)
-LINE_BREAKS = st.sampled_from(["\n", "\r\n", "\x0b", "\x1c", "\x1d", "\x1e",
-                               "\x85", "\u2028"])
+LINE_BREAKS = st.sampled_from(["\n", "\r\n"])
 HEADER_STATEMENTS = [["mode", m, m, "t1", "shutter"] for m in "ABC"]
 
 # Per statement kind: its valid tokens, and the faults it may take as
@@ -254,12 +255,75 @@ def test_error_position_is_that_of_the_whitespace_split_token(case):
     with pytest.raises(dsl.ParseError) as err:
         dsl.parse(text)
     statement, at, error_token = first
-    line = text.splitlines()[statement]
+    line = text.split("\n")[statement]
     matches = list(re.finditer(r"\S+", line))
     column = (matches[at].start() if at < len(matches)
               else len(line.rstrip()))
     assert (err.value.line, err.value.column, err.value.token) == (
         statement + 1, column + 1, error_token)
+
+
+# Tokens that are invalid wherever they stand: as a directive, name, tag,
+# parameter, weight or mode=count pair, and never a declared mode.
+INVALID_TOKENS = ("9!", "1e400", "=", "A=9x", "-")
+# Comment lines holding the other line breaks of str.splitlines.
+SPLITLINES_COMMENTS = ("# a\x0bb", "# a\x0cb", "#\x1c\x1d\x1e",
+                       "# a\x85b", "# a\u2028b\u2029")
+
+
+def drop_leaves_an_error(tokens):
+    """Whether dropping the last of ``tokens`` leaves an incomplete line:
+    every statement but a postselect or detect that has a pair to spare."""
+    kind = tokens[0]
+    if kind == "postselect":
+        return len(tokens) == 2
+    return kind != "detect" or len(tokens) == 3
+
+
+@st.composite
+def broken_documents(draw):
+    """A rendered valid document with one token replaced by an invalid one,
+    or with the last token of a line dropped where that leaves the line
+    incomplete, written with mixed whitespace and comment lines; and the
+    expected (line, column, token) of the error."""
+    statements = [line.split(" ")
+                  for line in dsl.render(draw(circuit_docs())).splitlines()]
+    broken = draw(st.integers(0, len(statements) - 1))
+    tokens = statements[broken]
+    if drop_leaves_an_error(tokens) and draw(st.booleans()):
+        del tokens[-1]
+        at, error_token = len(tokens), ""
+    else:
+        at = draw(st.integers(0, len(tokens) - 1))
+        error_token = tokens[at] = draw(st.sampled_from(INVALID_TOKENS))
+    lines, expected = [], None
+    for i, tokens in enumerate(statements):
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(SPLITLINES_COMMENTS)))
+        line, starts = draw(st.sampled_from(["", " ", "\u3000"])), []
+        for token in tokens:
+            if starts:
+                line += draw(INLINE_SPACE)
+            starts.append(len(line))
+            line += token
+        if i == broken:
+            column = starts[at] if at < len(starts) else len(line)
+            expected = (len(lines) + 1, column + 1, error_token)
+        lines.append(line + draw(st.sampled_from(["", " ", "\t\x0c"])))
+    text = "".join(line + draw(LINE_BREAKS) for line in lines)
+    return text, expected
+
+
+@PROPERTY_SETTINGS
+@given(broken_documents())
+def test_parse_error_points_at_the_broken_token(case):
+    """Only ParseError is raised, at the broken token's line and 1-based
+    column, or one past the line end for a dropped token, with ``token``
+    the text there."""
+    text, expected = case
+    with pytest.raises(dsl.ParseError) as err:
+        dsl.parse(text)
+    assert (err.value.line, err.value.column, err.value.token) == expected
 
 
 # ---------------------------------------------------------------------------

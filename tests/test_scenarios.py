@@ -737,7 +737,8 @@ def test_bell_grid_sweep_is_bell_scenario_point_by_point(grid):
 @pytest.mark.parametrize("count", [1, 256, 257, 600])
 def test_bell_sweep_builds_once_and_evolves_once_per_slice(count,
                                                            monkeypatch):
-    calls = {"build": 0, "evolve": 0, "propagate": 0, "bell_scenario": 0}
+    calls = {"build": 0, "build_disappearing": 0, "merge": 0, "evolve": 0,
+             "propagate": 0, "bell_scenario": 0}
     stacks = []
 
     def spy(attr, key):
@@ -751,7 +752,9 @@ def test_bell_sweep_builds_once_and_evolves_once_per_slice(count,
 
         monkeypatch.setattr(scenarios, attr, counting)
 
-    spy("build_disappearing", "build")
+    spy("_beam_table_plan", "build")
+    spy("build_disappearing", "build_disappearing")
+    spy("unitary_with_first_row", "merge")
     spy("evolve", "evolve")
     spy("propagate", "propagate")
     spy("bell_scenario", "bell_scenario")
@@ -760,8 +763,9 @@ def test_bell_sweep_builds_once_and_evolves_once_per_slice(count,
     assert cli.main(argv, stream) == cli.EXIT_OK
     assert stream.getvalue().count('"index"') == count
     slices = -(-count // 256)
-    assert calls == {"build": 1, "evolve": slices, "propagate": 0,
-                     "bell_scenario": 0}
+    # The plan is built once, without the merge that the sweep never reads.
+    assert calls == {"build": 1, "build_disappearing": 0, "merge": 0,
+                     "evolve": slices, "propagate": 0, "bell_scenario": 0}
     assert stacks == [256] * (slices - 1) + [count - 256 * (slices - 1)]
 
 

@@ -16,6 +16,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from json.encoder import encode_basestring_ascii as _escape
 
 import numpy as np
@@ -218,11 +219,19 @@ def cmd_run(args, stream):
 
 def cmd_simulate(args, stream):
     try:
-        with open(args.file, "r", encoding="utf-8") as handle:
+        with open(args.file, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(str(exc)) from exc
-    report = dsl.simulate_text(text)
+    # The parser warns where it normalizes weights; each warning is one
+    # stderr line, printed even if a later line fails.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        try:
+            report = dsl.simulate_text(text)
+        finally:
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
     if args.format == "csv":
         rows = []
         for det in report["detections"]:

@@ -529,33 +529,40 @@ OPEN_BOXES = "OPEN_BOXES"
 OPEN_CAVITIES = "OPEN_CAVITIES"
 SUPERPOSE = "SUPERPOSE"
 
+#: Bob's cavities: the kept rails of the five beams, in beam order.
+_CAVITIES = tuple("R" + tag for tag, _, _, _ in _DISAPPEARING_BEAMS)
 
-def _bell_state(alphas, product_control=False):
-    """Shutter-probe amplitudes with the probe collected in the cavities.
+#: Most points of a Bell sweep evolved as one stack, which bounds its memory.
+BELL_SLICE = 256
 
-    Runs the five-beam schedule up to (not including) post-selection and
-    keeps the block's cavity columns: the idealized setting where Bob has
-    collected the reflected probe photon in five separate cavities.
-    Returns that normalized 3 x 5 matrix (rows boxes A, B, C) and the
-    cavity names.  With ``product_control=True`` an unentangled reference
-    state with the same marginals' supports is built instead.
+
+def _bell_states(points):
+    """Yield the Bell state of each coefficient vector in ``points``: the
+    normalized cavity columns (3 x 5, rows boxes A, B and C) of the
+    five-beam schedule's block ahead of post-selection (:func:`_read_block`).
+
+    The schedule is built once, without the merge; each point is prepared
+    as :func:`build_disappearing` prepares it, and up to :data:`BELL_SLICE`
+    points evolve stacked, in one pass through the schedule.  Raises
+    :class:`UndefinedConditioning` where the probe is never reflected.
     """
-    plan = build_disappearing(alphas)
-    if product_control:
-        shutter = tsvf.shutter_state((1 / SQRT3, -1j / SQRT3, 1 / SQRT3))
-        collected = np.outer(Sectors(shutter).one, plan.alphas)
-    else:
-        block = _read_block(plan, propagate(plan.initial, plan.schedule))
-        collected = block[:, plan.kept_columns]
-    return _collected_state(collected), plan.kept_ports
-
-
-def _collected_state(collected):
-    """The cavity columns ``collected`` of a block, normalized; raises
-    :class:`UndefinedConditioning` if they hold no amplitude."""
-    if np.sum(np.abs(collected) ** 2) < 1e-24:
-        raise UndefinedConditioning("the probe is never reflected")
-    return normalized_rows(collected.ravel()).reshape(collected.shape)
+    plan = _beam_table_plan(
+        "disappearing_full", tsvf.disappearing_spec(), _DISAPPEARING_BEAMS,
+        equal_alphas(5), {}, probe_photon=False, recombine=False,
+    )
+    for start in range(0, len(points), BELL_SLICE):
+        prepared = [
+            Sectors(_prepare(plan.spec.pre, list(zip_longest(
+                plan.probe_modes, as_alpha_vector(point, 5)))))
+            for point in points[start:start + BELL_SLICE]
+        ]
+        sectors = prepared[0]
+        sectors.two = np.stack([each.two for each in prepared])
+        evolve(sectors, plan.schedule)
+        for collected in _read_block(plan, sectors)[:, :, plan.kept_columns]:
+            if np.sum(np.abs(collected) ** 2) < 1e-24:
+                raise UndefinedConditioning("the probe is never reflected")
+            yield normalized_rows(collected.ravel()).reshape(collected.shape)
 
 
 def _check_settings(alice_setting, bob_setting):
@@ -574,18 +581,17 @@ def _alice_superposition():
     return bra
 
 
-def _bell_table(bell, alice_setting, bob_setting):
-    """Clamped joint probability table of one setting pair on the
-    ``(state, cavities)`` pair from :func:`_bell_state`."""
-    state, cavities = bell
+def _bell_table(state, alice_setting, bob_setting):
+    """Clamped joint probability table of one setting pair on a Bell state
+    from :func:`_bell_states`."""
     alice = _alice_superposition()
-    bob = np.full(len(cavities), 1 / math.sqrt(len(cavities)))
+    bob = np.full(len(_CAVITIES), 1 / math.sqrt(len(_CAVITIES)))
     probs = np.abs(state) ** 2
 
     if alice_setting == OPEN_BOXES and bob_setting == OPEN_CAVITIES:
         table = {(box, cavity): probs[s, c]
                  for s, box in enumerate("ABC")
-                 for c, cavity in enumerate(cavities)}
+                 for c, cavity in enumerate(_CAVITIES)}
     elif alice_setting == OPEN_BOXES:
         p_match = np.abs(state @ bob) ** 2
         table = {}
@@ -595,7 +601,7 @@ def _bell_table(bell, alice_setting, bob_setting):
     elif bob_setting == OPEN_CAVITIES:
         p_match = np.abs(alice @ state) ** 2
         table = {}
-        for cavity, p_cavity, p in zip(cavities, probs.sum(axis=0), p_match):
+        for cavity, p_cavity, p in zip(_CAVITIES, probs.sum(axis=0), p_match):
             table[("match", cavity)] = p
             table[("rest", cavity)] = p_cavity - p
     else:
@@ -612,17 +618,16 @@ def _bell_table(bell, alice_setting, bob_setting):
     return {k: max(float(v), 0.0) for k, v in table.items()}
 
 
-def _bell_tables(bell):
+def _bell_tables(state):
     """The clamped tables of all four setting pairs on one Bell state."""
     return {
-        (a, b): _bell_table(bell, a, b)
+        (a, b): _bell_table(state, a, b)
         for a in (OPEN_BOXES, SUPERPOSE)
         for b in (OPEN_CAVITIES, SUPERPOSE)
     }
 
 
-def bell_test(alphas=None, alice_setting=OPEN_BOXES, bob_setting=OPEN_CAVITIES,
-              product_control=False):
+def bell_test(alphas=None, alice_setting=OPEN_BOXES, bob_setting=OPEN_CAVITIES):
     """Joint probability table for one choice of measurement settings.
 
     Alice measures the shutter, Bob the collected probe.  OPEN settings are
@@ -631,8 +636,8 @@ def bell_test(alphas=None, alice_setting=OPEN_BOXES, bob_setting=OPEN_CAVITIES,
     its complement ("match"/"rest").
     """
     _check_settings(alice_setting, bob_setting)
-    bell = _bell_state(alphas, product_control)
-    return _bell_table(bell, alice_setting, bob_setting)
+    (state,) = _bell_states([equal_alphas(5) if alphas is None else alphas])
+    return _bell_table(state, alice_setting, bob_setting)
 
 
 def bell_marginals(table, side):
@@ -686,17 +691,18 @@ def _chsh(tables):
 
 
 def bell_scenario(alphas=None, alice_setting=OPEN_BOXES,
-                  bob_setting=OPEN_CAVITIES, product_control=False):
+                  bob_setting=OPEN_CAVITIES):
     """ScenarioResult of :func:`bell_test` for one setting pair, for
     reporting.
 
-    The Bell state is built once; the reported table, the no-signaling gap
-    and the CHSH value all come from its four clamped tables.
+    The Bell state is evolved once, as a stack of one in
+    :func:`_bell_states`; the reported table, the no-signaling gap and the
+    CHSH value all come from its four clamped tables.
     """
-    alphas_vec = equal_alphas(5) if alphas is None else as_alpha_vector(alphas, 5)
+    alphas = equal_alphas(5) if alphas is None else as_alpha_vector(alphas, 5)
     _check_settings(alice_setting, bob_setting)
-    tables, summary, spectrum = _bell_report(
-        _bell_state(alphas_vec, product_control))
+    (state,) = _bell_states([alphas])
+    tables, summary, spectrum = _bell_report(state)
     outcomes = {
         f"shutter={a}|probe={b}": p
         for (a, b), p in tables[(alice_setting, bob_setting)].items()
@@ -710,58 +716,28 @@ def bell_scenario(alphas=None, alice_setting=OPEN_BOXES,
         abl_values={},
         schmidt_spectrum=spectrum,
         metadata={
-            "alphas": [complex(a) for a in alphas_vec],
+            "alphas": [complex(a) for a in alphas],
             "alice_setting": alice_setting,
             "bob_setting": bob_setting,
-            "product_control": product_control,
             **summary,
         },
     )
 
 
-def _bell_report(bell):
-    """The four clamped tables of the Bell state ``bell``, its summary (the
+def _bell_report(state):
+    """The four clamped tables of a Bell state, its summary (the
     no-signaling gap and the CHSH value) and its Schmidt spectrum."""
-    tables = _bell_tables(bell)
+    tables = _bell_tables(state)
     summary = {"no_signaling_gap": _no_signaling_gap(tables),
                "chsh": _chsh(tables)}
     return tables, summary, spectrum_of(
-        np.linalg.svd(bell[0], compute_uv=False))
-
-
-#: Most points of a Bell sweep evolved as one stack, which bounds its memory.
-BELL_SLICE = 256
+        np.linalg.svd(state, compute_uv=False))
 
 
 def bell_sweep(points):
     """``(summary, Schmidt spectrum)`` of :func:`bell_scenario` at each
-    coefficient vector in ``points``, with OPEN/OPEN settings.
-
-    The five-beam schedule is built once, without the merge or the probe
-    state of :func:`build_disappearing`.  Each point's state is prepared as
-    that prepares it, and the two-photon matrices of up to
-    :data:`BELL_SLICE` points evolve stacked, in one pass through the
-    schedule; every point is then measured as :func:`bell_scenario` does.
-    """
-    plan = _beam_table_plan(
-        "disappearing_full", tsvf.disappearing_spec(), _DISAPPEARING_BEAMS,
-        equal_alphas(5), {}, probe_photon=False, recombine=False,
-    )
-    records = []
-    for start in range(0, len(points), BELL_SLICE):
-        prepared = [
-            Sectors(_prepare(plan.spec.pre, list(zip_longest(
-                plan.probe_modes, as_alpha_vector(point, 5)))))
-            for point in points[start:start + BELL_SLICE]
-        ]
-        sectors = prepared[0]
-        sectors.two = np.stack([each.two for each in prepared])
-        evolve(sectors, plan.schedule)
-        for collected in _read_block(plan, sectors)[:, :, plan.kept_columns]:
-            _, summary, spectrum = _bell_report(
-                (_collected_state(collected), plan.kept_ports))
-            records.append((summary, spectrum))
-    return records
+    coefficient vector in ``points``, with OPEN/OPEN settings."""
+    return [_bell_report(state)[1:] for state in _bell_states(points)]
 
 
 # ---------------------------------------------------------------------------
@@ -851,10 +827,11 @@ class Scenario:
     ``certain(result, tol)`` checks the built-in claim of an unperturbed
     run.  ``sweep(points)``, given for every scenario with coefficients,
     returns the ``(summary, Schmidt spectrum)`` record of each coefficient
-    vector in ``points``, unperturbed and with OPEN/OPEN settings, from one
-    propagation: beam-table scenarios compile their plan
-    (:func:`compile_sweep`) and ``bell_test`` evolves its points' states
-    stacked (:func:`bell_sweep`).
+    vector in ``points``, unperturbed and with OPEN/OPEN settings:
+    beam-table scenarios compile their plan and propagate it once
+    (:func:`compile_sweep`), and ``bell_test`` evolves its points' states
+    stacked, :data:`BELL_SLICE` per pass, in the :func:`_bell_states` that
+    its ``evaluate`` runs on a stack of one.
     """
 
     evaluate: Callable

@@ -436,6 +436,35 @@ def test_simulate_compile_error_exits_4_with_one_line(tmp_path, capsys):
     assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize("text, warning", [
+    ("mode A A t1 shutter\nmode B B t1 probe_in\nsource A 1 B 1\n"
+     "detect d A=1\n",
+     "line 3: source weights normalized (sum of squares was 2)"),
+    ("mode A A t1 shutter\nmode B B t1 probe_in\nmode C C t1 probe_in\n"
+     "source A 1\npostselect_state A 1 B 1\ndetect d A=1 C=0\n",
+     "line 5: postselect_state weights normalized (sum of squares was 2)"),
+], ids=["source", "postselect_state"])
+def test_simulate_prints_one_warning_line_per_normalization(
+        text, warning, tmp_path, capsys):
+    path = tmp_path / "unnormalized.circuit"
+    path.write_text(text)
+    code, out = run_cli(["simulate", str(path)])
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["file"] == "unnormalized.circuit"
+    assert capsys.readouterr().err == f"warning: {warning}\n"
+
+
+def test_simulate_reads_past_a_byte_order_mark(tmp_path, capsys):
+    text = (CIRCUITS / "fig3b.circuit").read_text()
+    (tmp_path / "bom").mkdir()
+    (tmp_path / "bom" / "fig3b.circuit").write_bytes(
+        b"\xef\xbb\xbf" + text.encode())
+    code, out = run_cli(["simulate", str(tmp_path / "bom" / "fig3b.circuit")])
+    assert code == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert out == run_cli(["simulate", str(CIRCUITS / "fig3b.circuit")])[1]
+
+
 def test_bad_tolerance_env_is_usage_error_of_run_only(monkeypatch, capsys):
     assert run_cli(["run", "disappearing_full"])[0] == cli.EXIT_OK
     monkeypatch.setenv("ROUTER_SIM_TOL", "abc")

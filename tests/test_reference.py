@@ -25,7 +25,6 @@ from router_sim.fock import (
     project_predicate,
     schmidt_spectrum,
     select,
-    superposition_source,
 )
 
 TOL = 1e-12
@@ -133,19 +132,12 @@ def test_run_plan_matches_the_sparse_path_at_random_alphas(build, arity):
 # Bell tables
 # ---------------------------------------------------------------------------
 
-def reference_collected(alphas, product_control):
+def reference_collected(alphas):
     """The collected Bell state as a ``FockState``, with its cavities and
     shutter modes."""
     plan = scenarios.build_disappearing(alphas)
     cavities = plan.kept_ports
     shutter = plan.shutter_post.modes
-    if product_control:
-        pre = tsvf.shutter_state((1 / S3, -1j / S3, 1 / S3), shutter)
-        empty = (0,) * (len(plan.initial.modes) - len(shutter))
-        state = FockState(plan.initial.modes,
-                          {c + empty: a for c, a in pre.amplitudes.items()})
-        state = superposition_source(state, dict(zip(cavities, plan.alphas)))
-        return state, cavities, shutter
     joint = apply_schedule(plan.initial, plan.schedule)
     positions = [joint.index_of(c) for c in cavities]
     collected = project_predicate(
@@ -195,21 +187,27 @@ SETTINGS = [(a, b) for a in (scenarios.OPEN_BOXES, scenarios.SUPERPOSE)
             for b in (scenarios.OPEN_CAVITIES, scenarios.SUPERPOSE)]
 
 
-@pytest.mark.parametrize("product_control", [False, True])
+@pytest.mark.parametrize("stacked", [False, True])
 @pytest.mark.parametrize("settings", SETTINGS)
-def test_bell_tables_match_the_sparse_path(settings, product_control):
+def test_bell_tables_match_the_sparse_path(settings, stacked):
     rng = np.random.default_rng(77)
-    for alphas in [None] + [random_alphas(rng, 5) for _ in range(6)]:
-        state, cavities, shutter = reference_collected(alphas, product_control)
+    points = [None] + [random_alphas(rng, 5) for _ in range(6)]
+    if stacked:
+        # Every point in one stack, as a Bell sweep evolves them.
+        states = list(scenarios._bell_states(
+            [scenarios.equal_alphas(5) if a is None else a for a in points]))
+        tables = [scenarios._bell_table(s, *settings) for s in states]
+        spectra = [scenarios._bell_report(s)[2] for s in states]
+    else:
+        tables = [scenarios.bell_test(a, *settings) for a in points]
+        spectra = [scenarios.bell_scenario(a, *settings).schmidt_spectrum
+                   for a in points]
+    for alphas, table, got in zip(points, tables, spectra, strict=True):
+        state, cavities, shutter = reference_collected(alphas)
         expected = reference_table(state, cavities, shutter, *settings)
-        table = scenarios.bell_test(alphas, *settings,
-                                    product_control=product_control)
         assert list(table) == list(expected)
         for key, value in expected.items():
             assert abs(table[key] - value) <= TOL, key
         spectrum = schmidt_spectrum(state, set(shutter))
-        result = scenarios.bell_scenario(alphas, *settings,
-                                         product_control=product_control)
-        assert len(result.schmidt_spectrum) == len(spectrum)
-        assert np.allclose(result.schmidt_spectrum, spectrum, rtol=0,
-                           atol=TOL)
+        assert len(got) == len(spectrum)
+        assert np.allclose(got, spectrum, rtol=0, atol=TOL)

@@ -394,19 +394,6 @@ def test_bell_no_signaling():
         assert result.metadata["no_signaling_gap"] <= 1e-10
 
 
-def test_bell_product_control_factorizes():
-    table = scenarios.bell_test(
-        None,
-        scenarios.SUPERPOSE,
-        scenarios.SUPERPOSE,
-        product_control=True,
-    )
-    alice = scenarios.bell_marginals(table, "alice")
-    bob = scenarios.bell_marginals(table, "bob")
-    for (a, b), p in table.items():
-        assert p == pytest.approx(alice[a] * bob[b], abs=1e-10)
-
-
 def test_bell_joint_state_is_entangled_for_generic_alphas():
     rng = np.random.default_rng(37)
     for _ in range(5):
@@ -422,22 +409,30 @@ def test_chsh_reported_in_valid_range():
 
 
 def test_bell_scenario_builds_its_state_once(monkeypatch):
-    built = []
-    build = scenarios.build_disappearing
+    calls = {"build": 0, "build_disappearing": 0, "merge": 0}
 
-    def counting(*args, **kwargs):
-        built.append(args)
-        return build(*args, **kwargs)
+    def spy(attr, key):
+        original = getattr(scenarios, attr)
 
-    monkeypatch.setattr(scenarios, "build_disappearing", counting)
+        def counting(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, attr, counting)
+
+    spy("_beam_table_plan", "build")
+    spy("build_disappearing", "build_disappearing")
+    spy("unitary_with_first_row", "merge")
     alphas = random_alphas(np.random.default_rng(38), 5)
     result = scenarios.bell_scenario(
         alphas, scenarios.SUPERPOSE, scenarios.OPEN_CAVITIES
     )
-    assert len(built) == 1
+    # One merge-free plan: the Bell analysis never reads the merge.
+    assert calls == {"build": 1, "build_disappearing": 0, "merge": 0}
     table = scenarios.bell_test(
         alphas, scenarios.SUPERPOSE, scenarios.OPEN_CAVITIES
     )
+    assert calls == {"build": 2, "build_disappearing": 0, "merge": 0}
     assert result.conditional_probabilities == {
         f"shutter={a}|probe={b}": p for (a, b), p in table.items()
     }

@@ -190,8 +190,8 @@ def _run_alphas(args, arity):
 
 
 def cmd_run(args, stream):
-    if not math.isfinite(args.tol):
-        raise UsageError(f"tolerance {args.tol} is not a finite number")
+    if not 0 <= args.tol < math.inf:
+        raise UsageError(f"tolerance {args.tol} is not a finite number >= 0")
     entry = _scenario(args.scenario)
     _reject_unused_flags(args, entry)
     try:

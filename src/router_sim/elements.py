@@ -299,7 +299,7 @@ def _identity(n):
 
 def evolve(sectors, elements, adjoint=False):
     """Apply ``elements``, or their adjoint, to ``sectors`` in place; see
-    :func:`propagate`.  ``run`` is the mode matrix of the current run of
+    :func:`apply_schedule`.  ``run`` is the mode matrix of the current run of
     linear elements and relabels (None for the identity)."""
     index = sectors.state._index
     run = None
@@ -343,23 +343,15 @@ def evolve(sectors, elements, adjoint=False):
 def apply_schedule(state, elements, adjoint=False):
     """Apply a list of elements to a state, or the adjoint of the list.
 
-    The result is :func:`propagate`'s, converted back to a state.
-    """
-    return propagate(state, elements, adjoint).to_state()
-
-
-def propagate(state, elements, adjoint=False):
-    """Sector form (:class:`~router_sim.fock.Sectors`) of a state after a
-    list of elements, or after the adjoint of the list.
-
-    Each run of consecutive linear elements and relabels acts as one mode
+    The state evolves in sector form (:class:`~router_sim.fock.Sectors`),
+    each run of consecutive linear elements and relabels acting as one mode
     matrix, the product of theirs.  A linear element's adjoint is its
     conjugate-transposed mode matrix and a relabel's inverts its mapping;
     the NS gates and both routers are self-adjoint.
     """
     sectors = Sectors(state)
     evolve(sectors, elements, adjoint)
-    return sectors
+    return sectors.to_state()
 
 
 def apply_element(state, element, adjoint=False):

@@ -10,10 +10,10 @@ is post-selected, and the conditional probability of recovering the probe
 in its original state is reported along with the full outcome partition.
 
 Every state a scenario reports on holds one shutter photon over boxes A,
-B and C plus at most one probe photon, so it is read once into a
-3 x (1 + n_probe) amplitude block (:func:`_read_block`): rows are boxes,
-column 0 is the probe vacuum and column 1 + p is probe mode p.  Runs and
-compiled sweeps measure stacks of blocks with one function
+B and C plus at most one probe photon, so scenarios propagate stacks of
+that 3 x (1 + n_probe) amplitude block (:func:`_propagate`): rows are
+boxes, column 0 is the probe vacuum and column 1 + p is probe mode p.  Runs
+and compiled sweeps measure the blocks with one function
 (:func:`_measure`), and the Bell tables are matrix algebra on the block's
 cavity columns.  Probabilities are computed exactly from amplitudes;
 there is no sampling.
@@ -27,23 +27,20 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from itertools import zip_longest
 from typing import Callable
 
 import numpy as np
 
 from . import tsvf
 from .elements import (
-    Element,
+    ElementKind,
     RouterOrientation,
-    evolve,
     mode_unitary,
     pqr_ideal,
-    propagate,
+    tunnel_matrix,
 )
 from .errors import BadParam, UndefinedConditioning, UnsupportedSector
 from .fock import (
-    PRUNE_EPSILON,
     FockState,
     Sectors,
     normalized_rows,
@@ -62,16 +59,27 @@ _NORM_TOL = 1e-9
 
 @dataclass
 class ScenarioResult:
-    """Structured output of one scenario run."""
+    """Structured output of one scenario run.  ``probe`` holds the modes
+    and block row of the post-selected probe ahead of the merge, read as a
+    :class:`FockState` (``conditioned_probe_state``) on first use."""
 
     name: str
     conditional_probabilities: dict
-    conditioned_probe_state: FockState | None
     fidelity_to_target: float | None
     weak_values: dict
     abl_values: dict
     schmidt_spectrum: list | None
     metadata: dict
+    probe: tuple | None = None
+
+    @functools.cached_property
+    def conditioned_probe_state(self):
+        if self.probe is None:
+            return None
+        modes, row = self.probe
+        configs = map(tuple, np.eye(len(modes) + 1, len(modes), -1,
+                                    dtype=int).tolist())
+        return FockState(modes, dict(zip(configs, row.tolist())))
 
 
 @dataclass
@@ -81,21 +89,22 @@ class ScenarioPlan:
     ``spec`` is the two-state description of the shutter the plan runs:
     ``schedule`` holds its tunneling segments with the routers placed at
     their checkpoints.  ``probes`` and ``kept_ports`` give each beam's probe
-    mode and kept port in coefficient order.  ``merge`` is the final
-    recombination unitary over ``kept_ports``, whose first port is the
-    restored one (absent for scenarios that report on the bare reflected
-    rails).
+    mode and kept port in coefficient order; ``probe_modes`` are the probes
+    and then the rails.  The probe photon has weights ``alphas`` over the
+    probes, unless ``probe_photon`` is false.  ``merge``, with
+    ``recombine``, recombines the kept ports onto the first; without it
+    the scenario reports on the bare reflected rails.
     """
 
     name: str
-    initial: FockState
     schedule: list
     spec: tsvf.TwoStateSpec
     probes: list
+    probe_modes: tuple
     kept_ports: list
     alphas: np.ndarray
-    merge: Element | None
-    outcome_label: str
+    recombine: bool
+    probe_photon: bool = True
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -103,21 +112,36 @@ class ScenarioPlan:
         return self.spec.post
 
     @property
-    def probe_modes(self):
-        """The modes after the shutter's: probe modes, then rails."""
-        return self.initial.modes[len(self.spec.post.modes):]
+    def outcome_label(self):
+        return "restored" if self.recombine else "reflected"
+
+    @functools.cached_property
+    def initial(self):
+        """The state ahead of the schedule, over the shutter's modes and
+        then ``probe_modes``, built on first read."""
+        pre, empty = self.spec.pre, (0,) * len(self.probe_modes)
+        state = FockState(pre.modes + self.probe_modes,
+                          {c + empty: a for c, a in pre.amplitudes.items()})
+        if not self.probe_photon:
+            return state
+        return superposition_source(state, dict(zip(self.probes, self.alphas)))
+
+    @functools.cached_property
+    def merge(self):
+        """The recombination element, built on first read."""
+        if not self.recombine:
+            return None
+        return mode_unitary(unitary_with_first_row(self.alphas.conj()),
+                            self.kept_ports)
 
     @property
     def kept_columns(self):
-        """Columns of the kept ports in the amplitude block (see
-        :func:`_read_block`)."""
+        """Block columns of the kept ports (see :func:`_propagate`)."""
         return [1 + self.probe_modes.index(m) for m in self.kept_ports]
 
     @property
     def full_schedule(self):
-        if self.merge is None:
-            return list(self.schedule)
-        return list(self.schedule) + [self.merge]
+        return list(self.schedule) + ([self.merge] if self.recombine else [])
 
 
 def as_alpha_vector(alphas, arity):
@@ -165,44 +189,59 @@ def unitary_with_first_row(row):
     return unitaries[0] if np.ndim(row) == 1 else unitaries
 
 
-def _prepare(shutter_pre_state, probe_sources):
-    """The shutter pre-state followed by the ``(mode, weight)`` probe
-    modes, with one probe photon over the modes whose weight is not None."""
-    empty = (0,) * len(probe_sources)
-    state = FockState(
-        shutter_pre_state.modes + tuple(m for m, _ in probe_sources),
-        {c + empty: a for c, a in shutter_pre_state.amplitudes.items()},
-    )
-    live = {m: w for m, w in probe_sources if w is not None}
-    if live:
-        state = superposition_source(state, live)
-    return state
+def _propagate(plan, points):
+    """The amplitude blocks of ``plan``'s state ahead of the merge, one per
+    coefficient vector in ``points``: row s is shutter mode s, column 0 the
+    probe vacuum and column 1 + p one photon in ``plan.probe_modes[p]``.
 
-
-def _read_block(plan, sectors):
-    """The amplitude block of ``sectors``, a state over ``plan``'s modes,
-    or the stack of blocks of a stacked ``two``.
-
-    Row s is shutter mode s.  Column 0 holds |1_s> with every probe mode
-    empty and column 1 + p holds |1_s 1_p> for probe mode p, pruned as
-    :meth:`~router_sim.fock.Sectors.fock_amplitudes` prunes.  Raises
-    :class:`UnsupportedSector` if any other Fock amplitude is nonzero.
+    A block starts as the pre-state times the probe photon spread over the
+    probes by its point (or the probe vacuum), normalized as
+    :func:`superposition_source` normalizes, its pair columns over sqrt(2)
+    as the sector form holds them; a router swaps two columns in its
+    control box's row, and a run of tunneling elements acts as one 3 x 3
+    matrix composed as :func:`~router_sim.elements.evolve` composes it.
+    Any other element could leave the block: :class:`UnsupportedSector`.
     """
-    s = len(plan.spec.post.modes)
-    one, two = sectors.one, sectors.two
-    if two is None:
-        two = np.zeros((len(one), len(one)), dtype=complex)
-    pairs = np.where(np.eye(len(one), dtype=bool), two, SQRT2 * two)
-    vacuum_column = np.broadcast_to(one[:s, None], pairs.shape[:-2] + (s, 1))
-    block = pruned(np.concatenate([vacuum_column, pairs[..., :s, s:]], -1))
-    pairs[..., :s, s:] = pairs[..., s:, :s] = 0
-    outside = np.concatenate([[sectors.vacuum], one[s:], pairs.ravel()])
-    if np.any(np.abs(outside) >= PRUNE_EPSILON):
-        raise UnsupportedSector(
-            f"a state of {plan.name} has amplitude outside one shutter "
-            "photon and at most one probe photon"
-        )
-    return block
+    rows = {m: i for i, m in enumerate(plan.spec.post.modes)}
+    cols = {m: i for i, m in enumerate(plan.probe_modes, 1)}
+    columns = np.zeros((len(points), 1 + len(cols)), dtype=complex)
+    if plan.probe_photon:
+        columns[:, 1:1 + len(plan.probes)] = points
+    else:
+        columns[:, 0] = 1.0
+    blocks = pruned(Sectors(plan.spec.pre).one[:, None] * columns[:, None, :])
+    # Moduli as abs() takes them, summed one by one, box-major and
+    # probe-minor, as FockState.norm sums its amplitudes.
+    squares = np.hypot(blocks.real, blocks.imag).reshape(len(blocks), -1) ** 2
+    norms = np.sqrt([[[sum(row)]] for row in squares.tolist()])
+    # Divided part by part, as a complex divides by a float; numpy's
+    # complex division would multiply by a reciprocal.
+    scale = np.repeat([1.0] + [SQRT2] * len(cols), 2)
+    blocks = (blocks.view(float) / norms / scale).view(complex)
+    run = None
+    for element in plan.schedule:
+        kind, modes = element.kind, element.modes
+        if kind is ElementKind.TUNNEL and rows.keys() >= set(modes):
+            if run is None:
+                run = np.eye(len(rows), dtype=complex)
+            i, j = rows[modes[0]], rows[modes[1]]
+            pair = run[i::j - i][:2]
+            pair[:] = tunnel_matrix(element.params["theta"]) @ pair
+        elif (kind is ElementKind.PQR_IDEAL and modes[2] in rows
+              and modes[0] in cols and modes[1] in cols):
+            if run is not None:
+                blocks, run = run @ blocks, None
+            r, a, b = rows[modes[2]], cols[modes[0]], cols[modes[1]]
+            blocks[:, r, [a, b]] = blocks[:, r, [b, a]]
+        else:
+            raise UnsupportedSector(
+                f"{kind.value} on {modes} in {plan.name} is not a router "
+                "controlled by a shutter mode between probe modes or rails, "
+                "nor tunneling between shutter modes")
+    if run is not None:
+        blocks = run @ blocks
+    blocks[:, :, 1:] *= SQRT2
+    return pruned(blocks)
 
 
 def _measure(plan, points, joint, merges):
@@ -252,29 +291,23 @@ def _measure(plan, points, joint, merges):
 
 
 def run_plan(plan):
-    """Propagate a plan and assemble its :class:`ScenarioResult` from the
-    amplitude block of its state ahead of the merge."""
-    joint = _read_block(plan, propagate(plan.initial, plan.schedule))
+    """Propagate a plan's block and assemble its :class:`ScenarioResult`
+    from it."""
     merges = None if plan.merge is None else plan.merge.params["matrix"][None]
     ((conditionals, fid, spectrum, probe),) = _measure(
-        plan, plan.alphas[None], joint[None], merges
+        plan, plan.alphas[None], _propagate(plan, plan.alphas[None]), merges
     )
-    # Block column 0 is the probe vacuum, column 1 + p one photon in mode p.
-    n = len(plan.probe_modes)
-    configs = map(tuple, np.eye(n + 1, n, -1, dtype=int).tolist())
     metadata = dict(plan.metadata)
     metadata["alphas"] = [complex(a) for a in plan.alphas]
     return ScenarioResult(
         name=plan.name,
         conditional_probabilities=conditionals,
-        conditioned_probe_state=FockState(
-            plan.probe_modes, dict(zip(configs, probe.tolist()))
-        ),
         fidelity_to_target=fid,
         weak_values={},
         abl_values={},
         schmidt_spectrum=spectrum,
         metadata=metadata,
+        probe=(plan.probe_modes, probe),
     )
 
 
@@ -317,10 +350,6 @@ def _beam_table_plan(name, spec, beams, alphas, metadata, routers=True,
     probes = ["P" + tag for tag, _, _, _ in beams]
     rails = [("R" if orientation is _REFLECT else "X") + tag
              for tag, _, _, orientation in beams]
-    sources = [
-        (p, a if probe_photon else None) for p, a in zip(probes, alphas)
-    ]
-    sources += [(r, None) for r in rails]
 
     at_boundary = [[] for _ in range(len(spec.segments) + 1)]
     kept = []
@@ -335,15 +364,14 @@ def _beam_table_plan(name, spec, beams, alphas, metadata, routers=True,
 
     return ScenarioPlan(
         name=name,
-        initial=_prepare(spec.pre, sources),
         schedule=schedule,
         spec=spec,
         probes=probes,
+        probe_modes=tuple(probes + rails),
         kept_ports=kept,
         alphas=alphas,
-        merge=(mode_unitary(unitary_with_first_row(alphas.conj()), kept)
-               if recombine else None),
-        outcome_label="restored" if recombine else "reflected",
+        recombine=recombine,
+        probe_photon=probe_photon,
         metadata=metadata,
     )
 
@@ -532,34 +560,26 @@ SUPERPOSE = "SUPERPOSE"
 #: Bob's cavities: the kept rails of the five beams, in beam order.
 _CAVITIES = tuple("R" + tag for tag, _, _, _ in _DISAPPEARING_BEAMS)
 
-#: Most points of a Bell sweep evolved as one stack, which bounds its memory.
+#: Most points of a Bell sweep propagated together, which bounds its memory.
 BELL_SLICE = 256
 
 
 def _bell_states(points):
     """Yield the Bell state of each coefficient vector in ``points``: the
     normalized cavity columns (3 x 5, rows boxes A, B and C) of the
-    five-beam schedule's block ahead of post-selection (:func:`_read_block`).
+    five-beam schedule's block ahead of post-selection.
 
-    The schedule is built once, without the merge; each point is prepared
-    as :func:`build_disappearing` prepares it, and up to :data:`BELL_SLICE`
-    points evolve stacked, in one pass through the schedule.  Raises
+    The schedule is built once, without the merge, and the blocks of up to
+    :data:`BELL_SLICE` points are propagated as one stack.  Raises
     :class:`UndefinedConditioning` where the probe is never reflected.
     """
     plan = _beam_table_plan(
         "disappearing_full", tsvf.disappearing_spec(), _DISAPPEARING_BEAMS,
-        equal_alphas(5), {}, probe_photon=False, recombine=False,
+        equal_alphas(5), {}, recombine=False,
     )
     for start in range(0, len(points), BELL_SLICE):
-        prepared = [
-            Sectors(_prepare(plan.spec.pre, list(zip_longest(
-                plan.probe_modes, as_alpha_vector(point, 5)))))
-            for point in points[start:start + BELL_SLICE]
-        ]
-        sectors = prepared[0]
-        sectors.two = np.stack([each.two for each in prepared])
-        evolve(sectors, plan.schedule)
-        for collected in _read_block(plan, sectors)[:, :, plan.kept_columns]:
+        blocks = _propagate(plan, points[start:start + BELL_SLICE])
+        for collected in blocks[:, :, plan.kept_columns]:
             if np.sum(np.abs(collected) ** 2) < 1e-24:
                 raise UndefinedConditioning("the probe is never reflected")
             yield normalized_rows(collected.ravel()).reshape(collected.shape)
@@ -635,8 +655,9 @@ def bell_test(alphas=None, alice_setting=OPEN_BOXES, bob_setting=OPEN_CAVITIES):
     projects onto the equal superposition with no relative phases versus
     its complement ("match"/"rest").
     """
+    alphas = equal_alphas(5) if alphas is None else as_alpha_vector(alphas, 5)
     _check_settings(alice_setting, bob_setting)
-    (state,) = _bell_states([equal_alphas(5) if alphas is None else alphas])
+    (state,) = _bell_states([alphas])
     return _bell_table(state, alice_setting, bob_setting)
 
 
@@ -695,7 +716,7 @@ def bell_scenario(alphas=None, alice_setting=OPEN_BOXES,
     """ScenarioResult of :func:`bell_test` for one setting pair, for
     reporting.
 
-    The Bell state is evolved once, as a stack of one in
+    The Bell state is propagated once, as a stack of one in
     :func:`_bell_states`; the reported table, the no-signaling gap and the
     CHSH value all come from its four clamped tables.
     """
@@ -710,7 +731,6 @@ def bell_scenario(alphas=None, alice_setting=OPEN_BOXES,
     return ScenarioResult(
         name="bell_test",
         conditional_probabilities=outcomes,
-        conditioned_probe_state=None,
         fidelity_to_target=None,
         weak_values={},
         abl_values={},
@@ -750,7 +770,7 @@ class SweepMap:
 
     The schedule does not depend on the probe coefficients, so the joint
     state ahead of the merge is ``sum_k alpha_k basis[k]``, where
-    ``basis[k]`` is the amplitude block (see :func:`_read_block`) of the
+    ``basis[k]`` is the amplitude block (see :func:`_propagate`) of the
     plan run with the probe photon in beam k alone.
     """
 
@@ -762,8 +782,8 @@ class SweepMap:
         ``points``, measured as :func:`run_plan` measures one point."""
         points = np.asarray(points, dtype=complex)
         joint = pruned(np.einsum("nk,ksp->nsp", points, self.basis))
-        merges = (None if self.plan.merge is None
-                  else unitary_with_first_row(points.conj()))
+        merges = (unitary_with_first_row(points.conj())
+                  if self.plan.recombine else None)
         return [
             ({**conditionals, "fidelity": fid}, spectrum)
             for conditionals, fid, spectrum, _ in _measure(
@@ -772,24 +792,10 @@ class SweepMap:
 
 
 def compile_sweep(plan):
-    """:class:`SweepMap` of a beam-table ``plan``: every beam in one evolve.
-
-    Raises :class:`UnsupportedSector` if a beam's state has any amplitude
-    outside its block.
-    """
-    first = plan.probes[0]
-    sectors = Sectors(_prepare(plan.spec.pre, [
-        (m, 1.0 if m == first else None) for m in plan.probe_modes
-    ]))
-    # Beam k's state is the first beam's with the modes of their probes
-    # swapped: the same amplitudes, moved.
-    beams = [sectors.state.index_of(p) for p in plan.probes]
-    perms = np.tile(np.arange(len(sectors.one)), (len(beams), 1))
-    perms[np.arange(len(beams)), beams] = beams[0]
-    perms[:, beams[0]] = beams
-    sectors.two = sectors.two[perms[:, :, None], perms[:, None, :]]
-    evolve(sectors, plan.schedule)
-    return SweepMap(plan, _read_block(plan, sectors))
+    """:class:`SweepMap` of a beam-table ``plan``: the block of every beam
+    alone, propagated as one stack from the identity on the probe
+    columns."""
+    return SweepMap(plan, _propagate(plan, np.eye(len(plan.probes))))
 
 
 # ---------------------------------------------------------------------------
@@ -829,9 +835,9 @@ class Scenario:
     returns the ``(summary, Schmidt spectrum)`` record of each coefficient
     vector in ``points``, unperturbed and with OPEN/OPEN settings:
     beam-table scenarios compile their plan and propagate it once
-    (:func:`compile_sweep`), and ``bell_test`` evolves its points' states
-    stacked, :data:`BELL_SLICE` per pass, in the :func:`_bell_states` that
-    its ``evaluate`` runs on a stack of one.
+    (:func:`compile_sweep`), and ``bell_test`` propagates its points'
+    blocks stacked, :data:`BELL_SLICE` per pass, in the :func:`_bell_states`
+    that its ``evaluate`` runs on a stack of one.
     """
 
     evaluate: Callable

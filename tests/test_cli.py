@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -106,9 +107,27 @@ def test_run_bell_settings():
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
-def test_run_assertion_failure_exits_2():
-    # a negative tolerance makes every certainty assertion fail
-    code, _ = run_cli(["run", "disappearing_full", "--tol", "-1"])
+def break_certainty(monkeypatch, scenario):
+    """Make every run of ``scenario`` report a conditional probability of
+    1/2 for its certain outcome and a no-signaling gap of 1/2."""
+    entry = scenarios.SCENARIOS[scenario]
+
+    def evaluate(*args):
+        result = entry.evaluate(*args)
+        for key in result.conditional_probabilities:
+            if key.endswith("_given_postselection"):
+                result.conditional_probabilities[key] = 0.5
+        if "no_signaling_gap" in result.metadata:
+            result.metadata["no_signaling_gap"] = 0.5
+        return result
+
+    monkeypatch.setitem(scenarios.SCENARIOS, scenario,
+                        replace(entry, evaluate=evaluate))
+
+
+def test_run_assertion_failure_exits_2(monkeypatch):
+    break_certainty(monkeypatch, "disappearing_full")
+    code, _ = run_cli(["run", "disappearing_full"])
     assert code == cli.EXIT_ASSERTION
 
 
@@ -128,13 +147,13 @@ def test_parser_is_built_once():
 
 def test_tol_flag_does_not_reach_the_next_call():
     assert run_cli(["run", "disappearing_full", "--tol", "-1"])[0] == (
-        cli.EXIT_ASSERTION)
+        cli.EXIT_USAGE)
     assert run_cli(["run", "disappearing_full"])[0] == cli.EXIT_OK
 
 
 def test_tolerance_env_is_read_on_every_call(monkeypatch):
     monkeypatch.setenv("ROUTER_SIM_TOL", "-1")
-    assert run_cli(["run", "disappearing_full"])[0] == cli.EXIT_ASSERTION
+    assert run_cli(["run", "disappearing_full"])[0] == cli.EXIT_USAGE
     monkeypatch.setenv("ROUTER_SIM_TOL", "1e-9")
     assert run_cli(["run", "disappearing_full"])[0] == cli.EXIT_OK
     monkeypatch.delenv("ROUTER_SIM_TOL")
@@ -490,10 +509,32 @@ def test_non_finite_tolerance_is_usage_error(value, monkeypatch, capsys):
     assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize("value", ["-1", "-1e-300"])
+def test_negative_tolerance_is_usage_error(value, capsys):
+    # No run can pass a negative tolerance: a usage error, not an
+    # assertion failure after the payload.
+    code, out = run_cli(["run", "three_box_shutter", "--tol", value])
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert_one_line_error(capsys)
+
+
+def test_negative_tolerance_env_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("ROUTER_SIM_TOL", "-1")
+    code, out = run_cli(["run", "three_box_shutter"])
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert_one_line_error(capsys)
+    # A flag overrides the variable.
+    assert run_cli(["run", "three_box_shutter", "--tol", "1e-9"])[0] == (
+        cli.EXIT_OK)
+
+
 @pytest.mark.parametrize("scenario", SCENARIOS)
-def test_every_unperturbed_run_asserts(scenario):
+def test_every_unperturbed_run_asserts(scenario, monkeypatch):
     assert run_cli(["run", scenario])[0] == cli.EXIT_OK
-    assert run_cli(["run", scenario, "--tol", "-1"])[0] == cli.EXIT_ASSERTION
+    break_certainty(monkeypatch, scenario)
+    assert run_cli(["run", scenario])[0] == cli.EXIT_ASSERTION
+    # Off by 1/2, so within a tolerance of 0.6.
+    assert run_cli(["run", scenario, "--tol", "0.6"])[0] == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("scenario, options", [

@@ -19,11 +19,9 @@ from router_sim.elements import (
     beamsplitter,
     pqr_decomposed,
     pqr_ideal,
-    propagate,
 )
 from router_sim.errors import BadParam, UnsupportedSector
 from router_sim.fock import (
-    PRUNE_EPSILON,
     FockState,
     Sectors,
     postselect_subsystem,
@@ -458,19 +456,84 @@ def test_disappearing_full_propagates_each_checkpoint_once(monkeypatch):
     assert len(result.abl_values) == len(result.weak_values) == 9
 
 
+def recorded_blocks(monkeypatch):
+    """The list that each later ``scenarios._propagate`` call appends its
+    stacked blocks to."""
+    blocks = []
+    original = scenarios._propagate
+
+    def recording(plan, points):
+        blocks.append(original(plan, points))
+        return blocks[-1]
+
+    monkeypatch.setattr(scenarios, "_propagate", recording)
+    return blocks
+
+
+def read_block(plan, state):
+    """The amplitude block of ``state``, a state over ``plan``'s modes with
+    one shutter photon and at most one probe photon: row s is shutter mode
+    s, column 0 the probe vacuum and column 1 + p probe mode p."""
+    shutter, probes = plan.spec.post.modes, plan.probe_modes
+    block = np.zeros((len(shutter), 1 + len(probes)), dtype=complex)
+    for config, amp in state.amplitudes.items():
+        occupied = [m for m, n in zip(state.modes, config) for _ in range(n)]
+        s = [shutter.index(m) for m in occupied if m in shutter]
+        p = [1 + probes.index(m) for m in occupied if m in probes]
+        assert len(s) == 1 and len(p) <= 1 and len(occupied) <= 2, config
+        block[s[0], p[0] if p else 0] = amp
+    return block
+
+
+def reference_block(plan):
+    """The block of ``plan``'s state ahead of the merge, on the sparse
+    path."""
+    return read_block(plan, apply_schedule(plan.initial, plan.schedule))
+
+
 def test_three_box_shutter_propagates_once(monkeypatch):
-    joints = []
-    propagate = scenarios.propagate
-
-    def counting(*args, **kwargs):
-        joints.append(propagate(*args, **kwargs))
-        return joints[-1]
-
-    monkeypatch.setattr(scenarios, "propagate", counting)
+    blocks = recorded_blocks(monkeypatch)
     scenarios.three_box_shutter(0.6, 0.8)
-    assert len(joints) == 1
+    (block,) = blocks
+    assert block.shape[0] == 1
     plan = scenarios.build_three_box(0.6, 0.8)
-    assert joint_state_max_deviation(plan, joints[0].to_state()) < 1e-10
+    expected = read_block(plan, three_box_joint_reference(plan))
+    assert np.max(np.abs(block[0] - expected)) < 1e-10
+
+
+def test_run_and_sweep_build_no_state_or_merge_they_never_read(monkeypatch):
+    calls = {"FockState": 0, "superposition_source": 0, "mode_unitary": 0}
+    for attr in calls:
+        original = getattr(scenarios, attr)
+
+        def counting(*args, _attr=attr, _original=original, **kwargs):
+            calls[_attr] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, attr, counting)
+    # No plan's initial state, no probe state; the run reads its merge.
+    for name in ("disappearing_full", "three_box_shutter", "bell_test"):
+        assert cli.main(["run", name], io.StringIO()) == cli.EXIT_OK
+    assert calls == {"FockState": 0, "superposition_source": 0,
+                     "mode_unitary": 1}
+    # A sweep computes each point's merge, never the plan's.
+    for name in COMPILED:
+        argv = ["sweep", name, "--random", "3"]
+        assert cli.main(argv, io.StringIO()) == cli.EXIT_OK
+    assert calls["mode_unitary"] == 1
+    # Built on first read, once, with the values the run computed.
+    result = scenarios.disappearing_full([1, 0, 0, 0, 0])
+    state = result.conditioned_probe_state
+    assert state is result.conditioned_probe_state
+    assert calls["FockState"] == 1
+    plan = scenarios.build_disappearing([1, 0, 0, 0, 0])
+    assert calls["mode_unitary"] == 2
+    assert plan.initial is plan.initial
+    assert calls["superposition_source"] == 1
+    assert plan.merge is plan.merge and calls["mode_unitary"] == 3
+    assert state.modes == plan.probe_modes
+    assert state.amplitudes == {
+        tuple(int(m == "RA1") for m in plan.probe_modes): pytest.approx(1)}
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +713,7 @@ def test_compiled_sweep_matches_each_point(name, data):
 @pytest.mark.parametrize("name", COMPILED)
 @pytest.mark.parametrize("count", [1, 9])
 def test_compiled_sweep_builds_and_propagates_once(name, count, monkeypatch):
-    calls = {"build": 0, "propagate": 0, "evolve": 0, "checkpoint_values": 0}
+    calls = {"build": 0, "propagate": 0, "merge": 0, "checkpoint_values": 0}
     stacks = []
 
     def spy(module, attr, key):
@@ -658,25 +721,24 @@ def test_compiled_sweep_builds_and_propagates_once(name, count, monkeypatch):
 
         def counting(*args, **kwargs):
             calls[key] += 1
-            if key == "evolve":
-                stacks.append(args[0].two.shape)
+            if key == "propagate":
+                stacks.append(len(args[1]))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, attr, counting)
 
     spy(scenarios, COMPILED[name], "build")
-    spy(scenarios, "propagate", "propagate")
-    spy(scenarios, "evolve", "evolve")
+    spy(scenarios, "_propagate", "propagate")
+    spy(scenarios, "mode_unitary", "merge")
     spy(tsvf, "checkpoint_values", "checkpoint_values")
     stream = io.StringIO()
     argv = ["sweep", name, "--random", str(count)]
     assert cli.main(argv, stream) == cli.EXIT_OK
     assert stream.getvalue().count('"index"') == count
-    # One evolve of every beam's state, stacked, and no other propagation.
-    assert calls == {"build": 1, "propagate": 0, "evolve": 1,
+    # One propagation of every beam's block, stacked, and no plan merge.
+    assert calls == {"build": 1, "propagate": 1, "merge": 0,
                      "checkpoint_values": 0}
-    assert len(stacks) == 1
-    assert stacks[0][0] == scenarios.SCENARIOS[name].arity
+    assert stacks == [scenarios.SCENARIOS[name].arity]
 
 
 def cli_points(argv):
@@ -732,7 +794,7 @@ def test_bell_grid_sweep_is_bell_scenario_point_by_point(grid):
 @pytest.mark.parametrize("count", [1, 256, 257, 600])
 def test_bell_sweep_builds_once_and_evolves_once_per_slice(count,
                                                            monkeypatch):
-    calls = {"build": 0, "build_disappearing": 0, "merge": 0, "evolve": 0,
+    calls = {"build": 0, "build_disappearing": 0, "merge": 0,
              "propagate": 0, "bell_scenario": 0}
     stacks = []
 
@@ -741,8 +803,8 @@ def test_bell_sweep_builds_once_and_evolves_once_per_slice(count,
 
         def counting(*args, **kwargs):
             calls[key] += 1
-            if key == "evolve":
-                stacks.append(args[0].two.shape[0])
+            if key == "propagate":
+                stacks.append(len(args[1]))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(scenarios, attr, counting)
@@ -750,8 +812,7 @@ def test_bell_sweep_builds_once_and_evolves_once_per_slice(count,
     spy("_beam_table_plan", "build")
     spy("build_disappearing", "build_disappearing")
     spy("unitary_with_first_row", "merge")
-    spy("evolve", "evolve")
-    spy("propagate", "propagate")
+    spy("_propagate", "propagate")
     spy("bell_scenario", "bell_scenario")
     stream = io.StringIO()
     argv = ["sweep", "bell_test", "--random", str(count)]
@@ -760,7 +821,7 @@ def test_bell_sweep_builds_once_and_evolves_once_per_slice(count,
     slices = -(-count // 256)
     # The plan is built once, without the merge that the sweep never reads.
     assert calls == {"build": 1, "build_disappearing": 0, "merge": 0,
-                     "evolve": slices, "propagate": 0, "bell_scenario": 0}
+                     "propagate": slices, "bell_scenario": 0}
     assert stacks == [256] * (slices - 1) + [count - 256 * (slices - 1)]
 
 
@@ -787,25 +848,47 @@ def test_bell_clamp_removes_almost_no_probability(monkeypatch):
 
 
 def per_beam_basis(plan):
-    """The amplitude block of each beam's state, propagated alone."""
+    """The block of ``plan``'s state with the coefficients of each beam
+    alone, on the sparse path."""
     return np.stack([
-        scenarios._read_block(plan, propagate(scenarios._prepare(
-            plan.spec.pre,
-            [(m, 1.0 if m == probe else None) for m in plan.probe_modes],
-        ), plan.schedule))
-        for probe in plan.probes
+        reference_block(replace(plan, alphas=alphas))
+        for alphas in np.eye(len(plan.probes), dtype=complex)
     ])
 
 
 @pytest.mark.parametrize("name,perturbation", PLAN_CASES)
-def test_batched_compile_equals_one_propagation_per_beam(name, perturbation):
+def test_batched_compile_equals_one_propagation_per_beam(name, perturbation,
+                                                         monkeypatch):
+    # Every block the scenario layer propagates is the sparse path's state
+    # read into a block: each beam's in a compiled sweep, and the plan's
+    # own in a run, at random coefficients, which the start normalizes as
+    # superposition_source does.
     plan = BUILDERS[name](perturbation)
     basis = scenarios.compile_sweep(plan).basis
     expected = per_beam_basis(plan)
     assert basis.shape == expected.shape == (
         len(plan.probes), len(plan.spec.post.modes),
         1 + len(plan.probe_modes))
-    assert basis.tobytes() == expected.tobytes()
+    assert np.max(np.abs(basis - expected)) <= 1e-12
+    blocks = recorded_blocks(monkeypatch)
+    rng = np.random.default_rng(sum(map(ord, f"{name}{perturbation}")))
+    for _ in range(8):
+        alphas = rng.uniform(0.5, 2.0) * random_alphas(rng, len(plan.probes))
+        run = replace(plan, alphas=alphas)
+        scenarios.run_plan(run)
+        assert np.max(np.abs(blocks[-1][0] - reference_block(run))) <= 1e-12
+
+
+def test_bell_blocks_equal_the_sparse_path(monkeypatch):
+    blocks = recorded_blocks(monkeypatch)
+    points = cli_points(["--random", "300", "--seed", "5"])
+    assert len(list(scenarios._bell_states(points))) == 300
+    # Two slices: 256 points, then 44.
+    assert [len(each) for each in blocks] == [256, 44]
+    stack = np.concatenate(blocks)
+    for point, block in zip(points, stack):
+        plan = scenarios.build_disappearing(point)
+        assert np.max(np.abs(block - reference_block(plan))) <= 1e-12
 
 
 def stacked(plan, blocks):
@@ -843,22 +926,6 @@ def test_router_rejects_a_stack_when_one_member_leaves_its_sector(kind, bad):
         elements.evolve(leaky, [router])
 
 
-def test_read_block_rejects_a_stack_when_one_member_leaves_it():
-    plan = scenarios.build_stricter_6beam()
-    sectors = stacked(plan, per_beam_basis(plan))
-    assert np.array_equal(scenarios._read_block(plan, sectors),
-                          per_beam_basis(plan))
-    p, q = (sectors.state.index_of(m) for m in plan.probe_modes[:2])
-    # |2_p> has amplitude S_pp: below PRUNE_EPSILON it is pruned.
-    sectors.two[-1, p, p] = 0.8 * PRUNE_EPSILON
-    assert np.array_equal(scenarios._read_block(plan, sectors),
-                          per_beam_basis(plan))
-    # Two probe photons in the last member only.
-    sectors.two[-1, p, q] = sectors.two[-1, q, p] = 1e-3
-    with pytest.raises(UnsupportedSector, match="outside one shutter"):
-        scenarios._read_block(plan, sectors)
-
-
 def test_compile_rejects_amplitude_outside_the_block():
     # A beamsplitter between a shutter mode and a probe rail moves
     # amplitude to zero shutter photons and two probe photons.
@@ -866,10 +933,30 @@ def test_compile_rejects_amplitude_outside_the_block():
     leaky = replace(plan, schedule=plan.schedule + [
         beamsplitter(0.5, "SA", plan.kept_ports[0])
     ])
-    with pytest.raises(UnsupportedSector, match="outside one shutter"):
+    with pytest.raises(UnsupportedSector, match="not a router"):
         scenarios.compile_sweep(leaky)
-    with pytest.raises(UnsupportedSector, match="outside one shutter"):
+    with pytest.raises(UnsupportedSector, match="not a router"):
         scenarios.run_plan(leaky)
+
+
+@pytest.mark.parametrize("router", [
+    lambda probes: pqr_ideal(probes[0], probes[1], probes[2]),
+    lambda probes: pqr_ideal(probes[0], "RZ9", "SA"),
+    lambda probes: pqr_ideal("SB", probes[0], "SA"),
+    lambda probes: pqr_ideal(probes[0], probes[1], "SZ"),
+    lambda probes: pqr_decomposed(probes[0], probes[-1], "SA"),
+    lambda probes: elements.tunneling(0.3, "SA", probes[0]),
+], ids=["probe-control", "port-outside-plan", "port-on-shutter",
+        "control-outside-plan", "decomposed-router", "tunnel-into-probe"])
+def test_plan_validation_rejects_elements_outside_the_block(router):
+    plan = scenarios.build_stricter_6beam()
+    for at in (0, len(plan.schedule)):
+        bad = replace(plan, schedule=plan.schedule[:at]
+                      + [router(plan.probe_modes)] + plan.schedule[at:])
+        with pytest.raises(UnsupportedSector, match="not a router"):
+            scenarios.run_plan(bad)
+        with pytest.raises(UnsupportedSector, match="not a router"):
+            scenarios.compile_sweep(bad)
 
 
 @pytest.mark.parametrize("name", ["disappearing_full", "stricter_6beam"])

@@ -1,8 +1,10 @@
 """Command-line front end: run scenarios, simulate circuit files, sweep.
 
 Exit codes are a stable contract: 0 success, 1 output closed early (the
-reader of standard output went away), 2 built-in assertion failure, 3 usage
-error, 4 parse/compile error.  JSON output is schema-stable with a
+reader of standard output went away), 2 built-in assertion failure or a
+result that is undefined (a ``SimulationError``: a post-selection that
+never succeeds, or a router outside its sector), 3 usage error, 4
+parse/compile error.  JSON output is schema-stable with a
 fixed field set and 12-significant-digit numbers; identical inputs produce
 byte-identical output.
 """

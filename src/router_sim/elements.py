@@ -121,10 +121,12 @@ def ns_single(mode_):
 
 
 def ns_two_mode(mode_a, mode_b):
-    """Two-mode NS gate: sign flip exactly on the |1,1> component.
+    """Two-mode NS gate: a sign flip of |1,1>.
 
     Built as a balanced beamsplitter, a single-mode NS gate on each arm,
-    and the inverse beamsplitter.
+    and the inverse beamsplitter.  On two photons it maps |1,1> to -|1,1>
+    and exchanges |2,0> and |0,2> with amplitude one; states of at most
+    one photon pass unchanged.
     """
     return Element(ElementKind.NS_TWO_MODE, _distinct((mode_a, mode_b)))
 
@@ -236,19 +238,19 @@ def _router_positions(sectors, element):
     Raises UnsupportedSector unless every configuration has at most one
     photon in each bound mode and at most one across the probe pair,
     judged on Fock amplitudes of modulus :data:`~router_sim.fock.PRUNE_EPSILON`
-    or more, in every matrix of a stacked ``two``.
+    or more.
     """
     ia, ib, ic = map(sectors.state._index.__getitem__, element.modes)
     if sectors.two is not None:
         # |2> in each bound mode, then |1 1> on the probe pair.
-        amps = sectors.two[..., [ia, ib, ic, ia], [ia, ib, ic, ib]]
-        amps[..., 3] *= math.sqrt(2.0)
-        over = (abs(amps) >= PRUNE_EPSILON).ravel().tolist()
+        amps = sectors.two[[ia, ib, ic, ia], [ia, ib, ic, ib]]
+        amps[3] *= math.sqrt(2.0)
+        over = (abs(amps) >= PRUNE_EPSILON).tolist()
         if True in over:
             occupations = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0)]
             raise UnsupportedSector(
                 f"router applied outside its sector: occupations "
-                f"{occupations[over.index(True) % 4]} on (probe_a, "
+                f"{occupations[over.index(True)]} on (probe_a, "
                 "probe_b, control)"
             )
     return ia, ib, ic
@@ -258,7 +260,7 @@ def _ns_rule(sectors, element, adjoint):
     # Sign flip of |2_m>, the S_mm entry: real, so self-adjoint.
     if sectors.two is not None:
         m = sectors.state._index[element.modes[0]]
-        sectors.two[..., m, m] = -sectors.two[..., m, m]
+        sectors.two[m, m] = -sectors.two[m, m]
 
 
 def _ns_two_mode_rule(sectors, element, adjoint):
@@ -273,8 +275,8 @@ def _router_rule(sectors, element, adjoint):
     ia, ib, ic = _router_positions(sectors, element)
     two = sectors.two
     if two is not None:
-        two[..., [ia, ib], ic] = two[..., [ib, ia], ic]
-        two[..., ic, [ia, ib]] = two[..., ic, [ib, ia]]
+        two[[ia, ib], ic] = two[[ib, ia], ic]
+        two[ic, [ia, ib]] = two[ic, [ib, ia]]
 
 
 def _decomposed_router_rule(sectors, element, adjoint):

@@ -218,8 +218,6 @@ class Sectors:
     """Mutable sector form of a :class:`FockState` (see the module
     docstring): ``vacuum``, ``one`` (the vector v) and ``two`` (the
     symmetric matrix S, or None while the state has no two-photon part).
-    ``two`` may also stack k matrices (k, n, n) over one ``vacuum`` and
-    ``one``; the element rules evolve them together, measurements read one.
 
     Its Fock amplitudes are read in one flat layout over the n modes: the
     vacuum, one photon in each mode, then two photons in modes (i, j),

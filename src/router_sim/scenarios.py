@@ -13,10 +13,10 @@ Every state a scenario reports on holds one shutter photon over boxes A,
 B and C plus at most one probe photon, so scenarios propagate stacks of
 that 3 x (1 + n_probe) amplitude block (:func:`_propagate`): rows are
 boxes, column 0 is the probe vacuum and column 1 + p is probe mode p.  Runs
-and compiled sweeps measure the blocks with one function
-(:func:`_measure`), and the Bell tables are matrix algebra on the block's
-cavity columns.  Probabilities are computed exactly from amplitudes;
-there is no sampling.
+(:func:`run_plan`) and sweeps (:func:`sweep_plan`) merge and measure the
+blocks with one function (:func:`_measure`), and the Bell tables are matrix
+algebra on the block's cavity columns.  Probabilities are computed exactly
+from amplitudes; there is no sampling.
 Perturbed variants (wrong box, wrong time, switched router orientation,
 extra probe beam) are first-class because the certainty claims of the
 unperturbed schedules are only meaningful against such counterfactuals.
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -105,7 +105,6 @@ class ScenarioPlan:
     alphas: np.ndarray
     recombine: bool
     probe_photon: bool = True
-    metadata: dict = field(default_factory=dict)
 
     @property
     def shutter_post(self):
@@ -244,16 +243,16 @@ def _propagate(plan, points):
     return pruned(blocks)
 
 
-def _measure(plan, points, joint, merges):
+def _measure(plan, points, joint):
     """Measure ``plan`` on the stacked blocks ``joint`` of its state ahead
     of the merge, one per coefficient vector in ``points``.
 
-    ``merges`` stacks each point's recombination unitary over the kept
-    ports (None when the plan has no merge).  Returns, per point, the
-    outcome partition, the fidelity of the post-selected probe to the
-    coefficients on the kept ports, the Schmidt spectrum of the shutter
-    versus the probe, and the post-selected probe ahead of the merge as a
-    normalized row in the block's column layout.
+    With ``plan.recombine``, each point's kept ports are merged by the
+    unitary whose first row is its conjugated coefficients.  Returns, per
+    point, the outcome partition, the fidelity of the post-selected probe
+    to the coefficients on the kept ports, the Schmidt spectrum of the
+    shutter versus the probe, and the post-selected probe ahead of the
+    merge as a normalized row in the block's column layout.
     """
     kept = plan.kept_columns
     post = Sectors(plan.spec.post).one.conj()
@@ -269,7 +268,8 @@ def _measure(plan, points, joint, merges):
         "nk,nk->n", pruned(points).conj(), premerge[:, kept]
     )) ** 2
 
-    if merges is not None:
+    if plan.recombine:
+        merges = unitary_with_first_row(points.conj())
         merged = joint.copy()
         merged[:, :, kept] = joint[:, :, kept] @ merges.transpose(0, 2, 1)
         joint = pruned(merged)
@@ -278,7 +278,7 @@ def _measure(plan, points, joint, merges):
         raise UndefinedConditioning(
             f"post-selection never succeeds in scenario {plan.name}"
         )
-    restored = kept[:1] if merges is not None else kept
+    restored = kept[:1] if plan.recombine else kept
     qs = np.sum(np.abs(probes[:, restored]) ** 2, axis=-1)
     return [
         (_conditionals(plan.outcome_label, p_post, q), fid,
@@ -293,12 +293,9 @@ def _measure(plan, points, joint, merges):
 def run_plan(plan):
     """Propagate a plan's block and assemble its :class:`ScenarioResult`
     from it."""
-    merges = None if plan.merge is None else plan.merge.params["matrix"][None]
+    points = plan.alphas[None]
     ((conditionals, fid, spectrum, probe),) = _measure(
-        plan, plan.alphas[None], _propagate(plan, plan.alphas[None]), merges
-    )
-    metadata = dict(plan.metadata)
-    metadata["alphas"] = [complex(a) for a in plan.alphas]
+        plan, points, _propagate(plan, points))
     return ScenarioResult(
         name=plan.name,
         conditional_probabilities=conditionals,
@@ -306,9 +303,26 @@ def run_plan(plan):
         weak_values={},
         abl_values={},
         schmidt_spectrum=spectrum,
-        metadata=metadata,
+        metadata={},
         probe=(plan.probe_modes, probe),
     )
+
+
+def sweep_plan(plan, points):
+    """``(summary, Schmidt spectrum)`` of ``plan`` at each coefficient
+    vector in ``points``, measured as :func:`run_plan` measures one.
+
+    The schedule does not depend on the coefficients, so the block of a
+    point is ``sum_k alpha_k basis[k]``, where ``basis[k]`` is the block of
+    the probe photon in beam k alone; the basis is propagated once, as one
+    stack from the identity on the probe columns.
+    """
+    points = np.asarray(points, dtype=complex)
+    basis = _propagate(plan, np.eye(len(plan.probes)))
+    joint = pruned(np.einsum("nk,ksp->nsp", points, basis))
+    return [({**conditionals, "fidelity": fid}, spectrum)
+            for conditionals, fid, spectrum, _
+            in _measure(plan, points, joint)]
 
 
 def _conditionals(label, p_post, q):
@@ -334,7 +348,7 @@ _REFLECT = RouterOrientation.REFLECT_ON_MATCH
 _TRANSMIT = RouterOrientation.TRANSMIT_ON_MATCH
 
 
-def _beam_table_plan(name, spec, beams, alphas, metadata, routers=True,
+def _beam_table_plan(name, spec, beams, alphas, routers=True,
                      probe_photon=True, recombine=True):
     """Plan of the two-state shutter ``spec`` probed by a table of beams.
 
@@ -372,7 +386,6 @@ def _beam_table_plan(name, spec, beams, alphas, metadata, routers=True,
         alphas=alphas,
         recombine=recombine,
         probe_photon=probe_photon,
-        metadata=metadata,
     )
 
 
@@ -384,7 +397,7 @@ def build_three_box(alpha1, alpha2):
     return _beam_table_plan(
         "three_box_shutter", tsvf.three_box_spec(),
         [("A", "A", "t", _REFLECT), ("B", "B", "t", _REFLECT)],
-        as_alpha_vector([alpha1, alpha2], 2), {}, recombine=False,
+        as_alpha_vector([alpha1, alpha2], 2), recombine=False,
     )
 
 
@@ -427,10 +440,7 @@ def build_disappearing(alphas=None, perturbation=None):
     if perturbation == "remove-shutter-C-t2":
         pre = tsvf.shutter_state((1 / math.sqrt(2), 1j / math.sqrt(2), 0.0))
         spec = replace(spec, pre=pre)
-    return _beam_table_plan(
-        "disappearing_full", spec, beams, alphas,
-        {"perturbation": perturbation},
-    )
+    return _beam_table_plan("disappearing_full", spec, beams, alphas)
 
 
 def disappearing_full(alphas=None, perturbation=None):
@@ -458,7 +468,7 @@ def build_simplified_3path(variant=None):
     ]
     return _beam_table_plan(
         "simplified_3path", tsvf.disappearing_spec(), beams, equal_alphas(3),
-        {"variant": variant}, routers=variant != "identity-routers",
+        routers=variant != "identity-routers",
     )
 
 
@@ -473,24 +483,19 @@ def build_simplest_2path(variant=None):
         beams = [("C1", "C", "t1", _REFLECT), ("A2", "A", "t2", _REFLECT)]
     else:
         beams = [("A1", "A", "t1", _REFLECT), ("C2", "C", "t2", _REFLECT)]
-    metadata = {
-        "variant": variant,
-        # The unity restoration certifies reflection at A(t1) and
-        # C(t2); equivalently it certifies the shutter's absence from
-        # A at the in-between slot.  Both readings are reported.
-        "readings": [
-            "reflection from A(t1) and C(t2) with certainty",
-            "absence of the shutter from box A after t1",
-        ],
-    }
     return _beam_table_plan(
         "simplest_2path", tsvf.disappearing_spec(), beams, equal_alphas(2),
-        metadata, probe_photon=variant != "vacuum-probe",
+        probe_photon=variant != "vacuum-probe",
     )
 
 
 def simplest_2path(variant=None):
-    """Two-beam probe: reflections at A(t1) and C(t2)."""
+    """Two-beam probe: reflections at A(t1) and C(t2).
+
+    The unity restoration has two readings: it certifies reflection from
+    A(t1) and C(t2), and equivalently the shutter's absence from box A at
+    the slot in between.
+    """
     return run_plan(build_simplest_2path(variant))
 
 
@@ -503,10 +508,8 @@ def build_absence_test(variant=None):
     slot = {"at-t1": "t1", "at-t3": "t3"}.get(variant, "t2")
     orientation = _REFLECT if variant == "reflect-orientation" else _TRANSMIT
     beams = [("A", "A", slot, orientation), ("B", "B", slot, orientation)]
-    return _beam_table_plan(
-        "absence_test", tsvf.disappearing_spec(), beams, equal_alphas(2),
-        {"variant": variant, "slot": slot},
-    )
+    return _beam_table_plan("absence_test", tsvf.disappearing_spec(), beams,
+                            equal_alphas(2))
 
 
 def absence_test(variant=None):
@@ -533,10 +536,8 @@ def build_stricter_6beam(alphas=None, flip=None):
         ("B3", "B", "t3", _REFLECT),
         ("C3", "C", "t3", _REFLECT),
     ]
-    return _beam_table_plan(
-        "stricter_6beam", tsvf.disappearing_spec(), beams, alphas,
-        {"flip": flip},
-    )
+    return _beam_table_plan("stricter_6beam", tsvf.disappearing_spec(),
+                            beams, alphas)
 
 
 def stricter_6beam(alphas=None, flip=None):
@@ -575,7 +576,7 @@ def _bell_states(points):
     """
     plan = _beam_table_plan(
         "disappearing_full", tsvf.disappearing_spec(), _DISAPPEARING_BEAMS,
-        equal_alphas(5), {}, recombine=False,
+        equal_alphas(5), recombine=False,
     )
     for start in range(0, len(points), BELL_SLICE):
         blocks = _propagate(plan, points[start:start + BELL_SLICE])
@@ -761,44 +762,6 @@ def bell_sweep(points):
 
 
 # ---------------------------------------------------------------------------
-# Compiled sweeps: a beam-table plan as a linear map of its coefficients
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SweepMap:
-    """A beam-table plan compiled for coefficient sweeps.
-
-    The schedule does not depend on the probe coefficients, so the joint
-    state ahead of the merge is ``sum_k alpha_k basis[k]``, where
-    ``basis[k]`` is the amplitude block (see :func:`_propagate`) of the
-    plan run with the probe photon in beam k alone.
-    """
-
-    plan: ScenarioPlan
-    basis: np.ndarray
-
-    def evaluate(self, points):
-        """``(summary, Schmidt spectrum)`` of each coefficient vector in
-        ``points``, measured as :func:`run_plan` measures one point."""
-        points = np.asarray(points, dtype=complex)
-        joint = pruned(np.einsum("nk,ksp->nsp", points, self.basis))
-        merges = (unitary_with_first_row(points.conj())
-                  if self.plan.recombine else None)
-        return [
-            ({**conditionals, "fidelity": fid}, spectrum)
-            for conditionals, fid, spectrum, _ in _measure(
-                self.plan, points, joint, merges)
-        ]
-
-
-def compile_sweep(plan):
-    """:class:`SweepMap` of a beam-table ``plan``: the block of every beam
-    alone, propagated as one stack from the identity on the probe
-    columns."""
-    return SweepMap(plan, _propagate(plan, np.eye(len(plan.probes))))
-
-
-# ---------------------------------------------------------------------------
 # Registry: what the command line knows about each scenario
 # ---------------------------------------------------------------------------
 
@@ -834,8 +797,8 @@ class Scenario:
     run.  ``sweep(points)``, given for every scenario with coefficients,
     returns the ``(summary, Schmidt spectrum)`` record of each coefficient
     vector in ``points``, unperturbed and with OPEN/OPEN settings:
-    beam-table scenarios compile their plan and propagate it once
-    (:func:`compile_sweep`), and ``bell_test`` propagates its points'
+    beam-table scenarios build their plan once and propagate its beams as
+    one stack (:func:`sweep_plan`), and ``bell_test`` propagates its points'
     blocks stacked, :data:`BELL_SLICE` per pass, in the :func:`_bell_states`
     that its ``evaluate`` runs on a stack of one.
     """
@@ -853,8 +816,8 @@ SCENARIOS = {
         lambda alphas, perturbation, settings: three_box_shutter(*alphas),
         arity=2,
         certain=_reflected_with_fidelity_one,
-        sweep=lambda points: compile_sweep(
-            build_three_box(*equal_alphas(2))).evaluate(points),
+        sweep=lambda points: sweep_plan(
+            build_three_box(*equal_alphas(2)), points),
     ),
     "disappearing_full": Scenario(
         lambda alphas, perturbation, settings: disappearing_full(
@@ -863,8 +826,7 @@ SCENARIOS = {
         certain=_restored_with_certainty,
         perturbations=("remove-shutter-C-t2", "extra-beam-A-t2",
                        "extra-beam-B-t2"),
-        sweep=lambda points: compile_sweep(
-            build_disappearing()).evaluate(points),
+        sweep=lambda points: sweep_plan(build_disappearing(), points),
     ),
     "simplified_3path": Scenario(
         lambda alphas, perturbation, settings: simplified_3path(perturbation),
@@ -890,8 +852,7 @@ SCENARIOS = {
         arity=6,
         certain=_restored_with_certainty,
         perturbations=("flip-A-t2", "flip-B-t2"),
-        sweep=lambda points: compile_sweep(
-            build_stricter_6beam()).evaluate(points),
+        sweep=lambda points: sweep_plan(build_stricter_6beam(), points),
     ),
     "bell_test": Scenario(
         lambda alphas, perturbation, settings: bell_scenario(

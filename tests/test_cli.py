@@ -455,6 +455,32 @@ def test_simulate_compile_error_exits_4_with_one_line(tmp_path, capsys):
     assert_one_line_error(capsys)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alphas", ["0,1,0,0,0", "0,0,1,0,0", "0,0,0,0,1"])
+def test_postselection_that_never_succeeds_exits_2_with_one_line(alphas,
+                                                                 capsys):
+    # Prepared without box C, the shutter reaches its post-state only
+    # through a router that fires in box A or B; with the probe in a C
+    # beam alone none does.
+    code, out = run_cli(["run", "disappearing_full", "--perturb",
+                         "remove-shutter-C-t2", "--alphas", alphas])
+    assert code == cli.EXIT_ASSERTION
+    assert out == ""
+    assert_one_line_error(capsys)
+
+
+def test_router_outside_its_sector_exits_2_with_one_line(tmp_path, capsys):
+    # Both source photons reach the router's probe pair.
+    path = tmp_path / "outside.circuit"
+    path.write_text("mode A A t1 probe_in\nmode B B t1 probe_r\n"
+                    "mode C C t1 shutter\nsource A 1\nsource B 1\n"
+                    "pqr reflect A B C\ndetect d A=1\n")
+    code, out = run_cli(["simulate", str(path)])
+    assert code == cli.EXIT_ASSERTION
+    assert out == ""
+    assert_one_line_error(capsys)
+
+
 @pytest.mark.parametrize("text, warning", [
     ("mode A A t1 shutter\nmode B B t1 probe_in\nsource A 1 B 1\n"
      "detect d A=1\n",

@@ -97,6 +97,19 @@ def test_ns_two_mode_sign_flip_on_11():
     assert max_amplitude_deviation(out, expected, configs, index) < 1e-12
 
 
+def test_ns_two_mode_on_every_two_photon_configuration():
+    """|1,1> -> -|1,1>; |2,0> and |0,2> trade places with amplitude one."""
+    ms = modes("a", "b")
+    vac = fock.register_modes(ms)
+    gate = elements.ns_two_mode(*ms)
+    images = {(2, 0): ((0, 2), 1.0), (1, 1): ((1, 1), -1.0),
+              (0, 2): ((2, 0), 1.0)}
+    for config, (image, amplitude) in images.items():
+        out = apply_element(basis_state(vac, config), gate)
+        assert set(out.amplitudes) == {image}, config
+        assert abs(out.amplitudes[image] - amplitude) <= 1e-12, config
+
+
 def test_ns_two_mode_single_photon_passthrough():
     ms = modes("a", "b")
     vac = fock.register_modes(ms)

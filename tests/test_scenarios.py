@@ -21,11 +21,7 @@ from router_sim.elements import (
     pqr_ideal,
 )
 from router_sim.errors import BadParam, UnsupportedSector
-from router_sim.fock import (
-    FockState,
-    Sectors,
-    postselect_subsystem,
-)
+from router_sim.fock import FockState, postselect_subsystem
 
 S2 = math.sqrt(2.0)
 S3 = math.sqrt(3.0)
@@ -502,7 +498,8 @@ def test_three_box_shutter_propagates_once(monkeypatch):
 
 
 def test_run_and_sweep_build_no_state_or_merge_they_never_read(monkeypatch):
-    calls = {"FockState": 0, "superposition_source": 0, "mode_unitary": 0}
+    calls = {"FockState": 0, "superposition_source": 0, "mode_unitary": 0,
+             "unitary_with_first_row": 0}
     for attr in calls:
         original = getattr(scenarios, attr)
 
@@ -511,26 +508,29 @@ def test_run_and_sweep_build_no_state_or_merge_they_never_read(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(scenarios, attr, counting)
-    # No plan's initial state, no probe state; the run reads its merge.
+    # No plan's initial state, no probe state and no plan merge: a
+    # recombining run (disappearing_full, of the three) computes its merge
+    # unitary once, as a sweep computes each point's.
     for name in ("disappearing_full", "three_box_shutter", "bell_test"):
         assert cli.main(["run", name], io.StringIO()) == cli.EXIT_OK
     assert calls == {"FockState": 0, "superposition_source": 0,
-                     "mode_unitary": 1}
-    # A sweep computes each point's merge, never the plan's.
+                     "mode_unitary": 0, "unitary_with_first_row": 1}
+    # One merge call per recombining sweep, for all its points.
     for name in COMPILED:
         argv = ["sweep", name, "--random", "3"]
         assert cli.main(argv, io.StringIO()) == cli.EXIT_OK
-    assert calls["mode_unitary"] == 1
+    assert calls["mode_unitary"] == 0
+    assert calls["unitary_with_first_row"] == 3
     # Built on first read, once, with the values the run computed.
     result = scenarios.disappearing_full([1, 0, 0, 0, 0])
     state = result.conditioned_probe_state
     assert state is result.conditioned_probe_state
     assert calls["FockState"] == 1
     plan = scenarios.build_disappearing([1, 0, 0, 0, 0])
-    assert calls["mode_unitary"] == 2
+    assert calls["mode_unitary"] == 0
     assert plan.initial is plan.initial
     assert calls["superposition_source"] == 1
-    assert plan.merge is plan.merge and calls["mode_unitary"] == 3
+    assert plan.merge is plan.merge and calls["mode_unitary"] == 1
     assert state.modes == plan.probe_modes
     assert state.amplitudes == {
         tuple(int(m == "RA1") for m in plan.probe_modes): pytest.approx(1)}
@@ -590,8 +590,14 @@ def test_plan_runs_the_spec_it_carries(name, perturbation):
         reflect = (router.params["orientation"]
                    is RouterOrientation.REFLECT_ON_MATCH)
         assert rail == ("R" if reflect else "X") + tag
-        checkpoint = "t" + tag[1:] if tag[1:] else plan.metadata.get(
-            "slot", "t")
+        if tag[1:]:
+            checkpoint = "t" + tag[1:]
+        elif name == "absence_test":
+            # "at-t1" and "at-t3" move the absence test's slot from t2
+            checkpoint = {"at-t1": "t1", "at-t3": "t3"}.get(perturbation,
+                                                            "t2")
+        else:
+            checkpoint = "t"
         assert boundary == spec.boundary(checkpoint)
 
 
@@ -682,7 +688,7 @@ def sweep_points(draw, arity):
 
 def test_compiled_scenarios_are_the_beam_table_sweeps():
     # Every scenario that takes coefficients sweeps them from one
-    # propagation: the beam tables through compile_sweep, bell_test
+    # propagation: the beam tables through sweep_plan, bell_test
     # through bell_sweep.
     swept = {name for name, entry in scenarios.SCENARIOS.items()
              if entry.sweep is not None}
@@ -864,7 +870,7 @@ def test_batched_compile_equals_one_propagation_per_beam(name, perturbation,
     # own in a run, at random coefficients, which the start normalizes as
     # superposition_source does.
     plan = BUILDERS[name](perturbation)
-    basis = scenarios.compile_sweep(plan).basis
+    basis = scenarios._propagate(plan, np.eye(len(plan.probes)))
     expected = per_beam_basis(plan)
     assert basis.shape == expected.shape == (
         len(plan.probes), len(plan.spec.post.modes),
@@ -891,41 +897,6 @@ def test_bell_blocks_equal_the_sparse_path(monkeypatch):
         assert np.max(np.abs(block - reference_block(plan))) <= 1e-12
 
 
-def stacked(plan, blocks):
-    """Sectors over ``plan``'s modes whose stacked S holds ``blocks``, each
-    a shutter x (1 + probe) amplitude block with an empty column 0."""
-    sectors = Sectors(plan.initial)
-    n, s = len(sectors.one), len(plan.spec.post.modes)
-    sectors.one = np.zeros(n, dtype=complex)
-    sectors.vacuum = 0j
-    sectors.two = np.zeros((len(blocks), n, n), dtype=complex)
-    sectors.two[:, :s, s:] = np.asarray(blocks)[:, :, 1:] / S2
-    sectors.two[:, s:, :s] = sectors.two[:, :s, s:].transpose(0, 2, 1)
-    return sectors
-
-
-@pytest.mark.parametrize("kind", [pqr_ideal, pqr_decomposed])
-@pytest.mark.parametrize("bad", [0, 2])
-def test_router_rejects_a_stack_when_one_member_leaves_its_sector(kind, bad):
-    plan = scenarios.build_disappearing()
-    blocks = per_beam_basis(plan)[:3]
-    # Each member holds the probe photon in one of the first three beams,
-    # so the router sees at most one photon on its probe pair, until one
-    # member gains |1 1> there.
-    router = kind(plan.probe_modes[0], plan.probe_modes[1], "SA")
-    good = stacked(plan, blocks)
-    elements.evolve(good, [router])
-    for k, block in enumerate(blocks):
-        alone = stacked(plan, [block])
-        elements.evolve(alone, [router])
-        assert np.array_equal(alone.two[0], good.two[k])
-    leaky = stacked(plan, blocks)
-    a, b = (leaky.state.index_of(m) for m in plan.probe_modes[:2])
-    leaky.two[bad, a, b] = leaky.two[bad, b, a] = 0.5
-    with pytest.raises(UnsupportedSector, match=r"occupations \(1, 1, 0\)"):
-        elements.evolve(leaky, [router])
-
-
 def test_compile_rejects_amplitude_outside_the_block():
     # A beamsplitter between a shutter mode and a probe rail moves
     # amplitude to zero shutter photons and two probe photons.
@@ -934,7 +905,7 @@ def test_compile_rejects_amplitude_outside_the_block():
         beamsplitter(0.5, "SA", plan.kept_ports[0])
     ])
     with pytest.raises(UnsupportedSector, match="not a router"):
-        scenarios.compile_sweep(leaky)
+        scenarios.sweep_plan(leaky, plan.alphas[None])
     with pytest.raises(UnsupportedSector, match="not a router"):
         scenarios.run_plan(leaky)
 
@@ -956,7 +927,7 @@ def test_plan_validation_rejects_elements_outside_the_block(router):
         with pytest.raises(UnsupportedSector, match="not a router"):
             scenarios.run_plan(bad)
         with pytest.raises(UnsupportedSector, match="not a router"):
-            scenarios.compile_sweep(bad)
+            scenarios.sweep_plan(bad, plan.alphas[None])
 
 
 @pytest.mark.parametrize("name", ["disappearing_full", "stricter_6beam"])

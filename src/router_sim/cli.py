@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii as _escape
 import numpy as np
 
 from . import dsl, scenarios
-from .errors import BadParam, CompileError, SimulationError
+from .errors import BadCoefficients, BadParam, CompileError, SimulationError
 from .fock import row_norms
 
 DEFAULT_TOL = 1e-9
@@ -167,7 +167,7 @@ def _reject_unused_flags(args, entry):
 
 def _run_alphas(args, arity):
     """Coefficients of a run, the scenario's default when none are given;
-    raises BadParam when they are not normalized."""
+    the scenario validates them."""
     if not arity:
         return []
     if args.alpha1 is not None or args.alpha2 is not None:
@@ -188,7 +188,7 @@ def _run_alphas(args, arity):
         raise UsageError(
             f"expected {arity} comma-separated coefficients, got {len(values)}"
         )
-    return scenarios.as_alpha_vector(values, arity)
+    return values
 
 
 def cmd_run(args, stream):
@@ -202,7 +202,13 @@ def cmd_run(args, stream):
     except BadParam as exc:
         raise UsageError(str(exc)) from None
     alice, bob = args.alice or "open", args.bob or "open"
-    result = entry.evaluate(alphas, args.perturb, (_ALICE[alice], _BOB[bob]))
+    try:
+        # The scenario validates the coefficients, as it does for every
+        # caller: unnormalized or non-finite ones are a usage error.
+        result = entry.evaluate(alphas, args.perturb,
+                                (_ALICE[alice], _BOB[bob]))
+    except BadCoefficients as exc:
+        raise UsageError(str(exc)) from None
     params = {"alphas": [complex(a) for a in alphas]}
     if entry.takes_settings:
         params.update(alice_setting=alice, bob_setting=bob)

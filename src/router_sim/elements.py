@@ -22,6 +22,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 import numpy as np
 
 from .errors import BadParam, UnsupportedSector
@@ -57,14 +58,26 @@ class RouterOrientation(Enum):
     REFLECT_ON_MATCH = "reflect"
     TRANSMIT_ON_MATCH = "transmit"
 
+    # Hashed by identity, in C, as the scenario plan cache hashes the
+    # beam tables that hold them on every build.
+    __hash__ = object.__hash__
+
+
+#: The params of an element that takes none.
+_NO_PARAMS = MappingProxyType({})
+
 
 @dataclass(frozen=True, eq=False)
 class Element:
-    """One circuit primitive bound to an ordered tuple of modes."""
+    """One circuit primitive bound to an ordered tuple of modes.
+
+    The factories below give ``params`` as a read-only mapping, so an
+    element can be shared, as the plans of a scenario share theirs.
+    """
 
     kind: ElementKind
     modes: tuple
-    params: dict = field(default_factory=dict)
+    params: MappingProxyType = field(default_factory=lambda: _NO_PARAMS)
 
     @property
     def kept_port(self):
@@ -107,12 +120,14 @@ def beamsplitter(r, mode_a, mode_b):
     """Beamsplitter of reflectivity ``r`` on two modes."""
     if not 0.0 <= r <= 1.0:
         raise BadParam(f"reflectivity {r} outside [0, 1]")
-    return Element(ElementKind.BS, _distinct((mode_a, mode_b)), {"r": float(r)})
+    return Element(ElementKind.BS, _distinct((mode_a, mode_b)),
+                   MappingProxyType({"r": float(r)}))
 
 
 def phase_shifter(angle, mode_):
     """Single-mode phase shifter: n photons acquire exp(i*n*angle)."""
-    return Element(ElementKind.PHASE, (mode_,), {"angle": _finite_angle(angle)})
+    return Element(ElementKind.PHASE, (mode_,),
+                   MappingProxyType({"angle": _finite_angle(angle)}))
 
 
 def ns_single(mode_):
@@ -135,7 +150,8 @@ def _router(kind, probe_a, probe_b, control, orientation):
     if len({probe_a, probe_b, control}) != 3:
         raise BadParam("router needs three distinct modes")
     return Element(kind, (probe_a, probe_b, control),
-                   {"orientation": RouterOrientation(orientation)})
+                   MappingProxyType(
+                       {"orientation": RouterOrientation(orientation)}))
 
 
 def pqr_ideal(probe_a, probe_b, control,
@@ -170,7 +186,7 @@ def pqr_decomposed(probe_a, probe_b, control,
 def tunneling(theta, mode_a, mode_b):
     """Two-mode tunneling exp(-i*theta*sigma_x) between two boxes."""
     return Element(ElementKind.TUNNEL, _distinct((mode_a, mode_b)),
-                   {"theta": _finite_angle(theta)})
+                   MappingProxyType({"theta": _finite_angle(theta)}))
 
 
 def relabel(mapping):
@@ -183,7 +199,9 @@ def relabel(mapping):
     values = list(mapping.values())
     if len(set(keys)) != len(keys) or set(keys) != set(values):
         raise BadParam("relabel mapping must be a bijection")
-    return Element(ElementKind.RELABEL, tuple(keys), {"mapping": dict(mapping)})
+    mapping = MappingProxyType(dict(mapping))
+    return Element(ElementKind.RELABEL, tuple(keys),
+                   MappingProxyType({"mapping": mapping}))
 
 
 def mode_unitary(u, modes):
@@ -194,7 +212,8 @@ def mode_unitary(u, modes):
     """
     modes = _distinct(modes)
     u = _check_unitary(u, len(modes))
-    return Element(ElementKind.MODE_UNITARY, modes, {"matrix": u})
+    return Element(ElementKind.MODE_UNITARY, modes,
+                   MappingProxyType({"matrix": u}))
 
 
 def _mode_matrix(element):

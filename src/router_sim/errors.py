@@ -37,6 +37,11 @@ class BadParam(SimulationError):
     """A parameter is outside its allowed range."""
 
 
+class BadCoefficients(BadParam):
+    """Probe coefficients are not a finite unit vector of the scenario's
+    length."""
+
+
 class UnsupportedSector(SimulationError):
     """A router met an occupation pattern outside its sector, or a
     scenario state has amplitude outside its block of one shutter photon

@@ -20,6 +20,7 @@ import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -127,6 +128,16 @@ class FockState:
         checked."""
         state = object.__new__(FockState)
         state._set(self.modes, self._index, amplitudes)
+        return state
+
+    def read_only(self):
+        """This state with its amplitudes in a read-only mapping, for a
+        state that many holders share."""
+        state = object.__new__(FockState)
+        object.__setattr__(state, "modes", self.modes)
+        object.__setattr__(state, "amplitudes",
+                           MappingProxyType(dict(self.amplitudes)))
+        object.__setattr__(state, "_index", self._index)
         return state
 
     def __setattr__(self, name, value):

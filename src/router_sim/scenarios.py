@@ -20,6 +20,17 @@ from amplitudes; there is no sampling.
 Perturbed variants (wrong box, wrong time, switched router orientation,
 extra probe beam) are first-class because the certainty claims of the
 unperturbed schedules are only meaningful against such counterfactuals.
+
+Only the probe's coefficients change from run to run.  Everything else is
+built once per process, on first use, for each scenario and perturbation:
+the shutter's two-state spec (:func:`_spec`), the plan without its
+coefficients (:func:`_beam_table_plan`), the block program of its
+schedule (:func:`_program`) and the ABL and weak-value table of the
+unperturbed shutters (:func:`_tsvf_values`).  A call validates its
+coefficients, starts the block from them, applies the program, measures
+and assembles its result.  The plans that the ``build_*`` functions
+return have lists of their own and share the read-only rest: the
+elements and the spec.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -39,7 +51,12 @@ from .elements import (
     pqr_ideal,
     tunnel_matrix,
 )
-from .errors import BadParam, UndefinedConditioning, UnsupportedSector
+from .errors import (
+    BadCoefficients,
+    BadParam,
+    UndefinedConditioning,
+    UnsupportedSector,
+)
 from .fock import (
     FockState,
     Sectors,
@@ -86,9 +103,10 @@ class ScenarioResult:
 class ScenarioPlan:
     """Concrete schedule of one scenario, consumable by oracle tests.
 
-    ``spec`` is the two-state description of the shutter the plan runs:
-    ``schedule`` holds its tunneling segments with the routers placed at
-    their checkpoints.  ``probes`` and ``kept_ports`` give each beam's probe
+    ``spec`` is the two-state description of the shutter the plan runs,
+    read-only and shared with every plan of that shutter: ``schedule``
+    holds its tunneling segments with the routers placed at their
+    checkpoints.  ``probes`` and ``kept_ports`` give each beam's probe
     mode and kept port in coefficient order; ``probe_modes`` are the probes
     and then the rails.  The probe photon has weights ``alphas`` over the
     probes, unless ``probe_photon`` is false.  ``merge``, with
@@ -145,17 +163,19 @@ class ScenarioPlan:
 
 def as_alpha_vector(alphas, arity):
     """``alphas`` as a complex vector of length ``arity``; raises
-    :class:`BadParam` unless it has that length, finite entries and unit
-    norm."""
+    :class:`BadCoefficients` unless it has that length, finite entries and
+    unit norm."""
     alphas = np.asarray(list(alphas), dtype=complex)
     if alphas.shape != (arity,):
-        raise BadParam(f"expected {arity} coefficients, got {alphas.shape}")
+        raise BadCoefficients(
+            f"expected {arity} coefficients, got {alphas.shape}")
     if not np.isfinite(alphas).all():
-        raise BadParam("coefficients are not finite")
+        raise BadCoefficients("coefficients are not finite")
     with np.errstate(over="ignore"):
-        total = float(np.sum(np.abs(alphas) ** 2))
+        total = float((np.abs(alphas) ** 2).sum())
     if abs(total - 1.0) > _NORM_TOL:
-        raise BadParam(f"coefficients are not normalized: sum |a|^2 = {total}")
+        raise BadCoefficients(
+            f"coefficients are not normalized: sum |a|^2 = {total}")
     return alphas
 
 
@@ -196,29 +216,66 @@ def _propagate(plan, points):
     A block starts as the pre-state times the probe photon spread over the
     probes by its point (or the probe vacuum), normalized as
     :func:`superposition_source` normalizes, its pair columns over sqrt(2)
-    as the sector form holds them; a router swaps two columns in its
-    control box's row, and a run of tunneling elements acts as one 3 x 3
-    matrix composed as :func:`~router_sim.elements.evolve` composes it.
-    Any other element could leave the block: :class:`UnsupportedSector`.
+    as the sector form holds them; then the steps of the plan's program
+    (:func:`_program`) act on it.
     """
-    rows = {m: i for i, m in enumerate(plan.spec.post.modes)}
-    cols = {m: i for i, m in enumerate(plan.probe_modes, 1)}
-    columns = np.zeros((len(points), 1 + len(cols)), dtype=complex)
+    program = _program(plan)
+    columns = np.zeros((len(points), 1 + len(plan.probe_modes)), dtype=complex)
     if plan.probe_photon:
         columns[:, 1:1 + len(plan.probes)] = points
     else:
         columns[:, 0] = 1.0
-    blocks = pruned(Sectors(plan.spec.pre).one[:, None] * columns[:, None, :])
+    blocks = pruned(program.start[:, None] * columns[:, None, :])
     # Moduli as abs() takes them, summed one by one, box-major and
     # probe-minor, as FockState.norm sums its amplitudes.
     squares = np.hypot(blocks.real, blocks.imag).reshape(len(blocks), -1) ** 2
     norms = np.sqrt([[[sum(row)]] for row in squares.tolist()])
     # Divided part by part, as a complex divides by a float; numpy's
     # complex division would multiply by a reciprocal.
-    scale = np.repeat([1.0] + [SQRT2] * len(cols), 2)
-    blocks = (blocks.view(float) / norms / scale).view(complex)
-    run = None
-    for element in plan.schedule:
+    blocks = (blocks.view(float) / norms / program.scale).view(complex)
+    for step in program.steps:
+        if type(step) is tuple:
+            row, ports, swapped = step
+            blocks[:, row, ports] = blocks[:, row, swapped]
+        else:
+            blocks = step @ blocks
+    blocks[:, :, 1:] *= SQRT2
+    return pruned(blocks)
+
+
+@dataclass(frozen=True)
+class _Program:
+    """What propagating and measuring a plan takes that its coefficients do
+    not change, all read-only: the shutter's pre-state vector ``start``,
+    its conjugated post-state ``bra``, the per-part ``scale`` that holds a
+    block's pair columns over sqrt(2), and the ``steps`` of its schedule:
+    a router as ``(row, ports, swapped)``, which swaps two columns in its
+    control box's row, or a run of tunneling elements as one 3 x 3 matrix,
+    composed as :func:`~router_sim.elements.evolve` composes it."""
+
+    start: np.ndarray
+    bra: np.ndarray
+    scale: np.ndarray
+    steps: tuple
+
+
+def _program(plan):
+    """The :class:`_Program` of ``plan``, decoded once per process for each
+    name, schedule, shutter and probe layout: it is looked up by the
+    elements of the schedule the plan holds, so a plan given another
+    schedule gets that schedule's program."""
+    return _decode(plan.name, tuple(plan.schedule), plan.spec.pre,
+                   plan.spec.post, plan.probe_modes)
+
+
+@functools.lru_cache(maxsize=64)
+def _decode(name, schedule, pre, post, probe_modes):
+    """The :class:`_Program` of a plan with these fields.  Any element that
+    could leave the block: :class:`UnsupportedSector`."""
+    rows = {m: i for i, m in enumerate(post.modes)}
+    cols = {m: i for i, m in enumerate(probe_modes, 1)}
+    steps, run = [], None
+    for element in schedule:
         kind, modes = element.kind, element.modes
         if kind is ElementKind.TUNNEL and rows.keys() >= set(modes):
             if run is None:
@@ -229,18 +286,30 @@ def _propagate(plan, points):
         elif (kind is ElementKind.PQR_IDEAL and modes[2] in rows
               and modes[0] in cols and modes[1] in cols):
             if run is not None:
-                blocks, run = run @ blocks, None
-            r, a, b = rows[modes[2]], cols[modes[0]], cols[modes[1]]
-            blocks[:, r, [a, b]] = blocks[:, r, [b, a]]
+                steps.append(run)
+                run = None
+            a, b = cols[modes[0]], cols[modes[1]]
+            steps.append((rows[modes[2]], (a, b), (b, a)))
         else:
             raise UnsupportedSector(
-                f"{kind.value} on {modes} in {plan.name} is not a router "
+                f"{kind.value} on {modes} in {name} is not a router "
                 "controlled by a shutter mode between probe modes or rails, "
                 "nor tunneling between shutter modes")
     if run is not None:
-        blocks = run @ blocks
-    blocks[:, :, 1:] *= SQRT2
-    return pruned(blocks)
+        steps.append(run)
+    return _Program(
+        start=_frozen(Sectors(pre).one),
+        bra=_frozen(Sectors(post).one.conj()),
+        scale=_frozen(np.repeat([1.0] + [SQRT2] * len(cols), 2)),
+        steps=tuple(s if type(s) is tuple else _frozen(s) for s in steps),
+    )
+
+
+def _frozen(values):
+    """``values`` as an array that raises on a write."""
+    array = np.asarray(values)
+    array.flags.writeable = False
+    return array
 
 
 def _measure(plan, points, joint):
@@ -255,10 +324,10 @@ def _measure(plan, points, joint):
     merge as a normalized row in the block's column layout.
     """
     kept = plan.kept_columns
-    post = Sectors(plan.spec.post).one.conj()
+    bra = _program(plan).bra
 
     def postselect(joint):
-        probes = np.einsum("s,nsp->np", post, joint)
+        probes = np.einsum("s,nsp->np", bra, joint)
         return (normalized_rows(pruned(probes)),
                 np.sum(np.abs(probes) ** 2, axis=-1))
 
@@ -337,30 +406,66 @@ def _conditionals(label, p_post, q):
     }
 
 
-def _attach_tsvf(result, spec):
-    for time in sorted(spec.checkpoints):
-        for box, (abl, weak) in tsvf.checkpoint_values(spec, time).items():
-            result.abl_values[(box, time)] = abl
-            result.weak_values[(box, time)] = weak
+@functools.cache
+def _spec(shutter):
+    """The two-state spec of the named shutter: the static ``"three_box"``
+    one, the ``"disappearing"`` one, or that one prepared without box C
+    (``"remove-shutter-C-t2"``).  It is built once per process and every
+    plan of it shares it, so it is read-only throughout: its states'
+    amplitudes, checkpoints and box modes are read-only mappings, and its
+    segments are tuples of elements with read-only params."""
+    spec = (tsvf.three_box_spec() if shutter == "three_box"
+            else tsvf.disappearing_spec())
+    pre = spec.pre
+    if shutter == "remove-shutter-C-t2":
+        pre = tsvf.shutter_state((1 / math.sqrt(2), 1j / math.sqrt(2), 0.0))
+    return tsvf.TwoStateSpec(
+        pre=pre.read_only(),
+        post=spec.post.read_only(),
+        segments=tuple(map(tuple, spec.segments)),
+        checkpoints=MappingProxyType(spec.checkpoints),
+        box_modes=MappingProxyType(spec.box_modes),
+    )
+
+
+@functools.cache
+def _tsvf_values(shutter):
+    """``{(box, time): (ABL probability, weak value)}`` of every box
+    projector at every checkpoint of the named shutter's spec (Aharonov,
+    Bergmann and Lebowitz 1964), computed once per process."""
+    spec = _spec(shutter)
+    return {(box, time): values
+            for time in sorted(spec.checkpoints)
+            for box, values in tsvf.checkpoint_values(spec, time).items()}
+
+
+def _attach_tsvf(result, shutter):
+    for key, (abl, weak) in _tsvf_values(shutter).items():
+        result.abl_values[key] = abl
+        result.weak_values[key] = weak
 
 
 _REFLECT = RouterOrientation.REFLECT_ON_MATCH
 _TRANSMIT = RouterOrientation.TRANSMIT_ON_MATCH
 
 
-def _beam_table_plan(name, spec, beams, alphas, routers=True,
-                     probe_photon=True, recombine=True):
-    """Plan of the two-state shutter ``spec`` probed by a table of beams.
+@functools.cache
+def _beam_table_plan(name, shutter, beams, routers=True, probe_photon=True,
+                     recombine=True):
+    """Plan of the named shutter (see :func:`_spec`) probed by a table of
+    beams, without its coefficients, built once per process for each set
+    of arguments; :func:`_with_alphas` hands it out.
 
-    Each beam ``(tag, box, checkpoint, orientation)`` joins probe mode
-    ``P<tag>`` and rail ``R<tag>`` (reflect) or ``X<tag>`` (transmit) by a
-    router controlled by ``spec``'s mode of ``box``; it runs at the
-    checkpoint, ahead of the segment that starts there.  The probe photon
-    is spread over the probe modes with weights ``alphas``.  ``recombine``
-    merges the kept ports by the adjoint of the splitting, restoring onto
-    the first; ``routers=False`` leaves the routers out of the schedule and
-    ``probe_photon=False`` prepares the probe modes empty.
+    Each beam ``(tag, box, checkpoint, orientation)`` of the tuple
+    ``beams`` joins probe mode ``P<tag>`` and rail ``R<tag>`` (reflect) or
+    ``X<tag>`` (transmit) by a router controlled by the shutter's mode of
+    ``box``; it runs at the checkpoint, ahead of the segment that starts
+    there.  ``recombine`` merges the kept ports by the adjoint of the
+    splitting, restoring onto the first; ``routers=False`` leaves the
+    routers out of the schedule and ``probe_photon=False`` prepares the
+    probe modes empty.
     """
+    spec = _spec(shutter)
     probes = ["P" + tag for tag, _, _, _ in beams]
     rails = [("R" if orientation is _REFLECT else "X") + tag
              for tag, _, _, orientation in beams]
@@ -374,7 +479,7 @@ def _beam_table_plan(name, spec, beams, alphas, routers=True,
             at_boundary[spec.boundary(checkpoint)].append(router)
     schedule = at_boundary[0]
     for segment, placed in zip(spec.segments, at_boundary[1:]):
-        schedule += segment + placed
+        schedule += [*segment, *placed]
 
     return ScenarioPlan(
         name=name,
@@ -383,10 +488,23 @@ def _beam_table_plan(name, spec, beams, alphas, routers=True,
         probes=probes,
         probe_modes=tuple(probes + rails),
         kept_ports=kept,
-        alphas=alphas,
+        alphas=None,
         recombine=recombine,
         probe_photon=probe_photon,
     )
+
+
+def _with_alphas(frame, alphas):
+    """The plan of ``frame``, a cached plan of :func:`_beam_table_plan`,
+    with coefficients ``alphas``.
+
+    Its lists are its own, so nothing a caller does to them reaches the
+    frame or a later plan; what it shares with them is read-only: the
+    elements and the spec (see :func:`_spec`).
+    """
+    return replace(frame, schedule=list(frame.schedule),
+                   probes=list(frame.probes),
+                   kept_ports=list(frame.kept_ports), alphas=alphas)
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +512,12 @@ def _beam_table_plan(name, spec, beams, alphas, routers=True,
 # ---------------------------------------------------------------------------
 
 def build_three_box(alpha1, alpha2):
-    return _beam_table_plan(
-        "three_box_shutter", tsvf.three_box_spec(),
-        [("A", "A", "t", _REFLECT), ("B", "B", "t", _REFLECT)],
-        as_alpha_vector([alpha1, alpha2], 2), recombine=False,
-    )
+    alphas = as_alpha_vector([alpha1, alpha2], 2)
+    return _with_alphas(_beam_table_plan(
+        "three_box_shutter", "three_box",
+        (("A", "A", "t", _REFLECT), ("B", "B", "t", _REFLECT)),
+        recombine=False,
+    ), alphas)
 
 
 def three_box_shutter(alpha1, alpha2):
@@ -407,9 +526,8 @@ def three_box_shutter(alpha1, alpha2):
     The conditioned probe retains its initial coherent superposition on the
     reflected rails with fidelity one, for any normalized coefficients.
     """
-    plan = build_three_box(alpha1, alpha2)
-    result = run_plan(plan)
-    _attach_tsvf(result, plan.spec)
+    result = run_plan(build_three_box(alpha1, alpha2))
+    _attach_tsvf(result, "three_box")
     return result
 
 
@@ -425,22 +543,21 @@ _DISAPPEARING_BEAMS = tuple((tag, tag[0], f"t{tag[1]}", _REFLECT)
 def build_disappearing(alphas=None, perturbation=None):
     check_perturbation("disappearing_full", perturbation)
     alphas = equal_alphas(5) if alphas is None else as_alpha_vector(alphas, 5)
-    beams = list(_DISAPPEARING_BEAMS)
+    beams = _DISAPPEARING_BEAMS
     extra_box = {"extra-beam-A-t2": "A", "extra-beam-B-t2": "B"}.get(
         perturbation
     )
     if extra_box is not None:
-        beams.insert(3, ("X2", extra_box, "t2", _REFLECT))
+        beams = beams[:3] + (("X2", extra_box, "t2", _REFLECT),) + beams[3:]
         weight = 1.0 / math.sqrt(6.0)
         shrunk = alphas * math.sqrt(1.0 - weight**2)
         alphas = np.concatenate(
             [shrunk[:3], [weight], shrunk[3:]]
         )
-    spec = tsvf.disappearing_spec()
-    if perturbation == "remove-shutter-C-t2":
-        pre = tsvf.shutter_state((1 / math.sqrt(2), 1j / math.sqrt(2), 0.0))
-        spec = replace(spec, pre=pre)
-    return _beam_table_plan("disappearing_full", spec, beams, alphas)
+    shutter = ("remove-shutter-C-t2" if perturbation == "remove-shutter-C-t2"
+               else "disappearing")
+    return _with_alphas(
+        _beam_table_plan("disappearing_full", shutter, beams), alphas)
 
 
 def disappearing_full(alphas=None, perturbation=None):
@@ -451,25 +568,24 @@ def disappearing_full(alphas=None, perturbation=None):
     original rail with conditional probability one once the shutter
     post-selection succeeds.
     """
-    plan = build_disappearing(alphas, perturbation)
-    result = run_plan(plan)
+    result = run_plan(build_disappearing(alphas, perturbation))
     if perturbation is None:
-        _attach_tsvf(result, plan.spec)
+        _attach_tsvf(result, "disappearing")
     return result
 
 
 def build_simplified_3path(variant=None):
     check_perturbation("simplified_3path", variant)
     t2_box = "A" if variant == "wrong-box-t2" else "C"
-    beams = [
+    beams = (
         ("A1", "A", "t1", _REFLECT),
         (t2_box + "2", t2_box, "t2", _REFLECT),
         ("B3", "B", "t3", _REFLECT),
-    ]
-    return _beam_table_plan(
-        "simplified_3path", tsvf.disappearing_spec(), beams, equal_alphas(3),
-        routers=variant != "identity-routers",
     )
+    return _with_alphas(_beam_table_plan(
+        "simplified_3path", "disappearing", beams,
+        routers=variant != "identity-routers",
+    ), equal_alphas(3))
 
 
 def simplified_3path(variant=None):
@@ -480,13 +596,13 @@ def simplified_3path(variant=None):
 def build_simplest_2path(variant=None):
     check_perturbation("simplest_2path", variant)
     if variant == "swapped-slots":
-        beams = [("C1", "C", "t1", _REFLECT), ("A2", "A", "t2", _REFLECT)]
+        beams = (("C1", "C", "t1", _REFLECT), ("A2", "A", "t2", _REFLECT))
     else:
-        beams = [("A1", "A", "t1", _REFLECT), ("C2", "C", "t2", _REFLECT)]
-    return _beam_table_plan(
-        "simplest_2path", tsvf.disappearing_spec(), beams, equal_alphas(2),
+        beams = (("A1", "A", "t1", _REFLECT), ("C2", "C", "t2", _REFLECT))
+    return _with_alphas(_beam_table_plan(
+        "simplest_2path", "disappearing", beams,
         probe_photon=variant != "vacuum-probe",
-    )
+    ), equal_alphas(2))
 
 
 def simplest_2path(variant=None):
@@ -507,9 +623,10 @@ def build_absence_test(variant=None):
     check_perturbation("absence_test", variant)
     slot = {"at-t1": "t1", "at-t3": "t3"}.get(variant, "t2")
     orientation = _REFLECT if variant == "reflect-orientation" else _TRANSMIT
-    beams = [("A", "A", slot, orientation), ("B", "B", slot, orientation)]
-    return _beam_table_plan("absence_test", tsvf.disappearing_spec(), beams,
-                            equal_alphas(2))
+    beams = (("A", "A", slot, orientation), ("B", "B", slot, orientation))
+    return _with_alphas(
+        _beam_table_plan("absence_test", "disappearing", beams),
+        equal_alphas(2))
 
 
 def absence_test(variant=None):
@@ -528,16 +645,16 @@ def absence_test(variant=None):
 def build_stricter_6beam(alphas=None, flip=None):
     check_perturbation("stricter_6beam", flip)
     alphas = equal_alphas(6) if alphas is None else as_alpha_vector(alphas, 6)
-    beams = [
+    beams = (
         ("A1", "A", "t1", _REFLECT),
         ("C1", "C", "t1", _REFLECT),
         ("A2", "A", "t2", _REFLECT if flip == "flip-A-t2" else _TRANSMIT),
         ("B2", "B", "t2", _REFLECT if flip == "flip-B-t2" else _TRANSMIT),
         ("B3", "B", "t3", _REFLECT),
         ("C3", "C", "t3", _REFLECT),
-    ]
-    return _beam_table_plan("stricter_6beam", tsvf.disappearing_spec(),
-                            beams, alphas)
+    )
+    return _with_alphas(
+        _beam_table_plan("stricter_6beam", "disappearing", beams), alphas)
 
 
 def stricter_6beam(alphas=None, flip=None):
@@ -570,14 +687,14 @@ def _bell_states(points):
     normalized cavity columns (3 x 5, rows boxes A, B and C) of the
     five-beam schedule's block ahead of post-selection.
 
-    The schedule is built once, without the merge, and the blocks of up to
-    :data:`BELL_SLICE` points are propagated as one stack.  Raises
-    :class:`UndefinedConditioning` where the probe is never reflected.
+    The schedule is the unperturbed five-beam plan of
+    :func:`disappearing_full`, whose merge the Bell analysis never reads,
+    and the blocks of up to :data:`BELL_SLICE` points are propagated as one
+    stack.  Raises :class:`UndefinedConditioning` where the probe is never
+    reflected.
     """
-    plan = _beam_table_plan(
-        "disappearing_full", tsvf.disappearing_spec(), _DISAPPEARING_BEAMS,
-        equal_alphas(5), recombine=False,
-    )
+    plan = _beam_table_plan("disappearing_full", "disappearing",
+                            _DISAPPEARING_BEAMS)
     for start in range(0, len(points), BELL_SLICE):
         blocks = _propagate(plan, points[start:start + BELL_SLICE])
         for collected in blocks[:, :, plan.kept_columns]:
@@ -794,7 +911,11 @@ class Scenario:
     of probe coefficients; 0 means the scenario takes none and cannot be
     swept.
     ``certain(result, tol)`` checks the built-in claim of an unperturbed
-    run.  ``sweep(points)``, given for every scenario with coefficients,
+    run.  What ``evaluate`` and ``sweep`` run that does not depend on the
+    coefficients (spec, plan, block program, ABL and weak values) is built
+    on a scenario's first call and kept for the process; each call does
+    the coefficient work alone, starting with validating them.
+    ``sweep(points)``, given for every scenario with coefficients,
     returns the ``(summary, Schmidt spectrum)`` record of each coefficient
     vector in ``points``, unperturbed and with OPEN/OPEN settings:
     beam-table scenarios build their plan once and propagate its beams as

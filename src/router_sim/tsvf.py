@@ -43,14 +43,16 @@ class ProjectorSpec:
     time: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class TwoStateSpec:
     """Pre-selected state, post-selected state and piecewise evolution.
 
-    ``segments`` is an ordered list of element lists; boundary ``i`` is the
-    instant after the first ``i`` segments (boundary 0 is the preparation
-    time).  ``checkpoints`` maps names like ``"t2"`` to boundary indices.
-    ``box_modes`` gives the name of the mode carrying each box.
+    ``segments`` is an ordered sequence of element sequences; boundary
+    ``i`` is the instant after the first ``i`` segments (boundary 0 is the
+    preparation time).  ``checkpoints`` maps names like ``"t2"`` to
+    boundary indices.  ``box_modes`` gives the name of the mode carrying
+    each box.  The fields cannot be reassigned; :func:`dataclasses.replace`
+    makes a variant.
     """
 
     pre: FockState

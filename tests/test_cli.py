@@ -409,6 +409,46 @@ USAGE_ERRORS = (
 )
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "three_box_shutter"],
+    ["run", "three_box_shutter", "--alpha1", "0.6", "--alpha2", "0.8i"],
+    ["run", "three_box_shutter", "--alphas", "0.6,-0.8"],
+    ["run", "disappearing_full"],
+    ["run", "disappearing_full", "--alphas", "0.6,0.8,0,0,0"],
+    ["run", "disappearing_full", "--alphas", "0.6,0.8,0,0,0",
+     "--perturb", "extra-beam-A-t2"],
+    ["run", "stricter_6beam", "--alphas", "0,0,0.6,0.8,0,0"],
+    ["run", "bell_test", "--alphas", "0.6,0,0,0.8i,0", "--alice",
+     "superpose"],
+    ["run", "bell_test"],
+], ids=lambda argv: "-".join(a.lstrip("-") for a in argv[1:]))
+def test_run_validates_its_coefficients_once(argv, monkeypatch):
+    calls = []
+    original = scenarios.as_alpha_vector
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(scenarios, "as_alpha_vector", counting)
+    code, _ = run_cli(argv)
+    assert code == cli.EXIT_OK
+    assert len(calls) == 1
+
+
+def test_only_coefficient_errors_of_a_run_are_usage_errors(monkeypatch,
+                                                          capsys):
+    # Any other BadParam raised while the scenario runs keeps the exit
+    # code of a simulation error.
+    def failing(result, shutter):
+        raise scenarios.BadParam("a fault inside the scenario")
+
+    monkeypatch.setattr(scenarios, "_attach_tsvf", failing)
+    code, _ = run_cli(["run", "three_box_shutter"])
+    assert code == cli.EXIT_ASSERTION
+    assert capsys.readouterr().err == "error: a fault inside the scenario\n"
+
+
 def assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")

@@ -1,4 +1,5 @@
 import builtins
+import functools
 import io
 import itertools
 import math
@@ -30,6 +31,18 @@ S3 = math.sqrt(3.0)
 def random_alphas(rng, n):
     vec = rng.normal(size=n) + 1j * rng.normal(size=n)
     return vec / np.linalg.norm(vec)
+
+
+def per_process_caches():
+    """The caches of the scenario layer, by name."""
+    return {name: value for name, value in vars(scenarios).items()
+            if hasattr(value, "cache_clear")}
+
+
+def clear_caches():
+    """Empty the scenario layer's caches, as a fresh process has them."""
+    for cache in per_process_caches().values():
+        cache.cache_clear()
 
 
 def conditional(result):
@@ -403,7 +416,7 @@ def test_chsh_reported_in_valid_range():
 
 
 def test_bell_scenario_builds_its_state_once(monkeypatch):
-    calls = {"build": 0, "build_disappearing": 0, "merge": 0}
+    calls = {"build_disappearing": 0, "merge": 0}
 
     def spy(attr, key):
         original = getattr(scenarios, attr)
@@ -414,19 +427,24 @@ def test_bell_scenario_builds_its_state_once(monkeypatch):
 
         monkeypatch.setattr(scenarios, attr, counting)
 
-    spy("_beam_table_plan", "build")
     spy("build_disappearing", "build_disappearing")
     spy("unitary_with_first_row", "merge")
+    clear_caches()
+    builds = scenarios._beam_table_plan.cache_info
     alphas = random_alphas(np.random.default_rng(38), 5)
     result = scenarios.bell_scenario(
         alphas, scenarios.SUPERPOSE, scenarios.OPEN_CAVITIES
     )
-    # One merge-free plan: the Bell analysis never reads the merge.
-    assert calls == {"build": 1, "build_disappearing": 0, "merge": 0}
+    # One plan, built on first use, and no merge: the Bell analysis never
+    # reads it.
+    assert builds().misses == 1
+    assert calls == {"build_disappearing": 0, "merge": 0}
     table = scenarios.bell_test(
         alphas, scenarios.SUPERPOSE, scenarios.OPEN_CAVITIES
     )
-    assert calls == {"build": 2, "build_disappearing": 0, "merge": 0}
+    # The plan is kept for the process.
+    assert builds().misses == 1
+    assert calls == {"build_disappearing": 0, "merge": 0}
     assert result.conditional_probabilities == {
         f"shutter={a}|probe={b}": p for (a, b), p in table.items()
     }
@@ -613,31 +631,31 @@ def test_remove_shutter_perturbation_carries_its_preparation():
     ("three_box_shutter", lambda: scenarios.three_box_shutter(0.6, 0.8j)),
 ])
 def test_tsvf_values_come_from_the_plans_spec(name, evaluate, monkeypatch):
+    # The values are computed once per process: on a cold cache and on a
+    # warm one, they are those of the spec the evaluated plan carries.
     builder = {"disappearing_full": "build_disappearing",
                "three_box_shutter": "build_three_box"}[name]
-    plans, specs = [], []
-    build, values = getattr(scenarios, builder), tsvf.checkpoint_values
+    plans = []
+    build = getattr(scenarios, builder)
 
     def building(*args, **kwargs):
         plans.append(build(*args, **kwargs))
         return plans[-1]
 
-    def reading(spec, time):
-        specs.append(spec)
-        return values(spec, time)
-
     monkeypatch.setattr(scenarios, builder, building)
-    monkeypatch.setattr(tsvf, "checkpoint_values", reading)
-    result = evaluate()
-    (plan,) = plans
-    assert specs and all(spec is plan.spec for spec in specs)
-    expected_abl, expected_weak = {}, {}
-    for time in plan.spec.checkpoints:
-        for box, (abl, weak) in values(plan.spec, time).items():
-            expected_abl[(box, time)] = abl
-            expected_weak[(box, time)] = weak
-    assert result.abl_values == expected_abl
-    assert result.weak_values == expected_weak
+    clear_caches()
+    for _ in ("cold", "warm"):
+        result = evaluate()
+        plan = plans.pop()
+        expected_abl, expected_weak = {}, {}
+        for time in plan.spec.checkpoints:
+            for box, (abl, weak) in tsvf.checkpoint_values(plan.spec,
+                                                           time).items():
+                expected_abl[(box, time)] = abl
+                expected_weak[(box, time)] = weak
+        assert result.abl_values == expected_abl
+        assert result.weak_values == expected_weak
+    assert not plans
 
 
 @pytest.mark.parametrize("circuit,build", [
@@ -800,8 +818,8 @@ def test_bell_grid_sweep_is_bell_scenario_point_by_point(grid):
 @pytest.mark.parametrize("count", [1, 256, 257, 600])
 def test_bell_sweep_builds_once_and_evolves_once_per_slice(count,
                                                            monkeypatch):
-    calls = {"build": 0, "build_disappearing": 0, "merge": 0,
-             "propagate": 0, "bell_scenario": 0}
+    calls = {"build_disappearing": 0, "merge": 0, "propagate": 0,
+             "bell_scenario": 0}
     stacks = []
 
     def spy(attr, key):
@@ -815,18 +833,19 @@ def test_bell_sweep_builds_once_and_evolves_once_per_slice(count,
 
         monkeypatch.setattr(scenarios, attr, counting)
 
-    spy("_beam_table_plan", "build")
     spy("build_disappearing", "build_disappearing")
     spy("unitary_with_first_row", "merge")
     spy("_propagate", "propagate")
     spy("bell_scenario", "bell_scenario")
+    clear_caches()
     stream = io.StringIO()
     argv = ["sweep", "bell_test", "--random", str(count)]
     assert cli.main(argv, stream) == cli.EXIT_OK
     assert stream.getvalue().count('"index"') == count
     slices = -(-count // 256)
     # The plan is built once, without the merge that the sweep never reads.
-    assert calls == {"build": 1, "build_disappearing": 0, "merge": 0,
+    assert scenarios._beam_table_plan.cache_info().misses == 1
+    assert calls == {"build_disappearing": 0, "merge": 0,
                      "propagate": slices, "bell_scenario": 0}
     assert stacks == [256] * (slices - 1) + [count - 256 * (slices - 1)]
 
@@ -945,3 +964,148 @@ def test_compiled_restoration_is_exact_where_each_point_is(name):
                     "postselected_not_restored"):
             assert summary[key] == probabilities[key] == float(
                 key.startswith("restored"))
+
+
+# ---------------------------------------------------------------------------
+# per-process plans: the caches change no result and hold a fixed set
+# ---------------------------------------------------------------------------
+
+def result_bits(result):
+    """Every number of a ScenarioResult, as exact text (repr round-trips
+    a float's bits)."""
+    probe = result.probe and (result.probe[0], result.probe[1].tobytes())
+    return repr((
+        result.name, result.conditional_probabilities,
+        result.fidelity_to_target, sorted(result.weak_values.items()),
+        sorted(result.abl_values.items()), result.schmidt_spectrum,
+        result.metadata, probe,
+    ))
+
+
+def cold_and_warm_cases():
+    """``(id, evaluation)`` pairs: every scenario under every perturbation,
+    30 seeded coefficient vectors for each scenario that takes them, each
+    Bell setting pair and a sweep of each beam-table scenario."""
+    settings_ = (scenarios.OPEN_BOXES, scenarios.OPEN_CAVITIES)
+    cases = []
+    for name, entry in scenarios.SCENARIOS.items():
+        alphas = scenarios.equal_alphas(entry.arity) if entry.arity else []
+        for perturbation in (None,) + entry.perturbations:
+            cases.append((f"{name}-{perturbation}", functools.partial(
+                entry.evaluate, alphas, perturbation, settings_)))
+    rng = np.random.default_rng(1818)
+    for name in ("disappearing_full", "stricter_6beam", "three_box_shutter"):
+        entry = scenarios.SCENARIOS[name]
+        for i in range(30):
+            cases.append((f"{name}-alphas{i}", functools.partial(
+                entry.evaluate, random_alphas(rng, entry.arity), None,
+                settings_)))
+    for alice in (scenarios.OPEN_BOXES, scenarios.SUPERPOSE):
+        for bob in (scenarios.OPEN_CAVITIES, scenarios.SUPERPOSE):
+            cases.append((f"bell_test-{alice}-{bob}", functools.partial(
+                scenarios.bell_scenario, random_alphas(rng, 5), alice, bob)))
+    for name in COMPILED:
+        entry = scenarios.SCENARIOS[name]
+        points = np.array([random_alphas(rng, entry.arity)
+                           for _ in range(7)])
+        cases.append((f"{name}-sweep", functools.partial(entry.sweep,
+                                                         points)))
+    return cases
+
+
+def test_results_are_bit_identical_on_cold_and_warm_caches():
+    for case, evaluate in cold_and_warm_cases():
+        clear_caches()
+        cold = evaluate()
+        warm = evaluate()
+        if isinstance(cold, list):  # a sweep's records
+            assert repr(cold) == repr(warm), case
+        else:
+            assert result_bits(cold) == result_bits(warm), case
+
+
+@pytest.mark.parametrize("name,perturbation", PLAN_CASES)
+def test_mutating_a_returned_plan_changes_no_later_run(name, perturbation):
+    entry = scenarios.SCENARIOS[name]
+    alphas = (random_alphas(np.random.default_rng(7), entry.arity)
+              if entry.arity else [])
+
+    def evaluate():
+        return entry.evaluate(alphas, perturbation, (None, None))
+
+    expected = result_bits(evaluate())
+    plan = BUILDERS[name](perturbation)
+    result = evaluate()
+    # A plan's lists and coefficients and a result's tables are its own.
+    plan.schedule.reverse()
+    plan.probes.reverse()
+    plan.kept_ports.clear()
+    plan.alphas[:] = 0
+    result.abl_values.clear()
+    result.weak_values.clear()
+    result.conditional_probabilities.clear()
+    assert result_bits(evaluate()) == expected
+    # What plans share is read-only.
+    spec = plan.spec
+    with pytest.raises(AttributeError):
+        spec.pre = spec.post
+    with pytest.raises(AttributeError):
+        spec.segments.clear()
+    with pytest.raises(TypeError):
+        spec.checkpoints["t9"] = 0
+    with pytest.raises(TypeError):
+        spec.box_modes["A"] = "SB"
+    with pytest.raises(AttributeError):
+        spec.post.modes = ()
+    for state in (spec.pre, spec.post):
+        with pytest.raises(AttributeError):
+            state.amplitudes.clear()
+        with pytest.raises(TypeError):
+            state.amplitudes[next(iter(state.amplitudes))] = 0
+    with pytest.raises(AttributeError):
+        plan.schedule[0].modes = ()
+    for element in [*plan.schedule, *itertools.chain(*spec.segments)]:
+        with pytest.raises(TypeError):
+            element.params["theta"] = 0.0
+        with pytest.raises(AttributeError):
+            element.params.clear()
+    assert result_bits(evaluate()) == expected
+
+
+def test_a_plan_cannot_change_the_first_run_of_another():
+    # Every plan of the disappearing shutter shares its spec, so one built
+    # later starts from the same states: writing them must fail.
+    clear_caches()
+    expected = result_bits(scenarios.simplest_2path())
+    clear_caches()
+    spec = scenarios.build_disappearing().spec
+    with pytest.raises(AttributeError):
+        spec.pre.amplitudes.clear()
+    with pytest.raises(TypeError):
+        spec.segments[0][0].params["theta"] = 0.0
+    assert result_bits(scenarios.simplest_2path()) == expected
+
+
+def test_repeated_runs_add_no_cache_entries():
+    rng = np.random.default_rng(99)
+    scenarios.disappearing_full(perturbation="remove-shutter-C-t2")
+    for name in ("disappearing_full", "stricter_6beam", "bell_test"):
+        scenarios.SCENARIOS[name].evaluate(random_alphas(rng, 5 + (
+            name == "stricter_6beam")), None, (scenarios.OPEN_BOXES,
+                                              scenarios.OPEN_CAVITIES))
+    scenarios.three_box_shutter(0.6, 0.8)
+
+    def entries():
+        return {name: cache.cache_info().currsize
+                for name, cache in per_process_caches().items()}
+
+    before = entries()
+    for _ in range(1000):
+        scenarios.disappearing_full(perturbation="remove-shutter-C-t2")
+    for i in range(1000):
+        name = ("disappearing_full", "stricter_6beam", "bell_test",
+                "three_box_shutter")[i % 4]
+        entry = scenarios.SCENARIOS[name]
+        entry.evaluate(random_alphas(rng, entry.arity), None,
+                       (scenarios.OPEN_BOXES, scenarios.OPEN_CAVITIES))
+    assert entries() == before

@@ -70,9 +70,9 @@ class FockState:
     modes:
         Ordered mode names; their order fixes the occupation-tuple layout.
     amplitudes:
-        Sparse map from occupation tuples to complex amplitudes.  Entries
-        with modulus below :data:`PRUNE_EPSILON` are dropped; a non-finite
-        one raises :class:`BadParam`.
+        Sparse map from occupation tuples to complex amplitudes, held
+        read-only.  Entries with modulus below :data:`PRUNE_EPSILON` are
+        dropped; a non-finite one raises :class:`BadParam`.
 
     The constructor validates its input, including that no configuration
     holds more than :data:`PHOTON_BUDGET` photons; states that operations
@@ -119,7 +119,7 @@ class FockState:
             if abs(amp) >= PRUNE_EPSILON:
                 clean[config] = amp
         object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "amplitudes", clean)
+        object.__setattr__(self, "amplitudes", MappingProxyType(clean))
         object.__setattr__(self, "_index", index)
 
     def _derived(self, amplitudes):
@@ -128,16 +128,6 @@ class FockState:
         checked."""
         state = object.__new__(FockState)
         state._set(self.modes, self._index, amplitudes)
-        return state
-
-    def read_only(self):
-        """This state with its amplitudes in a read-only mapping, for a
-        state that many holders share."""
-        state = object.__new__(FockState)
-        object.__setattr__(state, "modes", self.modes)
-        object.__setattr__(state, "amplitudes",
-                           MappingProxyType(dict(self.amplitudes)))
-        object.__setattr__(state, "_index", self._index)
         return state
 
     def __setattr__(self, name, value):

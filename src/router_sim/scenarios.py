@@ -28,9 +28,8 @@ coefficients (:func:`_beam_table_plan`), the block program of its
 schedule (:func:`_program`) and the ABL and weak-value table of the
 unperturbed shutters (:func:`_tsvf_values`).  A call validates its
 coefficients, starts the block from them, applies the program, measures
-and assembles its result.  The plans that the ``build_*`` functions
-return have lists of their own and share the read-only rest: the
-elements and the spec.
+and assembles its result.  What the calls share is immutable by type:
+frozen plans and specs, tuples, read-only mappings and arrays.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -99,27 +97,28 @@ class ScenarioResult:
         return FockState(modes, dict(zip(configs, row.tolist())))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioPlan:
     """Concrete schedule of one scenario, consumable by oracle tests.
 
     ``spec`` is the two-state description of the shutter the plan runs,
-    read-only and shared with every plan of that shutter: ``schedule``
-    holds its tunneling segments with the routers placed at their
-    checkpoints.  ``probes`` and ``kept_ports`` give each beam's probe
-    mode and kept port in coefficient order; ``probe_modes`` are the probes
-    and then the rails.  The probe photon has weights ``alphas`` over the
-    probes, unless ``probe_photon`` is false.  ``merge``, with
-    ``recombine``, recombines the kept ports onto the first; without it
-    the scenario reports on the bare reflected rails.
+    shared with every plan of that shutter: ``schedule`` holds its
+    tunneling segments with the routers placed at their checkpoints.
+    ``probes`` and ``kept_ports`` give each beam's probe mode and kept
+    port in coefficient order; ``probe_modes`` are the probes and then the
+    rails.  The probe photon has weights ``alphas`` over the probes, unless
+    ``probe_photon`` is false.  ``merge``, with ``recombine``, recombines
+    the kept ports onto the first; without it the scenario reports on the
+    bare reflected rails.  A plan is frozen; :func:`dataclasses.replace`
+    makes a variant.
     """
 
     name: str
-    schedule: list
+    schedule: tuple
     spec: tsvf.TwoStateSpec
-    probes: list
+    probes: tuple
     probe_modes: tuple
-    kept_ports: list
+    kept_ports: tuple
     alphas: np.ndarray
     recombine: bool
     probe_photon: bool = True
@@ -410,22 +409,15 @@ def _conditionals(label, p_post, q):
 def _spec(shutter):
     """The two-state spec of the named shutter: the static ``"three_box"``
     one, the ``"disappearing"`` one, or that one prepared without box C
-    (``"remove-shutter-C-t2"``).  It is built once per process and every
-    plan of it shares it, so it is read-only throughout: its states'
-    amplitudes, checkpoints and box modes are read-only mappings, and its
-    segments are tuples of elements with read-only params."""
-    spec = (tsvf.three_box_spec() if shutter == "three_box"
-            else tsvf.disappearing_spec())
-    pre = spec.pre
+    (``"remove-shutter-C-t2"``), built once per process and shared by
+    every plan of it."""
+    if shutter == "three_box":
+        return tsvf.three_box_spec()
+    spec = tsvf.disappearing_spec()
     if shutter == "remove-shutter-C-t2":
-        pre = tsvf.shutter_state((1 / math.sqrt(2), 1j / math.sqrt(2), 0.0))
-    return tsvf.TwoStateSpec(
-        pre=pre.read_only(),
-        post=spec.post.read_only(),
-        segments=tuple(map(tuple, spec.segments)),
-        checkpoints=MappingProxyType(spec.checkpoints),
-        box_modes=MappingProxyType(spec.box_modes),
-    )
+        return replace(spec, pre=tsvf.shutter_state(
+            (1 / math.sqrt(2), 1j / math.sqrt(2), 0.0)))
+    return spec
 
 
 @functools.cache
@@ -454,7 +446,7 @@ def _beam_table_plan(name, shutter, beams, routers=True, probe_photon=True,
                      recombine=True):
     """Plan of the named shutter (see :func:`_spec`) probed by a table of
     beams, without its coefficients, built once per process for each set
-    of arguments; :func:`_with_alphas` hands it out.
+    of arguments; the builders return it with theirs.
 
     Each beam ``(tag, box, checkpoint, orientation)`` of the tuple
     ``beams`` joins probe mode ``P<tag>`` and rail ``R<tag>`` (reflect) or
@@ -466,9 +458,9 @@ def _beam_table_plan(name, shutter, beams, routers=True, probe_photon=True,
     probe modes empty.
     """
     spec = _spec(shutter)
-    probes = ["P" + tag for tag, _, _, _ in beams]
-    rails = [("R" if orientation is _REFLECT else "X") + tag
-             for tag, _, _, orientation in beams]
+    probes = tuple("P" + tag for tag, _, _, _ in beams)
+    rails = tuple(("R" if orientation is _REFLECT else "X") + tag
+                  for tag, _, _, orientation in beams)
 
     at_boundary = [[] for _ in range(len(spec.segments) + 1)]
     kept = []
@@ -483,28 +475,15 @@ def _beam_table_plan(name, shutter, beams, routers=True, probe_photon=True,
 
     return ScenarioPlan(
         name=name,
-        schedule=schedule,
+        schedule=tuple(schedule),
         spec=spec,
         probes=probes,
-        probe_modes=tuple(probes + rails),
-        kept_ports=kept,
+        probe_modes=probes + rails,
+        kept_ports=tuple(kept),
         alphas=None,
         recombine=recombine,
         probe_photon=probe_photon,
     )
-
-
-def _with_alphas(frame, alphas):
-    """The plan of ``frame``, a cached plan of :func:`_beam_table_plan`,
-    with coefficients ``alphas``.
-
-    Its lists are its own, so nothing a caller does to them reaches the
-    frame or a later plan; what it shares with them is read-only: the
-    elements and the spec (see :func:`_spec`).
-    """
-    return replace(frame, schedule=list(frame.schedule),
-                   probes=list(frame.probes),
-                   kept_ports=list(frame.kept_ports), alphas=alphas)
 
 
 # ---------------------------------------------------------------------------
@@ -513,11 +492,11 @@ def _with_alphas(frame, alphas):
 
 def build_three_box(alpha1, alpha2):
     alphas = as_alpha_vector([alpha1, alpha2], 2)
-    return _with_alphas(_beam_table_plan(
+    return replace(_beam_table_plan(
         "three_box_shutter", "three_box",
         (("A", "A", "t", _REFLECT), ("B", "B", "t", _REFLECT)),
         recombine=False,
-    ), alphas)
+    ), alphas=alphas)
 
 
 def three_box_shutter(alpha1, alpha2):
@@ -556,8 +535,8 @@ def build_disappearing(alphas=None, perturbation=None):
         )
     shutter = ("remove-shutter-C-t2" if perturbation == "remove-shutter-C-t2"
                else "disappearing")
-    return _with_alphas(
-        _beam_table_plan("disappearing_full", shutter, beams), alphas)
+    return replace(_beam_table_plan("disappearing_full", shutter, beams),
+                   alphas=alphas)
 
 
 def disappearing_full(alphas=None, perturbation=None):
@@ -582,10 +561,10 @@ def build_simplified_3path(variant=None):
         (t2_box + "2", t2_box, "t2", _REFLECT),
         ("B3", "B", "t3", _REFLECT),
     )
-    return _with_alphas(_beam_table_plan(
+    return replace(_beam_table_plan(
         "simplified_3path", "disappearing", beams,
         routers=variant != "identity-routers",
-    ), equal_alphas(3))
+    ), alphas=equal_alphas(3))
 
 
 def simplified_3path(variant=None):
@@ -599,10 +578,10 @@ def build_simplest_2path(variant=None):
         beams = (("C1", "C", "t1", _REFLECT), ("A2", "A", "t2", _REFLECT))
     else:
         beams = (("A1", "A", "t1", _REFLECT), ("C2", "C", "t2", _REFLECT))
-    return _with_alphas(_beam_table_plan(
+    return replace(_beam_table_plan(
         "simplest_2path", "disappearing", beams,
         probe_photon=variant != "vacuum-probe",
-    ), equal_alphas(2))
+    ), alphas=equal_alphas(2))
 
 
 def simplest_2path(variant=None):
@@ -624,9 +603,8 @@ def build_absence_test(variant=None):
     slot = {"at-t1": "t1", "at-t3": "t3"}.get(variant, "t2")
     orientation = _REFLECT if variant == "reflect-orientation" else _TRANSMIT
     beams = (("A", "A", slot, orientation), ("B", "B", slot, orientation))
-    return _with_alphas(
-        _beam_table_plan("absence_test", "disappearing", beams),
-        equal_alphas(2))
+    return replace(_beam_table_plan("absence_test", "disappearing", beams),
+                   alphas=equal_alphas(2))
 
 
 def absence_test(variant=None):
@@ -653,8 +631,8 @@ def build_stricter_6beam(alphas=None, flip=None):
         ("B3", "B", "t3", _REFLECT),
         ("C3", "C", "t3", _REFLECT),
     )
-    return _with_alphas(
-        _beam_table_plan("stricter_6beam", "disappearing", beams), alphas)
+    return replace(_beam_table_plan("stricter_6beam", "disappearing", beams),
+                   alphas=alphas)
 
 
 def stricter_6beam(alphas=None, flip=None):
@@ -714,9 +692,7 @@ def _check_settings(alice_setting, bob_setting):
 def _alice_superposition():
     """Alice's SUPERPOSE bra: the equal superposition of boxes A, B and C,
     read-only because every table shares it."""
-    bra = Sectors(tsvf.shutter_state((1 / SQRT3,) * 3)).one.conj()
-    bra.flags.writeable = False
-    return bra
+    return _frozen(Sectors(tsvf.shutter_state((1 / SQRT3,) * 3)).one.conj())
 
 
 def _bell_table(state, alice_setting, bob_setting):

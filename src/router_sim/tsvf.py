@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .elements import apply_schedule, tunneling
 from .errors import BadParam, UndefinedConditioning
@@ -52,14 +53,15 @@ class TwoStateSpec:
     preparation time).  ``checkpoints`` maps names like ``"t2"`` to
     boundary indices.  ``box_modes`` gives the name of the mode carrying
     each box.  The fields cannot be reassigned; :func:`dataclasses.replace`
-    makes a variant.
+    makes a variant.  The specs this module builds hold tuples and
+    read-only mappings, so they can be shared.
     """
 
     pre: FockState
     post: FockState
-    segments: list
-    checkpoints: dict
-    box_modes: dict
+    segments: tuple
+    checkpoints: MappingProxyType
+    box_modes: MappingProxyType
 
     def boundary(self, name):
         try:
@@ -208,9 +210,9 @@ def three_box_spec():
     return TwoStateSpec(
         pre=pre,
         post=post,
-        segments=[],
-        checkpoints={"t": 0},
-        box_modes={"A": modes[0], "B": modes[1], "C": modes[2]},
+        segments=(),
+        checkpoints=MappingProxyType({"t": 0}),
+        box_modes=MappingProxyType(dict(zip("ABC", modes))),
     )
 
 
@@ -227,14 +229,12 @@ def disappearing_spec():
     modes = shutter_modes()
     pre = shutter_state((1 / SQRT3, 1j / SQRT3, 1 / SQRT3), modes)
     post = shutter_state((-1 / SQRT3, -1j / SQRT3, 1 / SQRT3), modes)
+    step = (tunneling(math.pi / 4, modes[0], modes[1]),)
     return TwoStateSpec(
         pre=pre,
         post=post,
-        segments=[
-            [tunneling(math.pi / 4, modes[0], modes[1])],
-            [tunneling(math.pi / 4, modes[0], modes[1])],
-        ],
-        checkpoints={"t1": 0, "t2": 1, "t3": 2},
-        box_modes={"A": modes[0], "B": modes[1], "C": modes[2]},
+        segments=(step, step),
+        checkpoints=MappingProxyType({"t1": 0, "t2": 1, "t3": 2}),
+        box_modes=MappingProxyType(dict(zip("ABC", modes))),
     )
 

@@ -406,6 +406,15 @@ USAGE_ERRORS = (
         ["sweep", "disappearing_full", "--random", "2", "--tol", "1e-9"],
         ["list", "--format", "json"],
     ]
+    # coefficients, counts and grids that are malformed, a sweep of a
+    # scenario that takes no coefficients, and no command at all
+    + [
+        ["run", "disappearing_full", "--alphas", " , "],
+        ["sweep", "disappearing_full", "--random", "0"],
+        ["sweep", "disappearing_full", "--alpha1-grid", "0:1"],
+        ["sweep", "simplest_2path", "--random", "3"],
+        [],
+    ]
 )
 
 

@@ -90,6 +90,11 @@ def test_element_statement_errors(line, message, column):
      ""),
     ("pqr reflect A B Z", "undeclared mode 'Z'", 17, "Z"),
     ("detect 9d A=1", "invalid outcome name '9d'", 8, "9d"),
+    ("source", "expected mode/weight pairs", 7, ""),
+    ("postselect", "expected mode=count pairs", 11, ""),
+    ("mode", "expected a mode name", 5, ""),
+    ("detect", "expected an outcome name", 7, ""),
+    ("source A 0", "source weights are all zero", 1, ""),
 ])
 def test_token_errors_point_at_the_token(line, message, column, token):
     with pytest.raises(ParseError) as err:

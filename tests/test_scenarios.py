@@ -3,7 +3,7 @@ import functools
 import io
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ from router_sim.elements import (
     pqr_decomposed,
     pqr_ideal,
 )
-from router_sim.errors import BadParam, UnsupportedSector
+from router_sim.errors import BadCoefficients, BadParam, UnsupportedSector
 from router_sim.fock import FockState, postselect_subsystem
 
 S2 = math.sqrt(2.0)
@@ -156,6 +156,11 @@ def test_coefficients_must_be_finite(bad):
         scenarios.as_alpha_vector([bad, 1.0], 2)
     with pytest.raises(BadParam, match="not finite"):
         scenarios.three_box_shutter(bad, 1.0)
+
+
+def test_coefficients_must_have_the_scenario_arity():
+    with pytest.raises(BadCoefficients, match="expected 3 coefficients"):
+        scenarios.as_alpha_vector([1, 0], 3)
 
 
 def test_three_box_carries_tsvf_values():
@@ -392,6 +397,15 @@ def test_bell_tables_sum_to_one_all_settings():
             table = scenarios.bell_test(None, alice, bob)
             assert sum(table.values()) == pytest.approx(1.0, abs=1e-10)
             assert all(v >= 0 for v in table.values())
+
+
+@pytest.mark.parametrize("alice,bob,message", [
+    ("OPEN_CAVITIES", scenarios.OPEN_CAVITIES, "unknown Alice setting"),
+    (scenarios.OPEN_BOXES, "OPEN_BOXES", "unknown Bob setting"),
+])
+def test_bell_test_rejects_unknown_settings(alice, bob, message):
+    with pytest.raises(BadParam, match=message):
+        scenarios.bell_test(None, alice, bob)
 
 
 def test_bell_no_signaling():
@@ -920,9 +934,9 @@ def test_compile_rejects_amplitude_outside_the_block():
     # A beamsplitter between a shutter mode and a probe rail moves
     # amplitude to zero shutter photons and two probe photons.
     plan = scenarios.build_disappearing()
-    leaky = replace(plan, schedule=plan.schedule + [
-        beamsplitter(0.5, "SA", plan.kept_ports[0])
-    ])
+    leaky = replace(plan, schedule=plan.schedule + (
+        beamsplitter(0.5, "SA", plan.kept_ports[0]),
+    ))
     with pytest.raises(UnsupportedSector, match="not a router"):
         scenarios.sweep_plan(leaky, plan.alphas[None])
     with pytest.raises(UnsupportedSector, match="not a router"):
@@ -942,7 +956,7 @@ def test_plan_validation_rejects_elements_outside_the_block(router):
     plan = scenarios.build_stricter_6beam()
     for at in (0, len(plan.schedule)):
         bad = replace(plan, schedule=plan.schedule[:at]
-                      + [router(plan.probe_modes)] + plan.schedule[at:])
+                      + (router(plan.probe_modes),) + plan.schedule[at:])
         with pytest.raises(UnsupportedSector, match="not a router"):
             scenarios.run_plan(bad)
         with pytest.raises(UnsupportedSector, match="not a router"):
@@ -1036,21 +1050,29 @@ def test_mutating_a_returned_plan_changes_no_later_run(name, perturbation):
     expected = result_bits(evaluate())
     plan = BUILDERS[name](perturbation)
     result = evaluate()
-    # A plan's lists and coefficients and a result's tables are its own.
-    plan.schedule.reverse()
-    plan.probes.reverse()
-    plan.kept_ports.clear()
+    # A plan's coefficients and a result's tables are its own.
     plan.alphas[:] = 0
     result.abl_values.clear()
     result.weak_values.clear()
     result.conditional_probabilities.clear()
     assert result_bits(evaluate()) == expected
-    # What plans share is read-only.
+    # What plans share is immutable: the plan itself and its tuples,
+    for field in fields(plan):
+        with pytest.raises(FrozenInstanceError):
+            setattr(plan, field.name, getattr(plan, field.name))
+    for sequence in (plan.schedule, plan.probes, plan.kept_ports):
+        with pytest.raises(AttributeError):
+            sequence.reverse()
+        with pytest.raises(TypeError):
+            sequence[0] = sequence[-1]
+    # and the spec, its states and its elements.
     spec = plan.spec
     with pytest.raises(AttributeError):
         spec.pre = spec.post
     with pytest.raises(AttributeError):
         spec.segments.clear()
+    with pytest.raises(TypeError):
+        spec.segments[0] = ()
     with pytest.raises(TypeError):
         spec.checkpoints["t9"] = 0
     with pytest.raises(TypeError):

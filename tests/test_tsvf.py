@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from router_sim import tsvf
 from router_sim.elements import tunneling
-from router_sim.errors import UndefinedConditioning
+from router_sim.errors import BadParam, UndefinedConditioning
 from router_sim.tsvf import ProjectorSpec
 
 S2 = math.sqrt(2.0)
@@ -41,7 +42,7 @@ def explicit_disappearing_spec():
     return tsvf.TwoStateSpec(
         pre=spec.pre,
         post=tsvf.shutter_state((-1 / S3, 1j / S3, 1 / S3), modes),
-        segments=spec.segments + [[tunneling(math.pi / 2, *modes[:2])]],
+        segments=spec.segments + ((tunneling(math.pi / 2, *modes[:2]),),),
         checkpoints=spec.checkpoints,
         box_modes=spec.box_modes,
     )
@@ -262,6 +263,26 @@ def test_weak_value_zero_denominator_raises():
     )
     with pytest.raises(UndefinedConditioning):
         tsvf.weak_value(spec, ProjectorSpec("A", "t"))
+
+
+@pytest.mark.parametrize("proj,message", [
+    (ProjectorSpec("A", "t9"), "unknown checkpoint 't9'"),
+    (ProjectorSpec("D", "t2"), "unknown box 'D'"),
+])
+def test_unknown_checkpoint_or_box_raises(proj, message):
+    spec = tsvf.disappearing_spec()
+    for query in (tsvf.abl_probability, tsvf.weak_value,
+                  tsvf.postselection_success):
+        with pytest.raises(BadParam, match=message):
+            query(spec, proj)
+
+
+def test_imposed_projector_that_never_fires_raises():
+    # Prepared without box C, the shutter is never found there at t2.
+    spec = replace(tsvf.disappearing_spec(),
+                   pre=tsvf.shutter_state((1 / S2, 1j / S2, 0)))
+    with pytest.raises(UndefinedConditioning, match="never fires"):
+        tsvf.postselection_success(spec, ProjectorSpec("C", "t2"))
 
 
 @pytest.mark.parametrize("make_spec", [

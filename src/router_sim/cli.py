@@ -311,27 +311,32 @@ def cmd_sweep(args, stream):
             f"scenario {args.scenario!r} takes no coefficient sweep"
         )
     points = _sweep_points(args, entry.arity)
-    records = [
-        {"index": index, "alphas": [complex(a) for a in point],
-         "summary": summary, "schmidt": schmidt}
-        for index, (point, (summary, schmidt))
-        in enumerate(zip(points, entry.sweep(points)))
-    ]
-    if args.format == "csv":
-        writer = csv.writer(stream)
-        keys = sorted(records[0]["summary"]) if records else []
-        writer.writerow(["index", "alphas"] + keys + ["schmidt"])
-        for record in records:
-            alphas = ";".join(
-                dsl.render_weight(a) for a in record["alphas"]
-            )
-            writer.writerow(
-                [record["index"], alphas]
-                + [f"{record['summary'][k]:.12g}" for k in keys]
-                + [";".join(f"{s:.12g}" for s in record["schmidt"])]
-            )
-    else:
-        _emit_json({"scenario": args.scenario, "records": records}, stream)
+    try:
+        records = [
+            {"index": index, "alphas": [complex(a) for a in point],
+             "summary": summary, "schmidt": schmidt}
+            for index, (point, (summary, schmidt))
+            in enumerate(zip(points, entry.sweep(points)))
+        ]
+        if args.format == "csv":
+            writer = csv.writer(stream)
+            keys = sorted(records[0]["summary"]) if records else []
+            writer.writerow(["index", "alphas"] + keys + ["schmidt"])
+            for record in records:
+                alphas = ";".join(
+                    dsl.render_weight(a) for a in record["alphas"]
+                )
+                writer.writerow(
+                    [record["index"], alphas]
+                    + [f"{record['summary'][k]:.12g}" for k in keys]
+                    + [";".join(f"{s:.12g}" for s in record["schmidt"])]
+                )
+        else:
+            _emit_json({"scenario": args.scenario, "records": records}, stream)
+    except MemoryError:
+        # The records, and in JSON the whole text, exist before any write.
+        raise UsageError(f"a sweep of {len(points)} points does not fit in "
+                         "memory") from None
     return EXIT_OK
 
 

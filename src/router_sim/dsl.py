@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elements import (
+    _distinct,
     beamsplitter,
     evolve,
     ns_single,
@@ -254,7 +255,8 @@ _ELEMENT_OPS = {
     "ns2": ((), 2, ns_two_mode),
     "pqr": ((_orientation,), 3,
             lambda orientation, *modes: pqr_ideal(*modes, orientation)),
-    "relabel": ((), 2, lambda a, b: relabel({a: b, b: a})),
+    "relabel": ((), 2, lambda *modes: relabel(
+        dict(zip(_distinct(modes), modes[::-1])))),
     "tunnel": ((_real,), 2, tunneling),
 }
 

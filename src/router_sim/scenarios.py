@@ -14,9 +14,10 @@ B and C plus at most one probe photon, so scenarios propagate stacks of
 that 3 x (1 + n_probe) amplitude block (:func:`_propagate`): rows are
 boxes, column 0 is the probe vacuum and column 1 + p is probe mode p.  Runs
 (:func:`run_plan`) and sweeps (:func:`sweep_plan`) merge and measure the
-blocks with one function (:func:`_measure`), and the Bell tables are matrix
-algebra on the block's cavity columns.  Probabilities are computed exactly
-from amplitudes; there is no sampling.
+blocks with one function (:func:`_measure`).  A Bell run or sweep
+propagates all its points' blocks as one stack (:func:`_bell_states`), and
+its tables are matrix algebra on their cavity columns.  Probabilities are
+computed exactly from amplitudes; there is no sampling.
 Perturbed variants (wrong box, wrong time, switched router orientation,
 extra probe beam) are first-class because the certainty claims of the
 unperturbed schedules are only meaningful against such counterfactuals.
@@ -656,36 +657,32 @@ SUPERPOSE = "SUPERPOSE"
 #: Bob's cavities: the kept rails of the five beams, in beam order.
 _CAVITIES = tuple("R" + tag for tag, _, _, _ in _DISAPPEARING_BEAMS)
 
-#: Most points of a Bell sweep propagated together, which bounds its memory.
-BELL_SLICE = 256
-
 
 def _bell_states(points):
-    """Yield the Bell state of each coefficient vector in ``points``: the
-    normalized cavity columns (3 x 5, rows boxes A, B and C) of the
-    five-beam schedule's block ahead of post-selection.
+    """The Bell states of the coefficient vectors in ``points``, as one
+    (n, 3, 5) stack: the normalized cavity columns (rows boxes A, B and C)
+    of the five-beam schedule's blocks ahead of post-selection.
 
     The schedule is the unperturbed five-beam plan of
-    :func:`disappearing_full`, whose merge the Bell analysis never reads,
-    and the blocks of up to :data:`BELL_SLICE` points are propagated as one
-    stack.  Raises :class:`UndefinedConditioning` where the probe is never
-    reflected.
+    :func:`disappearing_full`, whose merge the Bell analysis never reads;
+    every point's block is propagated in one stack.
     """
     plan = _beam_table_plan("disappearing_full", "disappearing",
                             _DISAPPEARING_BEAMS)
-    for start in range(0, len(points), BELL_SLICE):
-        blocks = _propagate(plan, points[start:start + BELL_SLICE])
-        for collected in blocks[:, :, plan.kept_columns]:
-            if np.sum(np.abs(collected) ** 2) < 1e-24:
-                raise UndefinedConditioning("the probe is never reflected")
-            yield normalized_rows(collected.ravel()).reshape(collected.shape)
+    collected = _propagate(plan, points)[:, :, plan.kept_columns]
+    return normalized_rows(
+        collected.reshape(len(collected), -1)).reshape(collected.shape)
 
 
-def _check_settings(alice_setting, bob_setting):
+def _bell_state(alphas, alice_setting, bob_setting):
+    """The Bell state of one coefficient vector (equal weights if None),
+    after checking it and the two settings."""
+    alphas = equal_alphas(5) if alphas is None else as_alpha_vector(alphas, 5)
     if alice_setting not in (OPEN_BOXES, SUPERPOSE):
         raise BadParam(f"unknown Alice setting {alice_setting!r}")
     if bob_setting not in (OPEN_CAVITIES, SUPERPOSE):
         raise BadParam(f"unknown Bob setting {bob_setting!r}")
+    return _bell_states([alphas])[0]
 
 
 @functools.cache
@@ -749,14 +746,14 @@ def bell_test(alphas=None, alice_setting=OPEN_BOXES, bob_setting=OPEN_CAVITIES):
     projects onto the equal superposition with no relative phases versus
     its complement ("match"/"rest").
     """
-    alphas = equal_alphas(5) if alphas is None else as_alpha_vector(alphas, 5)
-    _check_settings(alice_setting, bob_setting)
-    (state,) = _bell_states([alphas])
+    state = _bell_state(alphas, alice_setting, bob_setting)
     return _bell_table(state, alice_setting, bob_setting)
 
 
 def bell_marginals(table, side):
     """Marginal distribution of one side ("alice" or "bob") of a table."""
+    if side not in ("alice", "bob"):
+        raise BadParam(f"unknown side {side!r}; choose alice or bob")
     out = {}
     for (a, b), p in table.items():
         key = a if side == "alice" else b
@@ -808,15 +805,14 @@ def _chsh(tables):
 def bell_scenario(alphas=None, alice_setting=OPEN_BOXES,
                   bob_setting=OPEN_CAVITIES):
     """ScenarioResult of :func:`bell_test` for one setting pair, for
-    reporting.
+    reporting, with the no-signaling gap and the CHSH value as its
+    ``metadata``.
 
     The Bell state is propagated once, as a stack of one in
-    :func:`_bell_states`; the reported table, the no-signaling gap and the
-    CHSH value all come from its four clamped tables.
+    :func:`_bell_states`; the reported table, the gap and the CHSH value
+    all come from its four clamped tables.
     """
-    alphas = equal_alphas(5) if alphas is None else as_alpha_vector(alphas, 5)
-    _check_settings(alice_setting, bob_setting)
-    (state,) = _bell_states([alphas])
+    state = _bell_state(alphas, alice_setting, bob_setting)
     tables, summary, spectrum = _bell_report(state)
     outcomes = {
         f"shutter={a}|probe={b}": p
@@ -829,12 +825,7 @@ def bell_scenario(alphas=None, alice_setting=OPEN_BOXES,
         weak_values={},
         abl_values={},
         schmidt_spectrum=spectrum,
-        metadata={
-            "alphas": [complex(a) for a in alphas],
-            "alice_setting": alice_setting,
-            "bob_setting": bob_setting,
-            **summary,
-        },
+        metadata=summary,
     )
 
 
@@ -895,9 +886,9 @@ class Scenario:
     returns the ``(summary, Schmidt spectrum)`` record of each coefficient
     vector in ``points``, unperturbed and with OPEN/OPEN settings:
     beam-table scenarios build their plan once and propagate its beams as
-    one stack (:func:`sweep_plan`), and ``bell_test`` propagates its points'
-    blocks stacked, :data:`BELL_SLICE` per pass, in the :func:`_bell_states`
-    that its ``evaluate`` runs on a stack of one.
+    one stack (:func:`sweep_plan`), and ``bell_test`` propagates all its
+    points' blocks as one stack in the :func:`_bell_states` that its
+    ``evaluate`` runs on a stack of one.
     """
 
     evaluate: Callable

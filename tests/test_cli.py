@@ -477,6 +477,27 @@ def test_usage_error_exits_3_with_one_line(argv, capsys):
     assert_one_line_error(capsys)
 
 
+def out_of_memory(*args):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("where", ["sweep", "json"])
+@pytest.mark.parametrize("scenario", ["bell_test", "disappearing_full"])
+def test_sweep_out_of_memory_exits_3_with_one_line(scenario, where,
+                                                   monkeypatch, capsys):
+    # A sweep whose points fit but whose evaluation or JSON text does not.
+    if where == "sweep":
+        entry = replace(scenarios.SCENARIOS[scenario], sweep=out_of_memory)
+        monkeypatch.setitem(scenarios.SCENARIOS, scenario, entry)
+    else:
+        monkeypatch.setattr(cli, "_json_text", out_of_memory)
+    code, out = run_cli(["sweep", scenario, "--random", "3"])
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert capsys.readouterr().err == (
+        "error: a sweep of 3 points does not fit in memory\n")
+
+
 def test_simulate_non_utf8_file_exits_3_with_one_line(tmp_path, capsys):
     path = tmp_path / "latin1.circuit"
     path.write_bytes("mode A A t1 shutter\nsource A 1 # caf\u00e9\n"

@@ -411,6 +411,7 @@ COMPILE_ERRORS = [
     ("bs 2 A B", "line 6: reflectivity 2.0 outside [0, 1]"),
     ("tunnel 0.5 A A", "line 6: element modes ('A', 'A') must be distinct"),
     ("pqr reflect A B A", "line 6: router needs three distinct modes"),
+    ("relabel A A", "line 6: element modes ('A', 'A') must be distinct"),
     ("postselect_state A 0.6 B 0.8i C 0",
      "line 6: postselect_state must leave at least one declared mode "
      "unselected"),

@@ -59,6 +59,8 @@ def test_register_three_modes_vacuum():
 def test_register_duplicate_raises():
     with pytest.raises(DuplicateMode):
         fock.register_modes(modes("A", "A"))
+    with pytest.raises(BadParam, match="at least one mode"):
+        fock.register_modes([])
 
 
 @pytest.mark.parametrize("names, amplitudes, error", [
@@ -140,6 +142,11 @@ def test_superposition_source_weights():
     assert state.amplitude((1, 0, 0)) == pytest.approx(s3)
     assert state.amplitude((0, 1, 0)) == pytest.approx(1j * s3)
     assert state.amplitude((0, 0, 1)) == pytest.approx(s3)
+    vacuum = fock.register_modes(ms)
+    with pytest.raises(BadParam, match="at least one mode"):
+        fock.superposition_source(vacuum, {})
+    with pytest.raises(BadParam, match="all zero"):
+        fock.superposition_source(vacuum, {ms[0]: 0, ms[1]: 0j})
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)
@@ -258,6 +265,8 @@ def test_non_unitary_rejected():
     state = fock.register_modes(ms)
     with pytest.raises(NotUnitary):
         fock.apply_mode_unitary(state, ms, np.array([[1, 0], [0, 2]]))
+    with pytest.raises(BadParam, match="must not repeat"):
+        fock.apply_mode_unitary(state, [ms[0], ms[0]], BS)
 
 
 def test_unitary_norm_preserved():
@@ -378,6 +387,8 @@ def test_nonunit_phase_rejected():
     state = fock.register_modes(ms)
     with pytest.raises(NotPhase):
         fock.apply_fock_phase(state, ms[0], (1, 0.5, 1))
+    with pytest.raises(NotPhase, match="does not cover occupation 1"):
+        fock.apply_fock_phase(add_photon(state, ms[0]), ms[0], (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -557,3 +568,7 @@ def test_schmidt_rejects_trivial_partition():
         fock.schmidt_spectrum(state, set(ms))
     with pytest.raises(BadPartition):
         fock.schmidt_spectrum(state, set())
+    # The target of a post-selection must be over a proper subset too.
+    for target in (fock.FockState((), {(): 1.0}), state):
+        with pytest.raises(BadPartition, match="target must cover"):
+            fock.postselect_subsystem(state, target)

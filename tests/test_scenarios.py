@@ -408,6 +408,16 @@ def test_bell_test_rejects_unknown_settings(alice, bob, message):
         scenarios.bell_test(None, alice, bob)
 
 
+def test_bell_marginals_rejects_unknown_sides():
+    table = scenarios.bell_test()
+    assert list(scenarios.bell_marginals(table, "alice")) == list("ABC")
+    assert (list(scenarios.bell_marginals(table, "bob"))
+            == list(scenarios._CAVITIES))
+    for side in ("Alice", "BOB", "", None):
+        with pytest.raises(BadParam, match="unknown side"):
+            scenarios.bell_marginals(table, side)
+
+
 def test_bell_no_signaling():
     rng = np.random.default_rng(36)
     for _ in range(3):
@@ -808,7 +818,7 @@ def same_bits(records, expected):
 
 @pytest.fixture(scope="module")
 def bell_reference():
-    """257 seeded points, one past a full slice, and their records."""
+    """257 seeded points and their records."""
     points = cli_points(["--random", "257", "--seed", "11"])
     return points, bell_records_point_by_point(points)
 
@@ -816,7 +826,6 @@ def bell_reference():
 @pytest.mark.parametrize("count", [1, 3, 255, 256, 257])
 def test_bell_sweep_is_bell_scenario_point_by_point(count, bell_reference):
     points, expected = bell_reference
-    assert scenarios.BELL_SLICE == 256
     records = scenarios.SCENARIOS["bell_test"].sweep(points[:count])
     assert len(records) == count
     same_bits(records, expected[:count])
@@ -856,12 +865,12 @@ def test_bell_sweep_builds_once_and_evolves_once_per_slice(count,
     argv = ["sweep", "bell_test", "--random", str(count)]
     assert cli.main(argv, stream) == cli.EXIT_OK
     assert stream.getvalue().count('"index"') == count
-    slices = -(-count // 256)
-    # The plan is built once, without the merge that the sweep never reads.
+    # The plan is built once, without the merge that the sweep never reads,
+    # and every point is propagated in one stack.
     assert scenarios._beam_table_plan.cache_info().misses == 1
     assert calls == {"build_disappearing": 0, "merge": 0,
-                     "propagate": slices, "bell_scenario": 0}
-    assert stacks == [256] * (slices - 1) + [count - 256 * (slices - 1)]
+                     "propagate": 1, "bell_scenario": 0}
+    assert stacks == [count]
 
 
 def test_bell_clamp_removes_almost_no_probability(monkeypatch):
@@ -921,11 +930,9 @@ def test_batched_compile_equals_one_propagation_per_beam(name, perturbation,
 def test_bell_blocks_equal_the_sparse_path(monkeypatch):
     blocks = recorded_blocks(monkeypatch)
     points = cli_points(["--random", "300", "--seed", "5"])
-    assert len(list(scenarios._bell_states(points))) == 300
-    # Two slices: 256 points, then 44.
-    assert [len(each) for each in blocks] == [256, 44]
-    stack = np.concatenate(blocks)
-    for point, block in zip(points, stack):
+    assert scenarios._bell_states(points).shape == (300, 3, 5)
+    assert [len(each) for each in blocks] == [300]
+    for point, block in zip(points, blocks[0]):
         plan = scenarios.build_disappearing(point)
         assert np.max(np.abs(block - reference_block(plan))) <= 1e-12
 

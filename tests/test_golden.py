@@ -57,6 +57,16 @@ def _cases():
         "sweep", "stricter_6beam", "--random", "5", "--seed", "9"]
     cases["sweep-bell_test-grid0-1-5"] = [
         "sweep", "bell_test", "--alpha1-grid", "0:1:5"]
+    cases["sweep-disappearing_full-random20-seed7-csv"] = [
+        "sweep", "disappearing_full", "--random", "20", "--seed", "7",
+        "--format", "csv"]
+    cases["sweep-bell_test-random5-seed3-csv"] = [
+        "sweep", "bell_test", "--random", "5", "--seed", "3",
+        "--format", "csv"]
+    cases["sweep-three_box_shutter-grid-1-1-9"] = [
+        "sweep", "three_box_shutter", "--alpha1-grid=-1:1:9"]
+    cases["sweep-bell_test-random7-seed2"] = [
+        "sweep", "bell_test", "--random", "7", "--seed", "2"]
     cases["list"] = ["list"]
     return cases
 

@@ -123,7 +123,12 @@ def _result_payload(result, parameters):
 
 
 def _emit_json(payload, stream):
-    stream.write(_json_text(payload))
+    _emit(_json_text(payload), stream)
+
+
+def _emit(text, stream):
+    """Write a JSON document and its final newline."""
+    stream.write(text)
     # Unbuffered, a write the reader cut short is not an error; this next
     # write is, so a closed stdout is noticed either way.
     stream.write("\n")
@@ -304,6 +309,89 @@ def _sweep_points(args, arity):
             f"a sweep of {count} points does not fit in memory") from None
 
 
+def _texts(form, values):
+    """``form % value`` for each float of the list ``values``, in one
+    ``%`` call."""
+    return (f"{form}\0" * len(values) % tuple(values)).split("\0")[:-1]
+
+
+def _float_texts(values):
+    """:func:`_float_text` of each float of the list ``values``, rounded
+    in one ``%`` call.  Only a text with no "." (an integer, NaN or an
+    infinity) or with an exponent goes through :func:`_float_text`, once
+    per distinct text, since its result depends on nothing else."""
+    texts = _texts("%.12g", values)
+    fixed = {}
+    for i, text in enumerate(texts):
+        if "." not in text or "e" in text:
+            if text not in fixed:
+                fixed[text] = _float_text(values[i])
+            texts[i] = fixed[text]
+    return texts
+
+
+def _record_template(fmt, arity, fields, count):
+    """One sweep record with ``count`` Schmidt coefficients, each number
+    a ``%s`` slot: a CSV row, or the JSON object that :func:`_json_text`
+    writes inside the records list."""
+    if fmt == "csv":
+        return ",".join(["%s", ";".join(["%s"] * arity), *["%s"] * len(fields),
+                         ";".join(["%s"] * count)]) + "\r\n"
+    skeleton = {"index": "%s", "alphas": [["%s", "%s"]] * arity,
+                "summary": dict.fromkeys(fields, "%s"),
+                "schmidt": ["%s"] * count}
+    text = _json_text(skeleton, "\n    ").replace("%", "%%")
+    return text.replace('"%%s"', "%s")
+
+
+def _sweep_text(fmt, scenario, points, fields, values, spectra):
+    """The text of a sweep of ``scenario`` at the (n, arity) ``points``
+    from what :attr:`scenarios.Scenario.sweep` returns: the JSON document
+    without its final newline, or the CSV rows under their header.
+
+    It equals what :func:`_json_text` writes for the records, or what a
+    ``csv.writer`` writes for the rows, with no Python work per point:
+    every number of the sweep is one slot of a record template made once
+    per sweep for each length of Schmidt spectrum, and the numbers are
+    rounded in one ``%`` call.  JSON rounds through :func:`_float_texts`;
+    CSV writes the summary and spectra as ``%.12g``, the coefficients by
+    :func:`dsl.render_weight`, and the summary columns in name order.
+    """
+    n, arity = points.shape
+    kept = spectra > 0
+    if fmt == "csv":
+        order = sorted(range(len(fields)), key=fields.__getitem__)
+        fields = tuple(fields[i] for i in order)
+        head = ",".join(["index", "alphas", *fields, "schmidt"]) + "\r\n"
+        alphas = list(map(dsl.render_weight, points.ravel().tolist()))
+        numbers = np.hstack([values[:, order], spectra])
+        texts = np.hstack([
+            np.array(alphas, dtype=object).reshape(n, arity),
+            np.array(_texts("%.12g", numbers.ravel().tolist()),
+                     dtype=object).reshape(numbers.shape)])
+        joint = ""
+    else:
+        head = '{\n  "scenario": ' + _escape(scenario) + ',\n  "records": ['
+        floats = np.hstack([np.ascontiguousarray(points).view(float),
+                            values, spectra])
+        texts = np.array(_float_texts(floats.ravel().tolist()),
+                         dtype=object).reshape(floats.shape)
+        joint = ",\n    "
+    cells = np.empty((n, 1 + texts.shape[1]), dtype=object)
+    cells[:, 0] = list(map(str, range(n)))
+    cells[:, 1:] = texts
+    filled = np.ones(cells.shape, dtype=bool)
+    filled[:, cells.shape[1] - kept.shape[1]:] = kept
+    counts = kept.sum(axis=1)
+    templates = np.empty(kept.shape[1] + 1, dtype=object)
+    for count in np.unique(counts).tolist():
+        templates[count] = _record_template(fmt, arity, fields, count)
+    body = joint.join(templates[counts].tolist()) % tuple(cells[filled])
+    if fmt == "csv":
+        return head + body
+    return head + ("\n    " + body + "\n  ]" if n else "]") + "\n}"
+
+
 def cmd_sweep(args, stream):
     entry = _scenario(args.scenario)
     if entry.sweep is None:
@@ -312,31 +400,16 @@ def cmd_sweep(args, stream):
         )
     points = _sweep_points(args, entry.arity)
     try:
-        records = [
-            {"index": index, "alphas": [complex(a) for a in point],
-             "summary": summary, "schmidt": schmidt}
-            for index, (point, (summary, schmidt))
-            in enumerate(zip(points, entry.sweep(points)))
-        ]
-        if args.format == "csv":
-            writer = csv.writer(stream)
-            keys = sorted(records[0]["summary"]) if records else []
-            writer.writerow(["index", "alphas"] + keys + ["schmidt"])
-            for record in records:
-                alphas = ";".join(
-                    dsl.render_weight(a) for a in record["alphas"]
-                )
-                writer.writerow(
-                    [record["index"], alphas]
-                    + [f"{record['summary'][k]:.12g}" for k in keys]
-                    + [";".join(f"{s:.12g}" for s in record["schmidt"])]
-                )
-        else:
-            _emit_json({"scenario": args.scenario, "records": records}, stream)
+        text = _sweep_text(args.format, args.scenario, points,
+                           *entry.sweep(points))
     except MemoryError:
-        # The records, and in JSON the whole text, exist before any write.
+        # The whole text exists before any write.
         raise UsageError(f"a sweep of {len(points)} points does not fit in "
                          "memory") from None
+    if args.format == "csv":
+        stream.write(text)
+    else:
+        _emit(text, stream)
     return EXIT_OK
 
 

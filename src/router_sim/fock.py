@@ -541,3 +541,13 @@ def spectrum_of(singular):
     """Squared Schmidt coefficients from the singular values of an
     amplitude matrix: each square above :data:`PRUNE_EPSILON`."""
     return [float(s) ** 2 for s in singular if s**2 > PRUNE_EPSILON]
+
+
+def spectra_of(singular):
+    """:func:`spectrum_of` of each row of a stack of singular values, as
+    one array: a row's squares above :data:`PRUNE_EPSILON`, largest first,
+    then zeros.  ``np.float_power`` squares by libm's ``pow``, as ``float
+    ** 2`` does; a product ``s * s`` differs from it in the last bit of
+    about one square in a thousand."""
+    squares = np.float_power(singular, 2)
+    return np.where(squares > PRUNE_EPSILON, squares, 0.0)

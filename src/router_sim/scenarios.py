@@ -16,8 +16,10 @@ boxes, column 0 is the probe vacuum and column 1 + p is probe mode p.  Runs
 (:func:`run_plan`) and sweeps (:func:`sweep_plan`) merge and measure the
 blocks with one function (:func:`_measure`).  A Bell run or sweep
 propagates all its points' blocks as one stack (:func:`_bell_states`), and
-its tables are matrix algebra on their cavity columns.  Probabilities are
-computed exactly from amplitudes; there is no sampling.
+its tables and summary are array algebra on their cavity columns
+(:func:`_bell_report`).  A sweep returns arrays, not one record per point
+(:class:`Scenario`).  Probabilities are computed exactly from amplitudes;
+there is no sampling.
 Perturbed variants (wrong box, wrong time, switched router orientation,
 extra probe beam) are first-class because the certainty claims of the
 unperturbed schedules are only meaningful against such counterfactuals.
@@ -62,7 +64,7 @@ from .fock import (
     normalized_rows,
     pruned,
     row_norms,
-    spectrum_of,
+    spectra_of,
     superposition_source,
 )
 
@@ -169,14 +171,28 @@ def as_alpha_vector(alphas, arity):
     if alphas.shape != (arity,):
         raise BadCoefficients(
             f"expected {arity} coefficients, got {alphas.shape}")
-    if not np.isfinite(alphas).all():
+    return as_alpha_vectors(alphas[None], arity)[0]
+
+
+def as_alpha_vectors(points, arity):
+    """``points`` as an (n, ``arity``) complex array, one coefficient
+    vector per row; raises :class:`BadCoefficients` unless every row has
+    ``arity`` finite entries and unit norm, the rule of
+    :func:`as_alpha_vector`."""
+    points = np.asarray(points, dtype=complex)
+    if points.ndim != 2 or points.shape[1] != arity:
+        raise BadCoefficients(
+            f"expected rows of {arity} coefficients, got {points.shape}")
+    if not np.isfinite(points).all():
         raise BadCoefficients("coefficients are not finite")
     with np.errstate(over="ignore"):
-        total = float((np.abs(alphas) ** 2).sum())
-    if abs(total - 1.0) > _NORM_TOL:
+        totals = (np.abs(points) ** 2).sum(axis=1)
+    off = np.flatnonzero(np.abs(totals - 1.0) > _NORM_TOL)
+    if off.size:
         raise BadCoefficients(
-            f"coefficients are not normalized: sum |a|^2 = {total}")
-    return alphas
+            f"coefficients are not normalized: sum |a|^2 = {totals[off[0]]}"
+            + (f" at point {off[0]}" if len(points) > 1 else ""))
+    return points
 
 
 def equal_alphas(n):
@@ -317,11 +333,13 @@ def _measure(plan, points, joint):
     of the merge, one per coefficient vector in ``points``.
 
     With ``plan.recombine``, each point's kept ports are merged by the
-    unitary whose first row is its conjugated coefficients.  Returns, per
-    point, the outcome partition, the fidelity of the post-selected probe
-    to the coefficients on the kept ports, the Schmidt spectrum of the
-    shutter versus the probe, and the post-selected probe ahead of the
-    merge as a normalized row in the block's column layout.
+    unitary whose first row is its conjugated coefficients.  Returns the
+    summary field names (:func:`_summary_fields`), the (n, 6) matrix of
+    their values at each point (the outcome partition, then the fidelity
+    of the post-selected probe to the coefficients on the kept ports), the
+    Schmidt spectra of the shutter versus the probe
+    (:func:`~router_sim.fock.spectra_of`), and the post-selected probes
+    ahead of the merge as normalized rows in the block's column layout.
     """
     kept = plan.kept_columns
     bra = _program(plan).bra
@@ -349,61 +367,55 @@ def _measure(plan, points, joint):
         )
     restored = kept[:1] if plan.recombine else kept
     qs = np.sum(np.abs(probes[:, restored]) ** 2, axis=-1)
-    return [
-        (_conditionals(plan.outcome_label, p_post, q), fid,
-         spectrum_of(values), row)
-        for p_post, q, fid, values, row in zip(
-            p_posts.tolist(), qs.tolist(), fidelities.tolist(), singular,
-            premerge,
-        )
-    ]
+    values = np.array([p_posts, qs, p_posts * qs, p_posts * (1.0 - qs),
+                       1.0 - p_posts, fidelities]).T
+    return (_summary_fields(plan.outcome_label), values, spectra_of(singular),
+            premerge)
+
+
+def _summary_fields(label):
+    """Names of a beam table's summary: the outcome partition from the
+    post-selection probability and the probability of outcome ``label``
+    given it, then the fidelity."""
+    return ("postselection_success", f"{label}_given_postselection",
+            f"postselected_and_{label}", f"postselected_not_{label}",
+            "postselection_failed", "fidelity")
 
 
 def run_plan(plan):
     """Propagate a plan's block and assemble its :class:`ScenarioResult`
     from it."""
     points = plan.alphas[None]
-    ((conditionals, fid, spectrum, probe),) = _measure(
+    fields, values, spectra, probes = _measure(
         plan, points, _propagate(plan, points))
+    *outcomes, fidelity = values[0].tolist()
     return ScenarioResult(
         name=plan.name,
-        conditional_probabilities=conditionals,
-        fidelity_to_target=fid,
+        conditional_probabilities=dict(zip(fields, outcomes)),
+        fidelity_to_target=fidelity,
         weak_values={},
         abl_values={},
-        schmidt_spectrum=spectrum,
+        schmidt_spectrum=[s for s in spectra[0].tolist() if s],
         metadata={},
-        probe=(plan.probe_modes, probe),
+        probe=(plan.probe_modes, probes[0]),
     )
 
 
 def sweep_plan(plan, points):
-    """``(summary, Schmidt spectrum)`` of ``plan`` at each coefficient
-    vector in ``points``, measured as :func:`run_plan` measures one.
+    """The summary field names, their (n, 6) values and the Schmidt spectra
+    of ``plan`` at the coefficient vectors ``points``, checked by
+    :func:`as_alpha_vectors` and measured as :func:`run_plan` measures
+    one (see :func:`_measure`).
 
     The schedule does not depend on the coefficients, so the block of a
     point is ``sum_k alpha_k basis[k]``, where ``basis[k]`` is the block of
     the probe photon in beam k alone; the basis is propagated once, as one
     stack from the identity on the probe columns.
     """
-    points = np.asarray(points, dtype=complex)
+    points = as_alpha_vectors(points, len(plan.probes))
     basis = _propagate(plan, np.eye(len(plan.probes)))
     joint = pruned(np.einsum("nk,ksp->nsp", points, basis))
-    return [({**conditionals, "fidelity": fid}, spectrum)
-            for conditionals, fid, spectrum, _
-            in _measure(plan, points, joint)]
-
-
-def _conditionals(label, p_post, q):
-    """Outcome partition from the post-selection probability ``p_post``
-    and the probability ``q`` of outcome ``label`` given it."""
-    return {
-        "postselection_success": p_post,
-        f"{label}_given_postselection": q,
-        f"postselected_and_{label}": p_post * q,
-        f"postselected_not_{label}": p_post * (1.0 - q),
-        "postselection_failed": 1.0 - p_post,
-    }
+    return _measure(plan, points, joint)[:3]
 
 
 @functools.cache
@@ -675,14 +687,14 @@ def _bell_states(points):
 
 
 def _bell_state(alphas, alice_setting, bob_setting):
-    """The Bell state of one coefficient vector (equal weights if None),
-    after checking it and the two settings."""
+    """The Bell state of one coefficient vector (equal weights if None), as
+    a stack of one, after checking it and the two settings."""
     alphas = equal_alphas(5) if alphas is None else as_alpha_vector(alphas, 5)
     if alice_setting not in (OPEN_BOXES, SUPERPOSE):
         raise BadParam(f"unknown Alice setting {alice_setting!r}")
     if bob_setting not in (OPEN_CAVITIES, SUPERPOSE):
         raise BadParam(f"unknown Bob setting {bob_setting!r}")
-    return _bell_states([alphas])[0]
+    return _bell_states(alphas[None])
 
 
 @functools.cache
@@ -692,50 +704,89 @@ def _alice_superposition():
     return _frozen(Sectors(tsvf.shutter_state((1 / SQRT3,) * 3)).one.conj())
 
 
-def _bell_table(state, alice_setting, bob_setting):
-    """Clamped joint probability table of one setting pair on a Bell state
-    from :func:`_bell_states`."""
-    alice = _alice_superposition()
-    bob = np.full(len(_CAVITIES), 1 / math.sqrt(len(_CAVITIES)))
-    probs = np.abs(state) ** 2
+#: Bob's SUPERPOSE bra: the equal superposition of his five cavities.
+_BOB_SUPERPOSITION = _frozen(np.full(len(_CAVITIES),
+                                     1 / math.sqrt(len(_CAVITIES))))
 
-    if alice_setting == OPEN_BOXES and bob_setting == OPEN_CAVITIES:
-        table = {(box, cavity): probs[s, c]
-                 for s, box in enumerate("ABC")
-                 for c, cavity in enumerate(_CAVITIES)}
-    elif alice_setting == OPEN_BOXES:
-        p_match = np.abs(state @ bob) ** 2
-        table = {}
-        for box, p_box, p in zip("ABC", probs.sum(axis=1), p_match):
-            table[(box, "match")] = p
-            table[(box, "rest")] = p_box - p
-    elif bob_setting == OPEN_CAVITIES:
-        p_match = np.abs(alice @ state) ** 2
-        table = {}
-        for cavity, p_cavity, p in zip(_CAVITIES, probs.sum(axis=0), p_match):
-            table[("match", cavity)] = p
-            table[("rest", cavity)] = p_cavity - p
-    else:
-        bob_given_alice = alice @ state
-        p_alice = np.sum(np.abs(bob_given_alice) ** 2)
-        p_bob = np.sum(np.abs(state @ bob) ** 2)
-        p_both = abs(bob_given_alice @ bob) ** 2
-        table = {
-            ("match", "match"): p_both,
-            ("match", "rest"): p_alice - p_both,
-            ("rest", "match"): p_bob - p_both,
-            ("rest", "rest"): 1.0 - p_alice - p_bob + p_both,
-        }
-    return {k: max(float(v), 0.0) for k, v in table.items()}
+_MATCH = ("match", "rest")
+
+#: The (Alice, Bob) outcomes of the table of each setting pair, in table
+#: order; SUPERPOSE measures the projector onto its equal superposition
+#: ("match") against its complement ("rest").
+_BELL_OUTCOMES = {
+    (OPEN_BOXES, OPEN_CAVITIES): tuple((box, cavity) for box in "ABC"
+                                       for cavity in _CAVITIES),
+    (OPEN_BOXES, SUPERPOSE): tuple((box, m) for box in "ABC" for m in _MATCH),
+    (SUPERPOSE, OPEN_CAVITIES): tuple((m, cavity) for cavity in _CAVITIES
+                                      for m in _MATCH),
+    (SUPERPOSE, SUPERPOSE): tuple((a, b) for a in _MATCH for b in _MATCH),
+}
+
+#: Outcomes counted +1 in the CHSH combination: Alice's box B and Bob's
+#: cavities RA1 and RB3 for the position settings, "match" for SUPERPOSE.
+_CHSH_ALICE_PLUS, _CHSH_BOB_PLUS = ("B", "match"), ("RA1", "RB3", "match")
+
+#: The sign of each outcome of each table in the CHSH combination.
+_CHSH_SIGNS = _frozen([
+    [(1.0 if a in _CHSH_ALICE_PLUS else -1.0)
+     * (1.0 if b in _CHSH_BOB_PLUS else -1.0) for a, b in outcomes]
+    + [0.0] * (15 - len(outcomes))
+    for outcomes in _BELL_OUTCOMES.values()
+])
+
+#: The summary fields of a Bell run or sweep.
+_BELL_SUMMARY = ("no_signaling_gap", "chsh")
 
 
-def _bell_tables(state):
-    """The clamped tables of all four setting pairs on one Bell state."""
-    return {
-        (a, b): _bell_table(state, a, b)
-        for a in (OPEN_BOXES, SUPERPOSE)
-        for b in (OPEN_CAVITIES, SUPERPOSE)
-    }
+def _bell_tables(states):
+    """The clamped joint probability tables of the four setting pairs on a
+    stack of Bell states from :func:`_bell_states`, as one (n, 4, 15)
+    array: ``[i, j]`` holds point i's table of the j-th pair of
+    :data:`_BELL_OUTCOMES` in its outcome order, then zeros.
+
+    Every probability is computed by the numpy operations that give it
+    one state at a time, so a stack of any size holds the same bits.  Two
+    that a stack changes are avoided: an (n, 5) @ (5,) product differs in
+    the last bit from each row's own dot product, so Bob's SUPERPOSE
+    amplitude of Alice's conditional state is an (n, 1, 5) @ (5,) product;
+    and the modulus of a numpy complex scalar differs from the array
+    ``np.abs``, which ``np.hypot(re, im)`` reproduces.
+    """
+    n = len(states)
+    bob = _BOB_SUPERPOSITION
+    probs = np.abs(states) ** 2
+    bob_match = np.abs(states @ bob) ** 2
+    given_alice = _alice_superposition() @ states
+    alice_match = np.abs(given_alice) ** 2
+    p_alice, p_bob = alice_match.sum(axis=1), bob_match.sum(axis=1)
+    both = (given_alice[:, None, :] @ bob)[:, 0]
+    p_both = np.float_power(np.hypot(both.real, both.imag), 2)
+
+    tables = np.zeros((n, 4, 15))
+    tables[:, 0] = probs.reshape(n, 15)
+    tables[:, 1, 0:6:2] = bob_match
+    tables[:, 1, 1:6:2] = probs.sum(axis=2) - bob_match
+    tables[:, 2, 0:10:2] = alice_match
+    tables[:, 2, 1:10:2] = probs.sum(axis=1) - alice_match
+    tables[:, 3, 0] = p_both
+    tables[:, 3, 1] = p_alice - p_both
+    tables[:, 3, 2] = p_bob - p_both
+    tables[:, 3, 3] = 1.0 - p_alice - p_bob + p_both
+    return _clamp(tables)
+
+
+def _clamp(tables):
+    """``tables`` with every negative probability, a rounding residue of
+    a difference, raised to zero."""
+    return np.maximum(tables, 0.0)
+
+
+def _table(tables, alice_setting, bob_setting):
+    """One setting pair's table from one point's (4, 15) tables, as a dict
+    keyed by (Alice outcome, Bob outcome)."""
+    pair = (alice_setting, bob_setting)
+    row = tables[list(_BELL_OUTCOMES).index(pair)]
+    return dict(zip(_BELL_OUTCOMES[pair], row.tolist()))
 
 
 def bell_test(alphas=None, alice_setting=OPEN_BOXES, bob_setting=OPEN_CAVITIES):
@@ -746,8 +797,8 @@ def bell_test(alphas=None, alice_setting=OPEN_BOXES, bob_setting=OPEN_CAVITIES):
     projects onto the equal superposition with no relative phases versus
     its complement ("match"/"rest").
     """
-    state = _bell_state(alphas, alice_setting, bob_setting)
-    return _bell_table(state, alice_setting, bob_setting)
+    states = _bell_state(alphas, alice_setting, bob_setting)
+    return _table(_bell_tables(states)[0], alice_setting, bob_setting)
 
 
 def bell_marginals(table, side):
@@ -761,45 +812,50 @@ def bell_marginals(table, side):
     return out
 
 
+def _running_sum(terms, axis):
+    """The sum of ``terms`` along ``axis``, adding one term after another
+    as Python's ``sum`` does; ``np.sum`` adds eight or more terms in
+    pairs, which can round differently."""
+    return np.add.accumulate(terms, axis=axis).take(-1, axis=axis)
+
+
 def _no_signaling_gap(tables):
-    gap = 0.0
-    for a_setting in (OPEN_BOXES, SUPERPOSE):
-        m0 = bell_marginals(tables[(a_setting, OPEN_CAVITIES)], "alice")
-        m1 = bell_marginals(tables[(a_setting, SUPERPOSE)], "alice")
-        for key in set(m0) | set(m1):
-            gap = max(gap, abs(m0.get(key, 0.0) - m1.get(key, 0.0)))
-    for b_setting in (OPEN_CAVITIES, SUPERPOSE):
-        m0 = bell_marginals(tables[(OPEN_BOXES, b_setting)], "bob")
-        m1 = bell_marginals(tables[(SUPERPOSE, b_setting)], "bob")
-        for key in set(m0) | set(m1):
-            gap = max(gap, abs(m0.get(key, 0.0) - m1.get(key, 0.0)))
-    return gap
+    """The largest change, at each point of :func:`_bell_tables`, of one
+    side's marginal when the other side changes its setting.
 
-
-#: Position outcomes counted +1 in the CHSH combination.
-_CHSH_ALICE_PLUS, _CHSH_BOB_PLUS = ("B",), ("RA1", "RB3")
+    Each marginal adds its table's entries in table order, one after
+    another, as :func:`bell_marginals` adds them.
+    """
+    n = len(tables)
+    positions = tables[:, 0].reshape(n, 3, 5)       # box x cavity
+    box_match = tables[:, 1, :6].reshape(n, 3, 2)   # box x (match, rest)
+    match_cavity = tables[:, 2, :10].reshape(n, 5, 2)  # cavity x (m, r)
+    both = tables[:, 3, :4].reshape(n, 2, 2)         # Alice x Bob
+    changes = np.concatenate([
+        # Alice's marginals as Bob switches, OPEN then SUPERPOSE for her ...
+        _running_sum(positions, 2) - _running_sum(box_match, 2),
+        _running_sum(match_cavity, 1) - _running_sum(both, 2),
+        # ... and Bob's as Alice switches.
+        _running_sum(positions, 1) - _running_sum(match_cavity, 2),
+        _running_sum(box_match, 1) - _running_sum(both, 1),
+    ], axis=1)
+    return np.abs(changes).max(axis=1)
 
 
 def _chsh(tables):
     """CHSH combination E00 + E01 + E10 - E11 over the two available
-    settings per side.
+    settings per side, at each point of :func:`_bell_tables`.
 
     Setting 0 is the position measurement, +1 on the outcomes in
     ``_CHSH_ALICE_PLUS`` / ``_CHSH_BOB_PLUS``; setting 1 is the
-    superposition projector, +1 on "match".  The value is reported, not
-    asserted against any bound.
+    superposition projector, +1 on "match".  Each correlation E is its
+    table's signed entries over their sum, both added one after another in
+    table order, and the four are added in that order from 0.0.  The value
+    is reported, not asserted against any bound.
     """
-    alice = ((OPEN_BOXES, _CHSH_ALICE_PLUS), (SUPERPOSE, ("match",)))
-    bob = ((OPEN_CAVITIES, _CHSH_BOB_PLUS), (SUPERPOSE, ("match",)))
-    value = 0.0
-    for i, (a_setting, a_plus) in enumerate(alice):
-        for j, (b_setting, b_plus) in enumerate(bob):
-            table = tables[(a_setting, b_setting)]
-            e = sum((1.0 if a in a_plus else -1.0)
-                    * (1.0 if b in b_plus else -1.0) * p
-                    for (a, b), p in table.items())
-            value += (-1.0 if i == j == 1 else 1.0) * e / sum(table.values())
-    return value
+    signed, total = _running_sum(np.array([tables * _CHSH_SIGNS, tables]), 3)
+    e = signed / total
+    return 0.0 + e[:, 0] + e[:, 1] + e[:, 2] - e[:, 3]
 
 
 def bell_scenario(alphas=None, alice_setting=OPEN_BOXES,
@@ -808,15 +864,15 @@ def bell_scenario(alphas=None, alice_setting=OPEN_BOXES,
     reporting, with the no-signaling gap and the CHSH value as its
     ``metadata``.
 
-    The Bell state is propagated once, as a stack of one in
-    :func:`_bell_states`; the reported table, the gap and the CHSH value
-    all come from its four clamped tables.
+    The Bell state is propagated as a stack of one in
+    :func:`_bell_states` and reported by :func:`_bell_report`, as a Bell
+    sweep reports its stack.
     """
-    state = _bell_state(alphas, alice_setting, bob_setting)
-    tables, summary, spectrum = _bell_report(state)
+    states = _bell_state(alphas, alice_setting, bob_setting)
+    tables, values, spectra = _bell_report(states)
     outcomes = {
         f"shutter={a}|probe={b}": p
-        for (a, b), p in tables[(alice_setting, bob_setting)].items()
+        for (a, b), p in _table(tables[0], alice_setting, bob_setting).items()
     }
     return ScenarioResult(
         name="bell_test",
@@ -824,25 +880,28 @@ def bell_scenario(alphas=None, alice_setting=OPEN_BOXES,
         fidelity_to_target=None,
         weak_values={},
         abl_values={},
-        schmidt_spectrum=spectrum,
-        metadata=summary,
+        schmidt_spectrum=[s for s in spectra[0].tolist() if s],
+        metadata=dict(zip(_BELL_SUMMARY, values[0].tolist())),
     )
 
 
-def _bell_report(state):
-    """The four clamped tables of a Bell state, its summary (the
-    no-signaling gap and the CHSH value) and its Schmidt spectrum."""
-    tables = _bell_tables(state)
-    summary = {"no_signaling_gap": _no_signaling_gap(tables),
-               "chsh": _chsh(tables)}
-    return tables, summary, spectrum_of(
-        np.linalg.svd(state, compute_uv=False))
+def _bell_report(states):
+    """The four clamped tables of a stack of Bell states
+    (:func:`_bell_tables`), the (n, 2) matrix of their summary (the
+    no-signaling gap and the CHSH value) and their Schmidt spectra, from
+    one stacked SVD."""
+    tables = _bell_tables(states)
+    values = np.array([_no_signaling_gap(tables), _chsh(tables)]).T
+    return tables, values, spectra_of(np.linalg.svd(states, compute_uv=False))
 
 
 def bell_sweep(points):
-    """``(summary, Schmidt spectrum)`` of :func:`bell_scenario` at each
-    coefficient vector in ``points``, with OPEN/OPEN settings."""
-    return [_bell_report(state)[1:] for state in _bell_states(points)]
+    """The summary field names, their (n, 2) values and the Schmidt spectra
+    of :func:`bell_scenario` with OPEN/OPEN settings at the coefficient
+    vectors ``points``, checked by :func:`as_alpha_vectors`."""
+    _, values, spectra = _bell_report(
+        _bell_states(as_alpha_vectors(points, 5)))
+    return _BELL_SUMMARY, values, spectra
 
 
 # ---------------------------------------------------------------------------
@@ -883,12 +942,17 @@ class Scenario:
     on a scenario's first call and kept for the process; each call does
     the coefficient work alone, starting with validating them.
     ``sweep(points)``, given for every scenario with coefficients,
-    returns the ``(summary, Schmidt spectrum)`` record of each coefficient
-    vector in ``points``, unperturbed and with OPEN/OPEN settings:
-    beam-table scenarios build their plan once and propagate its beams as
-    one stack (:func:`sweep_plan`), and ``bell_test`` propagates all its
-    points' blocks as one stack in the :func:`_bell_states` that its
-    ``evaluate`` runs on a stack of one.
+    evaluates it, unperturbed and with OPEN/OPEN settings, at each
+    coefficient vector of the (n, ``arity``) array ``points``, which it
+    checks first (:func:`as_alpha_vectors`).  It returns arrays, not one
+    record per point: the tuple of summary field names, the (n, k) float
+    matrix of their values, and the (n, r) Schmidt spectra, each row's
+    coefficients largest first and then zeros
+    (:func:`~router_sim.fock.spectra_of`).  Beam-table scenarios build
+    their plan once and propagate its beams as one stack
+    (:func:`sweep_plan`); ``bell_test`` propagates all its points' blocks
+    as one stack and reports them together (:func:`bell_sweep`), on the
+    path that its ``evaluate`` runs on a stack of one.
     """
 
     evaluate: Callable

@@ -12,6 +12,7 @@ import pytest
 
 import router_sim
 from router_sim import cli, scenarios
+from sweep_reference import sweep_text
 
 CIRCUITS = Path(router_sim.__file__).parent / "circuits"
 
@@ -485,17 +486,74 @@ def out_of_memory(*args):
 @pytest.mark.parametrize("scenario", ["bell_test", "disappearing_full"])
 def test_sweep_out_of_memory_exits_3_with_one_line(scenario, where,
                                                    monkeypatch, capsys):
-    # A sweep whose points fit but whose evaluation or JSON text does not.
+    # A sweep whose points fit but whose evaluation or text does not.
     if where == "sweep":
         entry = replace(scenarios.SCENARIOS[scenario], sweep=out_of_memory)
         monkeypatch.setitem(scenarios.SCENARIOS, scenario, entry)
     else:
-        monkeypatch.setattr(cli, "_json_text", out_of_memory)
+        monkeypatch.setattr(cli, "_sweep_text", out_of_memory)
     code, out = run_cli(["sweep", scenario, "--random", "3"])
     assert code == cli.EXIT_USAGE
     assert out == ""
     assert capsys.readouterr().err == (
         "error: a sweep of 3 points does not fit in memory\n")
+
+
+@pytest.fixture(scope="module")
+def swept():
+    """Each swept scenario's points and arrays, by scenario and options."""
+    cache = {}
+
+    def sweep(name, options):
+        if (name, options) not in cache:
+            args = cli.build_parser().parse_args(["sweep", name, *options])
+            points = cli._sweep_points(args, scenarios.SCENARIOS[name].arity)
+            cache[name, options] = (points,
+                                    scenarios.SCENARIOS[name].sweep(points))
+        return cache[name, options]
+
+    return sweep
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("options", [
+    ("--random", "1", "--seed", "3"),
+    ("--random", "300", "--seed", "5"),
+    ("--random", "2000", "--seed", "1"),
+    ("--random", "20000", "--seed", "2"),
+    ("--alpha1-grid=-1:1:101",),
+], ids=["random1", "random300", "random2000", "random20000", "grid101"])
+@pytest.mark.parametrize("name", ["three_box_shutter", "disappearing_full",
+                                  "stricter_6beam", "bell_test"])
+def test_sweep_text_is_the_per_record_text(name, options, fmt, swept):
+    # The stacked writer prints what _json_text and csv.writer print from
+    # one record dict per point.
+    points, arrays = swept(name, options)
+    code, out = run_cli(["sweep", name, *options, "--format", fmt])
+    assert code == cli.EXIT_OK
+    expected = sweep_text(fmt, name, points, arrays)
+    assert out == expected + ("\n" if fmt == "json" else "")
+
+
+def test_sweep_text_of_no_points_and_of_short_spectra():
+    # Shapes the command line never sends: no records, and spectra of
+    # zero to three coefficients in one sweep.
+    fields = ("b%s", "a")
+    points = np.zeros((0, 2), dtype=complex)
+    arrays = (fields, np.zeros((0, 2)), np.zeros((0, 3)))
+    assert cli._sweep_text("json", "x", points, *arrays) == sweep_text(
+        "json", "x", points, arrays)
+    # With no records the CSV header still names the summary columns.
+    assert (cli._sweep_text("csv", "x", points, *arrays)
+            == "index,alphas,a,b%s,schmidt\r\n")
+    for fmt in ("json", "csv"):
+        points = np.array([[1, 0], [0.6, 0.8j], [-1j, 0], [0.6, -0.8]])
+        spectra = np.array([[0.5, 0.5, 0], [0, 0, 0], [1, 0, 0],
+                            [0.5, 0.25, 0.25]])
+        arrays = (fields, np.array([[1, np.nan], [-0.0, np.inf],
+                                    [1e16, 1e-5], [0.1, 2.5]]), spectra)
+        assert cli._sweep_text(fmt, "x", points, *arrays) == sweep_text(
+            fmt, "x", points, arrays)
 
 
 def test_simulate_non_utf8_file_exits_3_with_one_line(tmp_path, capsys):

@@ -402,7 +402,9 @@ def test_json_writer_matches_the_stdlib_indented_form(obj):
     assert written(obj) == stdlib_json(obj)
 
 
-def test_float_fast_path_matches_the_rounded_repr():
+def rounding_grid():
+    """Floats on both sides of every 12-digit rounding and text-form
+    boundary from 1e-20 to 1e20, and the finite edge floats."""
     mantissas = [1.0, 1.5, 2.5e-3, 1 / 3, 2 / 3, 9.999999999995,
                  9.9999999999949, 7.0000000000005, 1.23456789012345,
                  4.99999999999999, 0.1 + 0.2]
@@ -411,9 +413,19 @@ def test_float_fast_path_matches_the_rounded_repr():
         for m in mantissas:
             v = m * 10.0 ** exponent
             values += [v, -v, np.nextafter(v, 0.0), np.nextafter(v, np.inf)]
-    values += EDGE_FLOATS[:-3]  # all but NaN and the infinities
-    for v in values:
+    return values + EDGE_FLOATS[:-3]  # all but NaN and the infinities
+
+
+def test_float_fast_path_matches_the_rounded_repr():
+    for v in rounding_grid():
         assert cli._float_text(v) == repr(float(f"{v:.12g}")), v
+
+
+def test_batched_float_texts_match_float_text():
+    values = [float(v) for v in rounding_grid()] + [
+        math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e16,
+        123456789012345.0]
+    assert cli._float_texts(values) == [cli._float_text(v) for v in values]
 
 
 # ---------------------------------------------------------------------------

@@ -194,10 +194,10 @@ def test_bell_tables_match_the_sparse_path(settings, stacked):
     points = [None] + [random_alphas(rng, 5) for _ in range(6)]
     if stacked:
         # Every point in one stack, as a Bell sweep evolves them.
-        states = list(scenarios._bell_states(
+        stacked, _, padded = scenarios._bell_report(scenarios._bell_states(
             [scenarios.equal_alphas(5) if a is None else a for a in points]))
-        tables = [scenarios._bell_table(s, *settings) for s in states]
-        spectra = [scenarios._bell_report(s)[2] for s in states]
+        tables = [scenarios._table(t, *settings) for t in stacked]
+        spectra = [row[row > 0] for row in padded]
     else:
         tables = [scenarios.bell_test(a, *settings) for a in points]
         spectra = [scenarios.bell_scenario(a, *settings).schmidt_spectrum

@@ -1,4 +1,3 @@
-import builtins
 import functools
 import io
 import itertools
@@ -23,6 +22,7 @@ from router_sim.elements import (
 )
 from router_sim.errors import BadCoefficients, BadParam, UnsupportedSector
 from router_sim.fock import FockState, postselect_subsystem
+from sweep_reference import bell_report, records
 
 S2 = math.sqrt(2.0)
 S3 = math.sqrt(3.0)
@@ -746,7 +746,8 @@ def test_compiled_sweep_matches_each_point(name, data):
     entry = scenarios.SCENARIOS[name]
     points = data.draw(sweep_points(entry.arity))
     open_open = (scenarios.OPEN_BOXES, scenarios.OPEN_CAVITIES)
-    for point, (summary, schmidt) in zip(points, entry.sweep(points)):
+    swept = records(*entry.sweep(points))
+    for point, (summary, schmidt) in zip(points, swept, strict=True):
         result = entry.evaluate(point, None, open_open)
         expected = {**result.conditional_probabilities,
                     "fidelity": result.fidelity_to_target}
@@ -826,15 +827,15 @@ def bell_reference():
 @pytest.mark.parametrize("count", [1, 3, 255, 256, 257])
 def test_bell_sweep_is_bell_scenario_point_by_point(count, bell_reference):
     points, expected = bell_reference
-    records = scenarios.SCENARIOS["bell_test"].sweep(points[:count])
-    assert len(records) == count
-    same_bits(records, expected[:count])
+    swept = records(*scenarios.SCENARIOS["bell_test"].sweep(points[:count]))
+    assert len(swept) == count
+    same_bits(swept, expected[:count])
 
 
 @pytest.mark.parametrize("grid", ["0:1:11", "-1:1:33", "0:1:5"])
 def test_bell_grid_sweep_is_bell_scenario_point_by_point(grid):
     points = cli_points([f"--alpha1-grid={grid}"])
-    same_bits(scenarios.SCENARIOS["bell_test"].sweep(points),
+    same_bits(records(*scenarios.SCENARIOS["bell_test"].sweep(points)),
               bell_records_point_by_point(points))
 
 
@@ -873,25 +874,83 @@ def test_bell_sweep_builds_once_and_evolves_once_per_slice(count,
     assert stacks == [count]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--random", "1", "--seed", "3"],
+    ["--random", "2000", "--seed", "1"],
+    ["--alpha1-grid=-1:1:101"],
+])
+def test_bell_report_is_the_per_state_reference_bit_for_bit(argv):
+    # The stacked tables, gap, CHSH value and spectra hold the bits that
+    # the dict tables of one state at a time give.
+    states = scenarios._bell_states(cli_points(argv))
+    tables, values, spectra = scenarios._bell_report(states)
+    assert tables.shape == (len(states), 4, 15)
+    fields = scenarios._BELL_SUMMARY
+    for state, table, (summary, spectrum) in zip(
+            states, tables, records(fields, values, spectra), strict=True):
+        want_tables, want_summary, want_spectrum = bell_report(state)
+        for pair, want in want_tables.items():
+            got = scenarios._table(table, *pair)
+            assert list(got) == list(want)
+            assert (np.array(list(got.values())).tobytes()
+                    == np.array(list(want.values())).tobytes()), pair
+            # The padding past the table's entries is zero.
+            index = list(scenarios._BELL_OUTCOMES).index(pair)
+            assert not table[index, len(want):].any()
+        same_bits([(summary, spectrum)], [(want_summary, want_spectrum)])
+
+
+SWEPT = ("three_box_shutter", "disappearing_full", "stricter_6beam",
+         "bell_test")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", SWEPT)
+@pytest.mark.parametrize("bad,message", [
+    ("zero", r"not normalized: sum \|a\|\^2 = 0\.0 at point 1$"),
+    ("nan", "not finite"),
+    ("inf", "not finite"),
+    ("norm2", r"not normalized: sum \|a\|\^2 = 2\.0\d* at point 1$"),
+    ("arity", "expected rows of"),
+    ("flat", "expected rows of"),
+], ids=["zero", "nan", "inf", "norm2", "arity", "flat"])
+def test_sweeps_check_their_points_at_entry(name, bad, message):
+    entry = scenarios.SCENARIOS[name]
+    points = np.tile(scenarios.equal_alphas(entry.arity), (3, 1))
+    if bad == "zero":
+        points[1] = 0
+    elif bad in ("nan", "inf"):
+        points[1, 0] = complex(bad)
+    elif bad == "norm2":
+        points[1] *= S2
+    elif bad == "arity":
+        points = points[:, 1:]
+    else:
+        points = points[0]
+    with pytest.raises(BadCoefficients, match=message):
+        entry.sweep(points)
+
+
 def test_bell_clamp_removes_almost_no_probability(monkeypatch):
-    # _bell_table clamps each probability with max(v, 0.0); record what
-    # each call removes.  The gap's max(gap, |d|) calls never have a
-    # negative first argument, so they remove nothing.
-    removed = []
+    # _clamp raises each negative probability of the tables to zero;
+    # record what it removes.
+    removed, shapes = [], []
+    original = scenarios._clamp
 
-    def clamp(value, floor):
-        if floor == 0.0:
-            removed.append(builtins.max(-value, 0.0))
-        return builtins.max(value, floor)
+    def clamp(tables):
+        shapes.append(tables.shape)
+        removed.append(np.maximum(-tables, 0.0).sum())
+        return original(tables)
 
-    monkeypatch.setattr(scenarios, "max", clamp, raising=False)
+    monkeypatch.setattr(scenarios, "_clamp", clamp)
     points = np.concatenate([
         cli_points(["--random", "200", "--seed", "4"]),
         cli_points(["--alpha1-grid=0:1:11"]),
     ])
     scenarios.SCENARIOS["bell_test"].sweep(points)
-    # Four tables of 15, 10, 10 and 4 entries per point.
-    assert len(removed) >= 39 * len(points)
+    # One clamp of the four tables (15, 6, 10 and 4 entries, padded to 15)
+    # of every point.
+    assert shapes == [(len(points), 4, 15)]
     assert sum(removed) < 1e-12
 
 
@@ -978,7 +1037,8 @@ def test_compiled_restoration_is_exact_where_each_point_is(name):
     rng = np.random.default_rng(2024)
     points = [random_alphas(rng, entry.arity) for _ in range(40)]
     open_open = (scenarios.OPEN_BOXES, scenarios.OPEN_CAVITIES)
-    for point, (summary, _) in zip(points, entry.sweep(points)):
+    swept = records(*entry.sweep(points))
+    for point, (summary, _) in zip(points, swept, strict=True):
         expected = entry.evaluate(point, None, open_open)
         probabilities = expected.conditional_probabilities
         for key in ("restored_given_postselection",
@@ -1039,8 +1099,10 @@ def test_results_are_bit_identical_on_cold_and_warm_caches():
         clear_caches()
         cold = evaluate()
         warm = evaluate()
-        if isinstance(cold, list):  # a sweep's records
-            assert repr(cold) == repr(warm), case
+        if isinstance(cold, tuple):  # a sweep's arrays
+            fields, values, spectra = cold
+            assert (fields, values.tobytes(), spectra.tobytes()) == (
+                warm[0], warm[1].tobytes(), warm[2].tobytes()), case
         else:
             assert result_bits(cold) == result_bits(warm), case
 

@@ -123,12 +123,7 @@ def _result_payload(result, parameters):
 
 
 def _emit_json(payload, stream):
-    _emit(_json_text(payload), stream)
-
-
-def _emit(text, stream):
-    """Write a JSON document and its final newline."""
-    stream.write(text)
+    stream.write(_json_text(payload))
     # Unbuffered, a write the reader cut short is not an error; this next
     # write is, so a closed stdout is noticed either way.
     stream.write("\n")
@@ -406,10 +401,9 @@ def cmd_sweep(args, stream):
         # The whole text exists before any write.
         raise UsageError(f"a sweep of {len(points)} points does not fit in "
                          "memory") from None
-    if args.format == "csv":
-        stream.write(text)
-    else:
-        _emit(text, stream)
+    stream.write(text)
+    if args.format == "json":
+        stream.write("\n")  # in a write of its own, as _emit_json writes it
     return EXIT_OK
 
 

@@ -540,7 +540,7 @@ def schmidt_spectrum(state, partition):
 def spectrum_of(singular):
     """Squared Schmidt coefficients from the singular values of an
     amplitude matrix: each square above :data:`PRUNE_EPSILON`."""
-    return [float(s) ** 2 for s in singular if s**2 > PRUNE_EPSILON]
+    return [s for s in spectra_of(singular).tolist() if s]
 
 
 def spectra_of(singular):

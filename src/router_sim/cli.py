@@ -379,7 +379,7 @@ def _sweep_text(fmt, scenario, points, fields, values, spectra):
     filled[:, cells.shape[1] - kept.shape[1]:] = kept
     counts = kept.sum(axis=1)
     templates = np.empty(kept.shape[1] + 1, dtype=object)
-    for count in np.unique(counts).tolist():
+    for count in np.flatnonzero(np.bincount(counts)).tolist():
         templates[count] = _record_template(fmt, arity, fields, count)
     body = joint.join(templates[counts].tolist()) % tuple(cells[filled])
     if fmt == "csv":

@@ -171,14 +171,22 @@ def as_alpha_vector(alphas, arity):
     if alphas.shape != (arity,):
         raise BadCoefficients(
             f"expected {arity} coefficients, got {alphas.shape}")
-    return as_alpha_vectors(alphas[None], arity)[0]
+    if not np.isfinite(alphas).all():
+        raise BadCoefficients("coefficients are not finite")
+    with np.errstate(over="ignore"):
+        total = float((np.abs(alphas) ** 2).sum())
+    if abs(total - 1.0) > _NORM_TOL:
+        raise BadCoefficients(
+            f"coefficients are not normalized: sum |a|^2 = {total}")
+    return alphas
 
 
 def as_alpha_vectors(points, arity):
     """``points`` as an (n, ``arity``) complex array, one coefficient
     vector per row; raises :class:`BadCoefficients` unless every row has
-    ``arity`` finite entries and unit norm, the rule of
-    :func:`as_alpha_vector`."""
+    ``arity`` finite entries and unit norm: the rule of
+    :func:`as_alpha_vector`, checked for the whole stack at once (that
+    function keeps its own checks, which cost a run less)."""
     points = np.asarray(points, dtype=complex)
     if points.ndim != 2 or points.shape[1] != arity:
         raise BadCoefficients(
@@ -187,11 +195,12 @@ def as_alpha_vectors(points, arity):
         raise BadCoefficients("coefficients are not finite")
     with np.errstate(over="ignore"):
         totals = (np.abs(points) ** 2).sum(axis=1)
-    off = np.flatnonzero(np.abs(totals - 1.0) > _NORM_TOL)
-    if off.size:
+    off = np.abs(totals - 1.0) > _NORM_TOL
+    if off.any():
+        i = off.argmax()
         raise BadCoefficients(
-            f"coefficients are not normalized: sum |a|^2 = {totals[off[0]]}"
-            + (f" at point {off[0]}" if len(points) > 1 else ""))
+            f"coefficients are not normalized: sum |a|^2 = {totals[i]} "
+            f"at point {i}")
     return points
 
 
@@ -744,13 +753,15 @@ def _bell_tables(states):
     array: ``[i, j]`` holds point i's table of the j-th pair of
     :data:`_BELL_OUTCOMES` in its outcome order, then zeros.
 
-    Every probability is computed by the numpy operations that give it
-    one state at a time, so a stack of any size holds the same bits.  Two
-    that a stack changes are avoided: an (n, 5) @ (5,) product differs in
-    the last bit from each row's own dot product, so Bob's SUPERPOSE
-    amplitude of Alice's conditional state is an (n, 1, 5) @ (5,) product;
-    and the modulus of a numpy complex scalar differs from the array
-    ``np.abs``, which ``np.hypot(re, im)`` reproduces.
+    Every probability takes the numpy operations that give it for one
+    state at a time, so a stack of any size holds the same bits.  Three
+    places where the obvious stacked form rounds differently are avoided.
+    An (n, 5) @ (5,) product differs in the last bit from each row's own
+    dot product, so Bob's SUPERPOSE amplitude of Alice's conditional state
+    is an (n, 1, 5) @ (5,) product.  The modulus that ``abs()`` takes of a
+    numpy complex scalar differs from the array ``np.abs`` and equals
+    ``np.hypot(re, im)``.  Its square, taken of a scalar, is libm's
+    ``pow``, so the array squares it with ``np.float_power``.
     """
     n = len(states)
     bob = _BOB_SUPERPOSITION

@@ -364,14 +364,14 @@ def _sweep_text(fmt, scenario, points, fields, values, spectra):
             np.array(alphas, dtype=object).reshape(n, arity),
             np.array(_texts("%.12g", numbers.ravel().tolist()),
                      dtype=object).reshape(numbers.shape)])
-        joint = ""
+        separator = ""
     else:
         head = '{\n  "scenario": ' + _escape(scenario) + ',\n  "records": ['
         floats = np.hstack([np.ascontiguousarray(points).view(float),
                             values, spectra])
         texts = np.array(_float_texts(floats.ravel().tolist()),
                          dtype=object).reshape(floats.shape)
-        joint = ",\n    "
+        separator = ",\n    "
     cells = np.empty((n, 1 + texts.shape[1]), dtype=object)
     cells[:, 0] = list(map(str, range(n)))
     cells[:, 1:] = texts
@@ -381,7 +381,7 @@ def _sweep_text(fmt, scenario, points, fields, values, spectra):
     templates = np.empty(kept.shape[1] + 1, dtype=object)
     for count in np.flatnonzero(np.bincount(counts)).tolist():
         templates[count] = _record_template(fmt, arity, fields, count)
-    body = joint.join(templates[counts].tolist()) % tuple(cells[filled])
+    body = separator.join(templates[counts].tolist()) % tuple(cells[filled])
     if fmt == "csv":
         return head + body
     return head + ("\n    " + body + "\n  ]" if n else "]") + "\n}"

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from router_sim import cli, dsl, scenarios
-from router_sim.fock import spectrum_of
+from router_sim.fock import PRUNE_EPSILON
 
 OPEN_BOXES, OPEN_CAVITIES = scenarios.OPEN_BOXES, scenarios.OPEN_CAVITIES
 SUPERPOSE = scenarios.SUPERPOSE
@@ -139,5 +139,6 @@ def bell_report(state):
     tables = {pair: bell_table(state, *pair) for pair in SETTINGS}
     summary = {"no_signaling_gap": no_signaling_gap(tables),
                "chsh": chsh(tables)}
-    return tables, summary, spectrum_of(np.linalg.svd(state,
-                                                      compute_uv=False))
+    singular = np.linalg.svd(state, compute_uv=False)
+    spectrum = [float(s) ** 2 for s in singular if s**2 > PRUNE_EPSILON]
+    return tables, summary, spectrum

@@ -345,10 +345,10 @@ def _sweep_text(fmt, scenario, points, fields, values, spectra):
     without its final newline, or the CSV rows under their header.
 
     It equals what :func:`_json_text` writes for the records, or what a
-    ``csv.writer`` writes for the rows, with no Python work per point:
-    every number of the sweep is one slot of a record template made once
-    per sweep for each length of Schmidt spectrum, and the numbers are
-    rounded in one ``%`` call.  JSON rounds through :func:`_float_texts`;
+    ``csv.writer`` writes for the rows, without a dict or a recursive call
+    per record: every number of the sweep is one slot of a record template
+    made once per sweep for each length of Schmidt spectrum, and the
+    numbers are rounded in one ``%`` call.  JSON rounds through :func:`_float_texts`;
     CSV writes the summary and spectra as ``%.12g``, the coefficients by
     :func:`dsl.render_weight`, and the summary columns in name order.
     """

@@ -348,8 +348,8 @@ def _sweep_text(fmt, scenario, points, fields, values, spectra):
     ``csv.writer`` writes for the rows, without a dict or a recursive call
     per record: every number of the sweep is one slot of a record template
     made once per sweep for each length of Schmidt spectrum, and the
-    numbers are rounded in one ``%`` call.  JSON rounds through :func:`_float_texts`;
-    CSV writes the summary and spectra as ``%.12g``, the coefficients by
+    numbers are rounded in one ``%`` call.  JSON rounds through
+    :func:`_float_texts`; CSV writes the summary and spectra as ``%.12g``, the coefficients by
     :func:`dsl.render_weight`, and the summary columns in name order.
     """
     n, arity = points.shape
@@ -358,33 +358,35 @@ def _sweep_text(fmt, scenario, points, fields, values, spectra):
         order = sorted(range(len(fields)), key=fields.__getitem__)
         fields = tuple(fields[i] for i in order)
         head = ",".join(["index", "alphas", *fields, "schmidt"]) + "\r\n"
-        alphas = list(map(dsl.render_weight, points.ravel().tolist()))
         numbers = np.hstack([values[:, order], spectra])
-        texts = np.hstack([
-            np.array(alphas, dtype=object).reshape(n, arity),
-            np.array(_texts("%.12g", numbers.ravel().tolist()),
-                     dtype=object).reshape(numbers.shape)])
-        separator = ""
+        cells = np.empty((n, 1 + arity + numbers.shape[1]), dtype=object)
+        cells[:, 1:1 + arity] = np.array(
+            list(map(dsl.render_weight, points.ravel().tolist())),
+            dtype=object).reshape(n, arity)
+        cells[:, 1 + arity:] = np.array(
+            _texts("%.12g", numbers.ravel().tolist()),
+            dtype=object).reshape(numbers.shape)
+        separator, tail = "", ""
     else:
-        head = '{\n  "scenario": ' + _escape(scenario) + ',\n  "records": ['
+        head = ('{\n  "scenario": ' + _escape(scenario) + ',\n  "records": ['
+                + ("\n    " if n else ""))
         floats = np.hstack([np.ascontiguousarray(points).view(float),
                             values, spectra])
-        texts = np.array(_float_texts(floats.ravel().tolist()),
-                         dtype=object).reshape(floats.shape)
-        separator = ",\n    "
-    cells = np.empty((n, 1 + texts.shape[1]), dtype=object)
+        cells = np.empty((n, 1 + floats.shape[1]), dtype=object)
+        cells[:, 1:] = np.array(_float_texts(floats.ravel().tolist()),
+                                dtype=object).reshape(floats.shape)
+        separator, tail = ",\n    ", ("\n  ]" if n else "]") + "\n}"
     cells[:, 0] = list(map(str, range(n)))
-    cells[:, 1:] = texts
     filled = np.ones(cells.shape, dtype=bool)
     filled[:, cells.shape[1] - kept.shape[1]:] = kept
     counts = kept.sum(axis=1)
     templates = np.empty(kept.shape[1] + 1, dtype=object)
     for count in np.flatnonzero(np.bincount(counts)).tolist():
         templates[count] = _record_template(fmt, arity, fields, count)
-    body = separator.join(templates[counts].tolist()) % tuple(cells[filled])
-    if fmt == "csv":
-        return head + body
-    return head + ("\n    " + body + "\n  ]" if n else "]") + "\n}"
+    # One % call makes the whole text, so no copy of it is made afterwards
+    # while the number texts are still alive.
+    body = separator.join(templates[counts].tolist())
+    return (head.replace("%", "%%") + body + tail) % tuple(cells[filled])
 
 
 def cmd_sweep(args, stream):

@@ -534,20 +534,20 @@ def schmidt_spectrum(state, partition):
     matrix = np.zeros((len(left_index), len(right_index)), dtype=complex)
     for li, ri, amp in entries:
         matrix[li, ri] = amp
-    return spectrum_of(np.linalg.svd(matrix, compute_uv=False))
+    return spectrum_of(spectra_of(np.linalg.svd(matrix, compute_uv=False)))
 
 
-def spectrum_of(singular):
-    """Squared Schmidt coefficients from the singular values of an
-    amplitude matrix: each square above :data:`PRUNE_EPSILON`."""
-    return [s for s in spectra_of(singular).tolist() if s]
+def spectrum_of(row):
+    """One row of :func:`spectra_of` as a list, without its zero
+    padding."""
+    return [s for s in row.tolist() if s]
 
 
 def spectra_of(singular):
-    """:func:`spectrum_of` of each row of a stack of singular values, as
-    one array: a row's squares above :data:`PRUNE_EPSILON`, largest first,
-    then zeros.  ``np.float_power`` squares by libm's ``pow``, as ``float
-    ** 2`` does; a product ``s * s`` differs from it in the last bit of
-    about one square in a thousand."""
+    """Squared Schmidt coefficients from the singular values of amplitude
+    matrices, one row per matrix: a row's squares above
+    :data:`PRUNE_EPSILON`, largest first, then zeros.  ``np.float_power``
+    squares by libm's ``pow``, as ``float ** 2`` does; a product ``s * s``
+    differs from it in the last bit of about one square in a thousand."""
     squares = np.float_power(singular, 2)
     return np.where(squares > PRUNE_EPSILON, squares, 0.0)

@@ -65,6 +65,7 @@ from .fock import (
     pruned,
     row_norms,
     spectra_of,
+    spectrum_of,
     superposition_source,
 )
 
@@ -165,42 +166,37 @@ class ScenarioPlan:
 
 def as_alpha_vector(alphas, arity):
     """``alphas`` as a complex vector of length ``arity``; raises
-    :class:`BadCoefficients` unless it has that length, finite entries and
-    unit norm."""
+    :class:`BadCoefficients` unless it has that length and passes
+    :func:`as_alpha_vectors` as a stack of one."""
     alphas = np.asarray(list(alphas), dtype=complex)
     if alphas.shape != (arity,):
         raise BadCoefficients(
             f"expected {arity} coefficients, got {alphas.shape}")
-    if not np.isfinite(alphas).all():
-        raise BadCoefficients("coefficients are not finite")
-    with np.errstate(over="ignore"):
-        total = float((np.abs(alphas) ** 2).sum())
-    if abs(total - 1.0) > _NORM_TOL:
-        raise BadCoefficients(
-            f"coefficients are not normalized: sum |a|^2 = {total}")
-    return alphas
+    return as_alpha_vectors(alphas[None], arity)[0]
 
 
 def as_alpha_vectors(points, arity):
     """``points`` as an (n, ``arity``) complex array, one coefficient
     vector per row; raises :class:`BadCoefficients` unless every row has
-    ``arity`` finite entries and unit norm: the rule of
-    :func:`as_alpha_vector`, checked for the whole stack at once (that
-    function keeps its own checks, which cost a run less)."""
+    ``arity`` finite entries and unit norm.  The message names the first
+    bad row of a stack of more than one."""
     points = np.asarray(points, dtype=complex)
     if points.ndim != 2 or points.shape[1] != arity:
         raise BadCoefficients(
             f"expected rows of {arity} coefficients, got {points.shape}")
-    if not np.isfinite(points).all():
-        raise BadCoefficients("coefficients are not finite")
     with np.errstate(over="ignore"):
         totals = (np.abs(points) ** 2).sum(axis=1)
-    off = np.abs(totals - 1.0) > _NORM_TOL
-    if off.any():
-        i = off.argmax()
+    # A row with a NaN or an infinite entry has a NaN or infinite total,
+    # which fails this test, so only a failing stack is checked for them.
+    unit = np.abs(totals - 1.0) <= _NORM_TOL
+    if not unit.all():
+        if not np.isfinite(points).all():
+            raise BadCoefficients("coefficients are not finite")
+        i = unit.argmin()
+        where = f" at point {i}" if len(points) > 1 else ""
         raise BadCoefficients(
-            f"coefficients are not normalized: sum |a|^2 = {totals[i]} "
-            f"at point {i}")
+            f"coefficients are not normalized: sum |a|^2 = {totals[i]}"
+            + where)
     return points
 
 
@@ -404,7 +400,7 @@ def run_plan(plan):
         fidelity_to_target=fidelity,
         weak_values={},
         abl_values={},
-        schmidt_spectrum=[s for s in spectra[0].tolist() if s],
+        schmidt_spectrum=spectrum_of(spectra[0]),
         metadata={},
         probe=(plan.probe_modes, probes[0]),
     )
@@ -864,8 +860,7 @@ def _chsh(tables):
     table order, and the four are added in that order from 0.0.  The value
     is reported, not asserted against any bound.
     """
-    signed, total = _running_sum(np.array([tables * _CHSH_SIGNS, tables]), 3)
-    e = signed / total
+    e = _running_sum(tables * _CHSH_SIGNS, 2) / _running_sum(tables, 2)
     return 0.0 + e[:, 0] + e[:, 1] + e[:, 2] - e[:, 3]
 
 
@@ -891,7 +886,7 @@ def bell_scenario(alphas=None, alice_setting=OPEN_BOXES,
         fidelity_to_target=None,
         weak_values={},
         abl_values={},
-        schmidt_spectrum=[s for s in spectra[0].tolist() if s],
+        schmidt_spectrum=spectrum_of(spectra[0]),
         metadata=dict(zip(_BELL_SUMMARY, values[0].tolist())),
     )
 

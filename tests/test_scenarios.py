@@ -163,6 +163,16 @@ def test_coefficients_must_have_the_scenario_arity():
         scenarios.as_alpha_vector([1, 0], 3)
 
 
+def test_one_vector_is_checked_by_the_stacked_rule():
+    # A run's message names no point, since it has only one.
+    with pytest.raises(BadCoefficients,
+                       match=r"not normalized: sum \|a\|\^2 = 2\.0$"):
+        scenarios.as_alpha_vector([1, 1], 2)
+    with pytest.raises(BadCoefficients, match="not normalized"):
+        scenarios.as_alpha_vector([0, 0], 2)
+    assert scenarios.as_alpha_vector([0.6, 0.8j], 2).tolist() == [0.6, 0.8j]
+
+
 def test_three_box_carries_tsvf_values():
     result = scenarios.three_box_shutter(1 / S2, 1 / S2)
     assert result.abl_values[("A", "t")] == pytest.approx(1.0)

@@ -349,8 +349,9 @@ def _sweep_text(fmt, scenario, points, fields, values, spectra):
     per record: every number of the sweep is one slot of a record template
     made once per sweep for each length of Schmidt spectrum, and the
     numbers are rounded in one ``%`` call.  JSON rounds through
-    :func:`_float_texts`; CSV writes the summary and spectra as ``%.12g``, the coefficients by
-    :func:`dsl.render_weight`, and the summary columns in name order.
+    :func:`_float_texts`; CSV writes the summary and spectra as ``%.12g``,
+    the coefficients by :func:`dsl.render_weight`, and the summary columns
+    in name order.
     """
     n, arity = points.shape
     kept = spectra > 0
@@ -385,8 +386,8 @@ def _sweep_text(fmt, scenario, points, fields, values, spectra):
         templates[count] = _record_template(fmt, arity, fields, count)
     # One % call makes the whole text, so no copy of it is made afterwards
     # while the number texts are still alive.
-    body = separator.join(templates[counts].tolist())
-    return (head.replace("%", "%%") + body + tail) % tuple(cells[filled])
+    records = separator.join(templates[counts].tolist())
+    return (head.replace("%", "%%") + records + tail) % tuple(cells[filled])
 
 
 def cmd_sweep(args, stream):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elements import (
-    _distinct,
+    _pair,
     beamsplitter,
     evolve,
     ns_single,
@@ -43,8 +43,8 @@ from .fock import (
     PHOTON_BUDGET,
     Sectors,
     normalized_rows,
+    photon_amplitudes,
     register_modes,
-    superposition_source,
 )
 
 _WEIGHT_NORM_TOL = 1e-9
@@ -93,12 +93,29 @@ class SourceStmt:
     line: int = field(default=0, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElementStmt:
     op: str
     params: tuple  # numeric parameters / orientation keyword
     modes: tuple
     line: int = field(default=0, compare=False, repr=False)
+
+
+_SET_OP = ElementStmt.op.__set__
+_SET_PARAMS = ElementStmt.params.__set__
+_SET_MODES = ElementStmt.modes.__set__
+_SET_LINE = ElementStmt.line.__set__
+
+
+def _element_stmt(op, params, modes, line):
+    """``ElementStmt(op, params, modes, line)``, its slots set directly
+    rather than through the frozen ``__init__``'s ``object.__setattr__``."""
+    stmt = object.__new__(ElementStmt)
+    _SET_OP(stmt, op)
+    _SET_PARAMS(stmt, params)
+    _SET_MODES(stmt, modes)
+    _SET_LINE(stmt, line)
+    return stmt
 
 
 @dataclass(frozen=True)
@@ -182,7 +199,8 @@ def _weights(line_number, text, tokens, declared):
     pairs = []
     for index in range(1, n, 2):
         name, raw = tokens[index], tokens[index + 1]
-        if not _IDENT_RE.match(name):
+        # A declared name is a valid one.
+        if name not in declared and not _IDENT_RE.match(name):
             _fail(line_number, text, index, f"invalid mode name {name!r}",
                   name)
         weight = parse_weight(raw)
@@ -190,9 +208,11 @@ def _weights(line_number, text, tokens, declared):
             _fail(line_number, text, index + 1,
                   f"invalid complex weight {raw!r}", raw)
         pairs.append((name, weight))
-    for index in range(1, n, 2):
-        _require(line_number, text, index, tokens[index], declared,
-                 tokens[1:index:2])
+    names = tokens[1::2]
+    if not declared.issuperset(names) or len(set(names)) < len(names):
+        for index in range(1, n, 2):
+            _require(line_number, text, index, tokens[index], declared,
+                     tokens[1:index:2])
     try:
         total = sum(abs(w) ** 2 for _, w in pairs)
     except OverflowError:
@@ -232,7 +252,12 @@ def _counts(line_number, text, tokens, start, declared):
 # A parameter reader takes the parameter's token ("" if the line ends
 # before it) and returns its value or raises ValueError saying what is wrong.
 def _real(token):
-    value = float(token) if _REAL_RE.match(token) else math.nan
+    # A finite float() is a real literal (_REAL) or one with "_" between
+    # its digits; "inf", "nan" and an overflow to infinity are not finite.
+    try:
+        value = math.nan if "_" in token else float(token)
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value):
         raise ValueError(f"invalid real literal {token!r}" if token
                          else "expected a real parameter")
@@ -246,8 +271,9 @@ def _orientation(token):
     return token
 
 
-# op: (parameter readers, mode count, constructor).  The constructor takes
-# the parsed parameters followed by the mode names.
+# op: (parameter readers, mode count, constructor).  An op takes at most
+# one parameter.  The constructor takes the parsed parameter followed by the
+# mode names.
 _ELEMENT_OPS = {
     "bs": ((_real,), 2, beamsplitter),
     "ps": ((_real,), 1, phase_shifter),
@@ -255,8 +281,8 @@ _ELEMENT_OPS = {
     "ns2": ((), 2, ns_two_mode),
     "pqr": ((_orientation,), 3,
             lambda orientation, *modes: pqr_ideal(*modes, orientation)),
-    "relabel": ((), 2, lambda *modes: relabel(
-        dict(zip(_distinct(modes), modes[::-1])))),
+    "relabel": ((), 2, lambda a, b: relabel(dict(zip(_pair(a, b),
+                                                     (b, a))))),
     "tunnel": ((_real,), 2, tunneling),
 }
 
@@ -285,26 +311,29 @@ def parse(text):
 
         if op is not None:
             readers, n_modes, _ = op
-            params = []
-            for index, read in enumerate(readers, 1):
-                token = tokens[index] if index < n else ""
+            params = ()
+            if readers:
+                token = tokens[1] if n > 1 else ""
                 try:
-                    params.append(read(token))
+                    params = (readers[0](token),)
                 except ValueError as exc:
-                    _fail(line_number, line, index, str(exc), token)
-            first, end = 1 + len(readers), 1 + len(readers) + n_modes
-            for index, name in enumerate(tokens[first:end], first):
-                if name not in declared:
-                    _fail(line_number, line, index,
-                          f"undeclared mode {name!r}", name)
-            if n < end:
-                _fail(line_number, line, n,
-                      f"{directive} requires {_MODE_WORDS[n_modes]}")
-            if n > end:
+                    _fail(line_number, line, 1, str(exc), token)
+            first = 1 + len(readers)
+            end = first + n_modes
+            names = tokens[first:end]
+            if not declared.issuperset(names):
+                for index, name in enumerate(names, first):
+                    if name not in declared:
+                        _fail(line_number, line, index,
+                              f"undeclared mode {name!r}", name)
+            if n != end:
+                if n < end:
+                    _fail(line_number, line, n,
+                          f"{directive} requires {_MODE_WORDS[n_modes]}")
                 _fail(line_number, line, end,
                       f"trailing tokens after {directive}")
-            elements.append(ElementStmt(directive, tuple(params),
-                                        tuple(tokens[first:]), line_number))
+            elements.append(_element_stmt(directive, params, tuple(names),
+                                          line_number))
 
         elif directive == "mode":
             if n == 1:
@@ -316,13 +345,17 @@ def parse(text):
             if name in declared:
                 _fail(line_number, line, 1,
                       f"duplicate declaration of mode {name!r}", name)
-            for index, (allowed, what, hint) in enumerate(_MODE_TAGS, 2):
-                if index == n:
-                    _fail(line_number, line, n, f"expected a {what}{hint}")
-                if tokens[index] not in allowed:
-                    _fail(line_number, line, index,
-                          f"unknown {what} {tokens[index]!r}", tokens[index])
-            if n > 5:
+            if (n != 5 or tokens[2] not in _BOX_TAGS
+                    or tokens[3] not in _TIME_TAGS
+                    or tokens[4] not in _ROLE_TAGS):
+                for index, (allowed, what, hint) in enumerate(_MODE_TAGS, 2):
+                    if index == n:
+                        _fail(line_number, line, n,
+                              f"expected a {what}{hint}")
+                    if tokens[index] not in allowed:
+                        _fail(line_number, line, index,
+                              f"unknown {what} {tokens[index]!r}",
+                              tokens[index])
                 _fail(line_number, line, 5,
                       "trailing tokens after mode declaration")
             declared.add(name)
@@ -392,7 +425,8 @@ def render(doc):
 class CompiledCircuit:
     initial: Sectors
     schedule: list
-    postselects: list  # ("pattern", {mode: count}) | ("state", FockState)
+    # ("pattern", {mode: count}) | ("state", (modes, one-photon amplitudes))
+    postselects: list
     detects: list  # (name, {mode: count})
 
 
@@ -449,9 +483,9 @@ def compile_doc(doc):
                     "postselect_state must leave at least one declared mode "
                     "unselected",
                 )
-            sub = register_modes([n for n, _ in ps.weights])
-            sub = superposition_source(sub, dict(ps.weights))
-            postselects.append(("state", sub))
+            postselects.append(("state", (
+                tuple(n for n, _ in ps.weights),
+                photon_amplitudes([w for _, w in ps.weights]))))
     detects = [(det.name, dict(det.pattern)) for det in doc.detects]
     return CompiledCircuit(initial, schedule, postselects, detects)
 
@@ -469,34 +503,34 @@ def execute(compiled):
     amplitudes = final.fock_amplitudes()
     probabilities = np.abs(amplitudes) ** 2
     postselections = []
-    conditioned = []  # (probabilities of the conditional state, its modes)
+    # (probabilities of the conditional state, the modes it no longer has)
+    conditioned = []
     for kind, payload in compiled.postselects:
         if kind == "pattern":
             mask = final.matches(payload)
             kept = np.where(mask, amplitudes, 0j)
             probability = float(probabilities[mask].sum())
-            modes = final.state.modes
+            consumed = ()
         else:
-            kept, probability = final.postselect_state(payload)
-            modes = [m for m in final.state.modes if m not in payload.modes]
+            consumed, target = payload
+            kept, probability = final.postselect_state(amplitudes, consumed,
+                                                       target)
         postselections.append({"kind": kind, "probability": probability})
-        conditioned.append((np.abs(normalized_rows(kept)) ** 2, modes))
+        conditioned.append((np.abs(normalized_rows(kept)) ** 2, consumed))
 
     detections = []
     for name, pattern in compiled.detects:
         # Detection patterns refer to probe modes, which survive a
         # subsystem post-selection; a zero state detects with probability 0.
-        conditional = [
-            float(given[final.matches(
-                {m: c for m, c in pattern.items() if m in modes}
-            )].sum())
-            for given, modes in conditioned
-        ]
+        mask = final.matches(pattern)
+        conditional = []
+        for given, consumed in conditioned:
+            rest = {m: c for m, c in pattern.items() if m not in consumed}
+            kept = mask if len(rest) == len(pattern) else final.matches(rest)
+            conditional.append(float(given[kept].sum()))
         detections.append({
             "name": name,
-            "probability": float(
-                probabilities[final.matches(pattern)].sum()
-            ),
+            "probability": float(probabilities[mask].sum()),
             "conditional": conditional,
         })
     return {"postselections": postselections, "detections": detections}

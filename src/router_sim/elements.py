@@ -5,7 +5,13 @@ a pure function on :class:`~router_sim.fock.FockState`, computed on its
 sector form (:class:`~router_sim.fock.Sectors`) once per schedule.  Each
 run of consecutive linear elements and relabels is composed into one mode
 matrix, which acts on the sector form once, ahead of the NS gate or router
-that ends the run.  The beamsplitter uses the symmetric convention
+that ends the run.  The run's matrix starts as the identity and each
+element updates only its own rows: a beamsplitter or tunneling element
+multiplies its two rows by its 2 x 2 matrix, taken from one array that
+:func:`evolve` builds for the whole schedule from the scalar entries of
+:func:`bs_matrix` and :func:`tunnel_matrix`; a phase shifter scales its
+row by a scalar; a relabel moves rows.  The beamsplitter uses the symmetric
+convention
 
     BS(r) = [[sqrt(r), i*sqrt(1-r)], [i*sqrt(1-r), sqrt(r)]],
 
@@ -67,12 +73,13 @@ class RouterOrientation(Enum):
 _NO_PARAMS = MappingProxyType({})
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Element:
     """One circuit primitive bound to an ordered tuple of modes.
 
     The factories below give ``params`` as a read-only mapping, so an
     element can be shared, as the plans of a scenario share theirs.
+    Elements compare and hash by identity.
     """
 
     kind: ElementKind
@@ -90,16 +97,39 @@ class Element:
         return self.modes[0]
 
 
-def bs_matrix(r):
+_SET_KIND = Element.kind.__set__
+_SET_MODES = Element.modes.__set__
+_SET_PARAMS = Element.params.__set__
+
+
+def _element(kind, modes, params=_NO_PARAMS):
+    """``Element(kind, modes, params)``, its slots set directly rather
+    than through the frozen ``__init__``'s ``object.__setattr__``."""
+    element = object.__new__(Element)
+    _SET_KIND(element, kind)
+    _SET_MODES(element, modes)
+    _SET_PARAMS(element, params)
+    return element
+
+
+# The entries of a beamsplitter's and a tunneling element's 2 x 2 mode
+# matrix, row by row.
+def _bs_entries(r):
     t = math.sqrt(1.0 - r)
-    return np.array(
-        [[math.sqrt(r), 1j * t], [1j * t, math.sqrt(r)]], dtype=complex
-    )
+    return math.sqrt(r), 1j * t, 1j * t, math.sqrt(r)
+
+
+def _tunnel_entries(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return c, -1j * s, -1j * s, c
+
+
+def bs_matrix(r):
+    return np.array(_bs_entries(r), dtype=complex).reshape(2, 2)
 
 
 def tunnel_matrix(theta):
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+    return np.array(_tunnel_entries(theta), dtype=complex).reshape(2, 2)
 
 
 def _finite_angle(angle):
@@ -116,23 +146,29 @@ def _distinct(modes):
     return modes
 
 
+def _pair(mode_a, mode_b):
+    if mode_a == mode_b:
+        raise BadParam(f"element modes {(mode_a, mode_b)} must be distinct")
+    return (mode_a, mode_b)
+
+
 def beamsplitter(r, mode_a, mode_b):
     """Beamsplitter of reflectivity ``r`` on two modes."""
     if not 0.0 <= r <= 1.0:
         raise BadParam(f"reflectivity {r} outside [0, 1]")
-    return Element(ElementKind.BS, _distinct((mode_a, mode_b)),
-                   MappingProxyType({"r": float(r)}))
+    return _element(ElementKind.BS, _pair(mode_a, mode_b),
+                    MappingProxyType({"r": float(r)}))
 
 
 def phase_shifter(angle, mode_):
     """Single-mode phase shifter: n photons acquire exp(i*n*angle)."""
-    return Element(ElementKind.PHASE, (mode_,),
-                   MappingProxyType({"angle": _finite_angle(angle)}))
+    return _element(ElementKind.PHASE, (mode_,),
+                    MappingProxyType({"angle": _finite_angle(angle)}))
 
 
 def ns_single(mode_):
     """Idealized unit-success nonlinear-sign gate on one mode."""
-    return Element(ElementKind.NS_SINGLE, (mode_,))
+    return _element(ElementKind.NS_SINGLE, (mode_,))
 
 
 def ns_two_mode(mode_a, mode_b):
@@ -143,15 +179,15 @@ def ns_two_mode(mode_a, mode_b):
     and exchanges |2,0> and |0,2> with amplitude one; states of at most
     one photon pass unchanged.
     """
-    return Element(ElementKind.NS_TWO_MODE, _distinct((mode_a, mode_b)))
+    return _element(ElementKind.NS_TWO_MODE, _pair(mode_a, mode_b))
 
 
 def _router(kind, probe_a, probe_b, control, orientation):
     if len({probe_a, probe_b, control}) != 3:
         raise BadParam("router needs three distinct modes")
-    return Element(kind, (probe_a, probe_b, control),
-                   MappingProxyType(
-                       {"orientation": RouterOrientation(orientation)}))
+    return _element(kind, (probe_a, probe_b, control),
+                    MappingProxyType(
+                        {"orientation": RouterOrientation(orientation)}))
 
 
 def pqr_ideal(probe_a, probe_b, control,
@@ -185,8 +221,8 @@ def pqr_decomposed(probe_a, probe_b, control,
 
 def tunneling(theta, mode_a, mode_b):
     """Two-mode tunneling exp(-i*theta*sigma_x) between two boxes."""
-    return Element(ElementKind.TUNNEL, _distinct((mode_a, mode_b)),
-                   MappingProxyType({"theta": _finite_angle(theta)}))
+    return _element(ElementKind.TUNNEL, _pair(mode_a, mode_b),
+                    MappingProxyType({"theta": _finite_angle(theta)}))
 
 
 def relabel(mapping):
@@ -200,8 +236,8 @@ def relabel(mapping):
     if len(set(keys)) != len(keys) or set(keys) != set(values):
         raise BadParam("relabel mapping must be a bijection")
     mapping = MappingProxyType(dict(mapping))
-    return Element(ElementKind.RELABEL, tuple(keys),
-                   MappingProxyType({"mapping": mapping}))
+    return _element(ElementKind.RELABEL, tuple(keys),
+                    MappingProxyType({"mapping": mapping}))
 
 
 def mode_unitary(u, modes):
@@ -212,20 +248,8 @@ def mode_unitary(u, modes):
     """
     modes = _distinct(modes)
     u = _check_unitary(u, len(modes))
-    return Element(ElementKind.MODE_UNITARY, modes,
-                   MappingProxyType({"matrix": u}))
-
-
-def _mode_matrix(element):
-    """Mode matrix of a linear element (BS, PHASE, TUNNEL, MODE_UNITARY)."""
-    kind, params = element.kind, element.params
-    if kind is ElementKind.BS:
-        return bs_matrix(params["r"])
-    if kind is ElementKind.PHASE:
-        return np.array([[cmath.exp(1j * params["angle"])]])
-    if kind is ElementKind.TUNNEL:
-        return tunnel_matrix(params["theta"])
-    return params["matrix"]
+    return _element(ElementKind.MODE_UNITARY, modes,
+                    MappingProxyType({"matrix": u}))
 
 
 @functools.lru_cache(maxsize=256)
@@ -318,14 +342,45 @@ def _identity(n):
     return np.eye(n, dtype=complex)
 
 
+def _pair_matrices(elements, adjoint):
+    """The 2 x 2 mode matrices of the beamsplitters and tunneling elements
+    among ``elements``, in their order, as one (k, 2, 2) array, or their
+    adjoints; None if there are none.  Each entry is the scalar that
+    :func:`bs_matrix` or :func:`tunnel_matrix` computes."""
+    entries = []
+    for element in elements:
+        kind = element.kind
+        if kind is ElementKind.BS:
+            entries += _bs_entries(element.params["r"])
+        elif kind is ElementKind.TUNNEL:
+            entries += _tunnel_entries(element.params["theta"])
+    if not entries:
+        return None
+    matrices = np.array(entries, dtype=complex).reshape(-1, 2, 2)
+    return matrices.conj().transpose(0, 2, 1) if adjoint else matrices
+
+
+_PAIRED = (ElementKind.BS, ElementKind.TUNNEL)
+
+
 def evolve(sectors, elements, adjoint=False):
     """Apply ``elements``, or their adjoint, to ``sectors`` in place; see
-    :func:`apply_schedule`.  ``run`` is the mode matrix of the current run of
-    linear elements and relabels (None for the identity)."""
+    :func:`apply_schedule`.
+
+    ``run`` is the mode matrix of the current run of linear elements and
+    relabels (None for the identity).  Each element of the run updates
+    only its own rows of it: a beamsplitter or tunneling element
+    multiplies its two rows by its matrix from ``_pair_matrices``, a
+    phase shifter scales its row and a relabel moves rows.
+    """
     index = sectors.state._index
+    if adjoint:
+        elements = elements[::-1]
+    pairs = _pair_matrices(elements, adjoint)
+    k = 0  # the next of ``pairs``
     run = None
-    for element in reversed(elements) if adjoint else elements:
-        kind, modes = element.kind, element.modes
+    for element in elements:
+        kind = element.kind
         rule = _RULES.get(kind)
         if rule is not None:
             if run is not None:
@@ -335,28 +390,36 @@ def evolve(sectors, elements, adjoint=False):
             continue
         if run is None:
             run = _identity(len(sectors.one)).copy()
-        if kind is ElementKind.RELABEL:
-            mapping = element.params["mapping"]
-            if adjoint:
-                mapping = {v: k for k, v in mapping.items()}
-            # The photons of mode ``src`` move to mode ``dst``.
-            perm = list(range(len(run)))
-            for src, dst in mapping.items():
-                perm[index[dst]] = index[src]
-            run = run[perm]
-            continue
-        u = _mode_matrix(element)
-        u = u.conj().T if adjoint else u
-        if len(modes) == 1:
-            run[index[modes[0]]] *= u[0, 0]
-        elif len(modes) == 2:
+        modes = element.modes
+        if kind in _PAIRED:
             # Rows i and j, in that order, as one strided view.
             i, j = index[modes[0]], index[modes[1]]
             rows = run[i::j - i][:2]
-            rows[:] = u @ rows
+            rows[:] = pairs[k] @ rows
+            k += 1
+        elif kind is ElementKind.PHASE:
+            phase = cmath.exp(1j * element.params["angle"])
+            run[index[modes[0]]] *= phase.conjugate() if adjoint else phase
+        elif kind is ElementKind.RELABEL:
+            # The photons of mode ``src`` move to mode ``dst``.
+            mapping = element.params["mapping"]
+            src = [index[m] for m in mapping.keys()]
+            dst = [index[m] for m in mapping.values()]
+            if adjoint:
+                src, dst = dst, src
+            run[dst] = run[src]
         else:
+            u = element.params["matrix"]
+            u = u.conj().T if adjoint else u
             positions = [index[m] for m in modes]
-            run[positions] = u @ run[positions]
+            if len(modes) == 1:
+                run[positions[0]] *= u[0, 0]
+            elif len(modes) == 2:
+                i, j = positions
+                rows = run[i::j - i][:2]
+                rows[:] = u @ rows
+            else:
+                run[positions] = u @ run[positions]
     if run is not None:
         sectors.apply_mode_matrix(run)
 

@@ -84,13 +84,7 @@ class FockState:
 
     def __init__(self, modes, amplitudes):
         modes = tuple(modes)
-        index = _ModeIndex()
-        for i, label in enumerate(modes):
-            if not isinstance(label, str) or not label:
-                raise BadParam(f"mode {label!r} is not a non-empty name")
-            if label in index:
-                raise DuplicateMode(f"duplicate mode label {label!r}")
-            index[label] = i
+        index = _mode_index(modes)
         checked = {}
         n_modes = len(modes)
         for config, amp in amplitudes.items():
@@ -161,6 +155,18 @@ class FockState:
         )
 
 
+def _mode_index(modes):
+    """The :class:`_ModeIndex` of the mode names ``modes``, checked."""
+    index = _ModeIndex()
+    for i, label in enumerate(modes):
+        if not isinstance(label, str) or not label:
+            raise BadParam(f"mode {label!r} is not a non-empty name")
+        if label in index:
+            raise DuplicateMode(f"duplicate mode label {label!r}")
+        index[label] = i
+    return index
+
+
 def register_modes(labels):
     """Return the vacuum state over the mode names ``labels``.
 
@@ -170,8 +176,10 @@ def register_modes(labels):
     labels = tuple(labels)
     if not labels:
         raise BadParam("at least one mode is required")
-    vacuum = (0,) * len(labels)
-    return FockState(labels, {vacuum: 1.0 + 0j})
+    # The vacuum needs none of the constructor's checks of a configuration.
+    vacuum = object.__new__(FockState)
+    vacuum._set(labels, _mode_index(labels), {(0,) * len(labels): 1 + 0j})
+    return vacuum
 
 
 def superposition_source(state, weights):
@@ -201,6 +209,25 @@ def superposition_source(state, weights):
     if result.is_zero:
         raise BadParam("superposition weights are all zero")
     return result.normalized()
+
+
+def photon_amplitudes(weights):
+    """The amplitudes of one photon in the modes of ``weights``, one per
+    weight and in their order, as :func:`superposition_source` adds it to
+    the vacuum over those modes: each finite weight, pruned, divided by
+    the norm of them all."""
+    amplitudes = [complex(w) for w in weights]
+    if not all(map(cmath.isfinite, amplitudes)):
+        raise BadParam("superposition weights are not finite")
+    amplitudes = [a if abs(a) >= PRUNE_EPSILON else 0j for a in amplitudes]
+    if not any(amplitudes):
+        raise BadParam("superposition weights are all zero")
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amplitudes))
+    if norm < PRUNE_EPSILON:
+        return np.zeros(len(amplitudes), dtype=complex)
+    amplitudes = [a / norm for a in amplitudes]
+    return np.array([a if abs(a) >= PRUNE_EPSILON else 0j
+                     for a in amplitudes], dtype=complex)
 
 
 def _check_unitary(u, k):
@@ -269,10 +296,17 @@ class Sectors:
             raise PhotonBudget(f"source exceeds photon budget {PHOTON_BUDGET}")
         w = np.zeros(len(self.one), dtype=complex)
         w[[self.state.index_of(m) for m in weights]] = list(weights.values())
-        pair = np.outer(self.one, w)
-        two, one = (pair + pair.T) / _SQRT2, self.vacuum * w
-        norm = math.hypot(np.linalg.norm(one), np.linalg.norm(two))
-        self.two = two / norm if pair.any() else None
+        one = self.vacuum * w
+        # A sector with no photons to lift is empty: its norm is 0.0,
+        # however it is computed.
+        one_norm = np.linalg.norm(one) if self.vacuum else 0.0
+        if self.one.any():
+            pair = np.outer(self.one, w)
+            two = (pair + pair.T) / _SQRT2
+            norm = math.hypot(one_norm, np.linalg.norm(two))
+            self.two = two / norm if pair.any() else None
+        else:
+            norm = math.hypot(one_norm, 0.0)
         self.vacuum, self.one = 0j, one / norm
 
     def apply_mode_matrix(self, u):
@@ -312,19 +346,20 @@ class Sectors:
                      == min(count, PHOTON_BUDGET + 1))
         return mask
 
-    def postselect_state(self, target):
-        """Project the modes of ``target``, a one-photon state over some of
-        these modes, onto it, as :func:`postselect_subsystem` does.
+    def postselect_state(self, amplitudes, modes, target):
+        """Project ``modes``, some of these modes, onto the one-photon
+        state of amplitudes ``target`` over them, as
+        :func:`postselect_subsystem` does; ``amplitudes`` are this form's
+        :meth:`fock_amplitudes`.
 
-        Returns the rest state in the flat layout, with no photon in the
-        target's modes and pruned, and its Born probability, taken before
-        that pruning.
+        Returns the rest state in the flat layout, with no photon in
+        ``modes`` and pruned, and its Born probability, taken before that
+        pruning.
         """
-        amplitudes = self.fock_amplitudes()
         n = len(self.one)
         layout = _layout(n)
-        sub = np.array([self.state.index_of(m) for m in target.modes])
-        bra = Sectors(target).one.conj()
+        sub = np.array([self.state.index_of(m) for m in modes])
+        bra = target.conj()
         pairs = np.zeros((n, n), dtype=complex)
         pairs[layout.rows, layout.cols] = amplitudes[1 + n:]
         pairs[layout.cols, layout.rows] = amplitudes[1 + n:]

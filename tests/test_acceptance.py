@@ -130,14 +130,16 @@ def test_criterion_06_simplified_schemes_and_absence():
     ):
         assert abs(conditional(result) - 1.0) <= TOL_CERTAINTY, result.name
     perturbed = [
-        scenarios.simplified_3path("wrong-box-t2"),
-        scenarios.simplest_2path("swapped-slots"),
-        scenarios.absence_test("at-t1"),
-        scenarios.absence_test("at-t3"),
-        scenarios.absence_test("reflect-orientation"),
+        (scenarios.simplified_3path, "wrong-box-t2"),
+        (scenarios.simplest_2path, "swapped-slots"),
+        (scenarios.absence_test, "at-t1"),
+        (scenarios.absence_test, "at-t3"),
+        (scenarios.absence_test, "reflect-orientation"),
     ]
-    for result in perturbed:
-        assert conditional(result) < 1.0 - TOL_PERTURBED, result.metadata
+    for scenario, variant in perturbed:
+        result = scenario(variant)
+        assert conditional(result) < 1.0 - TOL_PERTURBED, (
+            f"{scenario.__name__} {variant}")
     report(6, "simplified/absence schemes certain; every wrong-box, "
               "wrong-time and switched-router variant strictly below "
               "1 - 1e-6")

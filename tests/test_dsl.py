@@ -6,7 +6,7 @@ import pytest
 
 from router_sim import cli, dsl
 from router_sim.dsl import ParseError, parse, render, compile_doc, simulate_text
-from router_sim.elements import ElementKind, RouterOrientation
+from router_sim.elements import Element, ElementKind, RouterOrientation
 from router_sim.errors import CompileError
 
 MINIMAL = "mode A A t1 shutter\nsource A 1\n"
@@ -385,10 +385,23 @@ def test_element_op_round_trips_and_compiles(line, kind, params):
     text = "".join(f"mode {n} A t1 internal\n" for n in names) + line + "\n"
     doc = parse(text)
     assert parse(render(doc)) == doc
+    # The parser builds a statement slot by slot: it equals, hashes and
+    # prints as the one its class builds, and it is frozen.
+    (stmt,) = doc.elements
+    built = dsl.ElementStmt(stmt.op, stmt.params, stmt.modes, stmt.line)
+    assert (stmt, hash(stmt), repr(stmt)) == (built, hash(built), repr(built))
+    with pytest.raises(AttributeError):
+        stmt.op = "ns"
     (element,) = compile_doc(doc).schedule
     assert element.kind is kind
     assert element.params == params
     assert element.modes == tuple(names)
+    # So is an element, which equals only itself.
+    twin = Element(element.kind, element.modes, element.params)
+    assert element == element and element != twin
+    assert hash(element) == object.__hash__(element)
+    with pytest.raises(AttributeError):
+        element.modes = ()
 
 
 def test_compile_unknown_element_op():

@@ -14,10 +14,12 @@ matrix.
 """
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import evolve_reference
 from router_sim import dsl, elements, fock
 from router_sim.elements import RouterOrientation, apply_schedule
 from router_sim.errors import UnsupportedSector
@@ -330,6 +332,74 @@ def test_long_linear_run_matches_dense_oracle():
 
 
 # ---------------------------------------------------------------------------
+# elements.evolve against the per-element loop it replaced, bit for bit
+# ---------------------------------------------------------------------------
+
+def assert_same_bits(got, want):
+    assert got.vacuum == want.vacuum
+    assert np.array_equal(got.one, want.one)
+    assert (got.two is None) == (want.two is None)
+    if want.two is not None:
+        assert np.array_equal(got.two, want.two)
+
+
+def evolve_both_ways(sectors, schedule):
+    """The schedule on ``sectors`` by ``elements.evolve`` and by the
+    reference, then its adjoint on the reference's result by both."""
+    got, want = sectors.copy(), sectors.copy()
+    elements.evolve(got, schedule)
+    evolve_reference.evolve(want, schedule)
+    assert_same_bits(got, want)
+    got, back = want.copy(), want.copy()
+    elements.evolve(got, schedule, adjoint=True)
+    evolve_reference.evolve(back, schedule, adjoint=True)
+    assert_same_bits(got, back)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_evolve_matches_the_per_element_loop(seed):
+    """Random circuits of every element kind, forward and adjoint."""
+    rng, names, probes, controls, budget = draw_setup(seed)
+    schedule = random_circuit(rng, probes, controls)
+    psi = random_state(rng, names, probes, controls, budget)
+    evolve_both_ways(fock.Sectors(psi), schedule)
+
+
+def test_evolve_matches_the_per_element_loop_on_24_modes():
+    """The pinned 24-mode, 120-element circuit of the golden test."""
+    path = Path(__file__).parent / "circuits" / "gen00.circuit"
+    compiled = dsl.compile_doc(dsl.parse(path.read_text(encoding="utf-8")))
+    evolve_both_ways(compiled.initial, compiled.schedule)
+
+
+def cycle_lengths(mapping):
+    lengths, seen = set(), set()
+    for start in mapping:
+        length, m = 0, start
+        while m not in seen:
+            seen.add(m)
+            m, length = mapping[m], length + 1
+        if length:
+            lengths.add(length)
+    return lengths
+
+
+def test_reference_circuits_cover_cycles_and_unitary_sizes():
+    """Relabels of 2- and 3-cycles and unitaries on 1, 2 and 3 modes occur
+    among the circuits of the reference test."""
+    cycles, sizes = set(), set()
+    for seed in SEEDS:
+        rng, _, probes, controls, _ = draw_setup(seed)
+        for element in random_circuit(rng, probes, controls):
+            if element.kind is elements.ElementKind.RELABEL:
+                cycles |= cycle_lengths(element.params["mapping"])
+            elif element.kind is elements.ElementKind.MODE_UNITARY:
+                sizes.add(len(element.modes))
+    assert cycles >= {2, 3}
+    assert sizes >= {1, 2, 3}
+
+
+# ---------------------------------------------------------------------------
 # dsl.execute: measurements on the sector form against dense projections
 # ---------------------------------------------------------------------------
 
@@ -365,7 +435,8 @@ def random_compiled(seed):
     impossible = ({m: 0 for m in names} if sources == 2 else {a: 1, b: 1})
     rest = [m for m in names if m not in sub]
     postselects = [("pattern", {a: 1}), ("pattern", {b: 2}),
-                   ("pattern", impossible), ("state", target)]
+                   ("pattern", impossible),
+                   ("state", (target.modes, fock.Sectors(target).one))]
     detects = [("consumed", {sub[0]: 1, rest[0]: 1}), ("bunch", {c: 2}),
                ("empty", {a: 0, c: 0})]
     return dsl.CompiledCircuit(fock.Sectors(initial), schedule, postselects,
@@ -393,12 +464,15 @@ def dense_report(compiled):
             kept = {c: a for c, a in final.items()
                     if dense_measure({c: 1}, names, payload)}
         else:
-            sub = [names.index(m) for m in payload.modes]
-            rest = [i for i, m in enumerate(names) if m not in payload.modes]
+            # One photon over the target modes, one amplitude per mode.
+            target = dict(zip(*payload))
+            rest = [i for i, m in enumerate(names) if m not in target]
             modes = [names[i] for i in rest]
             kept = {}
             for config, amp in final.items():
-                bra = np.conj(payload.amplitude([config[p] for p in sub]))
+                photons = [m for m in target
+                           for _ in range(config[names.index(m)])]
+                bra = np.conj(target[photons[0]]) if len(photons) == 1 else 0
                 key = tuple(config[p] for p in rest)
                 kept[key] = kept.get(key, 0j) + bra * amp
         p = dense_measure(kept, modes, {})

@@ -220,6 +220,32 @@ def test_add_photon_to_vacuum_and_one_photon_mixture(seed):
     assert_same_sectors(sectors, fock.superposition_source(state, weights))
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_photon_amplitudes_are_a_source_on_the_vacuum_bit_for_bit(seed):
+    """Weights of any size, some zero and some pruned, give the amplitudes
+    that superposition_source puts in the vacuum over their modes."""
+    rng = np.random.default_rng([seed, 41])
+    names = SOURCE_NAMES[:int(rng.integers(1, len(SOURCE_NAMES) + 1))]
+    scales = 10.0 ** rng.integers(-17, 3, size=len(names))
+    scales[rng.random(len(names)) < 0.2] = 0.0
+    scales[0] = 1.0
+    weights = [complex(rng.normal(), rng.normal()) * x for x in scales]
+    want = fock.Sectors(fock.superposition_source(
+        fock.register_modes(names), dict(zip(names, weights)))).one
+    assert np.array_equal(fock.photon_amplitudes(weights), want)
+
+
+@pytest.mark.parametrize("weights", [[0, 0j], [1e-15, 0], [1, math.nan],
+                                     [math.inf]])
+def test_photon_amplitudes_reject_what_a_source_rejects(weights):
+    names = SOURCE_NAMES[:len(weights)]
+    with pytest.raises(BadParam) as err:
+        fock.superposition_source(fock.register_modes(names),
+                                  dict(zip(names, weights)))
+    with pytest.raises(BadParam, match=str(err.value)):
+        fock.photon_amplitudes(weights)
+
+
 # ---------------------------------------------------------------------------
 # mode unitaries
 # ---------------------------------------------------------------------------

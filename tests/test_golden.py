@@ -20,7 +20,12 @@ import router_sim
 from router_sim import cli
 
 GOLDEN = Path(__file__).parent / "golden"
-CIRCUITS = Path(router_sim.__file__).parent / "circuits"
+# Circuit paths in a case's argv are placeholders, so the cases also serve
+# an installed ``router-sim`` run from the repository root.
+PLACEHOLDERS = {
+    "{circuits}": str(Path(router_sim.__file__).parent / "circuits"),
+    "{test_circuits}": str(Path(__file__).parent / "circuits"),
+}
 
 _PERTURBATIONS = {
     "three_box_shutter": (),
@@ -51,6 +56,10 @@ def _cases():
         for name in ("fig2b", "fig3a", "fig3b", "fig4"):
             cases[f"simulate-{name}-{fmt}"] = [
                 "simulate", f"{{circuits}}/{name}.circuit", "--format", fmt]
+        # 24 modes and 120 elements, written by
+        # `perfbench/workloads.py --workload large-circuits --seed 1`.
+        cases[f"simulate-gen24-{fmt}"] = [
+            "simulate", "{test_circuits}/gen00.circuit", "--format", fmt]
     cases["sweep-disappearing_full-random20-seed7"] = [
         "sweep", "disappearing_full", "--random", "20", "--seed", "7"]
     cases["sweep-stricter_6beam-random5-seed9"] = [
@@ -74,8 +83,18 @@ def _cases():
 CASES = _cases()
 
 
+def resolve(argv):
+    """``argv`` with its circuit placeholders replaced by paths."""
+    resolved = []
+    for a in argv:
+        for placeholder, path in PLACEHOLDERS.items():
+            a = a.replace(placeholder, path)
+        resolved.append(a)
+    return resolved
+
+
 def _run(argv):
-    argv = [a.replace("{circuits}", str(CIRCUITS)) for a in argv]
+    argv = resolve(argv)
     stream = io.StringIO()
     code = cli.main(argv, stream=stream)
     return code, stream.getvalue()

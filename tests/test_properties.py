@@ -327,6 +327,62 @@ def test_parse_error_points_at_the_broken_token(case):
 
 
 # ---------------------------------------------------------------------------
+# a real parameter is read as the literal regex reads it
+# ---------------------------------------------------------------------------
+
+_REAL_LITERAL = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
+
+
+def regex_real(token):
+    """The real-parameter reader that matched its token against the real
+    literal before calling ``float``: its value, or the message of the
+    ValueError it raised."""
+    value = float(token) if _REAL_LITERAL.fullmatch(token) else math.nan
+    if not math.isfinite(value):
+        return (f"invalid real literal {token!r}" if token
+                else "expected a real parameter")
+    return value.hex()
+
+
+def read_real(token):
+    try:
+        return dsl._real(token).hex()
+    except ValueError as exc:
+        return str(exc)
+
+
+# One whitespace-free token, as ``str.split`` leaves a parameter.
+tokens = st.one_of(
+    st.from_regex(_REAL_LITERAL, fullmatch=True),
+    st.text("0123456789+-.eE_ ١٢٣infatyNI", max_size=10),
+    st.text(max_size=10),
+).filter(lambda token: token.split() in ([token], []))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=400)
+@given(tokens)
+@example("")
+@example("inf")
+@example("-Infinity")
+@example("nan")
+@example("+NaN")
+@example("1_0")
+@example("1_0.5e1_0")
+@example("١٢.٥")
+@example("１e３")
+@example("1e400")
+@example("-1e400")
+@example("1e-400")
+@example("5.")
+@example(".5e-3")
+@example(".")
+@example("0x10")
+def test_real_parameter_reads_what_the_literal_regex_reads(token):
+    assert read_real(token) == regex_real(token)
+
+
+
+# ---------------------------------------------------------------------------
 # The JSON writer against the stdlib's indented form
 # ---------------------------------------------------------------------------
 

@@ -45,6 +45,7 @@ from .fock import (
     normalized_rows,
     photon_amplitudes,
     register_modes,
+    running_sum,
 )
 
 _WEIGHT_NORM_TOL = 1e-9
@@ -214,7 +215,9 @@ def _weights(line_number, text, tokens, declared):
             _require(line_number, text, index, tokens[index], declared,
                      tokens[1:index:2])
     try:
-        total = sum(abs(w) ** 2 for _, w in pairs)
+        # A sum past the float range is inf, as float addition gives it.
+        with np.errstate(over="ignore"):
+            total = running_sum([abs(w) ** 2 for _, w in pairs])
     except OverflowError:
         raise ParseError(line_number, 1, f"{what} weights overflow") from None
     largest = max(abs(w) for _, w in pairs)
@@ -229,7 +232,7 @@ def _weights(line_number, text, tokens, declared):
         # Divided by the largest modulus, the squares can no longer
         # underflow: 1e-200 and 1e-200 become an equal split.
         pairs = [(n, w / largest) for n, w in pairs]
-        norm = math.sqrt(sum(abs(w) ** 2 for _, w in pairs))
+        norm = math.sqrt(running_sum([abs(w) ** 2 for _, w in pairs]))
         pairs = [(n, w / norm) for n, w in pairs]
     return tuple(pairs)
 

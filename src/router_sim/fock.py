@@ -135,7 +135,8 @@ class FockState:
         return self.amplitudes.get(tuple(config), 0j)
 
     def norm(self):
-        return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
+        return math.sqrt(running_sum(
+            [abs(a) ** 2 for a in self.amplitudes.values()]))
 
     @property
     def is_zero(self):
@@ -222,7 +223,7 @@ def photon_amplitudes(weights):
     amplitudes = [a if abs(a) >= PRUNE_EPSILON else 0j for a in amplitudes]
     if not any(amplitudes):
         raise BadParam("superposition weights are all zero")
-    norm = math.sqrt(sum(abs(a) ** 2 for a in amplitudes))
+    norm = math.sqrt(running_sum([abs(a) ** 2 for a in amplitudes]))
     if norm < PRUNE_EPSILON:
         return np.zeros(len(amplitudes), dtype=complex)
     amplitudes = [a / norm for a in amplitudes]
@@ -403,6 +404,17 @@ def row_norms(rows):
                    + im[:, None, :] @ im[:, :, None])[:, 0]
 
 
+def running_sum(terms, axis=-1):
+    """The sum of the real ``terms`` along ``axis``, adding one term after
+    another from the first.  ``np.sum`` adds eight or more terms in pairs,
+    and Python's ``sum`` compensates float additions from 3.12 on
+    (Neumaier): both can round differently."""
+    terms = np.asarray(terms, dtype=float)
+    if not terms.size:
+        return terms.sum(axis=axis)
+    return np.add.accumulate(terms, axis=axis).take(-1, axis=axis)
+
+
 def normalized_rows(amplitudes):
     """Each row of ``amplitudes`` as :meth:`FockState.normalized` leaves
     it: divided by its norm and pruned, or zero when that norm is below
@@ -482,7 +494,7 @@ def select(state, predicate):
     The predicate must depend on occupation numbers only.
     """
     kept = {c: a for c, a in state.amplitudes.items() if predicate(c)}
-    probability = sum(abs(a) ** 2 for a in kept.values())
+    probability = running_sum([abs(a) ** 2 for a in kept.values()])
     return state._derived(kept), float(probability)
 
 
@@ -538,7 +550,7 @@ def postselect_subsystem(state, target):
             continue
         rest = tuple(config[p] for p in rest_positions)
         out[rest] += t_amp.conjugate() * amp
-    probability = sum(abs(a) ** 2 for a in out.values())
+    probability = running_sum([abs(a) ** 2 for a in out.values()])
     conditional = FockState(rest_modes, out).normalized()
     return ProjectionOutcome(conditional, float(probability))
 
@@ -569,7 +581,7 @@ def schmidt_spectrum(state, partition):
     matrix = np.zeros((len(left_index), len(right_index)), dtype=complex)
     for li, ri, amp in entries:
         matrix[li, ri] = amp
-    return spectrum_of(spectra_of(np.linalg.svd(matrix, compute_uv=False)))
+    return spectrum_of(spectra_of(matrix))
 
 
 def spectrum_of(row):
@@ -578,11 +590,12 @@ def spectrum_of(row):
     return [s for s in row.tolist() if s]
 
 
-def spectra_of(singular):
-    """Squared Schmidt coefficients from the singular values of amplitude
-    matrices, one row per matrix: a row's squares above
-    :data:`PRUNE_EPSILON`, largest first, then zeros.  ``np.float_power``
-    squares by libm's ``pow``, as ``float ** 2`` does; a product ``s * s``
-    differs from it in the last bit of about one square in a thousand."""
-    squares = np.float_power(singular, 2)
+def spectra_of(matrices):
+    """Squared Schmidt coefficients of amplitude matrices, one row per
+    matrix of the stack ``matrices``: the squares of its singular values
+    above :data:`PRUNE_EPSILON`, largest first, then zeros.
+    ``np.float_power`` squares by libm's ``pow``, as ``float ** 2`` does; a
+    product ``s * s`` differs from it in the last bit of about one square
+    in a thousand."""
+    squares = np.float_power(np.linalg.svd(matrices, compute_uv=False), 2)
     return np.where(squares > PRUNE_EPSILON, squares, 0.0)

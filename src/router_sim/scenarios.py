@@ -13,13 +13,13 @@ Every state a scenario reports on holds one shutter photon over boxes A,
 B and C plus at most one probe photon, so scenarios propagate stacks of
 that 3 x (1 + n_probe) amplitude block (:func:`_propagate`): rows are
 boxes, column 0 is the probe vacuum and column 1 + p is probe mode p.  Runs
-(:func:`run_plan`) and sweeps (:func:`sweep_plan`) merge and measure the
-blocks with one function (:func:`_measure`).  A Bell run or sweep
-propagates all its points' blocks as one stack (:func:`_bell_states`), and
-its tables and summary are array algebra on their cavity columns
-(:func:`_bell_report`).  A sweep returns arrays, not one record per point
-(:class:`Scenario`).  Probabilities are computed exactly from amplitudes;
-there is no sampling.
+(:func:`run_plan`), sweeps (:func:`sweep_plan`) and Bell runs and sweeps
+(:func:`_bell_states`) propagate their points' blocks as one stack, a run
+as a stack of one, and a point's numbers do not depend on its stack.  Beam
+tables are measured by one function (:func:`_measure`), the Bell tables
+and summary by array algebra on the cavity columns (:func:`_bell_report`).
+A sweep returns arrays, not one record per point (:class:`Scenario`).
+Probabilities are computed exactly from amplitudes; there is no sampling.
 Perturbed variants (wrong box, wrong time, switched router orientation,
 extra probe beam) are first-class because the certainty claims of the
 unperturbed schedules are only meaningful against such counterfactuals.
@@ -64,6 +64,7 @@ from .fock import (
     normalized_rows,
     pruned,
     row_norms,
+    running_sum,
     spectra_of,
     spectrum_of,
     superposition_source,
@@ -151,8 +152,8 @@ class ScenarioPlan:
         """The recombination element, built on first read."""
         if not self.recombine:
             return None
-        return mode_unitary(unitary_with_first_row(self.alphas.conj()),
-                            self.kept_ports)
+        rows = self.alphas.conj()[None]
+        return mode_unitary(unitary_with_first_row(rows)[0], self.kept_ports)
 
     @property
     def kept_columns(self):
@@ -204,15 +205,14 @@ def equal_alphas(n):
     return np.full(n, 1.0 / math.sqrt(n), dtype=complex)
 
 
-def unitary_with_first_row(row):
-    """Unitary whose first row is the given unit vector; for a stack of
-    rows, the stack of those unitaries.
+def unitary_with_first_row(rows):
+    """The stack of unitaries whose first rows are the unit vectors of the
+    (n, k) stack ``rows``.
 
-    Used to recombine the kept rails: applying it maps the superposition
+    Used to recombine the kept rails: applying one maps the superposition
     sum_k row_k* ... sum_k alpha_k |rail_k> onto the first rail exactly, so
     it is the adjoint of any splitting network producing those weights.
     """
-    rows = np.atleast_2d(np.asarray(row, dtype=complex))
     n, k = rows.shape
     norms = row_norms(rows)
     rows = np.where(np.abs(norms - 1.0) > 1e-12, rows / norms, rows)
@@ -225,8 +225,7 @@ def unitary_with_first_row(row):
     columns[np.arange(n)[:, None], others, np.arange(1, k)] = 1.0
     q, r = np.linalg.qr(columns)
     q[:, :, 0] *= (r[:, 0, 0] / abs(r[:, 0, 0]))[:, None]
-    unitaries = q.conj().transpose(0, 2, 1)
-    return unitaries[0] if np.ndim(row) == 1 else unitaries
+    return q.conj().transpose(0, 2, 1)
 
 
 def _propagate(plan, points):
@@ -250,7 +249,7 @@ def _propagate(plan, points):
     # Moduli as abs() takes them, summed one by one, box-major and
     # probe-minor, as FockState.norm sums its amplitudes.
     squares = np.hypot(blocks.real, blocks.imag).reshape(len(blocks), -1) ** 2
-    norms = np.sqrt([[[sum(row)]] for row in squares.tolist()])
+    norms = np.sqrt(running_sum(squares))[:, None, None]
     # Divided part by part, as a complex divides by a float; numpy's
     # complex division would multiply by a reciprocal.
     blocks = (blocks.view(float) / norms / program.scale).view(complex)
@@ -333,6 +332,12 @@ def _frozen(values):
     return array
 
 
+def _clamp(tables):
+    """``tables`` with every negative probability, a rounding residue of
+    a difference, raised to zero."""
+    return np.maximum(tables, 0.0)
+
+
 def _measure(plan, points, joint):
     """Measure ``plan`` on the stacked blocks ``joint`` of its state ahead
     of the merge, one per coefficient vector in ``points``.
@@ -341,8 +346,8 @@ def _measure(plan, points, joint):
     unitary whose first row is its conjugated coefficients.  Returns the
     summary field names (:func:`_summary_fields`), the (n, 6) matrix of
     their values at each point (the outcome partition, then the fidelity
-    of the post-selected probe to the coefficients on the kept ports), the
-    Schmidt spectra of the shutter versus the probe
+    of the post-selected probe to the coefficients on the kept ports),
+    clamped at zero, the Schmidt spectra of the shutter versus the probe
     (:func:`~router_sim.fock.spectra_of`), and the post-selected probes
     ahead of the merge as normalized rows in the block's column layout.
     """
@@ -354,7 +359,7 @@ def _measure(plan, points, joint):
         return (normalized_rows(pruned(probes)),
                 np.sum(np.abs(probes) ** 2, axis=-1))
 
-    singular = np.linalg.svd(joint, compute_uv=False)
+    spectra = spectra_of(joint)
     premerge, _ = postselect(joint)
     fidelities = np.abs(np.einsum(
         "nk,nk->n", pruned(points).conj(), premerge[:, kept]
@@ -374,7 +379,7 @@ def _measure(plan, points, joint):
     qs = np.sum(np.abs(probes[:, restored]) ** 2, axis=-1)
     values = np.array([p_posts, qs, p_posts * qs, p_posts * (1.0 - qs),
                        1.0 - p_posts, fidelities]).T
-    return (_summary_fields(plan.outcome_label), values, spectra_of(singular),
+    return (_summary_fields(plan.outcome_label), _clamp(values), spectra,
             premerge)
 
 
@@ -409,18 +414,11 @@ def run_plan(plan):
 def sweep_plan(plan, points):
     """The summary field names, their (n, 6) values and the Schmidt spectra
     of ``plan`` at the coefficient vectors ``points``, checked by
-    :func:`as_alpha_vectors` and measured as :func:`run_plan` measures
-    one (see :func:`_measure`).
-
-    The schedule does not depend on the coefficients, so the block of a
-    point is ``sum_k alpha_k basis[k]``, where ``basis[k]`` is the block of
-    the probe photon in beam k alone; the basis is propagated once, as one
-    stack from the identity on the probe columns.
-    """
+    :func:`as_alpha_vectors`: every point's block is propagated and
+    measured in one stack, as :func:`run_plan` propagates and measures a
+    stack of one, so each row holds the bits of that point's run."""
     points = as_alpha_vectors(points, len(plan.probes))
-    basis = _propagate(plan, np.eye(len(plan.probes)))
-    joint = pruned(np.einsum("nk,ksp->nsp", points, basis))
-    return _measure(plan, points, joint)[:3]
+    return _measure(plan, points, _propagate(plan, points))[:3]
 
 
 @functools.cache
@@ -782,12 +780,6 @@ def _bell_tables(states):
     return _clamp(tables)
 
 
-def _clamp(tables):
-    """``tables`` with every negative probability, a rounding residue of
-    a difference, raised to zero."""
-    return np.maximum(tables, 0.0)
-
-
 def _table(tables, alice_setting, bob_setting):
     """One setting pair's table from one point's (4, 15) tables, as a dict
     keyed by (Alice outcome, Bob outcome)."""
@@ -819,13 +811,6 @@ def bell_marginals(table, side):
     return out
 
 
-def _running_sum(terms, axis):
-    """The sum of ``terms`` along ``axis``, adding one term after another
-    as Python's ``sum`` does; ``np.sum`` adds eight or more terms in
-    pairs, which can round differently."""
-    return np.add.accumulate(terms, axis=axis).take(-1, axis=axis)
-
-
 def _no_signaling_gap(tables):
     """The largest change, at each point of :func:`_bell_tables`, of one
     side's marginal when the other side changes its setting.
@@ -840,11 +825,11 @@ def _no_signaling_gap(tables):
     both = tables[:, 3, :4].reshape(n, 2, 2)         # Alice x Bob
     changes = np.concatenate([
         # Alice's marginals as Bob switches, OPEN then SUPERPOSE for her ...
-        _running_sum(positions, 2) - _running_sum(box_match, 2),
-        _running_sum(match_cavity, 1) - _running_sum(both, 2),
+        running_sum(positions, 2) - running_sum(box_match, 2),
+        running_sum(match_cavity, 1) - running_sum(both, 2),
         # ... and Bob's as Alice switches.
-        _running_sum(positions, 1) - _running_sum(match_cavity, 2),
-        _running_sum(box_match, 1) - _running_sum(both, 1),
+        running_sum(positions, 1) - running_sum(match_cavity, 2),
+        running_sum(box_match, 1) - running_sum(both, 1),
     ], axis=1)
     return np.abs(changes).max(axis=1)
 
@@ -860,7 +845,7 @@ def _chsh(tables):
     table order, and the four are added in that order from 0.0.  The value
     is reported, not asserted against any bound.
     """
-    e = _running_sum(tables * _CHSH_SIGNS, 2) / _running_sum(tables, 2)
+    e = running_sum(tables * _CHSH_SIGNS, 2) / running_sum(tables, 2)
     return 0.0 + e[:, 0] + e[:, 1] + e[:, 2] - e[:, 3]
 
 
@@ -898,7 +883,7 @@ def _bell_report(states):
     one stacked SVD."""
     tables = _bell_tables(states)
     values = np.array([_no_signaling_gap(tables), _chsh(tables)]).T
-    return tables, values, spectra_of(np.linalg.svd(states, compute_uv=False))
+    return tables, values, spectra_of(states)
 
 
 def bell_sweep(points):
@@ -926,7 +911,7 @@ def _reflected_with_fidelity_one(result, tol):
 
 
 def _bell_consistent(result, tol):
-    total = sum(result.conditional_probabilities.values())
+    total = running_sum(list(result.conditional_probabilities.values()))
     return (abs(total - 1.0) <= tol
             and result.metadata["no_signaling_gap"] <= tol)
 
@@ -954,11 +939,10 @@ class Scenario:
     record per point: the tuple of summary field names, the (n, k) float
     matrix of their values, and the (n, r) Schmidt spectra, each row's
     coefficients largest first and then zeros
-    (:func:`~router_sim.fock.spectra_of`).  Beam-table scenarios build
-    their plan once and propagate its beams as one stack
-    (:func:`sweep_plan`); ``bell_test`` propagates all its points' blocks
-    as one stack and reports them together (:func:`bell_sweep`), on the
-    path that its ``evaluate`` runs on a stack of one.
+    (:func:`~router_sim.fock.spectra_of`).  A sweep propagates all its
+    points' blocks as one stack and measures them together, on the path
+    that ``evaluate`` runs on a stack of one (:func:`sweep_plan`,
+    :func:`bell_sweep`), so each row holds the bits of that point's run.
     """
 
     evaluate: Callable

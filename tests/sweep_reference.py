@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from router_sim import cli, dsl, scenarios
-from router_sim.fock import PRUNE_EPSILON
+from router_sim.fock import PRUNE_EPSILON, running_sum
 
 OPEN_BOXES, OPEN_CAVITIES = scenarios.OPEN_BOXES, scenarios.OPEN_CAVITIES
 SUPERPOSE = scenarios.SUPERPOSE
@@ -126,10 +126,11 @@ def chsh(tables):
     for i, (a_setting, a_plus) in enumerate(alice):
         for j, (b_setting, b_plus) in enumerate(bob):
             table = tables[(a_setting, b_setting)]
-            e = sum((1.0 if a in a_plus else -1.0)
-                    * (1.0 if b in b_plus else -1.0) * p
-                    for (a, b), p in table.items())
-            value += (-1.0 if i == j == 1 else 1.0) * e / sum(table.values())
+            e = running_sum([(1.0 if a in a_plus else -1.0)
+                             * (1.0 if b in b_plus else -1.0) * p
+                             for (a, b), p in table.items()])
+            total = running_sum(list(table.values()))
+            value += (-1.0 if i == j == 1 else 1.0) * e / total
     return value
 
 

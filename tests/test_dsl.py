@@ -273,6 +273,26 @@ def test_underflowing_weights_normalize_to_an_equal_split(statement):
     assert report["postselections"][0]["probability"] == pytest.approx(0.98)
 
 
+@pytest.mark.parametrize("statement", ["source", "postselect_state"])
+def test_weights_whose_squares_overflow_in_sum_normalize(statement):
+    # Each square is finite but their sum is not: one normalization
+    # warning, as float addition gives inf, and no overflow warning.
+    weights = {"source": "SA 0.6 SB 0.8", "postselect_state": "SA 0.6 SB 0.8"}
+    weights[statement] = "SA 1e154 SB 1.3e154"
+    text = (
+        "mode SA A t1 shutter\nmode SB B t1 shutter\nmode P A t1 probe_in\n"
+        f"source {weights['source']}\nsource P 1\n"
+        f"postselect_state {weights['postselect_state']}\ndetect d P=1\n"
+    )
+    with pytest.warns(UserWarning, match="sum of squares was inf") as record:
+        doc = parse(text)
+    assert len(record) == 1
+    stmt = doc.sources[0] if statement == "source" else doc.postselects[0]
+    norm = math.hypot(1.0, 1.3)
+    assert [w for _, w in stmt.weights] == pytest.approx([1 / norm,
+                                                          1.3 / norm])
+
+
 # ---------------------------------------------------------------------------
 # rendering round-trip
 # ---------------------------------------------------------------------------

@@ -6,16 +6,25 @@ path as an independent reference: ``apply_schedule``, then
 ``postselect_subsystem``, ``fidelity``, ``project_pattern`` /
 ``project_predicate`` and ``schmidt_spectrum`` for the scenarios, and
 ``select`` / ``matches`` / ``postselect_subsystem`` on the collected state
-for the Bell tables.
+for the Bell tables.  Random beam tables are held to it as well, the small
+ones also to the dense oracle, and their sweeps to their runs bit for bit.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dense_oracle import dense_propagate
 from router_sim import scenarios, tsvf
-from router_sim.elements import apply_schedule
+from router_sim.elements import (
+    RouterOrientation,
+    apply_schedule,
+    pqr_ideal,
+    tunneling,
+)
+from router_sim.errors import UndefinedConditioning, UnsupportedSector
 from router_sim.fock import (
     FockState,
     fidelity,
@@ -47,13 +56,14 @@ def one_photon(modes, weights):
     return FockState(modes, amps)
 
 
-def reference_run(plan):
+def reference_run(plan, propagate=apply_schedule):
     """Outcome partition, fidelity, Schmidt spectrum and conditioned probe
-    state of ``plan`` on the sparse-state path."""
-    joint = apply_schedule(plan.initial, plan.schedule)
+    state of ``plan`` on the sparse-state path, its states propagated by
+    ``propagate(state, elements)``."""
+    joint = propagate(plan.initial, plan.schedule)
     spectrum = schmidt_spectrum(joint, set(plan.shutter_post.modes))
     merged = (joint if plan.merge is None
-              else apply_schedule(joint, [plan.merge]))
+              else propagate(joint, [plan.merge]))
     post = postselect_subsystem(merged, plan.shutter_post)
     probe = postselect_subsystem(joint, plan.shutter_post).state
 
@@ -83,9 +93,9 @@ def assert_same_state(a, b):
         assert abs(a.amplitude(config) - b.amplitude(config)) <= TOL, config
 
 
-def assert_run_matches_reference(plan):
+def assert_run_matches_reference(plan, propagate=apply_schedule):
     result = scenarios.run_plan(plan)
-    conditionals, fid, spectrum, probe = reference_run(plan)
+    conditionals, fid, spectrum, probe = reference_run(plan, propagate)
     assert list(result.conditional_probabilities) == list(conditionals)
     for key, value in conditionals.items():
         assert abs(result.conditional_probabilities[key] - value) <= TOL, key
@@ -211,3 +221,87 @@ def test_bell_tables_match_the_sparse_path(settings, stacked):
         spectrum = schmidt_spectrum(state, set(shutter))
         assert len(got) == len(spectrum)
         assert np.allclose(got, spectrum, rtol=0, atol=TOL)
+
+
+# ---------------------------------------------------------------------------
+# Random beam tables
+# ---------------------------------------------------------------------------
+
+def dense_schedule(state, elements):
+    """``state`` after ``elements`` on the dense oracle, as a FockState."""
+    vec, configs, _ = dense_propagate(state, elements)
+    return FockState(state.modes, dict(zip(configs, vec.tolist())))
+
+
+def random_beam_table(rng, max_beams):
+    """A random plan of :func:`scenarios._beam_table_plan`, built outside
+    its cache: a shutter, one to ``max_beams`` beams at random boxes,
+    checkpoints and orientations, each flag at random, and random unit
+    coefficients."""
+    shutter = ("three_box", "disappearing",
+               "remove-shutter-C-t2")[rng.integers(3)]
+    checkpoints = sorted(scenarios._spec(shutter).checkpoints)
+    orientations = list(RouterOrientation)
+    beams = []
+    for i in range(rng.integers(1, max_beams + 1)):
+        box = "ABC"[rng.integers(3)]
+        beams.append((f"{box}{i}", box,
+                      checkpoints[rng.integers(len(checkpoints))],
+                      orientations[rng.integers(len(orientations))]))
+    routers, probe_photon, recombine = map(
+        bool, rng.random(3) < (0.8, 0.8, 0.7))
+    plan = scenarios._beam_table_plan.__wrapped__(
+        "random", shutter, tuple(beams), routers=routers,
+        probe_photon=probe_photon, recombine=recombine)
+    return replace(plan, alphas=random_alphas(rng, len(beams)))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_random_beam_tables_match_the_reference_and_sweep_as_they_run(seed):
+    rng = np.random.default_rng(2300 + seed)
+    plan = random_beam_table(rng, 6)
+    points = np.array([random_alphas(rng, len(plan.probes))
+                       for _ in range(5)])
+    if reference_run(plan)[0]["postselection_success"] < 1e-24:
+        # The shutter without box C, with no router on the way to its
+        # post-state: no post-selection succeeds, at any coefficients.
+        with pytest.raises(UndefinedConditioning):
+            scenarios.run_plan(plan)
+        with pytest.raises(UndefinedConditioning):
+            scenarios.sweep_plan(plan, points)
+        return
+    assert_run_matches_reference(plan)
+    if len(plan.probes) <= 3:
+        assert_run_matches_reference(plan, dense_schedule)
+    fields, values, spectra = scenarios.sweep_plan(plan, points)
+    for point, row, spectrum in zip(points, values, spectra, strict=True):
+        run = scenarios.run_plan(replace(plan, alphas=point))
+        assert fields == (*run.conditional_probabilities, "fidelity")
+        expected = [*run.conditional_probabilities.values(),
+                    run.fidelity_to_target]
+        assert row.tobytes() == np.array(expected).tobytes()
+        assert spectrum[spectrum > 0].tolist() == run.schmidt_spectrum
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_random_schedules_that_leave_the_block_are_unsupported(seed):
+    # A router between shutter modes, or tunneling between a shutter mode
+    # and a probe mode, moves amplitude out of the shutter x probe block.
+    rng = np.random.default_rng(4600 + seed)
+    plan = random_beam_table(rng, 4)
+    shutter = plan.spec.post.modes
+    a, b = (shutter[i] for i in rng.choice(len(shutter), 2, replace=False))
+    if seed % 2:
+        controls = [m for m in shutter + plan.probe_modes if m not in (a, b)]
+        bad = pqr_ideal(a, b, controls[rng.integers(len(controls))])
+    else:
+        probe = plan.probe_modes[rng.integers(len(plan.probe_modes))]
+        bad = tunneling(rng.uniform(0.1, 1.5),
+                        *((a, probe) if rng.random() < 0.5 else (probe, a)))
+    at = rng.integers(len(plan.schedule) + 1)
+    plan = replace(plan, schedule=plan.schedule[:at] + (bad,)
+                   + plan.schedule[at:])
+    with pytest.raises(UnsupportedSector, match="not a router"):
+        scenarios.run_plan(plan)
+    with pytest.raises(UnsupportedSector, match="not a router"):
+        scenarios.sweep_plan(plan, plan.alphas[None])

@@ -1,3 +1,4 @@
+import builtins
 import functools
 import io
 import itertools
@@ -22,6 +23,7 @@ from router_sim.elements import (
 )
 from router_sim.errors import BadCoefficients, BadParam, UnsupportedSector
 from router_sim.fock import FockState, postselect_subsystem
+from compensated_sum import compensated_sum
 from sweep_reference import bell_report, records
 
 S2 = math.sqrt(2.0)
@@ -763,10 +765,51 @@ def test_compiled_sweep_matches_each_point(name, data):
                     "fidelity": result.fidelity_to_target}
         assert list(summary) == list(expected)
         for key, value in expected.items():
-            assert abs(summary[key] - value) <= 1e-12, key
-        assert len(schmidt) == len(result.schmidt_spectrum)
-        assert np.allclose(schmidt, result.schmidt_spectrum,
-                           rtol=0, atol=1e-12)
+            assert summary[key] == value, key
+        assert schmidt == result.schmidt_spectrum
+
+
+@pytest.fixture(scope="module")
+def seeded_sweeps():
+    """For each beam-table scenario: 2,000 seeded points and an alpha1
+    grid of 101, their sweep, and the (n, 6) summary of the run at each."""
+    open_open = (scenarios.OPEN_BOXES, scenarios.OPEN_CAVITIES)
+    out = {}
+    for name in COMPILED:
+        entry = scenarios.SCENARIOS[name]
+        points = np.concatenate([
+            cli_points(["--random", "2000", "--seed", "23"], name),
+            cli_points(["--alpha1-grid=-1:1:101"], name),
+        ])
+        runs = [entry.evaluate(point, None, open_open) for point in points]
+        out[name] = entry.sweep(points), runs
+    return out
+
+
+@pytest.mark.parametrize("name", COMPILED)
+def test_seeded_sweep_records_are_their_runs_bit_for_bit(name,
+                                                         seeded_sweeps):
+    swept, runs = seeded_sweeps[name]
+    same_bits(records(*swept), [
+        ({**run.conditional_probabilities, "fidelity": run.fidelity_to_target},
+         run.schmidt_spectrum) for run in runs])
+
+
+@pytest.mark.parametrize("name", COMPILED)
+def test_no_probability_prints_below_zero(name, seeded_sweeps):
+    # A difference of probabilities can round below zero; what a sweep or
+    # a run reports is clamped, so none is negative or prints a "-".
+    (fields, values, _), runs = seeded_sweeps[name]
+    run_values = np.array([
+        [*run.conditional_probabilities.values(), run.fidelity_to_target]
+        for run in runs])
+    for table in (values, run_values):
+        assert table.shape == (2101, len(fields))
+        assert (table >= 0).all()
+        assert not np.signbit(table).any()
+        assert not any(text.startswith("-")
+                       for v in table.ravel().tolist()
+                       for text in (repr(v), f"{v:.12g}"))
 
 
 @pytest.mark.parametrize("name", COMPILED)
@@ -794,16 +837,16 @@ def test_compiled_sweep_builds_and_propagates_once(name, count, monkeypatch):
     argv = ["sweep", name, "--random", str(count)]
     assert cli.main(argv, stream) == cli.EXIT_OK
     assert stream.getvalue().count('"index"') == count
-    # One propagation of every beam's block, stacked, and no plan merge.
+    # One propagation of every point's block, stacked, and no plan merge.
     assert calls == {"build": 1, "propagate": 1, "merge": 0,
                      "checkpoint_values": 0}
-    assert stacks == [scenarios.SCENARIOS[name].arity]
+    assert stacks == [count]
 
 
-def cli_points(argv):
+def cli_points(argv, name="bell_test"):
     """The coefficient vectors of the ``router-sim sweep`` options."""
-    args = cli.build_parser().parse_args(["sweep", "bell_test"] + argv)
-    return cli._sweep_points(args, 5)
+    args = cli.build_parser().parse_args(["sweep", name] + argv)
+    return cli._sweep_points(args, scenarios.SCENARIOS[name].arity)
 
 
 def bell_records_point_by_point(points):
@@ -910,6 +953,18 @@ def test_bell_report_is_the_per_state_reference_bit_for_bit(argv):
         same_bits([(summary, spectrum)], [(want_summary, want_spectrum)])
 
 
+@pytest.mark.parametrize("argv", [
+    ["--random", "2000", "--seed", "1"],
+    ["--alpha1-grid=-1:1:101"],
+])
+def test_bell_report_reference_holds_however_sum_adds(argv, monkeypatch):
+    # Python 3.12 compensates the float additions of the builtin sum; the
+    # stacked report and its per-state reference add in sequence either
+    # way, so they keep their bits under the 3.12 rule too.
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    test_bell_report_is_the_per_state_reference_bit_for_bit(argv)
+
+
 SWEPT = ("three_box_shutter", "disappearing_full", "stricter_6beam",
          "bell_test")
 
@@ -977,8 +1032,8 @@ def per_beam_basis(plan):
 def test_batched_compile_equals_one_propagation_per_beam(name, perturbation,
                                                          monkeypatch):
     # Every block the scenario layer propagates is the sparse path's state
-    # read into a block: each beam's in a compiled sweep, and the plan's
-    # own in a run, at random coefficients, which the start normalizes as
+    # read into a block: each beam's alone, and the plan's own in a run,
+    # at random coefficients, which the start normalizes as
     # superposition_source does.
     plan = BUILDERS[name](perturbation)
     basis = scenarios._propagate(plan, np.eye(len(plan.probes)))

@@ -12,7 +12,6 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import math
 import os
@@ -130,10 +129,12 @@ def _emit_json(payload, stream):
 
 
 def _emit_outcomes_csv(rows, stream):
-    writer = csv.writer(stream)
-    writer.writerow(["label", "probability"])
-    for label, probability in rows:
-        writer.writerow([label, f"{probability:.12g}"])
+    """The ``(label, probability)`` pairs ``rows`` as CSV rows under their
+    header, the probability as ``%.12g``; no label holds a character that
+    CSV quotes."""
+    texts = _texts("%.12g", [probability for _, probability in rows])
+    stream.write("label,probability\r\n" + "".join(
+        f"{label},{text}\r\n" for (label, _), text in zip(rows, texts)))
 
 
 def _scenario(name):

@@ -43,9 +43,9 @@ from .fock import (
     PHOTON_BUDGET,
     Sectors,
     normalized_rows,
-    photon_amplitudes,
     register_modes,
     running_sum,
+    superposition_source,
 )
 
 _WEIGHT_NORM_TOL = 1e-9
@@ -486,9 +486,10 @@ def compile_doc(doc):
                     "postselect_state must leave at least one declared mode "
                     "unselected",
                 )
-            postselects.append(("state", (
-                tuple(n for n, _ in ps.weights),
-                photon_amplitudes([w for _, w in ps.weights]))))
+            modes = tuple(n for n, _ in ps.weights)
+            target = superposition_source(register_modes(modes),
+                                          dict(ps.weights))
+            postselects.append(("state", (modes, Sectors(target).one)))
     detects = [(det.name, dict(det.pattern)) for det in doc.detects]
     return CompiledCircuit(initial, schedule, postselects, detects)
 

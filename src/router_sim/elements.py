@@ -64,10 +64,6 @@ class RouterOrientation(Enum):
     REFLECT_ON_MATCH = "reflect"
     TRANSMIT_ON_MATCH = "transmit"
 
-    # Hashed by identity, in C, as the scenario plan cache hashes the
-    # beam tables that hold them on every build.
-    __hash__ = object.__hash__
-
 
 #: The params of an element that takes none.
 _NO_PARAMS = MappingProxyType({})
@@ -284,45 +280,42 @@ def _router_positions(sectors, element):
     or more.
     """
     ia, ib, ic = map(sectors.state._index.__getitem__, element.modes)
-    if sectors.two is not None:
-        # |2> in each bound mode, then |1 1> on the probe pair.
-        amps = sectors.two[[ia, ib, ic, ia], [ia, ib, ic, ib]]
-        amps[3] *= math.sqrt(2.0)
-        over = (abs(amps) >= PRUNE_EPSILON).tolist()
-        if True in over:
-            occupations = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0)]
-            raise UnsupportedSector(
-                f"router applied outside its sector: occupations "
-                f"{occupations[over.index(True)]} on (probe_a, "
-                "probe_b, control)"
-            )
+    # |2> in each bound mode, then |1 1> on the probe pair.
+    amps = sectors.two[[ia, ib, ic, ia], [ia, ib, ic, ib]]
+    amps[3] *= math.sqrt(2.0)
+    over = (abs(amps) >= PRUNE_EPSILON).tolist()
+    if True in over:
+        occupations = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0)]
+        raise UnsupportedSector(
+            f"router applied outside its sector: occupations "
+            f"{occupations[over.index(True)]} on (probe_a, "
+            "probe_b, control)"
+        )
     return ia, ib, ic
 
 
-def _ns_rule(sectors, element, adjoint):
+def _ns_rule(sectors, element):
     # Sign flip of |2_m>, the S_mm entry: real, so self-adjoint.
-    if sectors.two is not None:
-        m = sectors.state._index[element.modes[0]]
-        sectors.two[m, m] = -sectors.two[m, m]
+    m = sectors.state._index[element.modes[0]]
+    sectors.two[m, m] = -sectors.two[m, m]
 
 
-def _ns_two_mode_rule(sectors, element, adjoint):
+def _ns_two_mode_rule(sectors, element):
     # (B† N N B)† = B† N N B: the composite is self-adjoint.
     evolve(sectors, _ns_two_mode_parts(*element.modes))
 
 
-def _router_rule(sectors, element, adjoint):
+def _router_rule(sectors, element):
     # A photon in the control swaps probe_a and probe_b: the two-photon
     # entries S[a, c] and S[b, c] trade places.  An involution, so
     # self-adjoint.
     ia, ib, ic = _router_positions(sectors, element)
     two = sectors.two
-    if two is not None:
-        two[[ia, ib], ic] = two[[ib, ia], ic]
-        two[ic, [ia, ib]] = two[ic, [ib, ia]]
+    two[[ia, ib], ic] = two[[ib, ia], ic]
+    two[ic, [ia, ib]] = two[ic, [ib, ia]]
 
 
-def _decomposed_router_rule(sectors, element, adjoint):
+def _decomposed_router_rule(sectors, element):
     _router_positions(sectors, element)
     # Identity on the control-absent sector, probe swap on the
     # control-present sector: the composite is its own adjoint.
@@ -386,7 +379,7 @@ def evolve(sectors, elements, adjoint=False):
             if run is not None:
                 sectors.apply_mode_matrix(run)
                 run = None
-            rule(sectors, element, adjoint)
+            rule(sectors, element)
             continue
         if run is None:
             run = _identity(len(sectors.one)).copy()

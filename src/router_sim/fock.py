@@ -212,25 +212,6 @@ def superposition_source(state, weights):
     return result.normalized()
 
 
-def photon_amplitudes(weights):
-    """The amplitudes of one photon in the modes of ``weights``, one per
-    weight and in their order, as :func:`superposition_source` adds it to
-    the vacuum over those modes: each finite weight, pruned, divided by
-    the norm of them all."""
-    amplitudes = [complex(w) for w in weights]
-    if not all(map(cmath.isfinite, amplitudes)):
-        raise BadParam("superposition weights are not finite")
-    amplitudes = [a if abs(a) >= PRUNE_EPSILON else 0j for a in amplitudes]
-    if not any(amplitudes):
-        raise BadParam("superposition weights are all zero")
-    norm = math.sqrt(running_sum([abs(a) ** 2 for a in amplitudes]))
-    if norm < PRUNE_EPSILON:
-        return np.zeros(len(amplitudes), dtype=complex)
-    amplitudes = [a / norm for a in amplitudes]
-    return np.array([a if abs(a) >= PRUNE_EPSILON else 0j
-                     for a in amplitudes], dtype=complex)
-
-
 def _check_unitary(u, k):
     u = np.asarray(u, dtype=complex)
     if u.shape != (k, k):
@@ -246,7 +227,8 @@ def _check_unitary(u, k):
 class Sectors:
     """Mutable sector form of a :class:`FockState` (see the module
     docstring): ``vacuum``, ``one`` (the vector v) and ``two`` (the
-    symmetric matrix S, or None while the state has no two-photon part).
+    symmetric n x n matrix S, all zeros while the state has no photon
+    pair).
 
     Its Fock amplitudes are read in one flat layout over the n modes: the
     vacuum, one photon in each mode, then two photons in modes (i, j),
@@ -263,7 +245,7 @@ class Sectors:
         self.state = state
         self.vacuum = 0j
         self.one = np.zeros(n, dtype=complex)
-        self.two = None
+        self.two = np.zeros((n, n), dtype=complex)
         for config, amp in state.amplitudes.items():
             photons = sum(config)
             if photons == 0:
@@ -271,8 +253,6 @@ class Sectors:
             elif photons == 1:
                 self.one[config.index(1)] = amp
             else:
-                if self.two is None:
-                    self.two = np.zeros((n, n), dtype=complex)
                 if 2 in config:
                     i = j = config.index(2)
                 else:
@@ -286,36 +266,33 @@ class Sectors:
         twin = object.__new__(Sectors)
         twin.state, twin.vacuum = self.state, self.vacuum
         twin.one = self.one.copy()
-        twin.two = None if self.two is None else self.two.copy()
+        twin.two = self.two.copy()
         return twin
 
     def add_photon(self, weights):
         """Add a photon sum_m w_m a†_m, w_m finite and not all zero, as
         :func:`superposition_source` does: S <- (v w^T + w v^T)/sqrt(2) and
         v <- vacuum*w, renormalized; a third photon raises PhotonBudget."""
-        if self.two is not None:
+        if self.two.any():
             raise PhotonBudget(f"source exceeds photon budget {PHOTON_BUDGET}")
         w = np.zeros(len(self.one), dtype=complex)
         w[[self.state.index_of(m) for m in weights]] = list(weights.values())
         one = self.vacuum * w
         # A sector with no photons to lift is empty: its norm is 0.0,
         # however it is computed.
-        one_norm = np.linalg.norm(one) if self.vacuum else 0.0
+        norm = np.linalg.norm(one) if self.vacuum else 0.0
         if self.one.any():
             pair = np.outer(self.one, w)
             two = (pair + pair.T) / _SQRT2
-            norm = math.hypot(one_norm, np.linalg.norm(two))
-            self.two = two / norm if pair.any() else None
-        else:
-            norm = math.hypot(one_norm, 0.0)
+            norm = math.hypot(norm, np.linalg.norm(two))
+            self.two = two / norm
         self.vacuum, self.one = 0j, one / norm
 
     def apply_mode_matrix(self, u):
         """v <- U v and S <- U S U^T for an n x n mode matrix ``u`` over
         all modes, trusted to be unitary."""
         self.one = u @ self.one
-        if self.two is not None:
-            self.two = u @ self.two @ u.T
+        self.two = u @ self.two @ u.T
 
     def fock_amplitudes(self):
         """Fock amplitude of every configuration, in the flat layout, with
@@ -325,8 +302,7 @@ class Sectors:
         amps = np.zeros(layout.occupations.shape[1], dtype=complex)
         amps[0] = self.vacuum
         amps[1:1 + n] = self.one
-        if self.two is not None:
-            amps[1 + n:] = self.two[layout.rows, layout.cols] * layout.weights
+        amps[1 + n:] = self.two[layout.rows, layout.cols] * layout.weights
         return pruned(amps)
 
     def to_state(self):
@@ -512,8 +488,7 @@ def project_pattern(state, pattern):
     modes are left free.  A probability of zero is a valid outcome and
     returns the flagged zero state.
     """
-    kept, probability = select(state, matches(state, pattern))
-    return ProjectionOutcome(kept.normalized(), probability)
+    return project_predicate(state, matches(state, pattern))
 
 
 def project_predicate(state, predicate):

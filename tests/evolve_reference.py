@@ -35,11 +35,11 @@ def mode_matrix(element):
     return params["matrix"]
 
 
-def _ns_two_mode(sectors, element, adjoint):
+def _ns_two_mode(sectors, element):
     evolve(sectors, elements._ns_two_mode_parts(*element.modes))
 
 
-def _decomposed_router(sectors, element, adjoint):
+def _decomposed_router(sectors, element):
     elements._router_positions(sectors, element)
     evolve(sectors, elements._pqr_decomposed_parts(*element.modes))
 
@@ -64,7 +64,7 @@ def evolve(sectors, schedule, adjoint=False):
             if run is not None:
                 sectors.apply_mode_matrix(run)
                 run = None
-            rule(sectors, element, adjoint)
+            rule(sectors, element)
             continue
         if run is None:
             run = np.eye(len(sectors.one), dtype=complex)

@@ -180,7 +180,6 @@ def test_router_sector_is_judged_on_fock_amplitudes(kind):
     router = kind(ms[0], ms[1], ms[2])
     sectors = fock.Sectors(vac)
     sectors.vacuum = 0j
-    sectors.two = np.zeros((4, 4), dtype=complex)
     sectors.two[0, 2] = sectors.two[2, 0] = 1 / math.sqrt(2.0)
     # |2_a> has amplitude S_aa, here below PRUNE_EPSILON ...
     sectors.two[0, 0] = 0.8 * fock.PRUNE_EPSILON

@@ -338,9 +338,7 @@ def test_long_linear_run_matches_dense_oracle():
 def assert_same_bits(got, want):
     assert got.vacuum == want.vacuum
     assert np.array_equal(got.one, want.one)
-    assert (got.two is None) == (want.two is None)
-    if want.two is not None:
-        assert np.array_equal(got.two, want.two)
+    assert np.array_equal(got.two, want.two)
 
 
 def evolve_both_ways(sectors, schedule):

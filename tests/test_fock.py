@@ -147,6 +147,9 @@ def test_superposition_source_weights():
         fock.superposition_source(vacuum, {})
     with pytest.raises(BadParam, match="all zero"):
         fock.superposition_source(vacuum, {ms[0]: 0, ms[1]: 0j})
+    # A weight below PRUNE_EPSILON adds no amplitude.
+    with pytest.raises(BadParam, match="all zero"):
+        fock.superposition_source(vacuum, {ms[0]: 1e-15, ms[1]: 0})
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)
@@ -178,10 +181,18 @@ def assert_same_sectors(got, state):
     want = fock.Sectors(state)
     assert abs(got.vacuum - want.vacuum) <= 1e-15
     assert np.max(np.abs(got.one - want.one)) <= 1e-15
-    if want.two is None:
-        assert got.two is None
-    else:
-        assert np.max(np.abs(got.two - want.two)) <= 1e-15
+    assert np.max(np.abs(got.two - want.two)) <= 1e-15
+
+
+def test_sectors_of_a_state_with_no_pair_have_a_zero_two_photon_part():
+    n = len(SOURCE_NAMES)
+    vacuum = fock.register_modes(SOURCE_NAMES)
+    one = fock.superposition_source(vacuum, {"M0": 1, "M3": 1j})
+    lifted = fock.Sectors(vacuum)
+    lifted.add_photon({"M0": 1, "M3": 1j})
+    for sectors in (fock.Sectors(vacuum), fock.Sectors(one), lifted):
+        assert sectors.two.shape == (n, n)
+        assert not sectors.two.any()
 
 
 @pytest.mark.parametrize("supports", SOURCE_SUPPORTS)
@@ -218,32 +229,6 @@ def test_add_photon_to_vacuum_and_one_photon_mixture(seed):
     sectors = fock.Sectors(state)
     sectors.add_photon(weights)
     assert_same_sectors(sectors, fock.superposition_source(state, weights))
-
-
-@pytest.mark.parametrize("seed", range(12))
-def test_photon_amplitudes_are_a_source_on_the_vacuum_bit_for_bit(seed):
-    """Weights of any size, some zero and some pruned, give the amplitudes
-    that superposition_source puts in the vacuum over their modes."""
-    rng = np.random.default_rng([seed, 41])
-    names = SOURCE_NAMES[:int(rng.integers(1, len(SOURCE_NAMES) + 1))]
-    scales = 10.0 ** rng.integers(-17, 3, size=len(names))
-    scales[rng.random(len(names)) < 0.2] = 0.0
-    scales[0] = 1.0
-    weights = [complex(rng.normal(), rng.normal()) * x for x in scales]
-    want = fock.Sectors(fock.superposition_source(
-        fock.register_modes(names), dict(zip(names, weights)))).one
-    assert np.array_equal(fock.photon_amplitudes(weights), want)
-
-
-@pytest.mark.parametrize("weights", [[0, 0j], [1e-15, 0], [1, math.nan],
-                                     [math.inf]])
-def test_photon_amplitudes_reject_what_a_source_rejects(weights):
-    names = SOURCE_NAMES[:len(weights)]
-    with pytest.raises(BadParam) as err:
-        fock.superposition_source(fock.register_modes(names),
-                                  dict(zip(names, weights)))
-    with pytest.raises(BadParam, match=str(err.value)):
-        fock.photon_amplitudes(weights)
 
 
 # ---------------------------------------------------------------------------

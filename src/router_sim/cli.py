@@ -174,11 +174,11 @@ def _run_alphas(args, arity):
     if args.alpha1 is not None or args.alpha2 is not None:
         if args.alphas is not None:
             raise UsageError("give --alphas or --alpha1/--alpha2, not both")
-        parts = [args.alpha1 or "0", args.alpha2 or "0"]
+        parts = ["0" if a is None else a for a in (args.alpha1, args.alpha2)]
     elif args.alphas is None or args.alphas == "equal":
         return scenarios.equal_alphas(arity)
     else:
-        parts = [p.strip() for p in args.alphas.split(",") if p.strip()]
+        parts = [p.strip() for p in args.alphas.split(",")]
     values = []
     for part in parts:
         value = dsl.parse_weight(part)

@@ -23,6 +23,9 @@ Probabilities are computed exactly from amplitudes; there is no sampling.
 Perturbed variants (wrong box, wrong time, switched router orientation,
 extra probe beam) are first-class because the certainty claims of the
 unperturbed schedules are only meaningful against such counterfactuals.
+They are data: each beam-table scenario's entry of :data:`_TABLES` holds
+its plan arguments and, next to them, each named perturbation as just
+the arguments it changes, and one builder (:func:`_build`) reads it.
 
 Only the probe's coefficients change from run to run.  Everything else is
 built once per process, on first use, for each scenario and perturbation:
@@ -462,7 +465,8 @@ def _beam_table_plan(name, shutter, beams, routers=True, probe_photon=True,
                      recombine=True):
     """Plan of the named shutter (see :func:`_spec`) probed by a table of
     beams, without its coefficients, built once per process for each set
-    of arguments; the builders return it with theirs.
+    of arguments; :func:`_build` reads them from :data:`_TABLES` and
+    returns the plan with its coefficients.
 
     Each beam ``(tag, box, checkpoint, orientation)`` of the tuple
     ``beams`` joins probe mode ``P<tag>`` and rail ``R<tag>`` (reflect) or
@@ -503,16 +507,101 @@ def _beam_table_plan(name, shutter, beams, routers=True, probe_photon=True,
 
 
 # ---------------------------------------------------------------------------
-# Static three-box shutter
+# Beam-table scenarios: each one's table and perturbations, written once
 # ---------------------------------------------------------------------------
 
+def _beams(tags, transmit="", at=None):
+    """Beams (tag, box, checkpoint, orientation) of ``tags``: tag ``"Xn"``
+    probes box X at checkpoint ``at`` (by default tn), transmitting if it
+    is in ``transmit`` and reflecting otherwise."""
+    return tuple((tag, tag[0], at or f"t{tag[1]}",
+                  _TRANSMIT if tag in transmit.split() else _REFLECT)
+                 for tag in tags.split())
+
+
+#: The :func:`_beam_table_plan` arguments of every beam-table scenario,
+#: keyed by perturbation: None holds the unperturbed scenario's, then each
+#: named perturbation, in the order the registry lists them, holds just
+#: the arguments it changes.  ``extra`` is no plan argument but a beam
+#: ``(position, beam, weight)`` that :func:`_build` inserts into the table
+#: with a fixed coefficient.
+_TABLES = {
+    "three_box_shutter": {None: dict(shutter="three_box", recombine=False,
+                                     beams=_beams("A B", at="t"))},
+    "disappearing_full": {
+        None: dict(shutter="disappearing", beams=_beams("A1 C1 C2 B3 C3")),
+        "remove-shutter-C-t2": dict(shutter="remove-shutter-C-t2"),
+        "extra-beam-A-t2": dict(
+            extra=(3, ("X2", "A", "t2", _REFLECT), 1 / math.sqrt(6.0))),
+        "extra-beam-B-t2": dict(
+            extra=(3, ("X2", "B", "t2", _REFLECT), 1 / math.sqrt(6.0))),
+    },
+    "simplified_3path": {
+        None: dict(shutter="disappearing", beams=_beams("A1 C2 B3")),
+        "identity-routers": dict(routers=False),
+        "wrong-box-t2": dict(beams=_beams("A1 A2 B3")),
+    },
+    "simplest_2path": {
+        None: dict(shutter="disappearing", beams=_beams("A1 C2")),
+        "swapped-slots": dict(beams=_beams("C1 A2")),
+        "vacuum-probe": dict(probe_photon=False),
+    },
+    "absence_test": {
+        None: dict(shutter="disappearing",
+                   beams=_beams("A B", transmit="A B", at="t2")),
+        "at-t1": dict(beams=_beams("A B", transmit="A B", at="t1")),
+        "at-t3": dict(beams=_beams("A B", transmit="A B", at="t3")),
+        "reflect-orientation": dict(beams=_beams("A B", at="t2")),
+    },
+    "stricter_6beam": {
+        None: dict(shutter="disappearing",
+                   beams=_beams("A1 C1 A2 B2 B3 C3", transmit="A2 B2")),
+        "flip-A-t2": dict(beams=_beams("A1 C1 A2 B2 B3 C3", transmit="B2")),
+        "flip-B-t2": dict(beams=_beams("A1 C1 A2 B2 B3 C3", transmit="A2")),
+    },
+}
+
+
+def _build(name, perturbation, alphas):
+    """The plan of beam-table scenario ``name`` under ``perturbation``
+    (None: unperturbed), read from :data:`_TABLES`, with coefficients
+    ``alphas``: checked for the scenario's arity, or equal over the
+    table's beams if None.  An ``extra`` beam takes its weight, the other
+    coefficients shrunk to keep the norm."""
+    check_perturbation(name, perturbation)
+    args = {**_TABLES[name][None], **_TABLES[name][perturbation]}
+    alphas = (equal_alphas(len(args["beams"])) if alphas is None
+              else as_alpha_vector(alphas, SCENARIOS[name].arity))
+    if "extra" in args:
+        at, beam, weight = args.pop("extra")
+        args["beams"] = args["beams"][:at] + (beam,) + args["beams"][at:]
+        shrunk = alphas * math.sqrt(1.0 - weight**2)
+        alphas = np.concatenate([shrunk[:at], [weight], shrunk[at:]])
+    return replace(_beam_table_plan(name, **args), alphas=alphas)
+
+
 def build_three_box(alpha1, alpha2):
-    alphas = as_alpha_vector([alpha1, alpha2], 2)
-    return replace(_beam_table_plan(
-        "three_box_shutter", "three_box",
-        (("A", "A", "t", _REFLECT), ("B", "B", "t", _REFLECT)),
-        recombine=False,
-    ), alphas=alphas)
+    return _build("three_box_shutter", None, (alpha1, alpha2))
+
+
+def build_disappearing(alphas=None, perturbation=None):
+    return _build("disappearing_full", perturbation, alphas)
+
+
+def build_simplified_3path(variant=None):
+    return _build("simplified_3path", variant, None)
+
+
+def build_simplest_2path(variant=None):
+    return _build("simplest_2path", variant, None)
+
+
+def build_absence_test(variant=None):
+    return _build("absence_test", variant, None)
+
+
+def build_stricter_6beam(alphas=None, flip=None):
+    return _build("stricter_6beam", flip, alphas)
 
 
 def three_box_shutter(alpha1, alpha2):
@@ -524,35 +613,6 @@ def three_box_shutter(alpha1, alpha2):
     result = run_plan(build_three_box(alpha1, alpha2))
     _attach_tsvf(result, "three_box")
     return result
-
-
-# ---------------------------------------------------------------------------
-# Tunneling schemes: beam tables over the disappearing shutter
-# ---------------------------------------------------------------------------
-
-# Beams (tag, box, checkpoint, orientation) of the disappearing scheme.
-_DISAPPEARING_BEAMS = tuple((tag, tag[0], f"t{tag[1]}", _REFLECT)
-                            for tag in ("A1", "C1", "C2", "B3", "C3"))
-
-
-def build_disappearing(alphas=None, perturbation=None):
-    check_perturbation("disappearing_full", perturbation)
-    alphas = equal_alphas(5) if alphas is None else as_alpha_vector(alphas, 5)
-    beams = _DISAPPEARING_BEAMS
-    extra_box = {"extra-beam-A-t2": "A", "extra-beam-B-t2": "B"}.get(
-        perturbation
-    )
-    if extra_box is not None:
-        beams = beams[:3] + (("X2", extra_box, "t2", _REFLECT),) + beams[3:]
-        weight = 1.0 / math.sqrt(6.0)
-        shrunk = alphas * math.sqrt(1.0 - weight**2)
-        alphas = np.concatenate(
-            [shrunk[:3], [weight], shrunk[3:]]
-        )
-    shutter = ("remove-shutter-C-t2" if perturbation == "remove-shutter-C-t2"
-               else "disappearing")
-    return replace(_beam_table_plan("disappearing_full", shutter, beams),
-                   alphas=alphas)
 
 
 def disappearing_full(alphas=None, perturbation=None):
@@ -569,35 +629,9 @@ def disappearing_full(alphas=None, perturbation=None):
     return result
 
 
-def build_simplified_3path(variant=None):
-    check_perturbation("simplified_3path", variant)
-    t2_box = "A" if variant == "wrong-box-t2" else "C"
-    beams = (
-        ("A1", "A", "t1", _REFLECT),
-        (t2_box + "2", t2_box, "t2", _REFLECT),
-        ("B3", "B", "t3", _REFLECT),
-    )
-    return replace(_beam_table_plan(
-        "simplified_3path", "disappearing", beams,
-        routers=variant != "identity-routers",
-    ), alphas=equal_alphas(3))
-
-
 def simplified_3path(variant=None):
     """Three-beam probe: reflections at A(t1), C(t2) and B(t3)."""
     return run_plan(build_simplified_3path(variant))
-
-
-def build_simplest_2path(variant=None):
-    check_perturbation("simplest_2path", variant)
-    if variant == "swapped-slots":
-        beams = (("C1", "C", "t1", _REFLECT), ("A2", "A", "t2", _REFLECT))
-    else:
-        beams = (("A1", "A", "t1", _REFLECT), ("C2", "C", "t2", _REFLECT))
-    return replace(_beam_table_plan(
-        "simplest_2path", "disappearing", beams,
-        probe_photon=variant != "vacuum-probe",
-    ), alphas=equal_alphas(2))
 
 
 def simplest_2path(variant=None):
@@ -610,19 +644,6 @@ def simplest_2path(variant=None):
     return run_plan(build_simplest_2path(variant))
 
 
-# ---------------------------------------------------------------------------
-# Absence test (transmit-orientation routers at t2)
-# ---------------------------------------------------------------------------
-
-def build_absence_test(variant=None):
-    check_perturbation("absence_test", variant)
-    slot = {"at-t1": "t1", "at-t3": "t3"}.get(variant, "t2")
-    orientation = _REFLECT if variant == "reflect-orientation" else _TRANSMIT
-    beams = (("A", "A", slot, orientation), ("B", "B", slot, orientation))
-    return replace(_beam_table_plan("absence_test", "disappearing", beams),
-                   alphas=equal_alphas(2))
-
-
 def absence_test(variant=None):
     """Probe sent through boxes A and B at t2, transmitted when empty.
 
@@ -630,25 +651,6 @@ def absence_test(variant=None):
     restore the probe's initial superposition with certainty.
     """
     return run_plan(build_absence_test(variant))
-
-
-# ---------------------------------------------------------------------------
-# Stricter six-beam scheme: presence and absence with one probe photon
-# ---------------------------------------------------------------------------
-
-def build_stricter_6beam(alphas=None, flip=None):
-    check_perturbation("stricter_6beam", flip)
-    alphas = equal_alphas(6) if alphas is None else as_alpha_vector(alphas, 6)
-    beams = (
-        ("A1", "A", "t1", _REFLECT),
-        ("C1", "C", "t1", _REFLECT),
-        ("A2", "A", "t2", _REFLECT if flip == "flip-A-t2" else _TRANSMIT),
-        ("B2", "B", "t2", _REFLECT if flip == "flip-B-t2" else _TRANSMIT),
-        ("B3", "B", "t3", _REFLECT),
-        ("C3", "C", "t3", _REFLECT),
-    )
-    return replace(_beam_table_plan("stricter_6beam", "disappearing", beams),
-                   alphas=alphas)
 
 
 def stricter_6beam(alphas=None, flip=None):
@@ -670,7 +672,8 @@ OPEN_CAVITIES = "OPEN_CAVITIES"
 SUPERPOSE = "SUPERPOSE"
 
 #: Bob's cavities: the kept rails of the five beams, in beam order.
-_CAVITIES = tuple("R" + tag for tag, _, _, _ in _DISAPPEARING_BEAMS)
+_CAVITIES = tuple("R" + tag for tag, _, _, _
+                  in _TABLES["disappearing_full"][None]["beams"])
 
 
 def _bell_states(points):
@@ -682,8 +685,8 @@ def _bell_states(points):
     :func:`disappearing_full`, whose merge the Bell analysis never reads;
     every point's block is propagated in one stack.
     """
-    plan = _beam_table_plan("disappearing_full", "disappearing",
-                            _DISAPPEARING_BEAMS)
+    plan = _beam_table_plan("disappearing_full",
+                            **_TABLES["disappearing_full"][None])
     collected = _propagate(plan, points)[:, :, plan.kept_columns]
     return normalized_rows(
         collected.reshape(len(collected), -1)).reshape(collected.shape)
@@ -926,13 +929,10 @@ class Scenario:
     functions through their module-level names, so rebinding a name (to
     trace or patch it) also reaches the registry.  ``arity`` is the number
     of probe coefficients; 0 means the scenario takes none and cannot be
-    swept.
+    swept.  ``perturbations`` are the names after None in a beam-table
+    scenario's :data:`_TABLES` entry, in its order.
     ``certain(result, tol)`` checks the built-in claim of an unperturbed
-    run.  What ``evaluate`` and ``sweep`` run that does not depend on the
-    coefficients (spec, plan, block program, ABL and weak values) is built
-    on a scenario's first call and kept for the process; each call does
-    the coefficient work alone, starting with validating them.
-    ``sweep(points)``, given for every scenario with coefficients,
+    run.  ``sweep(points)``, given for every scenario with coefficients,
     evaluates it, unperturbed and with OPEN/OPEN settings, at each
     coefficient vector of the (n, ``arity``) array ``points``, which it
     checks first (:func:`as_alpha_vectors`).  It returns arrays, not one
@@ -966,34 +966,33 @@ SCENARIOS = {
             alphas, perturbation),
         arity=5,
         certain=_restored_with_certainty,
-        perturbations=("remove-shutter-C-t2", "extra-beam-A-t2",
-                       "extra-beam-B-t2"),
+        perturbations=tuple(_TABLES["disappearing_full"])[1:],
         sweep=lambda points: sweep_plan(build_disappearing(), points),
     ),
     "simplified_3path": Scenario(
         lambda alphas, perturbation, settings: simplified_3path(perturbation),
         arity=0,
         certain=_restored_with_certainty,
-        perturbations=("identity-routers", "wrong-box-t2"),
+        perturbations=tuple(_TABLES["simplified_3path"])[1:],
     ),
     "simplest_2path": Scenario(
         lambda alphas, perturbation, settings: simplest_2path(perturbation),
         arity=0,
         certain=_restored_with_certainty,
-        perturbations=("swapped-slots", "vacuum-probe"),
+        perturbations=tuple(_TABLES["simplest_2path"])[1:],
     ),
     "absence_test": Scenario(
         lambda alphas, perturbation, settings: absence_test(perturbation),
         arity=0,
         certain=_restored_with_certainty,
-        perturbations=("at-t1", "at-t3", "reflect-orientation"),
+        perturbations=tuple(_TABLES["absence_test"])[1:],
     ),
     "stricter_6beam": Scenario(
         lambda alphas, perturbation, settings: stricter_6beam(
             alphas, perturbation),
         arity=6,
         certain=_restored_with_certainty,
-        perturbations=("flip-A-t2", "flip-B-t2"),
+        perturbations=tuple(_TABLES["stricter_6beam"])[1:],
         sweep=lambda points: sweep_plan(build_stricter_6beam(), points),
     ),
     "bell_test": Scenario(

@@ -411,6 +411,9 @@ USAGE_ERRORS = (
     # scenario that takes no coefficients, and no command at all
     + [
         ["run", "disappearing_full", "--alphas", " , "],
+        ["run", "three_box_shutter", "--alphas", "0.6,0.8,"],
+        ["run", "three_box_shutter", "--alphas", "1,,0"],
+        ["run", "three_box_shutter", "--alpha1=", "--alpha2=1"],
         ["sweep", "disappearing_full", "--random", "0"],
         ["sweep", "disappearing_full", "--alpha1-grid", "0:1"],
         ["sweep", "simplest_2path", "--random", "3"],
@@ -476,6 +479,18 @@ def test_usage_error_exits_3_with_one_line(argv, capsys):
     assert code == cli.EXIT_USAGE
     assert out == ""
     assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--alphas", "0.6,0.8,"], ["--alphas", "1,,0"], ["--alphas", " , "],
+    ["--alpha1=", "--alpha2=1"], ["--alpha1=0.6", "--alpha2="],
+])
+def test_an_empty_coefficient_is_a_usage_error(argv, capsys):
+    # An empty field or flag value is no coefficient, not a zero; only an
+    # absent --alpha1/--alpha2 reads as 0.
+    code, out = run_cli(["run", "three_box_shutter", *argv])
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert capsys.readouterr().err == "error: invalid coefficient ''\n"
 
 
 def out_of_memory(*args):

@@ -8,6 +8,7 @@ path as an independent reference: ``apply_schedule``, then
 ``select`` / ``matches`` / ``postselect_subsystem`` on the collected state
 for the Bell tables.  Random beam tables are held to it as well, the small
 ones also to the dense oracle, and their sweeps to their runs bit for bit.
+Every named perturbation is held to both the sparse and the dense path.
 """
 
 import math
@@ -122,6 +123,17 @@ BUILDERS = {
 ])
 def test_run_plan_matches_the_sparse_path(name, perturbation):
     assert_run_matches_reference(BUILDERS[name](perturbation))
+
+
+@pytest.mark.parametrize("name,perturbation", [
+    (name, perturbation)
+    for name in BUILDERS
+    for perturbation in scenarios.SCENARIOS[name].perturbations
+])
+def test_perturbed_plans_match_the_dense_oracle(name, perturbation):
+    # The dense oracle propagates every named perturbation too, as
+    # test_criterion_09 propagates the unperturbed plans.
+    assert_run_matches_reference(BUILDERS[name](perturbation), dense_schedule)
 
 
 @pytest.mark.parametrize("build,arity", [

@@ -167,8 +167,8 @@ def _reject_unused_flags(args, entry):
 
 
 def _run_alphas(args, arity):
-    """Coefficients of a run, the scenario's default when none are given;
-    the scenario validates them."""
+    """Coefficients of a run, each stripped of spaces, the scenario's
+    default when none are given; the scenario validates them."""
     if not arity:
         return []
     if args.alpha1 is not None or args.alpha2 is not None:
@@ -178,9 +178,9 @@ def _run_alphas(args, arity):
     elif args.alphas is None or args.alphas == "equal":
         return scenarios.equal_alphas(arity)
     else:
-        parts = [p.strip() for p in args.alphas.split(",")]
+        parts = args.alphas.split(",")
     values = []
-    for part in parts:
+    for part in map(str.strip, parts):
         value = dsl.parse_weight(part)
         if value is None:
             raise UsageError(f"invalid coefficient {part!r}")

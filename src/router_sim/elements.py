@@ -6,12 +6,12 @@ sector form (:class:`~router_sim.fock.Sectors`) once per schedule.  Each
 run of consecutive linear elements and relabels is composed into one mode
 matrix, which acts on the sector form once, ahead of the NS gate or router
 that ends the run.  The run's matrix starts as the identity and each
-element updates only its own rows: a beamsplitter or tunneling element
-multiplies its two rows by its 2 x 2 matrix, taken from one array that
-:func:`evolve` builds for the whole schedule from the scalar entries of
-:func:`bs_matrix` and :func:`tunnel_matrix`; a phase shifter scales its
-row by a scalar; a relabel moves rows.  The beamsplitter uses the symmetric
-convention
+element updates only its own rows, by its width: a relabel moves them; a
+two-mode element multiplies them by its 2 x 2 matrix, taken from one
+array that :func:`evolve` builds for the whole schedule from the scalar
+entries of :func:`bs_matrix`, :func:`tunnel_matrix` and the unitaries; a
+one-mode element scales its row, and a wider unitary gathers and scatters
+its rows.  The beamsplitter uses the symmetric convention
 
     BS(r) = [[sqrt(r), i*sqrt(1-r)], [i*sqrt(1-r), sqrt(r)]],
 
@@ -336,10 +336,10 @@ def _identity(n):
 
 
 def _pair_matrices(elements, adjoint):
-    """The 2 x 2 mode matrices of the beamsplitters and tunneling elements
-    among ``elements``, in their order, as one (k, 2, 2) array, or their
+    """The 2 x 2 mode matrices of the two-mode linear elements among
+    ``elements``, in their order, as one (k, 2, 2) array, or their
     adjoints; None if there are none.  Each entry is the scalar that
-    :func:`bs_matrix` or :func:`tunnel_matrix` computes."""
+    :func:`bs_matrix` or :func:`tunnel_matrix` computes, or the unitary's."""
     entries = []
     for element in elements:
         kind = element.kind
@@ -347,13 +347,12 @@ def _pair_matrices(elements, adjoint):
             entries += _bs_entries(element.params["r"])
         elif kind is ElementKind.TUNNEL:
             entries += _tunnel_entries(element.params["theta"])
+        elif kind is ElementKind.MODE_UNITARY and len(element.modes) == 2:
+            entries += element.params["matrix"].flat
     if not entries:
         return None
     matrices = np.array(entries, dtype=complex).reshape(-1, 2, 2)
     return matrices.conj().transpose(0, 2, 1) if adjoint else matrices
-
-
-_PAIRED = (ElementKind.BS, ElementKind.TUNNEL)
 
 
 def evolve(sectors, elements, adjoint=False):
@@ -362,9 +361,10 @@ def evolve(sectors, elements, adjoint=False):
 
     ``run`` is the mode matrix of the current run of linear elements and
     relabels (None for the identity).  Each element of the run updates
-    only its own rows of it: a beamsplitter or tunneling element
-    multiplies its two rows by its matrix from ``_pair_matrices``, a
-    phase shifter scales its row and a relabel moves rows.
+    only its own rows of it, by its width: a relabel moves rows, a
+    two-mode element multiplies its two rows by its matrix from
+    ``_pair_matrices``, a one-mode element scales its row and a wider
+    :func:`mode_unitary` gathers and scatters its rows.
     """
     index = sectors.state._index
     if adjoint:
@@ -384,16 +384,7 @@ def evolve(sectors, elements, adjoint=False):
         if run is None:
             run = _identity(len(sectors.one)).copy()
         modes = element.modes
-        if kind in _PAIRED:
-            # Rows i and j, in that order, as one strided view.
-            i, j = index[modes[0]], index[modes[1]]
-            rows = run[i::j - i][:2]
-            rows[:] = pairs[k] @ rows
-            k += 1
-        elif kind is ElementKind.PHASE:
-            phase = cmath.exp(1j * element.params["angle"])
-            run[index[modes[0]]] *= phase.conjugate() if adjoint else phase
-        elif kind is ElementKind.RELABEL:
+        if kind is ElementKind.RELABEL:
             # The photons of mode ``src`` move to mode ``dst``.
             mapping = element.params["mapping"]
             src = [index[m] for m in mapping.keys()]
@@ -401,18 +392,22 @@ def evolve(sectors, elements, adjoint=False):
             if adjoint:
                 src, dst = dst, src
             run[dst] = run[src]
+        elif len(modes) == 2:
+            # Rows i and j, in that order, as one strided view.
+            i, j = index[modes[0]], index[modes[1]]
+            rows = run[i::j - i][:2]
+            rows[:] = pairs[k] @ rows
+            k += 1
+        elif len(modes) == 1:
+            factor = (cmath.exp(1j * element.params["angle"])
+                      if kind is ElementKind.PHASE
+                      else element.params["matrix"][0, 0])
+            run[index[modes[0]]] *= factor.conjugate() if adjoint else factor
         else:
             u = element.params["matrix"]
             u = u.conj().T if adjoint else u
             positions = [index[m] for m in modes]
-            if len(modes) == 1:
-                run[positions[0]] *= u[0, 0]
-            elif len(modes) == 2:
-                i, j = positions
-                rows = run[i::j - i][:2]
-                rows[:] = u @ rows
-            else:
-                run[positions] = u @ run[positions]
+            run[positions] = u @ run[positions]
     if run is not None:
         sectors.apply_mode_matrix(run)
 

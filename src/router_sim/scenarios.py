@@ -16,16 +16,18 @@ boxes, column 0 is the probe vacuum and column 1 + p is probe mode p.  Runs
 (:func:`run_plan`), sweeps (:func:`sweep_plan`) and Bell runs and sweeps
 (:func:`_bell_states`) propagate their points' blocks as one stack, a run
 as a stack of one, and a point's numbers do not depend on its stack.  Beam
-tables are measured by one function (:func:`_measure`), the Bell tables
-and summary by array algebra on the cavity columns (:func:`_bell_report`).
-A sweep returns arrays, not one record per point (:class:`Scenario`).
+tables are measured by one function (:func:`_measure`), the Bell tables,
+one per (Alice, Bob) setting pair, and their summary by array algebra on
+the cavity columns (:func:`_bell_report`).  A sweep returns arrays, not
+one record per point (:class:`Scenario`).
 Probabilities are computed exactly from amplitudes; there is no sampling.
 Perturbed variants (wrong box, wrong time, switched router orientation,
 extra probe beam) are first-class because the certainty claims of the
 unperturbed schedules are only meaningful against such counterfactuals.
 They are data: each beam-table scenario's entry of :data:`_TABLES` holds
 its plan arguments and, next to them, each named perturbation as just
-the arguments it changes, and one builder (:func:`_build`) reads it.
+the arguments it changes; one builder (:func:`_build`) reads it, and so
+does the registry (:func:`_beam_table_scenario`).
 
 Only the probe's coefficients change from run to run.  Everything else is
 built once per process, on first use, for each scenario and perturbation:
@@ -41,8 +43,9 @@ frozen plans and specs, tuples, read-only mappings and arrays.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -88,11 +91,11 @@ class ScenarioResult:
 
     name: str
     conditional_probabilities: dict
-    fidelity_to_target: float | None
-    weak_values: dict
-    abl_values: dict
-    schmidt_spectrum: list | None
-    metadata: dict
+    fidelity_to_target: float | None = None
+    weak_values: dict = field(default_factory=dict)
+    abl_values: dict = field(default_factory=dict)
+    schmidt_spectrum: list | None = None
+    metadata: dict = field(default_factory=dict)
     probe: tuple | None = None
 
     @functools.cached_property
@@ -336,9 +339,9 @@ def _frozen(values):
 
 
 def _clamp(tables):
-    """``tables`` with every negative probability, a rounding residue of
-    a difference, raised to zero."""
-    return np.maximum(tables, 0.0)
+    """Raise every negative probability in ``tables``, a rounding residue
+    of a difference, to zero in place, and return ``tables``."""
+    return np.maximum(tables, 0.0, out=tables)
 
 
 def _measure(plan, points, joint):
@@ -406,10 +409,7 @@ def run_plan(plan):
         name=plan.name,
         conditional_probabilities=dict(zip(fields, outcomes)),
         fidelity_to_target=fidelity,
-        weak_values={},
-        abl_values={},
         schmidt_spectrum=spectrum_of(spectra[0]),
-        metadata={},
         probe=(plan.probe_modes, probes[0]),
     )
 
@@ -732,13 +732,18 @@ _BELL_OUTCOMES = {
 #: cavities RA1 and RB3 for the position settings, "match" for SUPERPOSE.
 _CHSH_ALICE_PLUS, _CHSH_BOB_PLUS = ("B", "match"), ("RA1", "RB3", "match")
 
-#: The sign of each outcome of each table in the CHSH combination.
-_CHSH_SIGNS = _frozen([
-    [(1.0 if a in _CHSH_ALICE_PLUS else -1.0)
-     * (1.0 if b in _CHSH_BOB_PLUS else -1.0) for a, b in outcomes]
-    + [0.0] * (15 - len(outcomes))
-    for outcomes in _BELL_OUTCOMES.values()
-])
+#: The CHSH sign of each outcome of each setting pair's table.
+_CHSH_SIGNS = {
+    pair: _frozen([(1.0 if a in _CHSH_ALICE_PLUS else -1.0)
+                   * (1.0 if b in _CHSH_BOB_PLUS else -1.0)
+                   for a, b in outcomes])
+    for pair, outcomes in _BELL_OUTCOMES.items()
+}
+
+#: The columns of each setting pair's table in one array of all four.
+_BELL_ENDS = tuple(itertools.accumulate(map(len, _BELL_OUTCOMES.values())))
+_BELL_COLUMNS = dict(zip(_BELL_OUTCOMES,
+                         map(slice, (0,) + _BELL_ENDS, _BELL_ENDS)))
 
 #: The summary fields of a Bell run or sweep.
 _BELL_SUMMARY = ("no_signaling_gap", "chsh")
@@ -746,9 +751,10 @@ _BELL_SUMMARY = ("no_signaling_gap", "chsh")
 
 def _bell_tables(states):
     """The clamped joint probability tables of the four setting pairs on a
-    stack of Bell states from :func:`_bell_states`, as one (n, 4, 15)
-    array: ``[i, j]`` holds point i's table of the j-th pair of
-    :data:`_BELL_OUTCOMES` in its outcome order, then zeros.
+    stack of Bell states from :func:`_bell_states`, keyed by (Alice, Bob)
+    setting pair: the pair's (n, k) table holds each point's probabilities
+    of its k outcomes, in :data:`_BELL_OUTCOMES` order.  The four are
+    column blocks of one array, filled and clamped once.
 
     Every probability takes the numpy operations that give it for one
     state at a time, so a stack of any size holds the same bits.  Three
@@ -770,25 +776,26 @@ def _bell_tables(states):
     both = (given_alice[:, None, :] @ bob)[:, 0]
     p_both = np.float_power(np.hypot(both.real, both.imag), 2)
 
-    tables = np.zeros((n, 4, 15))
-    tables[:, 0] = probs.reshape(n, 15)
-    tables[:, 1, 0:6:2] = bob_match
-    tables[:, 1, 1:6:2] = probs.sum(axis=2) - bob_match
-    tables[:, 2, 0:10:2] = alice_match
-    tables[:, 2, 1:10:2] = probs.sum(axis=1) - alice_match
-    tables[:, 3, 0] = p_both
-    tables[:, 3, 1] = p_alice - p_both
-    tables[:, 3, 2] = p_bob - p_both
-    tables[:, 3, 3] = 1.0 - p_alice - p_bob + p_both
-    return _clamp(tables)
+    tables = np.empty((n, _BELL_ENDS[-1]))
+    by_pair = {pair: tables[:, cols] for pair, cols in _BELL_COLUMNS.items()}
+    by_pair[OPEN_BOXES, OPEN_CAVITIES][:] = probs.reshape(n, -1)
+    # A SUPERPOSE side's outcomes alternate "match" and "rest".
+    by_pair[OPEN_BOXES, SUPERPOSE][:] = np.stack(
+        [bob_match, probs.sum(axis=2) - bob_match], axis=2).reshape(n, -1)
+    by_pair[SUPERPOSE, OPEN_CAVITIES][:] = np.stack(
+        [alice_match, probs.sum(axis=1) - alice_match], axis=2).reshape(n, -1)
+    by_pair[SUPERPOSE, SUPERPOSE][:] = np.stack(
+        [p_both, p_alice - p_both, p_bob - p_both,
+         1.0 - p_alice - p_bob + p_both], axis=1)
+    _clamp(tables)
+    return by_pair
 
 
-def _table(tables, alice_setting, bob_setting):
-    """One setting pair's table from one point's (4, 15) tables, as a dict
-    keyed by (Alice outcome, Bob outcome)."""
+def _table(tables, point, alice_setting, bob_setting):
+    """One setting pair's table at one point of :func:`_bell_tables`, as a
+    dict keyed by (Alice outcome, Bob outcome)."""
     pair = (alice_setting, bob_setting)
-    row = tables[list(_BELL_OUTCOMES).index(pair)]
-    return dict(zip(_BELL_OUTCOMES[pair], row.tolist()))
+    return dict(zip(_BELL_OUTCOMES[pair], tables[pair][point].tolist()))
 
 
 def bell_test(alphas=None, alice_setting=OPEN_BOXES, bob_setting=OPEN_CAVITIES):
@@ -800,7 +807,7 @@ def bell_test(alphas=None, alice_setting=OPEN_BOXES, bob_setting=OPEN_CAVITIES):
     its complement ("match"/"rest").
     """
     states = _bell_state(alphas, alice_setting, bob_setting)
-    return _table(_bell_tables(states)[0], alice_setting, bob_setting)
+    return _table(_bell_tables(states), 0, alice_setting, bob_setting)
 
 
 def bell_marginals(table, side):
@@ -821,11 +828,10 @@ def _no_signaling_gap(tables):
     Each marginal adds its table's entries in table order, one after
     another, as :func:`bell_marginals` adds them.
     """
-    n = len(tables)
-    positions = tables[:, 0].reshape(n, 3, 5)       # box x cavity
-    box_match = tables[:, 1, :6].reshape(n, 3, 2)   # box x (match, rest)
-    match_cavity = tables[:, 2, :10].reshape(n, 5, 2)  # cavity x (m, r)
-    both = tables[:, 3, :4].reshape(n, 2, 2)         # Alice x Bob
+    positions = tables[OPEN_BOXES, OPEN_CAVITIES].reshape(-1, 3, 5)
+    box_match = tables[OPEN_BOXES, SUPERPOSE].reshape(-1, 3, 2)
+    match_cavity = tables[SUPERPOSE, OPEN_CAVITIES].reshape(-1, 5, 2)
+    both = tables[SUPERPOSE, SUPERPOSE].reshape(-1, 2, 2)  # Alice x Bob
     changes = np.concatenate([
         # Alice's marginals as Bob switches, OPEN then SUPERPOSE for her ...
         running_sum(positions, 2) - running_sum(box_match, 2),
@@ -848,8 +854,10 @@ def _chsh(tables):
     table order, and the four are added in that order from 0.0.  The value
     is reported, not asserted against any bound.
     """
-    e = running_sum(tables * _CHSH_SIGNS, 2) / running_sum(tables, 2)
-    return 0.0 + e[:, 0] + e[:, 1] + e[:, 2] - e[:, 3]
+    e00, e01, e10, e11 = (  # in the order of _BELL_OUTCOMES
+        running_sum(table * _CHSH_SIGNS[pair]) / running_sum(table)
+        for pair, table in tables.items())
+    return 0.0 + e00 + e01 + e10 - e11
 
 
 def bell_scenario(alphas=None, alice_setting=OPEN_BOXES,
@@ -866,14 +874,11 @@ def bell_scenario(alphas=None, alice_setting=OPEN_BOXES,
     tables, values, spectra = _bell_report(states)
     outcomes = {
         f"shutter={a}|probe={b}": p
-        for (a, b), p in _table(tables[0], alice_setting, bob_setting).items()
+        for (a, b), p in _table(tables, 0, alice_setting, bob_setting).items()
     }
     return ScenarioResult(
         name="bell_test",
         conditional_probabilities=outcomes,
-        fidelity_to_target=None,
-        weak_values={},
-        abl_values={},
         schmidt_spectrum=spectrum_of(spectra[0]),
         metadata=dict(zip(_BELL_SUMMARY, values[0].tolist())),
     )
@@ -921,7 +926,8 @@ def _bell_consistent(result, tol):
 
 @dataclass(frozen=True)
 class Scenario:
-    """One entry of :data:`SCENARIOS`.
+    """One entry of :data:`SCENARIOS`; a beam-table scenario's entry is
+    read from its :data:`_TABLES` entry (:func:`_beam_table_scenario`).
 
     ``evaluate(alphas, perturbation, settings)`` runs the scenario, where
     ``settings`` is an (Alice, Bob) pair that only ``takes_settings``
@@ -929,8 +935,7 @@ class Scenario:
     functions through their module-level names, so rebinding a name (to
     trace or patch it) also reaches the registry.  ``arity`` is the number
     of probe coefficients; 0 means the scenario takes none and cannot be
-    swept.  ``perturbations`` are the names after None in a beam-table
-    scenario's :data:`_TABLES` entry, in its order.
+    swept.  ``perturbations`` are the names of its named perturbations.
     ``certain(result, tol)`` checks the built-in claim of an unperturbed
     run.  ``sweep(points)``, given for every scenario with coefficients,
     evaluates it, unperturbed and with OPEN/OPEN settings, at each
@@ -953,48 +958,47 @@ class Scenario:
     sweep: Callable | None = None
 
 
+def _beam_table_scenario(name, evaluate, plan=None):
+    """The :class:`Scenario` of beam-table scenario ``name``, read from
+    :data:`_TABLES`: certain of restoration, or of reflection with fidelity
+    one where the table does not recombine.  ``plan``, given where the
+    scenario takes coefficients (one per beam), builds its unperturbed plan
+    through its ``build_*`` module name; the sweep measures that plan."""
+    table = _TABLES[name]
+    return Scenario(
+        evaluate,
+        arity=len(table[None]["beams"]) if plan else 0,
+        certain=(_restored_with_certainty if table[None].get("recombine", True)
+                 else _reflected_with_fidelity_one),
+        perturbations=tuple(table)[1:],
+        sweep=plan and (lambda points: sweep_plan(plan(), points)),
+    )
+
+
 SCENARIOS = {
-    "three_box_shutter": Scenario(
+    "three_box_shutter": _beam_table_scenario(
+        "three_box_shutter",
         lambda alphas, perturbation, settings: three_box_shutter(*alphas),
-        arity=2,
-        certain=_reflected_with_fidelity_one,
-        sweep=lambda points: sweep_plan(
-            build_three_box(*equal_alphas(2)), points),
-    ),
-    "disappearing_full": Scenario(
+        lambda: build_three_box(*equal_alphas(2))),
+    "disappearing_full": _beam_table_scenario(
+        "disappearing_full",
         lambda alphas, perturbation, settings: disappearing_full(
             alphas, perturbation),
-        arity=5,
-        certain=_restored_with_certainty,
-        perturbations=tuple(_TABLES["disappearing_full"])[1:],
-        sweep=lambda points: sweep_plan(build_disappearing(), points),
-    ),
-    "simplified_3path": Scenario(
-        lambda alphas, perturbation, settings: simplified_3path(perturbation),
-        arity=0,
-        certain=_restored_with_certainty,
-        perturbations=tuple(_TABLES["simplified_3path"])[1:],
-    ),
-    "simplest_2path": Scenario(
-        lambda alphas, perturbation, settings: simplest_2path(perturbation),
-        arity=0,
-        certain=_restored_with_certainty,
-        perturbations=tuple(_TABLES["simplest_2path"])[1:],
-    ),
-    "absence_test": Scenario(
-        lambda alphas, perturbation, settings: absence_test(perturbation),
-        arity=0,
-        certain=_restored_with_certainty,
-        perturbations=tuple(_TABLES["absence_test"])[1:],
-    ),
-    "stricter_6beam": Scenario(
+        lambda: build_disappearing()),
+    "simplified_3path": _beam_table_scenario(
+        "simplified_3path",
+        lambda alphas, perturbation, settings: simplified_3path(perturbation)),
+    "simplest_2path": _beam_table_scenario(
+        "simplest_2path",
+        lambda alphas, perturbation, settings: simplest_2path(perturbation)),
+    "absence_test": _beam_table_scenario(
+        "absence_test",
+        lambda alphas, perturbation, settings: absence_test(perturbation)),
+    "stricter_6beam": _beam_table_scenario(
+        "stricter_6beam",
         lambda alphas, perturbation, settings: stricter_6beam(
             alphas, perturbation),
-        arity=6,
-        certain=_restored_with_certainty,
-        perturbations=tuple(_TABLES["stricter_6beam"])[1:],
-        sweep=lambda points: sweep_plan(build_stricter_6beam(), points),
-    ),
+        lambda: build_stricter_6beam()),
     "bell_test": Scenario(
         lambda alphas, perturbation, settings: bell_scenario(
             alphas, *settings),

@@ -484,6 +484,7 @@ def test_usage_error_exits_3_with_one_line(argv, capsys):
 @pytest.mark.parametrize("argv", [
     ["--alphas", "0.6,0.8,"], ["--alphas", "1,,0"], ["--alphas", " , "],
     ["--alpha1=", "--alpha2=1"], ["--alpha1=0.6", "--alpha2="],
+    ["--alpha1= ", "--alpha2=1"],
 ])
 def test_an_empty_coefficient_is_a_usage_error(argv, capsys):
     # An empty field or flag value is no coefficient, not a zero; only an
@@ -491,6 +492,25 @@ def test_an_empty_coefficient_is_a_usage_error(argv, capsys):
     code, out = run_cli(["run", "three_box_shutter", *argv])
     assert (code, out) == (cli.EXIT_USAGE, "")
     assert capsys.readouterr().err == "error: invalid coefficient ''\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--alphas", " 0.6, 0.8i "],
+    ["--alpha1", " 0.6", "--alpha2", "0.8i "],
+    ["--alpha1= 0.6\t", "--alpha2=\u00a00.8i"],
+    ["--alpha2", " 0.8i", "--alpha1", "0.6 "],
+])
+def test_spaces_around_a_coefficient_are_ignored(argv):
+    # --alphas and --alpha1/--alpha2 read each coefficient by one rule.
+    assert run_cli(["run", "three_box_shutter", *argv]) == run_cli(
+        ["run", "three_box_shutter", "--alphas", "0.6,0.8i"])
+
+
+def test_a_wrong_coefficient_count_is_a_usage_error(capsys):
+    code, out = run_cli(["run", "disappearing_full", "--alphas", "1,0"])
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert capsys.readouterr().err == (
+        "error: expected 5 comma-separated coefficients, got 2\n")
 
 
 def out_of_memory(*args):

@@ -201,6 +201,17 @@ def test_router_orientation_designates_ports():
     assert transmitting.kept_port == ms[0]
 
 
+@pytest.mark.parametrize("element", [
+    elements.beamsplitter(0.5, "a", "b"),
+    elements.phase_shifter(0.3, "a"),
+    elements.ns_two_mode("a", "b"),
+    elements.tunneling(0.3, "a", "b"),
+    elements.relabel({"a": "b", "b": "a"}),
+], ids=lambda element: element.kind.value)
+def test_only_routers_have_a_kept_port(element):
+    assert element.kept_port is None
+
+
 def test_decomposed_router_routes_with_control():
     ms, vac = router_register()
     state = add_photon(add_photon(vac, ms[0]), ms[2])

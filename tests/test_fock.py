@@ -518,6 +518,22 @@ def test_postselect_subsystem_partial_overlap():
     assert outcome.state.amplitude((1,)) == pytest.approx(1.0)
 
 
+def test_postselect_subsystem_drops_what_the_target_does_not_hold():
+    # Only the configuration with the photon in "a" meets the target |1_a>:
+    # 0.6 |1_a 0_b> + 0.8i |0_a 1_b> leaves 0.6 on |0_b>, probability 0.36.
+    state = fock.FockState(("a", "b"), {(1, 0): 0.6, (0, 1): 0.8j})
+    target = fock.FockState(("a",), {(1,): 1.0})
+    outcome = fock.postselect_subsystem(state, target)
+    assert outcome.probability == pytest.approx(0.36, abs=1e-15)
+    assert outcome.state.modes == ("b",)
+    assert outcome.state.amplitudes == {(0,): pytest.approx(1.0, abs=1e-15)}
+
+
+def test_fock_state_repr_counts_modes_and_configurations():
+    state = fock.FockState(("a", "b", "c"), {(1, 0, 0): 0.6, (0, 1, 1): 0.8j})
+    assert repr(state) == "FockState(3 modes, 2 configurations, norm=1)"
+
+
 # ---------------------------------------------------------------------------
 # Schmidt spectrum
 # ---------------------------------------------------------------------------

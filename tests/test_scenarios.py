@@ -446,6 +446,14 @@ def test_bell_joint_state_is_entangled_for_generic_alphas():
         assert spectrum[1] > 1e-6
 
 
+def test_a_bell_result_has_no_conditioned_probe():
+    # The Bell analysis reads the cavity columns ahead of post-selection;
+    # it keeps no post-selected probe.
+    result = scenarios.bell_scenario()
+    assert result.probe is None
+    assert result.conditioned_probe_state is None
+
+
 def test_chsh_reported_in_valid_range():
     value = scenarios.bell_scenario().metadata["chsh"]
     assert -4.0 <= value <= 4.0
@@ -937,19 +945,19 @@ def test_bell_report_is_the_per_state_reference_bit_for_bit(argv):
     # the dict tables of one state at a time give.
     states = scenarios._bell_states(cli_points(argv))
     tables, values, spectra = scenarios._bell_report(states)
-    assert tables.shape == (len(states), 4, 15)
+    # One table per setting pair, as wide as its outcomes.
+    assert {pair: table.shape for pair, table in tables.items()} == {
+        pair: (len(states), len(outcomes))
+        for pair, outcomes in scenarios._BELL_OUTCOMES.items()}
     fields = scenarios._BELL_SUMMARY
-    for state, table, (summary, spectrum) in zip(
-            states, tables, records(fields, values, spectra), strict=True):
+    for point, (state, (summary, spectrum)) in enumerate(zip(
+            states, records(fields, values, spectra), strict=True)):
         want_tables, want_summary, want_spectrum = bell_report(state)
         for pair, want in want_tables.items():
-            got = scenarios._table(table, *pair)
+            got = scenarios._table(tables, point, *pair)
             assert list(got) == list(want)
             assert (np.array(list(got.values())).tobytes()
                     == np.array(list(want.values())).tobytes()), pair
-            # The padding past the table's entries is zero.
-            index = list(scenarios._BELL_OUTCOMES).index(pair)
-            assert not table[index, len(want):].any()
         same_bits([(summary, spectrum)], [(want_summary, want_spectrum)])
 
 
@@ -1013,9 +1021,9 @@ def test_bell_clamp_removes_almost_no_probability(monkeypatch):
         cli_points(["--alpha1-grid=0:1:11"]),
     ])
     scenarios.SCENARIOS["bell_test"].sweep(points)
-    # One clamp of the four tables (15, 6, 10 and 4 entries, padded to 15)
-    # of every point.
-    assert shapes == [(len(points), 4, 15)]
+    # One clamp of the four tables (15, 6, 10 and 4 entries) of every
+    # point, side by side.
+    assert shapes == [(len(points), 15 + 6 + 10 + 4)]
     assert sum(removed) < 1e-12
 
 

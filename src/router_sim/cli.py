@@ -4,9 +4,10 @@ Exit codes are a stable contract: 0 success, 1 output closed early (the
 reader of standard output went away), 2 built-in assertion failure or a
 result that is undefined (a ``SimulationError``: a post-selection that
 never succeeds, or a router outside its sector), 3 usage error, 4
-parse/compile error.  JSON output is schema-stable with a
-fixed field set and 12-significant-digit numbers; identical inputs produce
-byte-identical output.
+parse/compile error.  JSON output is schema-stable with a fixed field set
+and 12-significant-digit numbers; identical inputs produce byte-identical
+output.  A command's arguments are parsed in one pass, by its own parser;
+``run`` and ``sweep`` fill templates of :func:`_json_text` made once per shape.
 """
 
 from __future__ import annotations
@@ -93,32 +94,6 @@ def _json_text(obj, newline="\n"):
     if kind is bool:
         return "true" if obj else "false"
     return int.__repr__(obj)  # a TypeError unless obj is an int
-
-
-def _result_payload(result, parameters):
-    outcomes = [
-        {"label": label, "probability": prob}
-        for label, prob in result.conditional_probabilities.items()
-    ]
-    weak = [
-        {"box": box, "time": time, "re": value.real, "im": value.imag}
-        for (box, time), value in sorted(result.weak_values.items(),
-                                         key=lambda kv: (kv[0][1], kv[0][0]))
-    ]
-    abl = [
-        {"box": box, "time": time, "p": value}
-        for (box, time), value in sorted(result.abl_values.items(),
-                                         key=lambda kv: (kv[0][1], kv[0][0]))
-    ]
-    return {
-        "name": result.name,
-        "parameters": parameters,
-        "outcomes": outcomes,
-        "conditioned_fidelity": result.fidelity_to_target,
-        "weak_values": weak,
-        "abl": abl,
-        "schmidt": list(result.schmidt_spectrum or []),
-    }
 
 
 def _emit_json(payload, stream):
@@ -210,17 +185,16 @@ def cmd_run(args, stream):
                                 (_ALICE[alice], _BOB[bob]))
     except BadCoefficients as exc:
         raise UsageError(str(exc)) from None
-    params = {"alphas": [complex(a) for a in alphas]}
-    if entry.takes_settings:
-        params.update(alice_setting=alice, bob_setting=bob)
-    else:
-        params["perturbation"] = args.perturb
     if args.format == "csv":
         _emit_outcomes_csv(
             list(result.conditional_probabilities.items()), stream
         )
     else:
-        _emit_json(_result_payload(result, params), stream)
+        settings = ((("alice_setting", alice), ("bob_setting", bob))
+                    if entry.takes_settings else
+                    (("perturbation", args.perturb),))
+        stream.write(_run_text(result, alphas, settings))
+        stream.write("\n")  # in a write of its own, as _emit_json writes it
     if args.perturb is None and not entry.certain(result, args.tol):
         return EXIT_ASSERTION
     return EXIT_OK
@@ -340,6 +314,46 @@ def _record_template(fmt, arity, fields, count):
     return text.replace('"%%s"', "%s")
 
 
+@functools.cache
+def _run_template(name, arity, settings, labels, weak, abl, fidelity, count):
+    """The JSON document of a run of one shape, each number a ``%s`` slot;
+    ``settings`` are its ``(key, value)`` parameters after the coefficients,
+    ``weak`` and ``abl`` the ``(box, time)`` keys of those values."""
+    skeleton = {
+        "name": name,
+        "parameters": {"alphas": [["%s", "%s"]] * arity, **dict(settings)},
+        "outcomes": [{"label": label, "probability": "%s"}
+                     for label in labels],
+        "conditioned_fidelity": "%s" if fidelity else None,
+        "weak_values": [{"box": box, "time": time, "re": "%s", "im": "%s"}
+                        for box, time in weak],
+        "abl": [{"box": box, "time": time, "p": "%s"} for box, time in abl],
+        "schmidt": ["%s"] * count,
+    }
+    return _json_text(skeleton).replace("%", "%%").replace('"%%s"', "%s")
+
+
+def _run_text(result, alphas, settings):
+    """:func:`_json_text` of the document of ``result``, a run at
+    ``alphas``, without a dict or a recursive call: the template of its
+    shape filled by one ``%`` call on its :func:`_float_texts`; weak and
+    ABL values go by time, then box."""
+    weak, abl = (sorted(values.items(), key=lambda kv: kv[0][::-1])
+                 for values in (result.weak_values, result.abl_values))
+    fidelity = result.fidelity_to_target
+    schmidt = result.schmidt_spectrum or []
+    numbers = [part for a in map(complex, alphas) for part in (a.real, a.imag)]
+    numbers += result.conditional_probabilities.values()
+    numbers += [] if fidelity is None else [fidelity]
+    numbers += [part for _, w in weak for part in (w.real, w.imag)]
+    numbers += [p for _, p in abl] + schmidt
+    template = _run_template(
+        result.name, len(alphas), settings,
+        tuple(result.conditional_probabilities), tuple(k for k, _ in weak),
+        tuple(k for k, _ in abl), fidelity is not None, len(schmidt))
+    return template % tuple(_float_texts(numbers))
+
+
 def _sweep_text(fmt, scenario, points, fields, values, spectra):
     """The text of a sweep of ``scenario`` at the (n, arity) ``points``
     from what :attr:`scenarios.Scenario.sweep` returns: the JSON document
@@ -420,16 +434,27 @@ def cmd_list(args, stream):
 def build_parser():
     """The command-line parser, built once per process; each call sets the
     ``run --tol`` default from ``ROUTER_SIM_TOL`` as it stands."""
-    parser, tol = _parser()
+    parser, _, tol = _parser()
     # A string default goes through ``type`` only when --tol is absent, so
     # a malformed ROUTER_SIM_TOL is a usage error of ``run`` alone.
     tol.default = os.environ.get("ROUTER_SIM_TOL", str(DEFAULT_TOL))
     return parser
 
 
+def _parse_args(argv):
+    """The namespace of ``argv`` in one pass: a command word's own parser
+    reads what follows it; any other argv goes to the full parser."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = _parser()[1].get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
 @functools.cache
 def _parser():
-    """The parser and its ``run --tol`` action."""
+    """The parser, each command's parser by name and the run --tol action."""
     parser = _Parser(
         prog="router-sim",
         description=(
@@ -467,8 +492,9 @@ def _parser():
     sweep.add_argument("--alpha1-grid", help="start:stop:count for alpha1")
     add_format(sweep)
 
-    sub.add_parser("list", help="list scenario names")
-    return parser, tol
+    commands = {"run": run, "simulate": simulate, "sweep": sweep,
+                "list": sub.add_parser("list", help="list scenario names")}
+    return parser, commands, tol
 
 
 _COMMANDS = {"run": cmd_run, "simulate": cmd_simulate, "sweep": cmd_sweep,
@@ -486,7 +512,7 @@ _EXIT_CODES = {
 def main(argv=None, stream=None):
     stream = stream or sys.stdout
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(argv)
         if args.command is None:
             raise UsageError(f"a command is required ({', '.join(_COMMANDS)})")
         code = _COMMANDS[args.command](args, stream)

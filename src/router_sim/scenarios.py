@@ -732,11 +732,12 @@ _BELL_OUTCOMES = {
 #: cavities RA1 and RB3 for the position settings, "match" for SUPERPOSE.
 _CHSH_ALICE_PLUS, _CHSH_BOB_PLUS = ("B", "match"), ("RA1", "RB3", "match")
 
-#: The CHSH sign of each outcome of each setting pair's table.
-_CHSH_SIGNS = {
-    pair: _frozen([(1.0 if a in _CHSH_ALICE_PLUS else -1.0)
-                   * (1.0 if b in _CHSH_BOB_PLUS else -1.0)
-                   for a, b in outcomes])
+#: The CHSH sign of each outcome of each setting pair's table over a row of
+#: ones: a table times these sums to its E's numerator and denominator.
+_CHSH_WEIGHTS = {
+    pair: _frozen([[(1.0 if a in _CHSH_ALICE_PLUS else -1.0)
+                    * (1.0 if b in _CHSH_BOB_PLUS else -1.0)
+                    for a, b in outcomes], [1.0] * len(outcomes)])
     for pair, outcomes in _BELL_OUTCOMES.items()
 }
 
@@ -780,13 +781,14 @@ def _bell_tables(states):
     by_pair = {pair: tables[:, cols] for pair, cols in _BELL_COLUMNS.items()}
     by_pair[OPEN_BOXES, OPEN_CAVITIES][:] = probs.reshape(n, -1)
     # A SUPERPOSE side's outcomes alternate "match" and "rest".
-    by_pair[OPEN_BOXES, SUPERPOSE][:] = np.stack(
-        [bob_match, probs.sum(axis=2) - bob_match], axis=2).reshape(n, -1)
-    by_pair[SUPERPOSE, OPEN_CAVITIES][:] = np.stack(
-        [alice_match, probs.sum(axis=1) - alice_match], axis=2).reshape(n, -1)
-    by_pair[SUPERPOSE, SUPERPOSE][:] = np.stack(
-        [p_both, p_alice - p_both, p_bob - p_both,
-         1.0 - p_alice - p_bob + p_both], axis=1)
+    by_pair[OPEN_BOXES, SUPERPOSE][:, 0::2] = bob_match
+    by_pair[OPEN_BOXES, SUPERPOSE][:, 1::2] = probs.sum(axis=2) - bob_match
+    by_pair[SUPERPOSE, OPEN_CAVITIES][:, 0::2] = alice_match
+    by_pair[SUPERPOSE, OPEN_CAVITIES][:, 1::2] = (probs.sum(axis=1)
+                                                  - alice_match)
+    columns = by_pair[SUPERPOSE, SUPERPOSE].T
+    columns[0], columns[1] = p_both, p_alice - p_both
+    columns[2], columns[3] = p_bob - p_both, 1.0 - p_alice - p_bob + p_both
     _clamp(tables)
     return by_pair
 
@@ -855,8 +857,9 @@ def _chsh(tables):
     is reported, not asserted against any bound.
     """
     e00, e01, e10, e11 = (  # in the order of _BELL_OUTCOMES
-        running_sum(table * _CHSH_SIGNS[pair]) / running_sum(table)
-        for pair, table in tables.items())
+        sums[:, 0] / sums[:, 1]
+        for sums in (running_sum(table[:, None] * _CHSH_WEIGHTS[pair])
+                     for pair, table in tables.items()))
     return 0.0 + e00 + e01 + e10 - e11
 
 

@@ -1,4 +1,6 @@
+import argparse
 import io
+import itertools
 import json
 import math
 import os
@@ -9,9 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import router_sim
 from router_sim import cli, scenarios
+from router_sim.errors import SimulationError
+from run_reference import run_text
 from sweep_reference import sweep_text
 
 CIRCUITS = Path(router_sim.__file__).parent / "circuits"
@@ -347,6 +353,112 @@ def test_list_names():
 
 
 # ---------------------------------------------------------------------------
+# the run writer
+# ---------------------------------------------------------------------------
+
+# Every scenario with each of its perturbations, and bell_test with each
+# setting pair: (scenario, perturbation, (alice, bob)).
+RUN_SHAPES = [
+    (name, perturbation, pair)
+    for name, entry in scenarios.SCENARIOS.items()
+    for perturbation in (None, *entry.perturbations)
+    for pair in (itertools.product(cli._ALICE, cli._BOB)
+                 if entry.takes_settings else [("open", "open")])
+]
+
+
+def run_settings(name, perturbation, alice, bob):
+    """The (key, value) parameters of a run after its coefficients."""
+    if scenarios.SCENARIOS[name].takes_settings:
+        return (("alice_setting", alice), ("bob_setting", bob))
+    return (("perturbation", perturbation),)
+
+
+def run_result(name, alphas, perturbation, alice, bob):
+    return scenarios.SCENARIOS[name].evaluate(
+        alphas, perturbation, (cli._ALICE[alice], cli._BOB[bob]))
+
+
+def shape_id(shape):
+    name, perturbation, pair = shape
+    return "-".join([name, perturbation or "-".join(pair)])
+
+
+@pytest.mark.parametrize("shape", RUN_SHAPES, ids=shape_id)
+def test_run_prints_the_payload_text(shape):
+    # At the default coefficients, through main.
+    name, perturbation, (alice, bob) = shape
+    argv = ["run", name]
+    if perturbation is not None:
+        argv += ["--perturb", perturbation]
+    if scenarios.SCENARIOS[name].takes_settings:
+        argv += ["--alice", alice, "--bob", bob]
+    arity = scenarios.SCENARIOS[name].arity
+    alphas = scenarios.equal_alphas(arity) if arity else []
+    want = run_text(run_result(name, alphas, perturbation, alice, bob),
+                    alphas, run_settings(*shape[:2], alice, bob))
+    assert run_cli(argv) == (cli.EXIT_OK, want + "\n")
+
+
+@pytest.mark.parametrize(
+    "shape", [shape for shape in RUN_SHAPES
+              if scenarios.SCENARIOS[shape[0]].arity],
+    ids=shape_id)
+@settings(derandomize=True, max_examples=15, deadline=None, database=None)
+@given(data=st.data())
+def test_run_text_is_the_payload_text_at_any_coefficients(shape, data):
+    name, perturbation, (alice, bob) = shape
+    arity = scenarios.SCENARIOS[name].arity
+    parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                      st.floats(-1.0, 1.0))
+    raw = np.array([complex(data.draw(parts), data.draw(parts))
+                    for _ in range(arity)])
+    norm = math.sqrt(sum(abs(a) ** 2 for a in raw))
+    assume(norm > 1e-3)
+    alphas = list(raw / norm)
+    try:
+        result = run_result(name, alphas, perturbation, alice, bob)
+    except SimulationError:  # a post-selection that never succeeds
+        assume(False)
+    parameters = run_settings(name, perturbation, alice, bob)
+    assert (cli._run_text(result, alphas, parameters)
+            == run_text(result, alphas, parameters))
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3])
+@pytest.mark.parametrize("fidelity", [None, 0.0, -0.0, 1.0, 0.1 + 0.2])
+@pytest.mark.parametrize("parameters", [
+    (("perturbation", None),), (("perturbation", "at-t1"),),
+    (("alice_setting", "superpose"), ("bob_setting", "open")),
+])
+def test_run_text_of_every_shape(count, fidelity, parameters):
+    # Schmidt lengths 0-3, a null fidelity and exact zeros and ones, which
+    # _float_texts writes through _float_text.
+    values = [0.0, -0.0, 1.0, -1.0, 1 / 3, 1e-20, 5e-324, 1e16]
+    result = scenarios.ScenarioResult(
+        name="disappearing_full",
+        conditional_probabilities=dict(zip("abcdefgh", values)),
+        fidelity_to_target=fidelity,
+        weak_values={("C", "t1"): complex(-0.0, 0.0), ("A", "t2"): -1 + 0j,
+                     ("B", "t1"): complex(1.0, -0.0)},
+        abl_values={("B", "t3"): 0.0, ("A", "t3"): 1.0, ("A", "t1"): -0.0},
+        schmidt_spectrum=[1.0, 0.5, 0.0][:count] or None,
+    )
+    alphas = [complex(-0.0, 0.0), 1.0, 0j, np.complex128(0.6 - 0.8j)]
+    assert (cli._run_text(result, alphas, parameters)
+            == run_text(result, alphas, parameters))
+
+
+def test_a_run_shape_renders_its_template_once():
+    run_cli(["run", "bell_test", "--alice", "superpose"])
+    before = cli._run_template.cache_info()
+    run_cli(["run", "bell_test", "--alice", "superpose",
+             "--alphas", "0.6,0,0,0.8i,0"])
+    after = cli._run_template.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+# ---------------------------------------------------------------------------
 # usage errors
 # ---------------------------------------------------------------------------
 
@@ -422,7 +534,7 @@ USAGE_ERRORS = (
 )
 
 
-@pytest.mark.parametrize("argv", [
+VALID_RUNS = [
     ["run", "three_box_shutter"],
     ["run", "three_box_shutter", "--alpha1", "0.6", "--alpha2", "0.8i"],
     ["run", "three_box_shutter", "--alphas", "0.6,-0.8"],
@@ -434,7 +546,12 @@ USAGE_ERRORS = (
     ["run", "bell_test", "--alphas", "0.6,0,0,0.8i,0", "--alice",
      "superpose"],
     ["run", "bell_test"],
-], ids=lambda argv: "-".join(a.lstrip("-") for a in argv[1:]))
+]
+
+
+@pytest.mark.parametrize(
+    "argv", VALID_RUNS,
+    ids=lambda argv: "-".join(a.lstrip("-") for a in argv[1:]))
 def test_run_validates_its_coefficients_once(argv, monkeypatch):
     calls = []
     original = scenarios.as_alpha_vector
@@ -479,6 +596,91 @@ def test_usage_error_exits_3_with_one_line(argv, capsys):
     assert code == cli.EXIT_USAGE
     assert out == ""
     assert_one_line_error(capsys)
+
+
+# main parses a command word's arguments with that command's parser alone;
+# the namespace, output and exit code are those of the full parser.
+
+DISPATCHED = (
+    USAGE_ERRORS + VALID_RUNS
+    + [[name, "--help"] for name in cli._COMMANDS]
+    + [["--help"], ["-h"], ["bogus"], ["bogus", "run"], ["--tol", "1"],
+       ["list"], ["simulate", str(CIRCUITS / "fig4.circuit")],
+       ["sweep", "bell_test", "--random", "2", "--format", "csv"],
+       ["run", "disappearing_full", "--alphas=-0.6,0.8,0,0,0"],
+       ["run", "bell_test", "--al", "superpose", "--bob=superpose"],
+       ["run"], ["run", "disappearing_full", "extra"],
+       ["sweep", "bell_test", "--random", "x"]]
+)
+
+
+@pytest.mark.parametrize(
+    "argv", DISPATCHED,
+    ids=lambda argv: " ".join(argv).replace(str(CIRCUITS), "circuits"),
+)
+def test_dispatch_gives_what_the_full_parser_gives(argv, monkeypatch,
+                                                   capsys):
+    handed = []
+    for name, command in list(cli._COMMANDS.items()):
+        def recording(args, stream, command=command):
+            handed.append(argparse.Namespace(**vars(args)))
+            return command(args, stream)
+        monkeypatch.setitem(cli._COMMANDS, name, recording)
+
+    def outcome():
+        handed.clear()
+        stream = io.StringIO()
+        try:
+            code = cli.main(argv, stream)
+        except SystemExit as exc:  # --help
+            code = f"SystemExit({exc.code})"
+        captured = capsys.readouterr()
+        return code, stream.getvalue(), captured.out, captured.err, handed[:]
+
+    dispatched = outcome()
+    monkeypatch.setattr(cli, "_parse_args",
+                        lambda argv: cli.build_parser().parse_args(argv))
+    assert outcome() == dispatched
+    assert len(dispatched[-1]) <= 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["list"], ["run", "bell_test", "--bob", "superpose"],
+    ["simulate", str(CIRCUITS / "fig2b.circuit")],
+    ["sweep", "three_box_shutter", "--random", "2"],
+    ["run", "three_box_shutter", "--alphas", "1,1"],
+], ids=lambda argv: argv[0])
+def test_a_command_word_is_parsed_by_its_own_parser(argv, monkeypatch):
+    def unused(*args, **kwargs):
+        raise AssertionError("the full parser parsed a command's arguments")
+
+    parser = cli.build_parser()
+    monkeypatch.setattr(parser, "parse_args", unused)
+    monkeypatch.setattr(parser, "parse_known_args", unused)
+    run_cli(argv)
+
+
+def test_each_command_parser_is_built_once(monkeypatch):
+    run_cli(["list"])
+    built = []
+    original = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    monkeypatch.setenv("ROUTER_SIM_TOL", "1e-6")
+    for argv in (["list"], ["run", "bell_test"],
+                 ["simulate", str(CIRCUITS / "fig3a.circuit")],
+                 ["sweep", "bell_test", "--random", "2"], ["bogus"], []):
+        run_cli(argv)
+    assert built == []
+    parser, commands, _ = cli._parser()
+    assert list(commands) == list(cli._COMMANDS)
+    assert cli._parser()[1] is commands
+    assert all(commands[name].prog == f"router-sim {name}"
+               for name in commands)
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,13 +7,14 @@ never succeeds, or a router outside its sector), 3 usage error, 4
 parse/compile error.  JSON output is schema-stable with a fixed field set
 and 12-significant-digit numbers; identical inputs produce byte-identical
 output.  A command's arguments are parsed in one pass, by its own parser;
-``run`` and ``sweep`` fill templates of :func:`_json_text` made once per shape.
+each JSON document is one ``%`` fill of a :func:`_template` of its shape.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import os
 import re
@@ -56,48 +57,15 @@ _ALICE = {"open": scenarios.OPEN_BOXES, "superpose": scenarios.SUPERPOSE}
 _BOB = {"open": scenarios.OPEN_CAVITIES, "superpose": scenarios.SUPERPOSE}
 
 
-def _float_text(value):
-    """JSON text of ``value`` rounded to 12 significant digits, as the
-    stdlib encoder writes ``float(f"{value:.12g}")``."""
-    text = f"{value:.12g}"
-    if "." in text and "e" not in text:
-        return text
-    special = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-    return special.get(text) or repr(float(text))
+def _template(skeleton, newline="\n"):
+    """``json.dumps(skeleton, indent=2)`` as a ``%`` template, each ``"%s"``
+    a slot (no key, label or name holds ``%s``); ``newline`` breaks lines."""
+    text = json.dumps(skeleton, indent=2).replace("\n", newline)
+    return text.replace("%", "%%").replace('"%%s"', "%s")
 
 
-def _json_text(obj, newline="\n"):
-    """``obj`` as the stdlib JSON encoder indents it by two spaces, each
-    float rounded by :func:`_float_text` and a complex number as ``[re,
-    im]``; ``newline`` breaks a line at the depth of ``obj``."""
-    if isinstance(obj, float):
-        return _float_text(obj)
-    kind = type(obj)
-    if kind is str:
-        return _escape(obj)
-    if kind is dict or kind is list or kind is tuple:
-        if not obj:
-            return "{}" if kind is dict else "[]"
-        inner = newline + "  "
-        if kind is dict:
-            items = [_escape(k) + ": " + _json_text(v, inner)
-                     for k, v in obj.items()]
-            return "{" + inner + ("," + inner).join(items) + newline + "}"
-        items = [_json_text(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(obj, complex):
-        inner = newline + "  "
-        return (f"[{inner}{_float_text(obj.real)},{inner}"
-                f"{_float_text(obj.imag)}{newline}]")
-    if obj is None:
-        return "null"
-    if kind is bool:
-        return "true" if obj else "false"
-    return int.__repr__(obj)  # a TypeError unless obj is an int
-
-
-def _emit_json(payload, stream):
-    stream.write(_json_text(payload))
+def _write_document(text, stream):
+    stream.write(text)
     # Unbuffered, a write the reader cut short is not an error; this next
     # write is, so a closed stdout is noticed either way.
     stream.write("\n")
@@ -150,7 +118,7 @@ def _run_alphas(args, arity):
         if args.alphas is not None:
             raise UsageError("give --alphas or --alpha1/--alpha2, not both")
         parts = ["0" if a is None else a for a in (args.alpha1, args.alpha2)]
-    elif args.alphas is None or args.alphas == "equal":
+    elif args.alphas is None or args.alphas.strip() == "equal":
         return scenarios.equal_alphas(arity)
     else:
         parts = args.alphas.split(",")
@@ -193,8 +161,7 @@ def cmd_run(args, stream):
         settings = ((("alice_setting", alice), ("bob_setting", bob))
                     if entry.takes_settings else
                     (("perturbation", args.perturb),))
-        stream.write(_run_text(result, alphas, settings))
-        stream.write("\n")  # in a write of its own, as _emit_json writes it
+        _write_document(_run_text(result, alphas, settings), stream)
     if args.perturb is None and not entry.certain(result, args.tol):
         return EXIT_ASSERTION
     return EXIT_OK
@@ -223,12 +190,15 @@ def cmd_simulate(args, stream):
                 rows.append((f"{det['name']}|postselect{i}", value))
         _emit_outcomes_csv(rows, stream)
     else:
-        payload = {
-            "file": os.path.basename(args.file),
-            "postselections": report["postselections"],
-            "detections": report["detections"],
-        }
-        _emit_json(payload, stream)
+        posts, dets = report["postselections"], report["detections"]
+        template = _simulate_template(
+            tuple(post["kind"] for post in posts),
+            tuple((det["name"], len(det["conditional"])) for det in dets))
+        numbers = [post["probability"] for post in posts]
+        for det in dets:
+            numbers += [det["probability"], *det["conditional"]]
+        _write_document(template % (_escape(os.path.basename(args.file)),
+                                    *_float_texts(numbers)), stream)
     return EXIT_OK
 
 
@@ -286,32 +256,32 @@ def _texts(form, values):
 
 
 def _float_texts(values):
-    """:func:`_float_text` of each float of the list ``values``, rounded
-    in one ``%`` call.  Only a text with no "." (an integer, NaN or an
-    infinity) or with an exponent goes through :func:`_float_text`, once
-    per distinct text, since its result depends on nothing else."""
+    """The JSON text of each float of the list ``values`` at 12 significant
+    digits, as the stdlib encoder writes ``float(f"{v:.12g}")``, rounded in
+    one ``%`` call.  Only a text with no "." (an integer, NaN or an
+    infinity) or with an exponent goes through the encoder, once per
+    distinct text, since its result depends on nothing else."""
     texts = _texts("%.12g", values)
     fixed = {}
     for i, text in enumerate(texts):
         if "." not in text or "e" in text:
             if text not in fixed:
-                fixed[text] = _float_text(values[i])
+                fixed[text] = json.dumps(float(text))
             texts[i] = fixed[text]
     return texts
 
 
+@functools.cache
 def _record_template(fmt, arity, fields, count):
     """One sweep record with ``count`` Schmidt coefficients, each number
-    a ``%s`` slot: a CSV row, or the JSON object that :func:`_json_text`
-    writes inside the records list."""
+    a ``%s`` slot: a CSV row, or the JSON object as it stands indented
+    inside the records list."""
     if fmt == "csv":
         return ",".join(["%s", ";".join(["%s"] * arity), *["%s"] * len(fields),
                          ";".join(["%s"] * count)]) + "\r\n"
-    skeleton = {"index": "%s", "alphas": [["%s", "%s"]] * arity,
-                "summary": dict.fromkeys(fields, "%s"),
-                "schmidt": ["%s"] * count}
-    text = _json_text(skeleton, "\n    ").replace("%", "%%")
-    return text.replace('"%%s"', "%s")
+    return _template({"index": "%s", "alphas": [["%s", "%s"]] * arity,
+                      "summary": dict.fromkeys(fields, "%s"),
+                      "schmidt": ["%s"] * count}, "\n    ")
 
 
 @functools.cache
@@ -319,7 +289,7 @@ def _run_template(name, arity, settings, labels, weak, abl, fidelity, count):
     """The JSON document of a run of one shape, each number a ``%s`` slot;
     ``settings`` are its ``(key, value)`` parameters after the coefficients,
     ``weak`` and ``abl`` the ``(box, time)`` keys of those values."""
-    skeleton = {
+    return _template({
         "name": name,
         "parameters": {"alphas": [["%s", "%s"]] * arity, **dict(settings)},
         "outcomes": [{"label": label, "probability": "%s"}
@@ -329,15 +299,28 @@ def _run_template(name, arity, settings, labels, weak, abl, fidelity, count):
                         for box, time in weak],
         "abl": [{"box": box, "time": time, "p": "%s"} for box, time in abl],
         "schmidt": ["%s"] * count,
-    }
-    return _json_text(skeleton).replace("%", "%%").replace('"%%s"', "%s")
+    })
+
+
+@functools.cache
+def _simulate_template(kinds, detections):
+    """The ``simulate`` document of post-selection ``kinds`` and ``(name,
+    conditional count)`` ``detections``, the file and numbers ``%s`` slots."""
+    return _template({
+        "file": "%s",
+        "postselections": [{"kind": kind, "probability": "%s"}
+                           for kind in kinds],
+        "detections": [{"name": name, "probability": "%s",
+                        "conditional": ["%s"] * count}
+                       for name, count in detections],
+    })
 
 
 def _run_text(result, alphas, settings):
-    """:func:`_json_text` of the document of ``result``, a run at
-    ``alphas``, without a dict or a recursive call: the template of its
-    shape filled by one ``%`` call on its :func:`_float_texts`; weak and
-    ABL values go by time, then box."""
+    """The JSON document of ``result``, a run at ``alphas``, without a dict
+    or a recursive call: the template of its shape filled by one ``%`` call
+    on its :func:`_float_texts`; weak and ABL values go by time, then
+    box."""
     weak, abl = (sorted(values.items(), key=lambda kv: kv[0][::-1])
                  for values in (result.weak_values, result.abl_values))
     fidelity = result.fidelity_to_target
@@ -359,10 +342,10 @@ def _sweep_text(fmt, scenario, points, fields, values, spectra):
     from what :attr:`scenarios.Scenario.sweep` returns: the JSON document
     without its final newline, or the CSV rows under their header.
 
-    It equals what :func:`_json_text` writes for the records, or what a
+    It equals the stdlib's indented JSON of the records, or what a
     ``csv.writer`` writes for the rows, without a dict or a recursive call
     per record: every number of the sweep is one slot of a record template
-    made once per sweep for each length of Schmidt spectrum, and the
+    made once per process for each length of Schmidt spectrum, and the
     numbers are rounded in one ``%`` call.  JSON rounds through
     :func:`_float_texts`; CSV writes the summary and spectra as ``%.12g``,
     the coefficients by :func:`dsl.render_weight`, and the summary columns
@@ -421,7 +404,7 @@ def cmd_sweep(args, stream):
                          "memory") from None
     stream.write(text)
     if args.format == "json":
-        stream.write("\n")  # in a write of its own, as _emit_json writes it
+        stream.write("\n")  # in a write of its own, as _write_document's
     return EXIT_OK
 
 

@@ -38,6 +38,8 @@ from .errors import (
 
 # Amplitudes below this modulus are dropped from the sparse map.
 PRUNE_EPSILON = 1e-14
+# Conditioning denominators below this are treated as exactly zero.
+CONDITION_EPSILON = 1e-24
 # Maximum allowed entrywise deviation of u†u from the identity.
 UNITARITY_TOL = 1e-10
 # Total-photon budget of every state: one shutter photon plus one probe

@@ -65,6 +65,7 @@ from .errors import (
     UnsupportedSector,
 )
 from .fock import (
+    CONDITION_EPSILON,
     FockState,
     Sectors,
     normalized_rows,
@@ -377,7 +378,7 @@ def _measure(plan, points, joint):
         merged[:, :, kept] = joint[:, :, kept] @ merges.transpose(0, 2, 1)
         joint = pruned(merged)
     probes, p_posts = postselect(joint)
-    if np.any(p_posts < 1e-24):
+    if np.any(p_posts < CONDITION_EPSILON):
         raise UndefinedConditioning(
             f"post-selection never succeeds in scenario {plan.name}"
         )

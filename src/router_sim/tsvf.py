@@ -21,6 +21,7 @@ from types import MappingProxyType
 from .elements import apply_schedule, tunneling
 from .errors import BadParam, UndefinedConditioning
 from .fock import (
+    CONDITION_EPSILON,
     FockState,
     inner_product,
     matches,
@@ -29,9 +30,6 @@ from .fock import (
     select,
     superposition_source,
 )
-
-# Conditioning denominators below this are treated as exactly zero.
-_ZERO = 1e-24
 
 SQRT3 = math.sqrt(3.0)
 
@@ -113,7 +111,7 @@ def _abl(amplitudes, proj, complement=False):
     p_yes = abs(yes_amp) ** 2
     p_no = abs(no_amp) ** 2
     denominator = p_yes + p_no
-    if denominator < _ZERO:
+    if denominator < CONDITION_EPSILON:
         raise UndefinedConditioning(
             f"post-selection unreachable for projector {proj}"
         )
@@ -123,7 +121,7 @@ def _abl(amplitudes, proj, complement=False):
 
 def _weak(amplitudes):
     yes_amp, _, full_amp = amplitudes
-    if abs(full_amp) ** 2 < _ZERO:
+    if abs(full_amp) ** 2 < CONDITION_EPSILON:
         raise UndefinedConditioning(
             "pre- and post-selection are orthogonal after full evolution"
         )
@@ -178,7 +176,7 @@ def postselection_success(spec, imposed=None):
     boundary = spec.boundary(imposed.time)
     forward = spec.forward_state(boundary)
     outcome = project_pattern(forward, spec._box_pattern(imposed.box))
-    if outcome.probability < _ZERO:
+    if outcome.probability < CONDITION_EPSILON:
         raise UndefinedConditioning(
             f"projector {imposed} never fires on the forward state"
         )

@@ -2,12 +2,15 @@
 the template writer.
 
 ``router-sim run`` once built one payload dict per run and wrote it
-through ``cli._json_text``.  It now fills a template made once per shape
-of run (``cli._run_text``).  ``run_text`` here is the dict path, so that
-tests can hold the template writer to it byte for byte.
+through a recursive JSON writer.  It now fills a template made once per
+shape of run (``cli._run_text``).  ``run_text`` here is the dict path
+through the stdlib encoder, so that tests can hold the template writer to
+it byte for byte.
 """
 
-from router_sim import cli
+import json
+
+from stdlib_json import round12
 
 
 def payload(result, parameters):
@@ -40,8 +43,8 @@ def payload(result, parameters):
 
 
 def run_text(result, alphas, settings):
-    """``cli._json_text`` of the payload dict of ``result``, a run at the
-    coefficients ``alphas`` with the ``(key, value)`` pairs ``settings``
-    after them among its parameters."""
+    """The stdlib's indented JSON of the rounded payload dict of
+    ``result``, a run at the coefficients ``alphas`` with the ``(key,
+    value)`` pairs ``settings`` after them among its parameters."""
     parameters = {"alphas": [complex(a) for a in alphas], **dict(settings)}
-    return cli._json_text(payload(result, parameters))
+    return json.dumps(round12(payload(result, parameters)), indent=2)

@@ -1,22 +1,25 @@
 """The per-point sweep path, kept as the reference of the stacked one.
 
-A sweep once built one record dict per point and wrote them through
-``cli._json_text`` or ``csv.writer``, and it summarized each Bell state
+A sweep once built one record dict per point and wrote them through a
+recursive JSON writer or ``csv.writer``, and it summarized each Bell state
 with four dict tables, a no-signaling gap and a CHSH value of its own.
 ``router-sim sweep`` now keeps the whole sweep in arrays from the
 scenarios to the text (``cli._sweep_text``, ``scenarios._bell_report``).
-The functions here are the dict path, so that tests can hold the stacked
-path to it bit for bit and byte for byte.
+The functions here are the dict path, the JSON written by the stdlib
+encoder, so that tests can hold the stacked path to it bit for bit and
+byte for byte.
 """
 
 import csv
 import io
+import json
 import math
 
 import numpy as np
 
-from router_sim import cli, dsl, scenarios
+from router_sim import dsl, scenarios
 from router_sim.fock import PRUNE_EPSILON, running_sum
+from stdlib_json import round12
 
 OPEN_BOXES, OPEN_CAVITIES = scenarios.OPEN_BOXES, scenarios.OPEN_CAVITIES
 SUPERPOSE = scenarios.SUPERPOSE
@@ -40,8 +43,9 @@ def records(fields, values, spectra):
 
 def sweep_text(fmt, scenario, points, swept):
     """The text ``router-sim sweep`` wrote from per-point record dicts:
-    ``cli._json_text`` of the document (without its final newline), or the
-    ``csv.writer`` rows with the summary columns in name order."""
+    the stdlib's indented JSON of the rounded document (without its final
+    newline), or the ``csv.writer`` rows with the summary columns in name
+    order."""
     rows = [
         {"index": index, "alphas": [complex(a) for a in point],
          "summary": summary, "schmidt": schmidt}
@@ -49,7 +53,8 @@ def sweep_text(fmt, scenario, points, swept):
         in enumerate(zip(points, records(*swept)))
     ]
     if fmt == "json":
-        return cli._json_text({"scenario": scenario, "records": rows})
+        return json.dumps(round12({"scenario": scenario, "records": rows}),
+                          indent=2)
     stream = io.StringIO()
     writer = csv.writer(stream)
     keys = sorted(rows[0]["summary"]) if rows else []

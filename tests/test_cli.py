@@ -15,9 +15,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import router_sim
-from router_sim import cli, scenarios
+from router_sim import cli, dsl, scenarios
 from router_sim.errors import SimulationError
 from run_reference import run_text
+from stdlib_json import stdlib_json
 from sweep_reference import sweep_text
 
 CIRCUITS = Path(router_sim.__file__).parent / "circuits"
@@ -219,6 +220,95 @@ def test_simulate_csv_rows_per_detect():
 def test_simulate_missing_file():
     code, _ = run_cli(["simulate", "/nonexistent/x.circuit"])
     assert code == cli.EXIT_USAGE
+
+
+def simulate_document(path):
+    """The stdlib's JSON of the ``simulate`` payload of the file ``path``."""
+    report = dsl.simulate_text(Path(path).read_text(encoding="utf-8-sig"))
+    return stdlib_json({"file": os.path.basename(path), **report})
+
+
+def generated_circuit(rng, posts, detects):
+    """A two-photon circuit of 24 modes and 120 elements with the first
+    ``posts`` of its two post-selections and ``detects`` detections."""
+    names = [f"M{i:02d}" for i in range(24)]
+
+    def weighted(modes):
+        w = rng.normal(size=len(modes)) + 1j * rng.normal(size=len(modes))
+        w = (w / np.linalg.norm(w)).tolist()
+        return " ".join(f"{m} {dsl.render_weight(x)}"
+                        for m, x in zip(modes, w))
+
+    lines = [f"mode {m} aux none internal" for m in names]
+    lines += ["source " + weighted(rng.choice(names, 12, replace=False))
+              for _ in range(2)]
+    for kind in rng.choice(["bs", "ps", "tunnel", "ns", "relabel"], 120):
+        a, b = rng.choice(names, 2, replace=False)
+        angle = f"{rng.uniform(0.05, 0.95):.9f}"
+        lines.append({"bs": f"bs {angle} {a} {b}", "ps": f"ps {angle} {a}",
+                      "tunnel": f"tunnel {angle} {a} {b}", "ns": f"ns {a}",
+                      "relabel": f"relabel {a} {b}"}[kind])
+    picks = rng.choice(names, 9, replace=False)
+    lines += [f"postselect {picks[0]}=1",
+              "postselect_state " + weighted(picks[1:4])][:posts]
+    lines += [f"detect coinc {picks[4]}=1 {picks[5]}=1",
+              f"detect bunch {picks[6]}=2", f"detect single {picks[7]}=1",
+              f"detect pair {picks[1]}=1 {picks[8]}=1"][:detects]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "path", sorted(CIRCUITS.glob("*.circuit"))
+    + sorted((Path(__file__).parent / "circuits").glob("*.circuit")),
+    ids=lambda path: path.name)
+def test_simulate_prints_the_stdlib_document(path):
+    # The template of the document's shape, filled with its numbers, is
+    # the stdlib's text of the payload.
+    assert run_cli(["simulate", str(path)]) == (cli.EXIT_OK,
+                                                 simulate_document(path))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_simulate_prints_the_stdlib_document_of_generated_circuits(
+        seed, tmp_path):
+    # Every number of post-selections (0-2) and detections (0-4).
+    path = tmp_path / "generated.circuit"
+    path.write_text(generated_circuit(np.random.default_rng(seed),
+                                      seed % 3, seed % 5))
+    assert run_cli(["simulate", str(path)]) == (cli.EXIT_OK,
+                                                 simulate_document(path))
+
+
+def test_simulate_prints_the_stdlib_document_of_an_empty_report(tmp_path):
+    path = tmp_path / "bare.circuit"
+    path.write_text("mode A A t1 shutter\nsource A 1\n")
+    code, out = run_cli(["simulate", str(path)])
+    assert (code, out) == (cli.EXIT_OK, simulate_document(path))
+    assert json.loads(out) == {"file": "bare.circuit", "postselections": [],
+                               "detections": []}
+
+
+@pytest.mark.parametrize("name", [
+    "100%s%d.circuit", 'say "hi".circuit', "back\\slash.circuit",
+    "\u00e9t\u00e9.circuit", os.fsdecode(b"byte\xff.circuit"),
+], ids=["percent", "quote", "backslash", "non-ascii", "undecodable"])
+def test_simulate_writes_any_file_name(name, tmp_path):
+    # The file name is the one string slot filled at run time.
+    path = tmp_path / name
+    path.write_bytes((CIRCUITS / "fig2b.circuit").read_bytes())
+    code, out = run_cli(["simulate", str(path)])
+    assert (code, out) == (cli.EXIT_OK, simulate_document(path))
+    assert json.loads(out)["file"] == name
+
+
+def test_a_simulate_shape_renders_its_template_once(tmp_path):
+    run_cli(["simulate", str(CIRCUITS / "fig3a.circuit")])
+    path = tmp_path / "copy.circuit"
+    path.write_bytes((CIRCUITS / "fig3a.circuit").read_bytes())
+    before = cli._simulate_template.cache_info()
+    run_cli(["simulate", str(path)])
+    after = cli._simulate_template.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 # ---------------------------------------------------------------------------
@@ -701,11 +791,13 @@ def test_an_empty_coefficient_is_a_usage_error(argv, capsys):
     ["--alpha1", " 0.6", "--alpha2", "0.8i "],
     ["--alpha1= 0.6\t", "--alpha2=\u00a00.8i"],
     ["--alpha2", " 0.8i", "--alpha1", "0.6 "],
+    ["--alphas", " equal "],
 ])
 def test_spaces_around_a_coefficient_are_ignored(argv):
     # --alphas and --alpha1/--alpha2 read each coefficient by one rule.
+    expected = ["0.6,0.8i", "equal"]["equal" in argv[-1]]
     assert run_cli(["run", "three_box_shutter", *argv]) == run_cli(
-        ["run", "three_box_shutter", "--alphas", "0.6,0.8i"])
+        ["run", "three_box_shutter", "--alphas", expected])
 
 
 def test_a_wrong_coefficient_count_is_a_usage_error(capsys):

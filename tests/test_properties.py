@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from router_sim import cli, dsl
 from router_sim.fock import row_norms
+from stdlib_json import stdlib_json
 
 PROPERTY_SETTINGS = settings(
     derandomize=True,
@@ -383,31 +384,23 @@ def test_real_parameter_reads_what_the_literal_regex_reads(token):
 
 
 # ---------------------------------------------------------------------------
-# The JSON writer against the stdlib's indented form
+# The JSON templates against the stdlib's indented form
 # ---------------------------------------------------------------------------
 
-def round12(obj):
-    """``obj`` as the stdlib encoder is to see it: floats rounded to 12
-    significant digits, complex numbers as ``[re, im]``, tuples as lists."""
+def slotted(obj, numbers):
+    """The skeleton of ``obj``: each float a ``"%s"`` slot, each complex
+    number a pair of them; their floats go to ``numbers`` in text order."""
     if isinstance(obj, float):
-        return float(f"{obj:.12g}")
+        numbers.append(obj)
+        return "%s"
     if isinstance(obj, complex):
-        return [round12(obj.real), round12(obj.imag)]
+        numbers += [obj.real, obj.imag]
+        return ["%s", "%s"]
     if isinstance(obj, dict):
-        return {k: round12(v) for k, v in obj.items()}
+        return {k: slotted(v, numbers) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [round12(v) for v in obj]
+        return [slotted(v, numbers) for v in obj]
     return obj
-
-
-def stdlib_json(obj):
-    return json.dumps(round12(obj), indent=2) + "\n"
-
-
-def written(obj):
-    stream = io.StringIO()
-    cli._emit_json(obj, stream)
-    return stream.getvalue()
 
 
 EDGE_FLOATS = [0.0, -0.0, 1.0, 100.0, -2.5, 1e-5, 9.99999999999e-6,
@@ -422,10 +415,12 @@ json_floats = st.one_of(
     st.floats(min_value=1e11, max_value=1e17),
     st.floats(allow_subnormal=True, min_value=-1e-307, max_value=1e-307),
 )
+# No string of a template holds "%s" but its slots.
 json_strings = st.one_of(
-    st.text(),
+    st.text().filter(lambda s: "%s" not in s),
     st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é", "\u2028", "😀",
-                     'say "hi"\n\tback\\slash']),
+                     'say "hi"\n\tback\\slash', "%", "%%", "%d", "%(x)s",
+                     '"%"', "100%\n"]),
 )
 json_scalars = st.one_of(
     json_floats,
@@ -454,8 +449,18 @@ json_values = st.recursive(
 @example({"s": 'q"\\\n\x01é', "f": [100.0, -0.0, 1e-5, 1e16],
           "z": [complex(1.5, -2.0)], "n": [None, True, False, 7]})
 @example([math.nan, math.inf, -math.inf, np.float64(0.1)])
+@example({"%": ["100%", 0.5, "%%"], "%d": {"%(x)s": None}})
 def test_json_writer_matches_the_stdlib_indented_form(obj):
-    assert written(obj) == stdlib_json(obj)
+    # A template of the skeleton filled with the float texts is the
+    # stdlib's text of the rounded object, at the top level and nested
+    # as a sweep record is.
+    numbers = []
+    skeleton = slotted(obj, numbers)
+    texts = tuple(cli._float_texts(numbers))
+    assert cli._template(skeleton) % texts + "\n" == stdlib_json(obj)
+    record = cli._template(skeleton, "\n    ") % texts
+    assert ('{\n  "records": [\n    ' + record + "\n  ]\n}\n"
+            == stdlib_json({"records": [obj]}))
 
 
 def rounding_grid():
@@ -473,15 +478,21 @@ def rounding_grid():
 
 
 def test_float_fast_path_matches_the_rounded_repr():
+    # A "%.12g" text with a "." and no exponent is its own JSON text.
     for v in rounding_grid():
-        assert cli._float_text(v) == repr(float(f"{v:.12g}")), v
+        text = f"{v:.12g}"
+        expected = json.dumps(float(text))
+        if "." in text and "e" not in text:
+            assert text == expected, v
+        assert cli._float_texts([v]) == [expected], v
 
 
 def test_batched_float_texts_match_float_text():
     values = [float(v) for v in rounding_grid()] + [
         math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e16,
         123456789012345.0]
-    assert cli._float_texts(values) == [cli._float_text(v) for v in values]
+    assert cli._float_texts(values) == [json.dumps(float(f"{v:.12g}"))
+                                        for v in values]
 
 
 # ---------------------------------------------------------------------------

@@ -285,6 +285,17 @@ def _record_template(fmt, arity, fields, count):
 
 
 @functools.cache
+def _sweep_frame(scenario, empty):
+    """The JSON text of a sweep document of ``scenario`` around its
+    records, with no record or with some, as ``(head, tail)``: the
+    :func:`_template` of its shape split at the slot of the records."""
+    head, _, tail = _template(
+        {"scenario": scenario, "records": [] if empty else ["%s"]}
+    ).partition("%s")
+    return head, tail
+
+
+@functools.cache
 def _run_template(name, arity, settings, labels, weak, abl, fidelity, count):
     """The JSON document of a run of one shape, each number a ``%s`` slot;
     ``settings`` are its ``(key, value)`` parameters after the coefficients,
@@ -356,7 +367,8 @@ def _sweep_text(fmt, scenario, points, fields, values, spectra):
     if fmt == "csv":
         order = sorted(range(len(fields)), key=fields.__getitem__)
         fields = tuple(fields[i] for i in order)
-        head = ",".join(["index", "alphas", *fields, "schmidt"]) + "\r\n"
+        head = ",".join(["index", "alphas", *fields, "schmidt"]).replace(
+            "%", "%%") + "\r\n"
         numbers = np.hstack([values[:, order], spectra])
         cells = np.empty((n, 1 + arity + numbers.shape[1]), dtype=object)
         cells[:, 1:1 + arity] = np.array(
@@ -367,14 +379,13 @@ def _sweep_text(fmt, scenario, points, fields, values, spectra):
             dtype=object).reshape(numbers.shape)
         separator, tail = "", ""
     else:
-        head = ('{\n  "scenario": ' + _escape(scenario) + ',\n  "records": ['
-                + ("\n    " if n else ""))
+        head, tail = _sweep_frame(scenario, not n)
         floats = np.hstack([np.ascontiguousarray(points).view(float),
                             values, spectra])
         cells = np.empty((n, 1 + floats.shape[1]), dtype=object)
         cells[:, 1:] = np.array(_float_texts(floats.ravel().tolist()),
                                 dtype=object).reshape(floats.shape)
-        separator, tail = ",\n    ", ("\n  ]" if n else "]") + "\n}"
+        separator = ",\n    "
     cells[:, 0] = list(map(str, range(n)))
     filled = np.ones(cells.shape, dtype=bool)
     filled[:, cells.shape[1] - kept.shape[1]:] = kept
@@ -385,7 +396,7 @@ def _sweep_text(fmt, scenario, points, fields, values, spectra):
     # One % call makes the whole text, so no copy of it is made afterwards
     # while the number texts are still alive.
     records = separator.join(templates[counts].tolist())
-    return (head.replace("%", "%%") + records + tail) % tuple(cells[filled])
+    return (head + records + tail) % tuple(cells[filled])
 
 
 def cmd_sweep(args, stream):

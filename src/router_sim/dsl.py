@@ -43,9 +43,9 @@ from .fock import (
     PHOTON_BUDGET,
     Sectors,
     normalized_rows,
+    one_photon_amplitudes,
     register_modes,
-    running_sum,
-    superposition_source,
+    scalar_sum,
 )
 
 _WEIGHT_NORM_TOL = 1e-9
@@ -79,13 +79,32 @@ class ParseError(Exception):
 
 # A statement's ``line`` is the 1-based line it was parsed from, for compile
 # errors; it is not compared, so parse(render(doc)) == doc.
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModeDecl:
     name: str
     box: str
     time_slot: str
     role: str
     line: int = field(default=0, compare=False, repr=False)
+
+
+_SET_NAME = ModeDecl.name.__set__
+_SET_BOX = ModeDecl.box.__set__
+_SET_TIME_SLOT = ModeDecl.time_slot.__set__
+_SET_ROLE = ModeDecl.role.__set__
+_SET_DECL_LINE = ModeDecl.line.__set__
+
+
+def _mode_decl(name, box, time_slot, role, line):
+    """``ModeDecl(name, box, time_slot, role, line)``, built as
+    :func:`_element_stmt` builds a statement."""
+    decl = object.__new__(ModeDecl)
+    _SET_NAME(decl, name)
+    _SET_BOX(decl, box)
+    _SET_TIME_SLOT(decl, time_slot)
+    _SET_ROLE(decl, role)
+    _SET_DECL_LINE(decl, line)
+    return decl
 
 
 @dataclass(frozen=True)
@@ -150,10 +169,15 @@ class CircuitDoc:
 def parse_weight(token):
     """Parse a complex literal of the form REAL, REALi or REAL±REALi;
     None if ``token`` is not one or a part overflows to infinity."""
-    if m := _COMPLEX_RE.match(token):
-        value = complex(float(m.group(1)), float(m.group(2)))
-    elif m := _IMAG_RE.match(token):
-        value = complex(0.0, float(m.group(1)))
+    # Only the complex and imaginary forms end in "i"; the complex form
+    # would backtrack through each digit of a real literal before failing.
+    if token.endswith("i"):
+        if m := _COMPLEX_RE.match(token):
+            value = complex(float(m.group(1)), float(m.group(2)))
+        elif m := _IMAG_RE.match(token):
+            value = complex(0.0, float(m.group(1)))
+        else:
+            return None
     elif _REAL_RE.match(token):
         value = complex(float(token), 0.0)
     else:
@@ -215,9 +239,8 @@ def _weights(line_number, text, tokens, declared):
             _require(line_number, text, index, tokens[index], declared,
                      tokens[1:index:2])
     try:
-        # A sum past the float range is inf, as float addition gives it.
-        with np.errstate(over="ignore"):
-            total = running_sum([abs(w) ** 2 for _, w in pairs])
+        # A square past the float range raises; a sum past it is inf.
+        total = scalar_sum([abs(w) ** 2 for _, w in pairs])
     except OverflowError:
         raise ParseError(line_number, 1, f"{what} weights overflow") from None
     largest = max(abs(w) for _, w in pairs)
@@ -232,7 +255,7 @@ def _weights(line_number, text, tokens, declared):
         # Divided by the largest modulus, the squares can no longer
         # underflow: 1e-200 and 1e-200 become an equal split.
         pairs = [(n, w / largest) for n, w in pairs]
-        norm = math.sqrt(running_sum([abs(w) ** 2 for _, w in pairs]))
+        norm = math.sqrt(scalar_sum([abs(w) ** 2 for _, w in pairs]))
         pairs = [(n, w / norm) for n, w in pairs]
     return tuple(pairs)
 
@@ -362,7 +385,7 @@ def parse(text):
                 _fail(line_number, line, 5,
                       "trailing tokens after mode declaration")
             declared.add(name)
-            modes.append(ModeDecl(*tokens[1:], line_number))
+            modes.append(_mode_decl(*tokens[1:], line_number))
 
         elif directive == "source":
             sources.append(SourceStmt(
@@ -487,9 +510,8 @@ def compile_doc(doc):
                     "unselected",
                 )
             modes = tuple(n for n, _ in ps.weights)
-            target = superposition_source(register_modes(modes),
-                                          dict(ps.weights))
-            postselects.append(("state", (modes, Sectors(target).one)))
+            target = one_photon_amplitudes([w for _, w in ps.weights])
+            postselects.append(("state", (modes, np.array(target))))
     detects = [(det.name, dict(det.pattern)) for det in doc.detects]
     return CompiledCircuit(initial, schedule, postselects, detects)
 

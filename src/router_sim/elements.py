@@ -311,8 +311,8 @@ def _router_rule(sectors, element):
     # self-adjoint.
     ia, ib, ic = _router_positions(sectors, element)
     two = sectors.two
-    two[[ia, ib], ic] = two[[ib, ia], ic]
-    two[ic, [ia, ib]] = two[ic, [ib, ia]]
+    two[ia, ic], two[ib, ic] = two[ib, ic], two[ia, ic]
+    two[ic, ia], two[ic, ib] = two[ic, ib], two[ic, ia]
 
 
 def _decomposed_router_rule(sectors, element):

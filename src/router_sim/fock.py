@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -137,7 +138,7 @@ class FockState:
         return self.amplitudes.get(tuple(config), 0j)
 
     def norm(self):
-        return math.sqrt(running_sum(
+        return math.sqrt(scalar_sum(
             [abs(a) ** 2 for a in self.amplitudes.values()]))
 
     @property
@@ -214,6 +215,30 @@ def superposition_source(state, weights):
     return result.normalized()
 
 
+def one_photon_amplitudes(weights):
+    """The amplitudes of ``superposition_source(vacuum, weights)`` on its
+    one-photon configurations, over modes one per entry of the sequence
+    ``weights``, in its order, 0j where it has none: the same multiply,
+    prune, sequential norm and divide, in Python scalars.  Raises
+    :class:`BadParam` where that call does."""
+    # There the vacuum amplitude 1 times w times sqrt(1) is added to a 0j
+    # entry.  For a finite w the products change at most the sign of a
+    # zero part, and that sum makes every zero part +0.0, as 0j + w does.
+    lifted = [0j + complex(w) for w in weights]
+    if not lifted:
+        raise BadParam("superposition source needs at least one mode")
+    if not all(map(cmath.isfinite, lifted)):
+        raise BadParam("superposition weights are not finite")
+    lifted = [a if abs(a) >= PRUNE_EPSILON else 0j for a in lifted]
+    if not any(lifted):
+        raise BadParam("superposition weights are all zero")
+    norm = math.sqrt(scalar_sum([abs(a) ** 2 for a in lifted]))
+    if norm < PRUNE_EPSILON:
+        return [0j] * len(lifted)
+    scaled = [a / norm for a in lifted]
+    return [a if abs(a) >= PRUNE_EPSILON else 0j for a in scaled]
+
+
 def _check_unitary(u, k):
     u = np.asarray(u, dtype=complex)
     if u.shape != (k, k):
@@ -278,15 +303,16 @@ class Sectors:
         if self.two.any():
             raise PhotonBudget(f"source exceeds photon budget {PHOTON_BUDGET}")
         w = np.zeros(len(self.one), dtype=complex)
-        w[[self.state.index_of(m) for m in weights]] = list(weights.values())
+        for mode, weight in weights.items():
+            w[self.state.index_of(mode)] = weight
         one = self.vacuum * w
         # A sector with no photons to lift is empty: its norm is 0.0,
         # however it is computed.
-        norm = np.linalg.norm(one) if self.vacuum else 0.0
+        norm = _norm(one) if self.vacuum else 0.0
         if self.one.any():
             pair = np.outer(self.one, w)
             two = (pair + pair.T) / _SQRT2
-            norm = math.hypot(norm, np.linalg.norm(two))
+            norm = math.hypot(norm, _norm(two.ravel()))
             self.two = two / norm
         self.vacuum, self.one = 0j, one / norm
 
@@ -336,15 +362,11 @@ class Sectors:
         pruning.
         """
         n = len(self.one)
-        layout = _layout(n)
         sub = np.array([self.state.index_of(m) for m in modes])
         bra = target.conj()
-        pairs = np.zeros((n, n), dtype=complex)
-        pairs[layout.rows, layout.cols] = amplitudes[1 + n:]
-        pairs[layout.cols, layout.rows] = amplitudes[1 + n:]
         rest = np.zeros_like(amplitudes)
         rest[0] = bra @ amplitudes[1 + sub]
-        rest[1:1 + n] = bra @ pairs[sub]
+        rest[1:1 + n] = bra @ amplitudes[_layout(n).pairs[sub]]
         rest[1 + sub] = 0
         return pruned(rest), float(np.sum(np.abs(rest) ** 2))
 
@@ -354,6 +376,7 @@ class _Layout(NamedTuple):
     cols: np.ndarray
     weights: np.ndarray  # turns each entry into its Fock amplitude
     occupations: np.ndarray  # photons of each mode (row) per configuration
+    pairs: np.ndarray  # (i, j) to the configuration of photons in i and j
 
 
 @functools.lru_cache(maxsize=64)
@@ -363,8 +386,11 @@ def _layout(n):
     none, modes = np.full(1 + n, -1), np.arange(n)[:, None]
     first = np.concatenate([none[:1], np.arange(n), rows])
     second = np.concatenate([none, cols])
+    pairs = np.empty((n, n), dtype=np.intp)
+    pairs[rows, cols] = pairs[cols, rows] = np.arange(1 + n, len(first))
     return _Layout(rows, cols, np.where(rows == cols, 1.0, _SQRT2),
-                   np.add(first == modes, second == modes, dtype=np.int8))
+                   np.add(first == modes, second == modes, dtype=np.int8),
+                   pairs)
 
 
 def pruned(amplitudes):
@@ -382,15 +408,31 @@ def row_norms(rows):
                    + im[:, None, :] @ im[:, :, None])[:, 0]
 
 
+def _norm(vector):
+    """``np.linalg.norm`` of the complex 1-D array ``vector``, as it
+    computes it: the square root of two dot products, re·re + im·im."""
+    re, im = vector.real, vector.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def running_sum(terms, axis=-1):
     """The sum of the real ``terms`` along ``axis``, adding one term after
     another from the first.  ``np.sum`` adds eight or more terms in pairs,
     and Python's ``sum`` compensates float additions from 3.12 on
-    (Neumaier): both can round differently."""
+    (Neumaier): both can round differently.  A list of a few floats adds
+    in :func:`scalar_sum`, without an array."""
     terms = np.asarray(terms, dtype=float)
     if not terms.size:
         return terms.sum(axis=axis)
     return np.add.accumulate(terms, axis=axis).take(-1, axis=axis)
+
+
+def scalar_sum(terms):
+    """The sum of the list of floats ``terms`` as :func:`running_sum` adds
+    them, one after another from the first, in Python floats: the same
+    bits, but +0.0 where every term is -0.0.  An overflow is inf, without
+    a warning."""
+    return functools.reduce(operator.add, terms, 0.0)
 
 
 def normalized_rows(amplitudes):
@@ -472,8 +514,8 @@ def select(state, predicate):
     The predicate must depend on occupation numbers only.
     """
     kept = {c: a for c, a in state.amplitudes.items() if predicate(c)}
-    probability = running_sum([abs(a) ** 2 for a in kept.values()])
-    return state._derived(kept), float(probability)
+    probability = scalar_sum([abs(a) ** 2 for a in kept.values()])
+    return state._derived(kept), probability
 
 
 def matches(state, pattern):
@@ -527,9 +569,9 @@ def postselect_subsystem(state, target):
             continue
         rest = tuple(config[p] for p in rest_positions)
         out[rest] += t_amp.conjugate() * amp
-    probability = running_sum([abs(a) ** 2 for a in out.values()])
+    probability = scalar_sum([abs(a) ** 2 for a in out.values()])
     conditional = FockState(rest_modes, out).normalized()
-    return ProjectionOutcome(conditional, float(probability))
+    return ProjectionOutcome(conditional, probability)
 
 
 def schmidt_spectrum(state, partition):

@@ -69,9 +69,11 @@ from .fock import (
     FockState,
     Sectors,
     normalized_rows,
+    one_photon_amplitudes,
     pruned,
     row_norms,
     running_sum,
+    scalar_sum,
     spectra_of,
     spectrum_of,
     superposition_source,
@@ -708,7 +710,7 @@ def _bell_state(alphas, alice_setting, bob_setting):
 def _alice_superposition():
     """Alice's SUPERPOSE bra: the equal superposition of boxes A, B and C,
     read-only because every table shares it."""
-    return _frozen(Sectors(tsvf.shutter_state((1 / SQRT3,) * 3)).one.conj())
+    return _frozen(np.array(one_photon_amplitudes((1 / SQRT3,) * 3)).conj())
 
 
 #: Bob's SUPERPOSE bra: the equal superposition of his five cavities.
@@ -923,7 +925,7 @@ def _reflected_with_fidelity_one(result, tol):
 
 
 def _bell_consistent(result, tol):
-    total = running_sum(list(result.conditional_probabilities.values()))
+    total = scalar_sum(list(result.conditional_probabilities.values()))
     return (abs(total - 1.0) <= tol
             and result.metadata["no_signaling_gap"] <= tol)
 

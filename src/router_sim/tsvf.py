@@ -25,10 +25,10 @@ from .fock import (
     FockState,
     inner_product,
     matches,
+    one_photon_amplitudes,
     project_pattern,
     register_modes,
     select,
-    superposition_source,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -192,12 +192,13 @@ def shutter_modes():
 
 
 def shutter_state(weights, modes=None):
-    """Single-photon shutter state with the given A, B, C weights."""
+    """Single-photon shutter state with the given A, B, C weights, as
+    :func:`superposition_source` on the vacuum of ``modes`` builds it."""
     modes = modes or shutter_modes()
     vacuum = register_modes(modes)
-    return superposition_source(
-        vacuum, {m: w for m, w in zip(modes, weights)}
-    )
+    amplitudes = one_photon_amplitudes([w for _, w in zip(modes, weights)])
+    return vacuum._derived({tuple(int(i == j) for j in range(len(modes))): a
+                            for i, a in enumerate(amplitudes)})
 
 
 def three_box_spec():

@@ -88,25 +88,6 @@ class ModeDecl:
     line: int = field(default=0, compare=False, repr=False)
 
 
-_SET_NAME = ModeDecl.name.__set__
-_SET_BOX = ModeDecl.box.__set__
-_SET_TIME_SLOT = ModeDecl.time_slot.__set__
-_SET_ROLE = ModeDecl.role.__set__
-_SET_DECL_LINE = ModeDecl.line.__set__
-
-
-def _mode_decl(name, box, time_slot, role, line):
-    """``ModeDecl(name, box, time_slot, role, line)``, built as
-    :func:`_element_stmt` builds a statement."""
-    decl = object.__new__(ModeDecl)
-    _SET_NAME(decl, name)
-    _SET_BOX(decl, box)
-    _SET_TIME_SLOT(decl, time_slot)
-    _SET_ROLE(decl, role)
-    _SET_DECL_LINE(decl, line)
-    return decl
-
-
 @dataclass(frozen=True)
 class SourceStmt:
     weights: tuple  # ((mode_name, complex), ...)
@@ -349,9 +330,7 @@ def parse(text):
             names = tokens[first:end]
             if not declared.issuperset(names):
                 for index, name in enumerate(names, first):
-                    if name not in declared:
-                        _fail(line_number, line, index,
-                              f"undeclared mode {name!r}", name)
+                    _require(line_number, line, index, name, declared)
             if n != end:
                 if n < end:
                     _fail(line_number, line, n,
@@ -385,7 +364,7 @@ def parse(text):
                 _fail(line_number, line, 5,
                       "trailing tokens after mode declaration")
             declared.add(name)
-            modes.append(_mode_decl(*tokens[1:], line_number))
+            modes.append(ModeDecl(*tokens[1:], line_number))
 
         elif directive == "source":
             sources.append(SourceStmt(

@@ -308,11 +308,11 @@ class Sectors:
         one = self.vacuum * w
         # A sector with no photons to lift is empty: its norm is 0.0,
         # however it is computed.
-        norm = _norm(one) if self.vacuum else 0.0
+        norm = np.linalg.norm(one) if self.vacuum else 0.0
         if self.one.any():
             pair = np.outer(self.one, w)
             two = (pair + pair.T) / _SQRT2
-            norm = math.hypot(norm, _norm(two.ravel()))
+            norm = math.hypot(norm, np.linalg.norm(two))
             self.two = two / norm
         self.vacuum, self.one = 0j, one / norm
 
@@ -406,13 +406,6 @@ def row_norms(rows):
     re, im = rows.real, rows.imag
     return np.sqrt(re[:, None, :] @ re[:, :, None]
                    + im[:, None, :] @ im[:, :, None])[:, 0]
-
-
-def _norm(vector):
-    """``np.linalg.norm`` of the complex 1-D array ``vector``, as it
-    computes it: the square root of two dot products, re·re + im·im."""
-    re, im = vector.real, vector.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def running_sum(terms, axis=-1):

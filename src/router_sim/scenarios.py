@@ -706,11 +706,9 @@ def _bell_state(alphas, alice_setting, bob_setting):
     return _bell_states(alphas[None])
 
 
-@functools.cache
-def _alice_superposition():
-    """Alice's SUPERPOSE bra: the equal superposition of boxes A, B and C,
-    read-only because every table shares it."""
-    return _frozen(np.array(one_photon_amplitudes((1 / SQRT3,) * 3)).conj())
+#: Alice's SUPERPOSE bra: the equal superposition of boxes A, B and C.
+_ALICE_SUPERPOSITION = _frozen(np.array(
+    one_photon_amplitudes((1 / SQRT3,) * 3)).conj())
 
 
 #: Bob's SUPERPOSE bra: the equal superposition of his five cavities.
@@ -774,7 +772,7 @@ def _bell_tables(states):
     bob = _BOB_SUPERPOSITION
     probs = np.abs(states) ** 2
     bob_match = np.abs(states @ bob) ** 2
-    given_alice = _alice_superposition() @ states
+    given_alice = _ALICE_SUPERPOSITION @ states
     alice_match = np.abs(given_alice) ** 2
     p_alice, p_bob = alice_match.sum(axis=1), bob_match.sum(axis=1)
     both = (given_alice[:, None, :] @ bob)[:, 0]

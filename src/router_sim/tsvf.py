@@ -192,27 +192,36 @@ def shutter_modes():
 
 
 def shutter_state(weights, modes=None):
-    """Single-photon shutter state with the given A, B, C weights, as
-    :func:`superposition_source` on the vacuum of ``modes`` builds it."""
+    """Single-photon shutter state with one weight per mode (A, B, C by
+    default), as :func:`superposition_source` on the vacuum of ``modes``
+    builds it."""
     modes = modes or shutter_modes()
+    if len(weights) != len(modes):
+        raise BadParam(f"expected {len(modes)} shutter weights, "
+                       f"got {len(weights)}")
     vacuum = register_modes(modes)
-    amplitudes = one_photon_amplitudes([w for _, w in zip(modes, weights)])
+    amplitudes = one_photon_amplitudes(weights)
     return vacuum._derived({tuple(int(i == j) for j in range(len(modes))): a
                             for i, a in enumerate(amplitudes)})
 
 
-def three_box_spec():
-    """Static three-box pre/post pair: (1,1,1)/sqrt3 and (1,1,-1)/sqrt3."""
+def _box_spec(pre, post, segments, checkpoints):
+    """The spec from shutter weights ``pre`` to ``post`` over the three
+    box modes."""
     modes = shutter_modes()
-    pre = shutter_state((1 / SQRT3, 1 / SQRT3, 1 / SQRT3), modes)
-    post = shutter_state((1 / SQRT3, 1 / SQRT3, -1 / SQRT3), modes)
     return TwoStateSpec(
-        pre=pre,
-        post=post,
-        segments=(),
-        checkpoints=MappingProxyType({"t": 0}),
+        pre=shutter_state(pre, modes),
+        post=shutter_state(post, modes),
+        segments=segments,
+        checkpoints=MappingProxyType(checkpoints),
         box_modes=MappingProxyType(dict(zip("ABC", modes))),
     )
+
+
+def three_box_spec():
+    """Static three-box pre/post pair: (1,1,1)/sqrt3 and (1,1,-1)/sqrt3."""
+    return _box_spec((1 / SQRT3, 1 / SQRT3, 1 / SQRT3),
+                     (1 / SQRT3, 1 / SQRT3, -1 / SQRT3), (), {"t": 0})
 
 
 def disappearing_spec():
@@ -225,15 +234,7 @@ def disappearing_spec():
     (-|A> + i|B> + |C>)/sqrt3 at the final time carried back through the
     last pi/2 tunneling step.
     """
-    modes = shutter_modes()
-    pre = shutter_state((1 / SQRT3, 1j / SQRT3, 1 / SQRT3), modes)
-    post = shutter_state((-1 / SQRT3, -1j / SQRT3, 1 / SQRT3), modes)
-    step = (tunneling(math.pi / 4, modes[0], modes[1]),)
-    return TwoStateSpec(
-        pre=pre,
-        post=post,
-        segments=(step, step),
-        checkpoints=MappingProxyType({"t1": 0, "t2": 1, "t3": 2}),
-        box_modes=MappingProxyType(dict(zip("ABC", modes))),
-    )
-
+    step = (tunneling(math.pi / 4, *shutter_modes()[:2]),)
+    return _box_spec((1 / SQRT3, 1j / SQRT3, 1 / SQRT3),
+                     (-1 / SQRT3, -1j / SQRT3, 1 / SQRT3), (step, step),
+                     {"t1": 0, "t2": 1, "t3": 2})

@@ -71,7 +71,7 @@ def sweep_text(fmt, scenario, points, swept):
 def bell_table(state, alice_setting, bob_setting):
     """Clamped joint probability table of one setting pair on one (3, 5)
     Bell state, as a dict in table order."""
-    alice = scenarios._alice_superposition()
+    alice = scenarios._ALICE_SUPERPOSITION
     bob = np.full(len(scenarios._CAVITIES), 1 / math.sqrt(5))
     probs = np.abs(state) ** 2
     if alice_setting == OPEN_BOXES and bob_setting == OPEN_CAVITIES:

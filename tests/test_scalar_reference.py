@@ -190,19 +190,6 @@ def test_scalar_sum_is_the_running_sum(terms):
         assert bits(got) == bits(array_sum + 0.0)
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_norms_are_the_linalg_norms(seed):
-    rng = np.random.default_rng([seed, 43])
-    n = int(rng.integers(1, 30))
-    vector = rng.normal(size=n) + 1j * rng.normal(size=n)
-    vector[rng.random(n) < 0.3] = 0
-    matrix = np.outer(vector, rng.normal(size=n) + 1j * rng.normal(size=n))
-    matrix = (matrix + matrix.T) / math.sqrt(2.0)
-    assert bits(fock._norm(vector)) == bits(float(np.linalg.norm(vector)))
-    assert (bits(fock._norm(matrix.ravel()))
-            == bits(float(np.linalg.norm(matrix))))
-
-
 SOURCE_NAMES = tuple(f"M{i}" for i in range(7))
 
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from router_sim import tsvf
+from router_sim import scenarios, tsvf
 from router_sim.elements import tunneling
 from router_sim.errors import BadParam, UndefinedConditioning
 from router_sim.tsvf import ProjectorSpec
@@ -277,6 +277,20 @@ def test_unknown_checkpoint_or_box_raises(proj, message):
             query(spec, proj)
 
 
+@pytest.mark.parametrize("weights,modes", [
+    ((1, 1), None),
+    ((1, 1, 1, 5), None),
+    ((), None),
+    ((1, 0, 0), ("SA", "SB")),
+])
+def test_shutter_state_needs_one_weight_per_mode(weights, modes):
+    """A missing weight is not taken as 0, nor an extra one dropped."""
+    n_modes = len(modes or tsvf.shutter_modes())
+    with pytest.raises(BadParam, match=f"expected {n_modes} shutter weights, "
+                                       f"got {len(weights)}"):
+        tsvf.shutter_state(weights, modes)
+
+
 def test_imposed_projector_that_never_fires_raises():
     # Prepared without box C, the shutter is never found there at t2.
     spec = replace(tsvf.disappearing_spec(),
@@ -299,3 +313,52 @@ def test_checkpoint_values_equal_single_queries(make_spec):
             proj = tsvf.ProjectorSpec(box, time)
             assert abl == tsvf.abl_probability(spec, proj)
             assert weak == tsvf.weak_value(spec, proj)
+
+
+# ---------------------------------------------------------------------------
+# the shipped specs' numbers, to the bit
+# ---------------------------------------------------------------------------
+
+def hex_values(values):
+    """``{(box, time): (ABL, weak value)}`` as float.hex strings."""
+    return [(key, abl.hex(), weak.real.hex(), weak.imag.hex())
+            for key, (abl, weak) in values.items()]
+
+
+ONE, ZERO = "0x1.0000000000000p+0", "0x0.0p+0"
+ABOVE_ONE, FIFTH = "0x1.0000000000001p+0", "0x1.999999999999cp-3"
+
+#: The ABL probabilities and weak values of the two shipped shutters, in
+#: ``_tsvf_values`` order, bit for bit: the printed 12 digits would hide a
+#: change in the last bit.
+TSVF_BITS = {
+    "three_box": [
+        (("A", "t"), ONE, ONE, ZERO),
+        (("B", "t"), ONE, ONE, ZERO),
+        (("C", "t"), "0x1.9999999999999p-3", "-" + ONE, ZERO),
+    ],
+    "disappearing": [
+        (("A", "t1"), ONE, ONE, ZERO),
+        (("B", "t1"), FIFTH, "-" + ABOVE_ONE, ZERO),
+        (("C", "t1"), ONE, ABOVE_ONE, ZERO),
+        (("A", "t2"), ZERO, ZERO, ZERO),
+        (("B", "t2"), ZERO, ZERO, ZERO),
+        (("C", "t2"), ONE, ONE, ZERO),
+        (("A", "t3"), FIFTH, "-" + ABOVE_ONE, ZERO),
+        (("B", "t3"), ONE, ONE, ZERO),
+        (("C", "t3"), ONE, ABOVE_ONE, ZERO),
+    ],
+}
+
+
+@pytest.mark.parametrize("shutter", sorted(TSVF_BITS))
+def test_tsvf_values_keep_their_bits(shutter):
+    assert hex_values(scenarios._tsvf_values(shutter)) == TSVF_BITS[shutter]
+
+
+def test_postselection_success_keeps_its_bits():
+    """The odds 1/9 -> 1/3 of the disappearing shutter, bit for bit."""
+    spec = tsvf.disappearing_spec()
+    assert tsvf.postselection_success(spec).hex() == "0x1.c71c71c71c71ep-4"
+    assert (tsvf.postselection_success(spec, ProjectorSpec("C", "t2")).hex()
+            == "0x1.5555555555557p-2")

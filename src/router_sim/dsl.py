@@ -78,7 +78,8 @@ class ParseError(Exception):
 
 
 # A statement's ``line`` is the 1-based line it was parsed from, for compile
-# errors; it is not compared, so parse(render(doc)) == doc.
+# errors; it is not compared, so parse(render(doc)) == doc.  Mode and element
+# statements, tens per file, set their slots without object.__setattr__.
 @dataclass(frozen=True, slots=True)
 class ModeDecl:
     name: str
@@ -86,6 +87,17 @@ class ModeDecl:
     time_slot: str
     role: str
     line: int = field(default=0, compare=False, repr=False)
+
+    def __init__(self, name, box, time_slot, role, line=0):
+        _SET_NAME(self, name)
+        _SET_BOX(self, box)
+        _SET_TIME_SLOT(self, time_slot)
+        _SET_ROLE(self, role)
+        _SET_DECL_LINE(self, line)
+
+
+_SET_NAME, _SET_BOX, _SET_TIME_SLOT, _SET_ROLE, _SET_DECL_LINE = (
+    getattr(ModeDecl, name).__set__ for name in ModeDecl.__slots__)
 
 
 @dataclass(frozen=True)
@@ -101,22 +113,15 @@ class ElementStmt:
     modes: tuple
     line: int = field(default=0, compare=False, repr=False)
 
+    def __init__(self, op, params, modes, line=0):
+        _SET_OP(self, op)
+        _SET_PARAMS(self, params)
+        _SET_MODES(self, modes)
+        _SET_LINE(self, line)
 
-_SET_OP = ElementStmt.op.__set__
-_SET_PARAMS = ElementStmt.params.__set__
-_SET_MODES = ElementStmt.modes.__set__
-_SET_LINE = ElementStmt.line.__set__
 
-
-def _element_stmt(op, params, modes, line):
-    """``ElementStmt(op, params, modes, line)``, its slots set directly
-    rather than through the frozen ``__init__``'s ``object.__setattr__``."""
-    stmt = object.__new__(ElementStmt)
-    _SET_OP(stmt, op)
-    _SET_PARAMS(stmt, params)
-    _SET_MODES(stmt, modes)
-    _SET_LINE(stmt, line)
-    return stmt
+_SET_OP, _SET_PARAMS, _SET_MODES, _SET_LINE = (
+    getattr(ElementStmt, name).__set__ for name in ElementStmt.__slots__)
 
 
 @dataclass(frozen=True)
@@ -153,12 +158,11 @@ def parse_weight(token):
     # Only the complex and imaginary forms end in "i"; the complex form
     # would backtrack through each digit of a real literal before failing.
     if token.endswith("i"):
-        if m := _COMPLEX_RE.match(token):
-            value = complex(float(m.group(1)), float(m.group(2)))
-        elif m := _IMAG_RE.match(token):
-            value = complex(0.0, float(m.group(1)))
-        else:
+        if not (_COMPLEX_RE.match(token) or _IMAG_RE.match(token)):
             return None
+        # complex() reads each part as float() does, and the real part of
+        # an imaginary literal as 0.0.
+        value = complex(token[:-1] + "j")
     elif _REAL_RE.match(token):
         value = complex(float(token), 0.0)
     else:
@@ -224,10 +228,11 @@ def _weights(line_number, text, tokens, declared):
         total = scalar_sum([abs(w) ** 2 for _, w in pairs])
     except OverflowError:
         raise ParseError(line_number, 1, f"{what} weights overflow") from None
-    largest = max(abs(w) for _, w in pairs)
-    if largest == 0.0:
-        raise ParseError(line_number, 1, f"{what} weights are all zero")
     if abs(total - 1.0) > _WEIGHT_NORM_TOL:
+        # Weights that are all zero sum to 0.0, far from 1.
+        largest = max(abs(w) for _, w in pairs)
+        if largest == 0.0:
+            raise ParseError(line_number, 1, f"{what} weights are all zero")
         warnings.warn(
             f"line {line_number}: {what} weights normalized "
             f"(sum of squares was {total:.12g})",
@@ -278,6 +283,11 @@ def _orientation(token):
     return token
 
 
+def _swap(mode_a, mode_b):
+    """The element of a ``relabel`` line: the two modes swapped."""
+    return relabel(dict([_pair(mode_a, mode_b), (mode_b, mode_a)]))
+
+
 # op: (parameter readers, mode count, constructor).  An op takes at most
 # one parameter.  The constructor takes the parsed parameter followed by the
 # mode names.
@@ -288,8 +298,7 @@ _ELEMENT_OPS = {
     "ns2": ((), 2, ns_two_mode),
     "pqr": ((_orientation,), 3,
             lambda orientation, *modes: pqr_ideal(*modes, orientation)),
-    "relabel": ((), 2, lambda a, b: relabel(dict(zip(_pair(a, b),
-                                                     (b, a))))),
+    "relabel": ((), 2, _swap),
     "tunnel": ((_real,), 2, tunneling),
 }
 
@@ -337,8 +346,8 @@ def parse(text):
                           f"{directive} requires {_MODE_WORDS[n_modes]}")
                 _fail(line_number, line, end,
                       f"trailing tokens after {directive}")
-            elements.append(_element_stmt(directive, params, tuple(names),
-                                          line_number))
+            elements.append(ElementStmt(directive, params, tuple(names),
+                                        line_number))
 
         elif directive == "mode":
             if n == 1:
@@ -508,20 +517,24 @@ def execute(compiled):
     amplitudes = final.fock_amplitudes()
     probabilities = np.abs(amplitudes) ** 2
     postselections = []
-    # (probabilities of the conditional state, the modes it no longer has)
-    conditioned = []
+    # The state each post-selection leaves and the modes it no longer has.
+    kept_states, consumed = [], []
     for kind, payload in compiled.postselects:
         if kind == "pattern":
             mask = final.matches(payload)
             kept = np.where(mask, amplitudes, 0j)
             probability = float(probabilities[mask].sum())
-            consumed = ()
+            modes = ()
         else:
-            consumed, target = payload
-            kept, probability = final.postselect_state(amplitudes, consumed,
+            modes, target = payload
+            kept, probability = final.postselect_state(amplitudes, modes,
                                                        target)
         postselections.append({"kind": kind, "probability": probability})
-        conditioned.append((np.abs(normalized_rows(kept)) ** 2, consumed))
+        kept_states.append(kept)
+        consumed.append(modes)
+    # The probabilities of each conditional state, one row each.
+    conditioned = (np.abs(normalized_rows(np.array(kept_states))) ** 2
+                   if kept_states else [])
 
     detections = []
     for name, pattern in compiled.detects:
@@ -529,9 +542,9 @@ def execute(compiled):
         # subsystem post-selection; a zero state detects with probability 0.
         mask = final.matches(pattern)
         conditional = []
-        for given, consumed in conditioned:
-            rest = {m: c for m, c in pattern.items() if m not in consumed}
-            kept = mask if len(rest) == len(pattern) else final.matches(rest)
+        for given, modes in zip(conditioned, consumed):
+            kept = mask if pattern.keys().isdisjoint(modes) else final.matches(
+                {m: c for m, c in pattern.items() if m not in modes})
             conditional.append(float(given[kept].sum()))
         detections.append({
             "name": name,

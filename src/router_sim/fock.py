@@ -344,12 +344,13 @@ class Sectors:
         """Mask over the flat layout of the configurations that hold the
         counts ``pattern`` (mode name to photon count)."""
         occupations = _layout(len(self.one)).occupations
-        mask = np.ones(occupations.shape[1], dtype=bool)
+        index = self.state._index
+        mask = None
         for mode, count in pattern.items():
             # No configuration holds more than PHOTON_BUDGET photons.
-            mask &= (occupations[self.state.index_of(mode)]
-                     == min(count, PHOTON_BUDGET + 1))
-        return mask
+            holds = occupations[index[mode]] == min(count, PHOTON_BUDGET + 1)
+            mask = holds if mask is None else mask & holds
+        return np.ones(occupations.shape[1], bool) if mask is None else mask
 
     def postselect_state(self, amplitudes, modes, target):
         """Project ``modes``, some of these modes, onto the one-photon

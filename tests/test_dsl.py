@@ -405,8 +405,8 @@ def test_element_op_round_trips_and_compiles(line, kind, params):
     text = "".join(f"mode {n} A t1 internal\n" for n in names) + line + "\n"
     doc = parse(text)
     assert parse(render(doc)) == doc
-    # The parser builds a statement slot by slot: it equals, hashes and
-    # prints as the one its class builds, and it is frozen.
+    # The class sets its slots directly: a statement equals, hashes and
+    # prints as a twin built from its fields, and it is frozen.
     (stmt,) = doc.elements
     built = dsl.ElementStmt(stmt.op, stmt.params, stmt.modes, stmt.line)
     assert (stmt, hash(stmt), repr(stmt)) == (built, hash(built), repr(built))
@@ -422,6 +422,26 @@ def test_element_op_round_trips_and_compiles(line, kind, params):
     assert hash(element) == object.__hash__(element)
     with pytest.raises(AttributeError):
         element.modes = ()
+
+
+def test_mode_decl_is_a_frozen_value_that_ignores_its_line():
+    doc = parse("mode A A t1 shutter\nmode B B t2 probe_in\n")
+    decl = doc.modes[1]
+    assert (decl.name, decl.box, decl.time_slot, decl.role, decl.line) == (
+        "B", "B", "t2", "probe_in", 2)
+    twin = dsl.ModeDecl(role="probe_in", time_slot="t2", box="B", name="B")
+    assert twin.line == 0
+    assert decl == twin and hash(decl) == hash(twin)
+    assert repr(decl) == repr(twin) == (
+        "ModeDecl(name='B', box='B', time_slot='t2', role='probe_in')")
+    assert decl != dsl.ModeDecl("B", "B", "t1", "probe_in", 2)
+    assert len({decl, twin, doc.modes[0]}) == 2
+    for name in ("name", "line"):
+        with pytest.raises(AttributeError):
+            setattr(decl, name, "C")
+    with pytest.raises(AttributeError):
+        del decl.role
+    assert decl == twin
 
 
 def test_compile_unknown_element_op():

@@ -397,6 +397,27 @@ def test_reference_circuits_cover_cycles_and_unitary_sizes():
     assert sizes >= {1, 2, 3}
 
 
+def test_reference_circuits_cover_relabel_widths():
+    """Among the circuits of the reference test, which runs each forward
+    and adjoint: two-mode relabels, the only ones a ``.circuit`` file
+    writes, as swaps with the first mode's row above and below the
+    second's and as the identity, and bijections of three or more modes."""
+    seen = set()
+    for seed in SEEDS:
+        rng, names, probes, controls, _ = draw_setup(seed)
+        for element in random_circuit(rng, probes, controls):
+            if element.kind is not elements.ElementKind.RELABEL:
+                continue
+            mapping = element.params["mapping"]
+            moved = any(m != to for m, to in mapping.items())
+            if len(mapping) == 2 and moved:
+                a, b = element.modes
+                seen.add(("swap", names.index(a) < names.index(b)))
+            else:
+                seen.add((min(len(mapping), 3), moved))
+    assert seen >= {("swap", True), ("swap", False), (2, False), (3, True)}
+
+
 # ---------------------------------------------------------------------------
 # dsl.execute: measurements on the sector form against dense projections
 # ---------------------------------------------------------------------------

@@ -22,11 +22,8 @@ import sys
 import warnings
 from json.encoder import encode_basestring_ascii as _escape
 
-import numpy as np
-
-from . import dsl, scenarios
-from .errors import BadCoefficients, BadParam, CompileError, SimulationError
-from .fock import row_norms
+from .errors import (BadCoefficients, BadParam, CompileError, ParseError,
+                     SimulationError)
 
 DEFAULT_TOL = 1e-9
 
@@ -53,8 +50,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_ALICE = {"open": scenarios.OPEN_BOXES, "superpose": scenarios.SUPERPOSE}
-_BOB = {"open": scenarios.OPEN_CAVITIES, "superpose": scenarios.SUPERPOSE}
+#: The words of --alice and --bob.
+_SETTINGS = ("open", "superpose")
+
+
+@functools.cache
+def _load_engine():
+    """Import numpy and the engine, once per process, for the commands
+    that evaluate; the parser, ``--help`` and usage errors need neither.
+    ``_ALICE`` and ``_BOB`` map each setting word to its scenario value."""
+    global np, dsl, scenarios, row_norms, _ALICE, _BOB
+    import numpy as np
+
+    from . import dsl, scenarios
+    from .fock import row_norms
+    _ALICE = dict(zip(_SETTINGS, (scenarios.OPEN_BOXES, scenarios.SUPERPOSE)))
+    _BOB = dict(zip(_SETTINGS, (scenarios.OPEN_CAVITIES, scenarios.SUPERPOSE)))
 
 
 def _template(skeleton, newline="\n"):
@@ -466,8 +477,8 @@ def _parser():
     run.add_argument("--alpha1")
     run.add_argument("--alpha2")
     run.add_argument("--perturb", help="named perturbation variant")
-    run.add_argument("--alice", choices=tuple(_ALICE), help="default: open")
-    run.add_argument("--bob", choices=tuple(_BOB), help="default: open")
+    run.add_argument("--alice", choices=_SETTINGS, help="default: open")
+    run.add_argument("--bob", choices=_SETTINGS, help="default: open")
     add_format(run)
     tol = run.add_argument(
         "--tol", type=float,
@@ -497,7 +508,7 @@ _COMMANDS = {"run": cmd_run, "simulate": cmd_simulate, "sweep": cmd_sweep,
 # Exit code of each error a command may end with, most specific first.
 _EXIT_CODES = {
     UsageError: EXIT_USAGE,
-    dsl.ParseError: EXIT_PARSE,
+    ParseError: EXIT_PARSE,
     CompileError: EXIT_PARSE,
     SimulationError: EXIT_ASSERTION,
 }
@@ -509,6 +520,7 @@ def main(argv=None, stream=None):
         args = _parse_args(argv)
         if args.command is None:
             raise UsageError(f"a command is required ({', '.join(_COMMANDS)})")
+        _load_engine()
         code = _COMMANDS[args.command](args, stream)
         stream.flush()
         return code
@@ -526,5 +538,12 @@ def main(argv=None, stream=None):
         )
 
 
+def console():
+    """``main`` as a process of its own (``router-sim``, ``python -m
+    router_sim.cli``): no command's matrices pay for an OpenBLAS pool."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console())

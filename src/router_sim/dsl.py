@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elements import (
+    _frozen_slots,
     _pair,
     beamsplitter,
     evolve,
@@ -38,7 +39,7 @@ from .elements import (
     relabel,
     tunneling,
 )
-from .errors import CompileError
+from .errors import CompileError, ParseError
 from .fock import (
     PHOTON_BUDGET,
     Sectors,
@@ -66,20 +67,10 @@ _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _ASSIGN_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)=(\d+)$")
 
 
-class ParseError(Exception):
-    """Parse failure with a 1-based position and the offending token."""
-
-    def __init__(self, line, column, message, token=""):
-        super().__init__(f"line {line}:{column}: {message}")
-        self.line = line
-        self.column = column
-        self.message = message
-        self.token = token
-
-
 # A statement's ``line`` is the 1-based line it was parsed from, for compile
 # errors; it is not compared, so parse(render(doc)) == doc.  Mode and element
 # statements, tens per file, set their slots without object.__setattr__.
+@_frozen_slots
 @dataclass(frozen=True, slots=True)
 class ModeDecl:
     name: str
@@ -106,6 +97,7 @@ class SourceStmt:
     line: int = field(default=0, compare=False, repr=False)
 
 
+@_frozen_slots
 @dataclass(frozen=True, slots=True)
 class ElementStmt:
     op: str

@@ -26,7 +26,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from types import MappingProxyType
 import numpy as np
@@ -76,6 +76,16 @@ class RouterOrientation(Enum):
 _NO_PARAMS = MappingProxyType({})
 
 
+def _frozen_slots(cls):
+    """Frozen dataclass ``cls`` with slots, whose writes and deletes of a
+    name that is not a field raise FrozenInstanceError, not TypeError."""
+    def refuse(self, name, *value):
+        raise FrozenInstanceError(f"cannot set or delete {name!r}")
+    cls.__setattr__ = cls.__delattr__ = refuse
+    return cls
+
+
+@_frozen_slots
 @dataclass(frozen=True, eq=False, slots=True)
 class Element:
     """One circuit primitive bound to an ordered tuple of modes.

@@ -61,3 +61,14 @@ class CompileError(SimulationError):
         super().__init__(where + message)
         self.line = line
         self.message = message
+
+
+class ParseError(Exception):
+    """Parse failure with a 1-based position and the offending token."""
+
+    def __init__(self, line, column, message, token=""):
+        super().__init__(f"line {line}:{column}: {message}")
+        self.line = line
+        self.column = column
+        self.message = message
+        self.token = token

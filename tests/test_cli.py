@@ -23,6 +23,10 @@ from sweep_reference import sweep_text
 
 CIRCUITS = Path(router_sim.__file__).parent / "circuits"
 
+# main loads numpy and the engine before its command runs; tests here call
+# the commands' helpers and read their tables directly.
+cli._load_engine()
+
 EXPECTED_FIELDS = [
     "name",
     "parameters",

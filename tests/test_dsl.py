@@ -1,6 +1,7 @@
 import io
 import math
 import warnings
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -442,6 +443,23 @@ def test_mode_decl_is_a_frozen_value_that_ignores_its_line():
     with pytest.raises(AttributeError):
         del decl.role
     assert decl == twin
+
+
+@pytest.mark.parametrize("value", [
+    dsl.ModeDecl("A", "A", "t1", "shutter", 3),
+    dsl.ElementStmt("bs", (0.5,), ("A", "B"), 4),
+    Element(ElementKind.BS, ("A", "B")),
+], ids=lambda value: type(value).__name__)
+def test_frozen_slotted_values_refuse_every_write(value):
+    # A name that is not a field too: the writes dataclass makes for a
+    # frozen class with slots raise TypeError for one.
+    before = [getattr(value, name) for name in value.__slots__]
+    for name in (value.__slots__[0], "line", "other"):
+        with pytest.raises(FrozenInstanceError, match=repr(name)):
+            setattr(value, name, 1)
+        with pytest.raises(FrozenInstanceError, match=repr(name)):
+            delattr(value, name)
+    assert [getattr(value, name) for name in value.__slots__] == before
 
 
 def test_compile_unknown_element_op():

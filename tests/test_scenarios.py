@@ -853,6 +853,7 @@ def test_compiled_sweep_builds_and_propagates_once(name, count, monkeypatch):
 
 def cli_points(argv, name="bell_test"):
     """The coefficient vectors of the ``router-sim sweep`` options."""
+    cli._load_engine()  # as main does before a command
     args = cli.build_parser().parse_args(["sweep", name] + argv)
     return cli._sweep_points(args, scenarios.SCENARIOS[name].arity)
 

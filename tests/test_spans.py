@@ -11,8 +11,6 @@ from pathlib import Path
 
 import pytest
 
-import router_sim.cli  # noqa: F401  (install looks up every traced module)
-
 TRACE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "trace.py"
 
 
@@ -22,6 +20,10 @@ def trace():
                                                   TRACE_PATH)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    # install looks up every traced module in sys.modules, and the command
+    # line imports none of them until a command evaluates.
+    for module_name, _, _ in module.SPANS:
+        importlib.import_module(f"router_sim.{module_name}")
     return module
 
 

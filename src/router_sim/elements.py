@@ -105,6 +105,13 @@ class Element:
         _SET_MODES(self, modes)
         _SET_PARAMS(self, params)
 
+    def __reduce__(self):
+        # A mappingproxy neither pickles nor deep-copies: the params, and a
+        # relabel's mapping in them, travel as dicts (_rebuilt).
+        return _rebuilt, (self.kind, self.modes, {
+            key: dict(value) if type(value) is MappingProxyType else value
+            for key, value in self.params.items()})
+
     @property
     def kept_port(self):
         """Kept probe port of a router element (None for other kinds)."""
@@ -118,6 +125,13 @@ class Element:
 
 _SET_KIND, _SET_MODES, _SET_PARAMS = (
     getattr(Element, name).__set__ for name in Element.__slots__)
+
+
+def _rebuilt(kind, modes, params):
+    """The element :meth:`Element.__reduce__` took apart, read-only again."""
+    return Element(kind, modes, MappingProxyType({
+        key: MappingProxyType(value) if type(value) is dict else value
+        for key, value in params.items()}) if params else _NO_PARAMS)
 
 
 # The entries of a beamsplitter's and a tunneling element's 2 x 2 mode

@@ -165,11 +165,6 @@ class ScenarioPlan:
         return mode_unitary(unitary_with_first_row(rows)[0], self.kept_ports)
 
     @property
-    def kept_columns(self):
-        """Block columns of the kept ports (see :func:`_propagate`)."""
-        return [1 + self.probe_modes.index(m) for m in self.kept_ports]
-
-    @property
     def full_schedule(self):
         return list(self.schedule) + ([self.merge] if self.recombine else [])
 
@@ -222,19 +217,25 @@ def unitary_with_first_row(rows):
     sum_k row_k* ... sum_k alpha_k |rail_k> onto the first rail exactly, so
     it is the adjoint of any splitting network producing those weights.
     """
-    n, k = rows.shape
     norms = row_norms(rows)
     rows = np.where(np.abs(norms - 1.0) > 1e-12, rows / norms, rows)
     # Columns: the conjugated row, then every unit vector but the one at
-    # the row's largest entry, in order.
-    columns = np.zeros((n, k, k), dtype=complex)
+    # the row's largest entry, in order (:func:`_completions`).
+    columns = _completions(rows.shape[1])[np.argmax(np.abs(rows), axis=-1)]
     columns[:, :, 0] = rows.conj()
-    others = np.arange(k - 1)
-    others = others + (others >= np.argmax(np.abs(rows), axis=-1)[:, None])
-    columns[np.arange(n)[:, None], others, np.arange(1, k)] = 1.0
     q, r = np.linalg.qr(columns)
     q[:, :, 0] *= (r[:, 0, 0] / abs(r[:, 0, 0]))[:, None]
     return q.conj().transpose(0, 2, 1)
+
+
+@functools.cache
+def _completions(k):
+    """Per position j of a row's largest entry, the k x k columns that
+    complete the row: zeros, then each unit vector but the j-th, in order."""
+    table = np.zeros((k, k, k), dtype=complex)
+    for j in range(k):
+        table[j, [i for i in range(k) if i != j], range(1, k)] = 1.0
+    return _frozen(table)
 
 
 def _propagate(plan, points):
@@ -263,9 +264,10 @@ def _propagate(plan, points):
     # complex division would multiply by a reciprocal.
     blocks = (blocks.view(float) / norms / program.scale).view(complex)
     for step in program.steps:
-        if type(step) is tuple:
-            row, ports, swapped = step
-            blocks[:, row, ports] = blocks[:, row, swapped]
+        if step.ndim == 1:
+            # take() keeps the C order the products after it read.
+            blocks = blocks.reshape(len(blocks), -1).take(step, 1).reshape(
+                blocks.shape)
         else:
             blocks = step @ blocks
     blocks[:, :, 1:] *= SQRT2
@@ -277,14 +279,17 @@ class _Program:
     """What propagating and measuring a plan takes that its coefficients do
     not change, all read-only: the shutter's pre-state vector ``start``,
     its conjugated post-state ``bra``, the per-part ``scale`` that holds a
-    block's pair columns over sqrt(2), and the ``steps`` of its schedule:
-    a router as ``(row, ports, swapped)``, which swaps two columns in its
-    control box's row, or a run of tunneling elements as one 3 x 3 matrix,
-    composed as :func:`~router_sim.elements.evolve` composes it."""
+    block's pair columns over sqrt(2), the block columns ``kept`` of the
+    kept ports, and the ``steps`` of its schedule, two kinds alternating:
+    a run of routers as one flat index permutation of a block's entries,
+    which swaps each router's two columns in its control box's row in
+    turn, and a run of tunneling elements as one 3 x 3 matrix, composed
+    as :func:`~router_sim.elements.evolve` composes it."""
 
     start: np.ndarray
     bra: np.ndarray
     scale: np.ndarray
+    kept: np.ndarray
     steps: tuple
 
 
@@ -294,43 +299,42 @@ def _program(plan):
     elements of the schedule the plan holds, so a plan given another
     schedule gets that schedule's program."""
     return _decode(plan.name, tuple(plan.schedule), plan.spec.pre,
-                   plan.spec.post, plan.probe_modes)
+                   plan.spec.post, plan.probe_modes, plan.kept_ports)
 
 
 @functools.lru_cache(maxsize=64)
-def _decode(name, schedule, pre, post, probe_modes):
+def _decode(name, schedule, pre, post, probe_modes, kept_ports):
     """The :class:`_Program` of a plan with these fields.  Any element that
     could leave the block: :class:`UnsupportedSector`."""
     rows = {m: i for i, m in enumerate(post.modes)}
     cols = {m: i for i, m in enumerate(probe_modes, 1)}
-    steps, run = [], None
+    width = 1 + len(probe_modes)
+    steps = []
     for element in schedule:
         kind, modes = element.kind, element.modes
         if kind is ElementKind.TUNNEL and rows.keys() >= set(modes):
-            if run is None:
-                run = np.eye(len(rows), dtype=complex)
+            if not steps or steps[-1].ndim == 1:
+                steps.append(np.eye(len(rows), dtype=complex))
             i, j = rows[modes[0]], rows[modes[1]]
-            pair = run[i::j - i][:2]
+            pair = steps[-1][i::j - i][:2]
             pair[:] = tunnel_matrix(element.params["theta"]) @ pair
         elif (kind is ElementKind.PQR_IDEAL and modes[2] in rows
               and modes[0] in cols and modes[1] in cols):
-            if run is not None:
-                steps.append(run)
-                run = None
-            a, b = cols[modes[0]], cols[modes[1]]
-            steps.append((rows[modes[2]], (a, b), (b, a)))
+            if not steps or steps[-1].ndim == 2:
+                steps.append(np.arange(len(rows) * width))
+            a, b = (rows[modes[2]] * width + cols[m] for m in modes[:2])
+            steps[-1][[a, b]] = steps[-1][[b, a]]
         else:
             raise UnsupportedSector(
                 f"{kind.value} on {modes} in {name} is not a router "
                 "controlled by a shutter mode between probe modes or rails, "
                 "nor tunneling between shutter modes")
-    if run is not None:
-        steps.append(run)
     return _Program(
         start=_frozen(Sectors(pre).one),
         bra=_frozen(Sectors(post).one.conj()),
         scale=_frozen(np.repeat([1.0] + [SQRT2] * len(cols), 2)),
-        steps=tuple(s if type(s) is tuple else _frozen(s) for s in steps),
+        kept=_frozen([cols[m] for m in kept_ports]),
+        steps=tuple(map(_frozen, steps)),
     )
 
 
@@ -352,7 +356,8 @@ def _measure(plan, points, joint):
     of the merge, one per coefficient vector in ``points``.
 
     With ``plan.recombine``, each point's kept ports are merged by the
-    unitary whose first row is its conjugated coefficients.  Returns the
+    unitary whose first row is its conjugated coefficients, and the blocks
+    and the merged blocks are post-selected as one stack.  Returns the
     summary field names (:func:`_summary_fields`), the (n, 6) matrix of
     their values at each point (the outcome partition, then the fidelity
     of the post-selected probe to the coefficients on the kept ports),
@@ -360,32 +365,31 @@ def _measure(plan, points, joint):
     (:func:`~router_sim.fock.spectra_of`), and the post-selected probes
     ahead of the merge as normalized rows in the block's column layout.
     """
-    kept = plan.kept_columns
-    bra = _program(plan).bra
-
-    def postselect(joint):
-        probes = np.einsum("s,nsp->np", bra, joint)
-        return (normalized_rows(pruned(probes)),
-                np.sum(np.abs(probes) ** 2, axis=-1))
-
+    program = _program(plan)
+    kept, n = program.kept, len(joint)
     spectra = spectra_of(joint)
-    premerge, _ = postselect(joint)
-    fidelities = np.abs(np.einsum(
-        "nk,nk->n", pruned(points).conj(), premerge[:, kept]
-    )) ** 2
-
+    amplitudes = np.einsum("s,nsp->np", program.bra, joint)
     if plan.recombine:
+        # The merge changes only the kept columns, so only they are
+        # post-selected again.
         merges = unitary_with_first_row(points.conj())
-        merged = joint.copy()
-        merged[:, :, kept] = joint[:, :, kept] @ merges.transpose(0, 2, 1)
-        joint = pruned(merged)
-    probes, p_posts = postselect(joint)
-    if np.any(p_posts < CONDITION_EPSILON):
+        merged = pruned(joint[:, :, kept] @ merges.transpose(0, 2, 1))
+        amplitudes = np.concatenate([amplitudes, amplitudes])
+        amplitudes[n:, kept] = np.einsum("s,nsk->nk", program.bra, merged)
+        restored = kept[:1]
+    else:
+        restored = kept
+    probes = normalized_rows(pruned(amplitudes))
+    premerge, probes = probes[:n], probes[-n:]
+    p_posts = (np.abs(amplitudes[-n:]) ** 2).sum(axis=-1)
+    if (p_posts < CONDITION_EPSILON).any():
         raise UndefinedConditioning(
             f"post-selection never succeeds in scenario {plan.name}"
         )
-    restored = kept[:1] if plan.recombine else kept
-    qs = np.sum(np.abs(probes[:, restored]) ** 2, axis=-1)
+    fidelities = np.abs(np.einsum(
+        "nk,nk->n", pruned(points).conj(), premerge[:, kept]
+    )) ** 2
+    qs = (np.abs(probes[:, restored]) ** 2).sum(axis=-1)
     values = np.array([p_posts, qs, p_posts * qs, p_posts * (1.0 - qs),
                        1.0 - p_posts, fidelities]).T
     return (_summary_fields(plan.outcome_label), _clamp(values), spectra,
@@ -690,7 +694,7 @@ def _bell_states(points):
     """
     plan = _beam_table_plan("disappearing_full",
                             **_TABLES["disappearing_full"][None])
-    collected = _propagate(plan, points)[:, :, plan.kept_columns]
+    collected = _propagate(plan, points)[:, :, _program(plan).kept]
     return normalized_rows(
         collected.reshape(len(collected), -1)).reshape(collected.shape)
 
@@ -750,13 +754,28 @@ _BELL_COLUMNS = dict(zip(_BELL_OUTCOMES,
 #: The summary fields of a Bell run or sweep.
 _BELL_SUMMARY = ("no_signaling_gap", "chsh")
 
+#: Each row the table columns of one marginal, the entries of one outcome
+#: of one side, which the no-signaling gap adds in table order, in three
+#: stacks by number of terms.  Rows of the first two are Alice's marginals
+#: with Bob's setting OPEN, for her OPEN then SUPERPOSE, then Bob's with
+#: Alice's OPEN, for his OPEN then SUPERPOSE; the third holds the same
+#: marginals with the other side's setting SUPERPOSE, row for row.  The
+#: tables are box x cavity, box x Bob's match, cavity x Alice's match and
+#: Alice x Bob.
+_OO, _OS, _SO, _SS = (np.arange(c.start, c.stop).reshape(shape) for c, shape
+                      in zip(_BELL_COLUMNS.values(),
+                             [(3, 5), (3, 2), (5, 2), (2, 2)]))
+_MARGINALS = tuple(map(_frozen, (np.concatenate([_OO, _SO.T]),
+                                 np.concatenate([_OO.T, _OS.T]),
+                                 np.concatenate([_OS, _SS, _SO, _SS.T]))))
+
 
 def _bell_tables(states):
     """The clamped joint probability tables of the four setting pairs on a
-    stack of Bell states from :func:`_bell_states`, keyed by (Alice, Bob)
-    setting pair: the pair's (n, k) table holds each point's probabilities
-    of its k outcomes, in :data:`_BELL_OUTCOMES` order.  The four are
-    column blocks of one array, filled and clamped once.
+    stack of Bell states from :func:`_bell_states`, as column blocks of
+    one (n, 35) array, filled and clamped once: the pair's columns
+    (:data:`_BELL_COLUMNS`) hold each point's probabilities of its
+    outcomes, in :data:`_BELL_OUTCOMES` order.
 
     Every probability takes the numpy operations that give it for one
     state at a time, so a stack of any size holds the same bits.  Three
@@ -790,12 +809,11 @@ def _bell_tables(states):
     columns = by_pair[SUPERPOSE, SUPERPOSE].T
     columns[0], columns[1] = p_both, p_alice - p_both
     columns[2], columns[3] = p_bob - p_both, 1.0 - p_alice - p_bob + p_both
-    _clamp(tables)
-    return by_pair
+    return _clamp(tables)
 
 
 def _table(tables, point, alice_setting, bob_setting):
-    """One setting pair's table at one point of :func:`_bell_tables`, as a
+    """One setting pair's table at one point of :func:`_bell_report`, as a
     dict keyed by (Alice outcome, Bob outcome)."""
     pair = (alice_setting, bob_setting)
     return dict(zip(_BELL_OUTCOMES[pair], tables[pair][point].tolist()))
@@ -810,7 +828,9 @@ def bell_test(alphas=None, alice_setting=OPEN_BOXES, bob_setting=OPEN_CAVITIES):
     its complement ("match"/"rest").
     """
     states = _bell_state(alphas, alice_setting, bob_setting)
-    return _table(_bell_tables(states), 0, alice_setting, bob_setting)
+    pair = (alice_setting, bob_setting)
+    row = _bell_tables(states)[0, _BELL_COLUMNS[pair]]
+    return dict(zip(_BELL_OUTCOMES[pair], row.tolist()))
 
 
 def bell_marginals(table, side):
@@ -829,26 +849,18 @@ def _no_signaling_gap(tables):
     side's marginal when the other side changes its setting.
 
     Each marginal adds its table's entries in table order, one after
-    another, as :func:`bell_marginals` adds them.
+    another, as :func:`bell_marginals` adds them: one sequential sum per
+    stack of :data:`_MARGINALS`.
     """
-    positions = tables[OPEN_BOXES, OPEN_CAVITIES].reshape(-1, 3, 5)
-    box_match = tables[OPEN_BOXES, SUPERPOSE].reshape(-1, 3, 2)
-    match_cavity = tables[SUPERPOSE, OPEN_CAVITIES].reshape(-1, 5, 2)
-    both = tables[SUPERPOSE, SUPERPOSE].reshape(-1, 2, 2)  # Alice x Bob
-    changes = np.concatenate([
-        # Alice's marginals as Bob switches, OPEN then SUPERPOSE for her ...
-        running_sum(positions, 2) - running_sum(box_match, 2),
-        running_sum(match_cavity, 1) - running_sum(both, 2),
-        # ... and Bob's as Alice switches.
-        running_sum(positions, 1) - running_sum(match_cavity, 2),
-        running_sum(box_match, 1) - running_sum(both, 1),
-    ], axis=1)
-    return np.abs(changes).max(axis=1)
+    wide, narrow, pairs = (running_sum(tables.take(rows, 1))
+                           for rows in _MARGINALS)
+    return np.abs(np.concatenate([wide, narrow], axis=1) - pairs).max(axis=1)
 
 
 def _chsh(tables):
     """CHSH combination E00 + E01 + E10 - E11 over the two available
-    settings per side, at each point of :func:`_bell_tables`.
+    settings per side, at each point of the tables :func:`_bell_report`
+    keys by setting pair.
 
     Setting 0 is the position measurement, +1 on the outcomes in
     ``_CHSH_ALICE_PLUS`` / ``_CHSH_BOB_PLUS``; setting 1 is the
@@ -890,12 +902,13 @@ def bell_scenario(alphas=None, alice_setting=OPEN_BOXES,
 
 def _bell_report(states):
     """The four clamped tables of a stack of Bell states
-    (:func:`_bell_tables`), the (n, 2) matrix of their summary (the
-    no-signaling gap and the CHSH value) and their Schmidt spectra, from
-    one stacked SVD."""
+    (:func:`_bell_tables`), keyed by (Alice, Bob) setting pair, the (n, 2)
+    matrix of their summary (the no-signaling gap and the CHSH value) and
+    their Schmidt spectra, from one stacked SVD."""
     tables = _bell_tables(states)
-    values = np.array([_no_signaling_gap(tables), _chsh(tables)]).T
-    return tables, values, spectra_of(states)
+    by_pair = {pair: tables[:, cols] for pair, cols in _BELL_COLUMNS.items()}
+    values = np.array([_no_signaling_gap(tables), _chsh(by_pair)]).T
+    return by_pair, values, spectra_of(states)
 
 
 def bell_sweep(points):

@@ -1,5 +1,9 @@
+import copy
 import itertools
 import math
+import pickle
+from collections.abc import Mapping
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -412,3 +416,59 @@ def test_elements_adjoint_inverts():
             assert back.amplitude(c) == pytest.approx(
                 state.amplitude(c), abs=1e-10
             )
+
+
+# ---------------------------------------------------------------------------
+# copying and pickling
+# ---------------------------------------------------------------------------
+
+EVERY_KIND = {
+    "bs": lambda: elements.beamsplitter(0.3, "a", "b"),
+    "ps": lambda: elements.phase_shifter(0.7, "a"),
+    "ns": lambda: elements.ns_single("a"),
+    "ns2": lambda: elements.ns_two_mode("a", "b"),
+    "pqr": lambda: elements.pqr_ideal("a", "b", "c"),
+    "pqr_decomposed": lambda: elements.pqr_decomposed(
+        "a", "b", "c", RouterOrientation.TRANSMIT_ON_MATCH),
+    "relabel": lambda: elements.relabel({"a": "c", "b": "a", "c": "b"}),
+    "tunnel": lambda: elements.tunneling(0.4, "a", "b"),
+    "unitary": lambda: elements.mode_unitary(
+        np.array([[0.6, 0.8j], [0.8j, 0.6]]), ("b", "c")),
+}
+
+
+def plain(params):
+    """``params`` with each read-only mapping a dict and each array a
+    list, for comparison."""
+    return {key: plain(value) if isinstance(value, Mapping)
+            else value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in params.items()}
+
+
+def test_every_element_kind_is_covered():
+    assert set(EVERY_KIND) == {kind.value for kind in elements.ElementKind}
+    assert all(build().kind.value == name for name, build in EVERY_KIND.items())
+
+
+@pytest.mark.parametrize("how", ["deepcopy", "copy", "pickle"])
+@pytest.mark.parametrize("name", sorted(EVERY_KIND))
+def test_element_round_trips_through_copy_and_pickle(name, how):
+    element = EVERY_KIND[name]()
+    clone = {"deepcopy": copy.deepcopy, "copy": copy.copy,
+             "pickle": lambda e: pickle.loads(pickle.dumps(e))}[how](element)
+    assert type(clone) is elements.Element
+    assert (clone.kind, clone.modes) == (element.kind, element.modes)
+    assert plain(clone.params) == plain(element.params)
+    # Still read-only, through every level, and equal only to itself.
+    for params in [clone.params] + [v for v in clone.params.values()
+                                    if isinstance(v, Mapping)]:
+        assert type(params) is MappingProxyType
+        with pytest.raises(TypeError):
+            params["x"] = 1
+    assert clone == clone and clone != element
+    assert len({clone, element}) == 2
+    # The copy acts as the original does.
+    ms = ("a", "b", "c")
+    state = add_photon(add_photon(fock.register_modes(ms), "a"), "c")
+    assert (apply_element(state, clone).amplitudes
+            == apply_element(state, element).amplitudes)

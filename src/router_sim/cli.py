@@ -296,13 +296,12 @@ def _record_template(fmt, arity, fields, count):
 
 
 @functools.cache
-def _sweep_frame(scenario, empty):
+def _sweep_frame(scenario):
     """The JSON text of a sweep document of ``scenario`` around its
-    records, with no record or with some, as ``(head, tail)``: the
-    :func:`_template` of its shape split at the slot of the records."""
+    records, as ``(head, tail)``: the :func:`_template` of its shape split
+    at the slot of the records."""
     head, _, tail = _template(
-        {"scenario": scenario, "records": [] if empty else ["%s"]}
-    ).partition("%s")
+        {"scenario": scenario, "records": ["%s"]}).partition("%s")
     return head, tail
 
 
@@ -390,7 +389,7 @@ def _sweep_text(fmt, scenario, points, fields, values, spectra):
             dtype=object).reshape(numbers.shape)
         separator, tail = "", ""
     else:
-        head, tail = _sweep_frame(scenario, not n)
+        head, tail = _sweep_frame(scenario)
         floats = np.hstack([np.ascontiguousarray(points).view(float),
                             values, spectra])
         cells = np.empty((n, 1 + floats.shape[1]), dtype=object)

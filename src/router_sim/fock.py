@@ -180,10 +180,7 @@ def register_modes(labels):
     labels = tuple(labels)
     if not labels:
         raise BadParam("at least one mode is required")
-    # The vacuum needs none of the constructor's checks of a configuration.
-    vacuum = object.__new__(FockState)
-    vacuum._set(labels, _mode_index(labels), {(0,) * len(labels): 1 + 0j})
-    return vacuum
+    return FockState(labels, {(0,) * len(labels): 1 + 0j})
 
 
 def superposition_source(state, weights):
@@ -233,8 +230,6 @@ def one_photon_amplitudes(weights):
     if not any(lifted):
         raise BadParam("superposition weights are all zero")
     norm = math.sqrt(scalar_sum([abs(a) ** 2 for a in lifted]))
-    if norm < PRUNE_EPSILON:
-        return [0j] * len(lifted)
     scaled = [a / norm for a in lifted]
     return [a if abs(a) >= PRUNE_EPSILON else 0j for a in scaled]
 
@@ -480,19 +475,15 @@ def apply_fock_phase(state, label, phases):
 
 
 def inner_product(a, b):
-    """Hermitian inner product <a|b> over identical mode lists."""
+    """Hermitian inner product <a|b> over identical mode lists, summed in
+    the order of ``a``'s configurations."""
     if a.modes != b.modes:
         raise ModeMismatch("states are defined over different mode lists")
-    small, big = (a, b) if len(a.amplitudes) <= len(b.amplitudes) else (b, a)
     total = 0j
-    for config, amp in small.amplitudes.items():
-        other = big.amplitudes.get(config)
-        if other is None:
-            continue
-        if small is a:
+    for config, amp in a.amplitudes.items():
+        other = b.amplitudes.get(config)
+        if other is not None:
             total += amp.conjugate() * other
-        else:
-            total += other.conjugate() * amp
     return total
 
 

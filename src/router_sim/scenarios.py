@@ -182,13 +182,15 @@ def as_alpha_vector(alphas, arity):
 
 def as_alpha_vectors(points, arity):
     """``points`` as an (n, ``arity``) complex array, one coefficient
-    vector per row; raises :class:`BadCoefficients` unless every row has
-    ``arity`` finite entries and unit norm.  The message names the first
-    bad row of a stack of more than one."""
+    vector per row; raises :class:`BadCoefficients` unless it has a row,
+    and every row has ``arity`` finite entries and unit norm.  The message
+    names the first bad row of a stack of more than one."""
     points = np.asarray(points, dtype=complex)
     if points.ndim != 2 or points.shape[1] != arity:
         raise BadCoefficients(
             f"expected rows of {arity} coefficients, got {points.shape}")
+    if not len(points):
+        raise BadCoefficients("no coefficient vectors")
     with np.errstate(over="ignore"):
         totals = (np.abs(points) ** 2).sum(axis=1)
     # A row with a NaN or an infinite entry has a NaN or infinite total,
@@ -812,11 +814,12 @@ def _bell_tables(states):
     return _clamp(tables)
 
 
-def _table(tables, point, alice_setting, bob_setting):
-    """One setting pair's table at one point of :func:`_bell_report`, as a
-    dict keyed by (Alice outcome, Bob outcome)."""
-    pair = (alice_setting, bob_setting)
-    return dict(zip(_BELL_OUTCOMES[pair], tables[pair][point].tolist()))
+def _table(tables, point, pair):
+    """The table of setting ``pair`` (Alice, Bob) at one point of the
+    tables of :func:`_bell_tables`, as a dict keyed by (Alice outcome, Bob
+    outcome)."""
+    row = tables[point, _BELL_COLUMNS[pair]]
+    return dict(zip(_BELL_OUTCOMES[pair], row.tolist()))
 
 
 def bell_test(alphas=None, alice_setting=OPEN_BOXES, bob_setting=OPEN_CAVITIES):
@@ -828,9 +831,7 @@ def bell_test(alphas=None, alice_setting=OPEN_BOXES, bob_setting=OPEN_CAVITIES):
     its complement ("match"/"rest").
     """
     states = _bell_state(alphas, alice_setting, bob_setting)
-    pair = (alice_setting, bob_setting)
-    row = _bell_tables(states)[0, _BELL_COLUMNS[pair]]
-    return dict(zip(_BELL_OUTCOMES[pair], row.tolist()))
+    return _table(_bell_tables(states), 0, (alice_setting, bob_setting))
 
 
 def bell_marginals(table, side):
@@ -859,8 +860,8 @@ def _no_signaling_gap(tables):
 
 def _chsh(tables):
     """CHSH combination E00 + E01 + E10 - E11 over the two available
-    settings per side, at each point of the tables :func:`_bell_report`
-    keys by setting pair.
+    settings per side, at each point of the tables of
+    :func:`_bell_tables`.
 
     Setting 0 is the position measurement, +1 on the outcomes in
     ``_CHSH_ALICE_PLUS`` / ``_CHSH_BOB_PLUS``; setting 1 is the
@@ -871,8 +872,8 @@ def _chsh(tables):
     """
     e00, e01, e10, e11 = (  # in the order of _BELL_OUTCOMES
         sums[:, 0] / sums[:, 1]
-        for sums in (running_sum(table[:, None] * _CHSH_WEIGHTS[pair])
-                     for pair, table in tables.items()))
+        for sums in (running_sum(tables[:, None, cols] * _CHSH_WEIGHTS[pair])
+                     for pair, cols in _BELL_COLUMNS.items()))
     return 0.0 + e00 + e01 + e10 - e11
 
 
@@ -888,9 +889,9 @@ def bell_scenario(alphas=None, alice_setting=OPEN_BOXES,
     """
     states = _bell_state(alphas, alice_setting, bob_setting)
     tables, values, spectra = _bell_report(states)
+    table = _table(tables, 0, (alice_setting, bob_setting))
     outcomes = {
-        f"shutter={a}|probe={b}": p
-        for (a, b), p in _table(tables, 0, alice_setting, bob_setting).items()
+        f"shutter={a}|probe={b}": p for (a, b), p in table.items()
     }
     return ScenarioResult(
         name="bell_test",
@@ -901,14 +902,13 @@ def bell_scenario(alphas=None, alice_setting=OPEN_BOXES,
 
 
 def _bell_report(states):
-    """The four clamped tables of a stack of Bell states
-    (:func:`_bell_tables`), keyed by (Alice, Bob) setting pair, the (n, 2)
-    matrix of their summary (the no-signaling gap and the CHSH value) and
-    their Schmidt spectra, from one stacked SVD."""
+    """The four clamped tables of a stack of Bell states, as the (n, 35)
+    array of :func:`_bell_tables`, the (n, 2) matrix of their summary (the
+    no-signaling gap and the CHSH value) and their Schmidt spectra, from
+    one stacked SVD."""
     tables = _bell_tables(states)
-    by_pair = {pair: tables[:, cols] for pair, cols in _BELL_COLUMNS.items()}
-    values = np.array([_no_signaling_gap(tables), _chsh(by_pair)]).T
-    return by_pair, values, spectra_of(states)
+    values = np.array([_no_signaling_gap(tables), _chsh(tables)]).T
+    return tables, values, spectra_of(states)
 
 
 def bell_sweep(points):
@@ -956,11 +956,11 @@ class Scenario:
     ``certain(result, tol)`` checks the built-in claim of an unperturbed
     run.  ``sweep(points)``, given for every scenario with coefficients,
     evaluates it, unperturbed and with OPEN/OPEN settings, at each
-    coefficient vector of the (n, ``arity``) array ``points``, which it
-    checks first (:func:`as_alpha_vectors`).  It returns arrays, not one
-    record per point: the tuple of summary field names, the (n, k) float
-    matrix of their values, and the (n, r) Schmidt spectra, each row's
-    coefficients largest first and then zeros
+    coefficient vector of the (n, ``arity``) array ``points``, n >= 1,
+    which it checks first (:func:`as_alpha_vectors`).  It returns arrays,
+    not one record per point: the tuple of summary field names, the (n, k)
+    float matrix of their values, and the (n, r) Schmidt spectra, each
+    row's coefficients largest first and then zeros
     (:func:`~router_sim.fock.spectra_of`).  A sweep propagates all its
     points' blocks as one stack and measures them together, on the path
     that ``evaluate`` runs on a stack of one (:func:`sweep_plan`,

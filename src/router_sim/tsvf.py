@@ -27,7 +27,6 @@ from .fock import (
     matches,
     one_photon_amplitudes,
     project_pattern,
-    register_modes,
     select,
 )
 
@@ -199,10 +198,9 @@ def shutter_state(weights, modes=None):
     if len(weights) != len(modes):
         raise BadParam(f"expected {len(modes)} shutter weights, "
                        f"got {len(weights)}")
-    vacuum = register_modes(modes)
     amplitudes = one_photon_amplitudes(weights)
-    return vacuum._derived({tuple(int(i == j) for j in range(len(modes))): a
-                            for i, a in enumerate(amplitudes)})
+    return FockState(modes, {tuple(int(i == j) for j in range(len(modes))): a
+                             for i, a in enumerate(amplitudes)})
 
 
 def _box_spec(pre, post, segments, checkpoints):

@@ -868,17 +868,9 @@ def test_sweep_text_is_the_per_record_text(name, options, fmt, swept):
     assert out == expected + ("\n" if fmt == "json" else "")
 
 
-def test_sweep_text_of_no_points_and_of_short_spectra():
-    # Shapes the command line never sends: no records, and spectra of
-    # zero to three coefficients in one sweep.
+def test_sweep_text_of_short_spectra():
+    # Spectra of zero to three coefficients in one sweep.
     fields = ("b%s", "a")
-    points = np.zeros((0, 2), dtype=complex)
-    arrays = (fields, np.zeros((0, 2)), np.zeros((0, 3)))
-    assert cli._sweep_text("json", "x", points, *arrays) == sweep_text(
-        "json", "x", points, arrays)
-    # With no records the CSV header still names the summary columns.
-    assert (cli._sweep_text("csv", "x", points, *arrays)
-            == "index,alphas,a,b%s,schmidt\r\n")
     for fmt in ("json", "csv"):
         points = np.array([[1, 0], [0.6, 0.8j], [-1j, 0], [0.6, -0.8]])
         spectra = np.array([[0.5, 0.5, 0], [0, 0, 0], [1, 0, 0],

@@ -159,6 +159,11 @@ def test_superposition_source_rejects_non_finite_weight(bad):
         fock.superposition_source(vacuum, {"a": bad, "b": 1.0})
 
 
+def test_one_photon_amplitudes_need_a_weight():
+    with pytest.raises(BadParam, match="at least one mode"):
+        fock.one_photon_amplitudes([])
+
+
 SOURCE_NAMES = [f"M{i}" for i in range(7)]
 
 # Supports of the first and the second photon: disjoint, overlapping, both

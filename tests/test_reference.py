@@ -218,7 +218,7 @@ def test_bell_tables_match_the_sparse_path(settings, stacked):
         # Every point in one stack, as a Bell sweep evolves them.
         stacked, _, padded = scenarios._bell_report(scenarios._bell_states(
             [scenarios.equal_alphas(5) if a is None else a for a in points]))
-        tables = [scenarios._table(stacked, i, *settings)
+        tables = [scenarios._table(stacked, i, settings)
                   for i in range(len(points))]
         spectra = [row[row > 0] for row in padded]
     else:

@@ -76,6 +76,8 @@ EDGE_WEIGHTS = [
     [1e154, 1.3e154, 0],
     [2, 2j, -2],
     [0j],
+    [1, math.nan],
+    [complex(0.0, math.inf), 1],
 ]
 
 

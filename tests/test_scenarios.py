@@ -946,16 +946,15 @@ def test_bell_report_is_the_per_state_reference_bit_for_bit(argv):
     # the dict tables of one state at a time give.
     states = scenarios._bell_states(cli_points(argv))
     tables, values, spectra = scenarios._bell_report(states)
-    # One table per setting pair, as wide as its outcomes.
-    assert {pair: table.shape for pair, table in tables.items()} == {
-        pair: (len(states), len(outcomes))
-        for pair, outcomes in scenarios._BELL_OUTCOMES.items()}
+    # The tables side by side, one column per outcome of each pair.
+    assert tables.shape == (len(states), sum(
+        map(len, scenarios._BELL_OUTCOMES.values())))
     fields = scenarios._BELL_SUMMARY
     for point, (state, (summary, spectrum)) in enumerate(zip(
             states, records(fields, values, spectra), strict=True)):
         want_tables, want_summary, want_spectrum = bell_report(state)
         for pair, want in want_tables.items():
-            got = scenarios._table(tables, point, *pair)
+            got = scenarios._table(tables, point, pair)
             assert list(got) == list(want)
             assert (np.array(list(got.values())).tobytes()
                     == np.array(list(want.values())).tobytes()), pair
@@ -987,7 +986,8 @@ SWEPT = ("three_box_shutter", "disappearing_full", "stricter_6beam",
     ("norm2", r"not normalized: sum \|a\|\^2 = 2\.0\d* at point 1$"),
     ("arity", "expected rows of"),
     ("flat", "expected rows of"),
-], ids=["zero", "nan", "inf", "norm2", "arity", "flat"])
+    ("empty", "no coefficient vectors"),
+], ids=["zero", "nan", "inf", "norm2", "arity", "flat", "empty"])
 def test_sweeps_check_their_points_at_entry(name, bad, message):
     entry = scenarios.SCENARIOS[name]
     points = np.tile(scenarios.equal_alphas(entry.arity), (3, 1))
@@ -999,6 +999,8 @@ def test_sweeps_check_their_points_at_entry(name, bad, message):
         points[1] *= S2
     elif bad == "arity":
         points = points[:, 1:]
+    elif bad == "empty":
+        points = points[:0]
     else:
         points = points[0]
     with pytest.raises(BadCoefficients, match=message):

@@ -44,9 +44,9 @@ from .fock import (
     PHOTON_BUDGET,
     Sectors,
     normalized_rows,
-    one_photon_amplitudes,
     register_modes,
     scalar_sum,
+    superposition_source,
 )
 
 _WEIGHT_NORM_TOL = 1e-9
@@ -437,7 +437,8 @@ class CompiledCircuit:
 
 
 def compile_doc(doc):
-    """Lower a parsed document to an initial state plus element schedule.
+    """Lower a parsed document to an initial state plus element schedule;
+    :func:`superposition_source` builds each ``postselect_state`` target.
 
     A :class:`CompileError` names the line of the statement at fault.
     """
@@ -490,8 +491,9 @@ def compile_doc(doc):
                     "unselected",
                 )
             modes = tuple(n for n, _ in ps.weights)
-            target = one_photon_amplitudes([w for _, w in ps.weights])
-            postselects.append(("state", (modes, np.array(target))))
+            target = superposition_source(register_modes(modes),
+                                          dict(ps.weights))
+            postselects.append(("state", (modes, Sectors(target).one)))
     detects = [(det.name, dict(det.pattern)) for det in doc.detects]
     return CompiledCircuit(initial, schedule, postselects, detects)
 

@@ -212,28 +212,6 @@ def superposition_source(state, weights):
     return result.normalized()
 
 
-def one_photon_amplitudes(weights):
-    """The amplitudes of ``superposition_source(vacuum, weights)`` on its
-    one-photon configurations, over modes one per entry of the sequence
-    ``weights``, in its order, 0j where it has none: the same multiply,
-    prune, sequential norm and divide, in Python scalars.  Raises
-    :class:`BadParam` where that call does."""
-    # There the vacuum amplitude 1 times w times sqrt(1) is added to a 0j
-    # entry.  For a finite w the products change at most the sign of a
-    # zero part, and that sum makes every zero part +0.0, as 0j + w does.
-    lifted = [0j + complex(w) for w in weights]
-    if not lifted:
-        raise BadParam("superposition source needs at least one mode")
-    if not all(map(cmath.isfinite, lifted)):
-        raise BadParam("superposition weights are not finite")
-    lifted = [a if abs(a) >= PRUNE_EPSILON else 0j for a in lifted]
-    if not any(lifted):
-        raise BadParam("superposition weights are all zero")
-    norm = math.sqrt(scalar_sum([abs(a) ** 2 for a in lifted]))
-    scaled = [a / norm for a in lifted]
-    return [a if abs(a) >= PRUNE_EPSILON else 0j for a in scaled]
-
-
 def _check_unitary(u, k):
     u = np.asarray(u, dtype=complex)
     if u.shape != (k, k):
@@ -404,16 +382,16 @@ def row_norms(rows):
                    + im[:, None, :] @ im[:, :, None])[:, 0]
 
 
-def running_sum(terms, axis=-1):
-    """The sum of the real ``terms`` along ``axis``, adding one term after
-    another from the first.  ``np.sum`` adds eight or more terms in pairs,
-    and Python's ``sum`` compensates float additions from 3.12 on
+def running_sum(terms):
+    """The sum of the real ``terms`` along their last axis, adding one term
+    after another from the first.  ``np.sum`` adds eight or more terms in
+    pairs, and Python's ``sum`` compensates float additions from 3.12 on
     (Neumaier): both can round differently.  A list of a few floats adds
     in :func:`scalar_sum`, without an array."""
     terms = np.asarray(terms, dtype=float)
     if not terms.size:
-        return terms.sum(axis=axis)
-    return np.add.accumulate(terms, axis=axis).take(-1, axis=axis)
+        return terms.sum(axis=-1)
+    return np.add.accumulate(terms, axis=-1).take(-1, axis=-1)
 
 
 def scalar_sum(terms):

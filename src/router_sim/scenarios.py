@@ -69,7 +69,6 @@ from .fock import (
     FockState,
     Sectors,
     normalized_rows,
-    one_photon_amplitudes,
     pruned,
     row_norms,
     running_sum,
@@ -713,8 +712,8 @@ def _bell_state(alphas, alice_setting, bob_setting):
 
 
 #: Alice's SUPERPOSE bra: the equal superposition of boxes A, B and C.
-_ALICE_SUPERPOSITION = _frozen(np.array(
-    one_photon_amplitudes((1 / SQRT3,) * 3)).conj())
+_ALICE_SUPERPOSITION = _frozen(
+    Sectors(tsvf.shutter_state((1 / SQRT3,) * 3)).one.conj())
 
 
 #: Bob's SUPERPOSE bra: the equal superposition of his five cavities.

@@ -25,9 +25,10 @@ from .fock import (
     FockState,
     inner_product,
     matches,
-    one_photon_amplitudes,
     project_pattern,
+    register_modes,
     select,
+    superposition_source,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -105,7 +106,7 @@ def _checkpoint_amplitudes(spec, time, boxes):
     return amplitudes
 
 
-def _abl(amplitudes, proj, complement=False):
+def _abl(amplitudes, proj):
     yes_amp, no_amp, _ = amplitudes
     p_yes = abs(yes_amp) ** 2
     p_no = abs(no_amp) ** 2
@@ -114,8 +115,7 @@ def _abl(amplitudes, proj, complement=False):
         raise UndefinedConditioning(
             f"post-selection unreachable for projector {proj}"
         )
-    value = p_no / denominator if complement else p_yes / denominator
-    return float(value)
+    return float(p_yes / denominator)
 
 
 def _weak(amplitudes):
@@ -127,16 +127,16 @@ def _weak(amplitudes):
     return complex(yes_amp / full_amp)
 
 
-def abl_probability(spec, proj, complement=False):
+def abl_probability(spec, proj):
     """Probability of the dichotomic outcome {proj, 1-proj} at a checkpoint.
 
     Returns P(proj = 1 | pre, post) for the two-outcome measurement that
-    opens exactly the named box; ``complement=True`` returns P(proj = 0).
-    Raises :class:`UndefinedConditioning` if the post-selection is
-    unreachable through both outcomes.
+    opens exactly the named box; P(proj = 0) is one minus it.  Raises
+    :class:`UndefinedConditioning` if the post-selection is unreachable
+    through both outcomes.
     """
     amplitudes = _checkpoint_amplitudes(spec, proj.time, [proj.box])
-    return _abl(amplitudes[proj.box], proj, complement)
+    return _abl(amplitudes[proj.box], proj)
 
 
 def weak_value(spec, proj):
@@ -192,15 +192,13 @@ def shutter_modes():
 
 def shutter_state(weights, modes=None):
     """Single-photon shutter state with one weight per mode (A, B, C by
-    default), as :func:`superposition_source` on the vacuum of ``modes``
-    builds it."""
+    default): :func:`superposition_source` on the vacuum of ``modes``."""
     modes = modes or shutter_modes()
     if len(weights) != len(modes):
         raise BadParam(f"expected {len(modes)} shutter weights, "
                        f"got {len(weights)}")
-    amplitudes = one_photon_amplitudes(weights)
-    return FockState(modes, {tuple(int(i == j) for j in range(len(modes))): a
-                             for i, a in enumerate(amplitudes)})
+    return superposition_source(register_modes(modes),
+                                dict(zip(modes, weights)))
 
 
 def _box_spec(pre, post, segments, checkpoints):

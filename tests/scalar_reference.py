@@ -1,15 +1,20 @@
 """The numpy and ``FockState`` steps that scalar code replaced, kept as the
-reference of it.
+reference of it, and the one-photon states as ``superposition_source``
+builds them.
 
-A ``postselect_state`` target and a shutter state were built through
-``register_modes``, ``superposition_source``, ``normalized`` and, for the
-target, ``Sectors``; ``Sectors.add_photon`` took its norms with
-``np.linalg.norm``; the router rule swapped its entries by fancy indexing;
-a few floats were added through ``running_sum``'s array; a weight was
-tried as a complex literal before a real one; and
-``Sectors.postselect_state`` filled the symmetric pair matrix before it
-read the rows of the projected modes.  The functions here are those steps,
-so that tests can hold the code that replaced them to them bit for bit.
+``Sectors.add_photon`` took its norms with ``np.linalg.norm``; the router
+rule swapped its entries by fancy indexing; a few floats were added
+through ``running_sum``'s array; a weight was tried as a complex literal
+before a real one; and ``Sectors.postselect_state`` filled the symmetric
+pair matrix before it read the rows of the projected modes.  The functions
+here are those steps, so that tests can hold the code that replaced them
+to them bit for bit.
+
+A ``postselect_state`` target and a shutter state are built through
+``register_modes`` and ``superposition_source`` on the vacuum of their
+modes, the target read as the one-photon vector of ``Sectors``.
+:func:`target_vector` and :func:`shutter_state` spell that out, so that a
+second builder of either would be held to it.
 """
 
 import cmath

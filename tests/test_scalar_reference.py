@@ -1,5 +1,6 @@
-"""The scalar steps of ``simulate`` and of the shutter states, held bit for
-bit to the numpy and ``FockState`` steps they replaced
+"""The scalar steps of ``simulate``, held bit for bit to the numpy and
+``FockState`` steps they replaced, and the ``postselect_state`` targets and
+shutter states, held to ``superposition_source`` on a vacuum
 (:mod:`scalar_reference`).
 
 Bits are compared as bytes, so a zero's sign counts; a NaN matches any
@@ -38,14 +39,6 @@ def bits(value):
     return array.dtype.str, array.shape, array.tobytes()
 
 
-def outcome(function, *args):
-    """The bits of ``function(*args)``, or what it raised."""
-    try:
-        return bits(function(*args))
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
 # Parts of a weight: exact and signed zeros, entries below the prune
 # threshold of 1e-14, and ordinary values, so that sets come unnormalized;
 # each set is scaled by 1, 1e-200 (squares underflow) or 1e154 (squares
@@ -64,42 +57,6 @@ def weight_lists(draw, min_size=1, max_size=5):
     size = draw(st.integers(min_size, max_size))
     return [complex(draw(PARTS) * scale, draw(PARTS) * scale)
             for _ in range(size)]
-
-
-EDGE_WEIGHTS = [
-    [0j, 1],
-    [complex(-0.0, 1.0), complex(0.5, -0.0)],
-    [complex(-0.0, -0.0), 1j],
-    [1e-15, 1],
-    [1e-200, 1e-200],
-    [1e154, 1e154j],
-    [1e154, 1.3e154, 0],
-    [2, 2j, -2],
-    [0j],
-    [1, math.nan],
-    [complex(0.0, math.inf), 1],
-]
-
-
-def modes_of(weights):
-    return tuple(f"M{i}" for i in range(len(weights)))
-
-
-@pytest.mark.parametrize("weights", EDGE_WEIGHTS)
-def test_target_vector_is_the_superposition_source_one_at_edges(weights):
-    assert (outcome(lambda w: np.array(fock.one_photon_amplitudes(w)),
-                    weights)
-            == outcome(scalar_reference.target_vector, modes_of(weights),
-                       weights))
-
-
-@SETTINGS
-@given(weight_lists())
-def test_target_vector_is_the_superposition_source_one(weights):
-    assert (outcome(lambda w: np.array(fock.one_photon_amplitudes(w)),
-                    weights)
-            == outcome(scalar_reference.target_vector, modes_of(weights),
-                       weights))
 
 
 @pytest.mark.parametrize("path", CIRCUIT_FILES, ids=lambda p: p.name)

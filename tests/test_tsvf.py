@@ -121,17 +121,6 @@ def test_weak_eigenvalue_coincidence_implies_abl():
     assert seen >= 5
 
 
-def test_abl_complement_sums_to_one():
-    spec = tsvf.disappearing_spec()
-    for time in CHECKPOINTS:
-        for box in BOXES:
-            proj = ProjectorSpec(box, time)
-            total = tsvf.abl_probability(spec, proj) + tsvf.abl_probability(
-                spec, proj, complement=True
-            )
-            assert total == pytest.approx(1.0, abs=1e-10)
-
-
 def test_postselection_success_odds():
     spec = tsvf.disappearing_spec()
     assert tsvf.postselection_success(spec) == pytest.approx(1 / 9, abs=1e-9)
